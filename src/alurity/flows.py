@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import yaml
-
 from .model import Command, FlowSpec, Split
 from .orchestrator import CommandResult, Deployment
+from .parser import dump_yaml
 
 
 class UnknownEndpointInFlow(Exception):
@@ -172,4 +171,4 @@ def transcript_to_yaml(transcript: Transcript) -> str:
         }
         for e in transcript.events
     ]
-    return yaml.safe_dump({"transcript": events}, sort_keys=False, default_flow_style=False)
+    return dump_yaml({"transcript": events})

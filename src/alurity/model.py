@@ -9,6 +9,7 @@ with a document at once.
 from __future__ import annotations
 
 import ipaddress
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -266,6 +267,21 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         check_endpoint((1, i), f"containers[{i}]", c.name, c.networks, c.ip, c.cpus, c.memory)
     for i, v in enumerate(scenario.vms):
         check_endpoint((2, i), f"vms[{i}]", v.name, v.networks, v.ip, v.cpus, v.memory)
+
+    # Each attachment takes one host address of its network, manual or
+    # allocated, and the gateway takes one more.  Manual addresses that
+    # collide or fall outside the subnet are reported above.
+    attached = Counter(ref for spec in (*scenario.containers, *scenario.vms) for ref in set(spec.networks))
+    for i, net, parsed in subnets:
+        free = parsed.num_addresses - 3
+        if parsed.prefixlen <= 30 and attached[net.name] > free:
+            emit(
+                (0, i),
+                "error",
+                "subnet-exhausted",
+                f"networks[{i}].subnet",
+                f"{attached[net.name]} endpoints attach to {net.name!r} but {net.subnet} has {free} host addresses besides the gateway",
+            )
 
     for i, flow in enumerate(scenario.flows):
         if flow.select is not None and flow.select not in {w.name for w in flow.windows}:

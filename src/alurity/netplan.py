@@ -11,9 +11,8 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Optional
 
-import yaml
-
 from .model import Scenario, endpoints
+from .parser import dump_yaml
 
 
 class AllocationFailure(Exception):
@@ -188,7 +187,7 @@ def export_plan_yaml(plan: ConnectivityPlan) -> str:
         "entries": [e.to_dict() for e in plan.entries],
         "endpoints": {name: list(nets) for name, nets in plan.attachments.items()},
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return dump_yaml(doc)
 
 
 def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: str = "dot") -> str:

@@ -14,11 +14,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
-import yaml
-
 from . import toolreg
 from .model import Scenario, endpoints, has_errors, validate
 from .netplan import ConnectivityPlan, allocate_addresses, build_connectivity_plan
+from .parser import load_yaml
 
 
 class UnknownEndpoint(Exception):
@@ -95,7 +94,7 @@ class MockBackend:
     @classmethod
     def from_fixture(cls, path: str) -> "MockBackend":
         with open(path, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle) or {}
+            raw = load_yaml(handle) or {}
         responses = [(pattern, body or {}) for pattern, body in raw.items()]
         return cls(responses=responses)
 

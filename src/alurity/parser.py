@@ -45,10 +45,25 @@ class ParseFailure(Exception):
 
 _SPLIT_DIRECTIONS = {"horizontal", "vertical"}
 
+# Every YAML read and write in the package goes through this pair: libyaml
+# when PyYAML was built with it, the pure-Python classes otherwise.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def load_yaml(stream):
+    return yaml.load(stream, Loader=YAML_LOADER)
+
+
+def dump_yaml(doc) -> str:
+    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False, default_flow_style=False)
+
 
 def _compose(text: str) -> Optional[yaml.Node]:
     try:
-        return yaml.compose(text, Loader=yaml.SafeLoader)
+        return yaml.compose(text, Loader=YAML_LOADER)
+    except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
+        raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
@@ -60,17 +75,36 @@ def _line(node: yaml.Node) -> int:
     return node.start_mark.line + 1
 
 
+_RESOLVER = yaml.resolver.Resolver()
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
 def _scalar(node: yaml.Node):
+    """A scalar's value as YAML's implicit typing reads its text.
+
+    Plain scalars are typed by the resolver and built by the safe
+    constructor for that tag, without re-parsing the text as a document.
+    Text that matches a tag's pattern but does not construct (``=``, a
+    timestamp such as ``2020-13-45``) stays text.
+    """
     if not isinstance(node, yaml.ScalarNode):
         raise ParseFailure("expected a scalar value", _line(node))
+    text = node.value
     if node.style in ('"', "'"):
-        return node.value
-    if node.value == "":
+        return text
+    if text == "":
         return None
     try:
-        return yaml.safe_load(node.value)
-    except yaml.YAMLError:
-        return node.value
+        if node.style in ("|", ">"):  # a block scalar: its text is re-read
+            return load_yaml(text)
+        tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
+        if tag == _STR_TAG:
+            return text
+        construct = _CONSTRUCTOR.yaml_constructors.get(tag)
+        return text if construct is None else construct(_CONSTRUCTOR, node)
+    except (ValueError, yaml.YAMLError):
+        return text
 
 
 def _string(node: yaml.Node, what: str) -> str:
@@ -262,14 +296,15 @@ def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diag
     return VmSpec(**fields)
 
 
-def _tagged_items(node: yaml.Node, section: str, tag: str) -> list[yaml.Node]:
+def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
     """Unwrap ``- network:`` / ``- container:`` wrapper entries."""
     if node is None or (isinstance(node, yaml.ScalarNode) and node.value == ""):
         return []
     out = []
     for key, value, line in _pairs(node, section):
-        if key != tag:
-            raise ParseFailure(f"expected {tag!r} entries under {section}, got {key!r}", line)
+        if key not in tags:
+            expected = " or ".join(repr(tag) for tag in tags)
+            raise ParseFailure(f"expected {expected} entries under {section}, got {key!r}", line)
         out.append(value)
     return out
 
@@ -295,13 +330,13 @@ def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]
     for key_node, value_node in root.value:
         key = key_node.value
         if key == "networks":
-            for i, item in enumerate(_tagged_items(value_node, "networks", "network")):
+            for i, item in enumerate(_tagged_items(value_node, "networks", ("network",))):
                 networks.append(_parse_network(item, i, source_map, warnings))
         elif key == "containers":
-            for i, item in enumerate(_tagged_items(value_node, "containers", "container")):
+            for i, item in enumerate(_tagged_items(value_node, "containers", ("container",))):
                 containers.append(_parse_container(item, i, source_map, warnings))
         elif key == "vms":
-            for i, item in enumerate(_tagged_items(value_node, "vms", "vm")):
+            for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",))):
                 vms.append(_parse_vm(item, i, source_map, warnings))
         elif key == "flow":
             flows = tuple(_parse_flow_section(value_node, source_map))
@@ -347,7 +382,7 @@ def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
 
 def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
     flows: list[FlowSpec] = []
-    for index, item in enumerate(_tagged_items_any(node, "flow", ("container", "vm"))):
+    for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm"))):
         loc = f"flows[{index}]"
         source_map[loc] = _line(item)
         name: Optional[str] = None
@@ -373,17 +408,6 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
             raise ParseFailure(f"selected window {select!r} is not defined for {name!r}", select_line)
         flows.append(FlowSpec(endpoint=name, windows=tuple(windows), select=select))
     return flows
-
-
-def _tagged_items_any(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
-    if node is None or (isinstance(node, yaml.ScalarNode) and node.value == ""):
-        return []
-    out = []
-    for key, value, line in _pairs(node, section):
-        if key not in tags:
-            raise ParseFailure(f"expected one of {tags} under {section}, got {key!r}", line)
-        out.append(value)
-    return out
 
 
 def parse_flow(text: str) -> list[FlowSpec]:
@@ -419,9 +443,9 @@ def _emit_scalar(value) -> str:
     s = str(value)
     if _BARE_RE.fullmatch(s) and ": " not in s:
         try:
-            if isinstance(yaml.safe_load(s), str):
+            if isinstance(load_yaml(s), str):
                 return s
-        except yaml.YAMLError:
+        except (ValueError, yaml.YAMLError):
             pass
     return json.dumps(s)
 

@@ -15,12 +15,10 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import yaml
-
 from . import flows as flow_engine
 from . import orchestrator, rvd, toolreg
 from .model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, WindowSpec
-from .parser import serialize_flow, serialize_scenario
+from .parser import dump_yaml, load_yaml, serialize_flow, serialize_scenario
 
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
@@ -89,7 +87,7 @@ class FlawRecord:
         return doc
 
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False, default_flow_style=False)
+        return dump_yaml(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FlawRecord":
@@ -121,7 +119,7 @@ class FlawRecord:
 
     @classmethod
     def from_yaml(cls, text: str) -> "FlawRecord":
-        return cls.from_dict(yaml.safe_load(text) or {})
+        return cls.from_dict(load_yaml(text) or {})
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:

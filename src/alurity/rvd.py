@@ -7,16 +7,19 @@ issue body as fenced ``yaml`` code blocks.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from typing import Optional
 
-import requests
 import yaml
 
 from .model import FlowSpec, Scenario
-from .parser import ParseFailure, parse_flow, parse_scenario
+from .parser import ParseFailure, load_yaml, parse_flow, parse_scenario
 
 TOKEN_ENV = "ALURITY_TRACKER_TOKEN"
 
@@ -54,23 +57,52 @@ def _headers(token: Optional[str]) -> dict:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
-def fetch_ticket(base_url: str, ticket_id: int, token: Optional[str] = None, timeout: float = 10.0) -> Ticket:
-    url = f"{base_url.rstrip('/')}/issues/{ticket_id}"
+def _request(method: str, url: str, token: Optional[str], timeout: float, payload=None) -> tuple[int, bytes]:
+    """One HTTP exchange (proxies from the environment); returns status and
+    body, error statuses included.  A failed exchange is a TransportError."""
+    headers = _headers(token)
+    data = None
+    if payload is not None:
+        data = json.dumps(payload).encode()
+        headers["Content-Type"] = "application/json"
+    request = urllib.request.Request(url, data=data, headers=headers, method=method)
     try:
-        response = requests.get(url, headers=_headers(token), timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    if response.status_code == 404:
-        raise NotFound(ticket_id)
-    if response.status_code >= 400:
-        raise TransportError(f"HTTP {response.status_code} fetching {url}")
-    doc = response.json()
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+    except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
+        raise TransportError(f"{method} {url}: {exc}") from exc
+
+
+def _decode(body: bytes, url: str, build):
+    """``build`` applied to the JSON document of a 2xx response; a body that
+    is not JSON or lacks the fields ``build`` reads is a TransportError."""
+    try:
+        return build(json.loads(body))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TransportError(f"unusable tracker response from {url}: {exc!r}") from exc
+
+
+def _ticket(doc: dict) -> Ticket:
     return Ticket(
         id=int(doc["id"]),
         title=str(doc.get("title", "")),
         body=str(doc.get("body", "")),
         labels=tuple(doc.get("labels", [])),
     )
+
+
+def fetch_ticket(base_url: str, ticket_id: int, token: Optional[str] = None, timeout: float = 10.0) -> Ticket:
+    url = f"{base_url.rstrip('/')}/issues/{ticket_id}"
+    status, body = _request("GET", url, token, timeout)
+    if status == 404:
+        raise NotFound(ticket_id)
+    if status >= 400:
+        raise TransportError(f"HTTP {status} fetching {url}")
+    return _decode(body, url, _ticket)
 
 
 def push_issue(base_url: str, record, token: Optional[str] = None, timeout: float = 10.0) -> int:
@@ -82,15 +114,12 @@ def push_issue(base_url: str, record, token: Optional[str] = None, timeout: floa
         "labels": [record.flaw_class, record.severity],
     }
     url = f"{base_url.rstrip('/')}/issues"
-    try:
-        response = requests.post(url, json=payload, headers=_headers(token), timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    if 400 <= response.status_code < 500:
-        raise Rejected(response.status_code, response.text)
-    if response.status_code >= 500:
-        raise TransportError(f"HTTP {response.status_code} pushing to {url}")
-    return int(response.json()["id"])
+    status, body = _request("POST", url, token, timeout, payload)
+    if 400 <= status < 500:
+        raise Rejected(status, body.decode("utf-8", "replace"))
+    if status >= 500:
+        raise TransportError(f"HTTP {status} pushing to {url}")
+    return _decode(body, url, lambda doc: int(doc["id"]))
 
 
 def _is_scenario(scenario: Scenario) -> bool:
@@ -135,8 +164,8 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
 
 def _reproduction_from_record(block: str) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
     try:
-        doc = yaml.safe_load(block)
-    except yaml.YAMLError:
+        doc = load_yaml(block)
+    except (ValueError, yaml.YAMLError):
         return None
     if not isinstance(doc, dict) or "reproduction" not in doc:
         return None

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-import yaml
-
 from .model import DEFAULT_GROUP_PREFIXES, ContainerSpec, ModuleRef
+from .parser import load_yaml
 
 
 class UnknownModule(Exception):
@@ -74,7 +73,7 @@ class RegistryIndex:
 
 def load_registry_index(path: str) -> RegistryIndex:
     with open(path, "r", encoding="utf-8") as handle:
-        return registry_index_from_dict(yaml.safe_load(handle) or {})
+        return registry_index_from_dict(load_yaml(handle) or {})
 
 
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:

@@ -15,6 +15,8 @@ class StubTracker:
         self.issues: dict[int, dict] = {}
         self.next_id = 1
         self.reject_status: int | None = None
+        # (status, raw body) sent for every request instead of the REST subset
+        self.canned: tuple[int, bytes] | None = None
         self.seen_auth: list[str | None] = []
         self._server: ThreadingHTTPServer | None = None
 
@@ -35,8 +37,20 @@ class StubTracker:
                 self.end_headers()
                 self.wfile.write(payload)
 
+            def _canned(self) -> bool:
+                if tracker.canned is None:
+                    return False
+                status, payload = tracker.canned
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+                return True
+
             def do_GET(self):
                 tracker.seen_auth.append(self.headers.get("Authorization"))
+                if self._canned():
+                    return
                 match = _ISSUE_PATH.match(self.path)
                 if not match:
                     self._json(404, {"error": "not found"})
@@ -49,6 +63,8 @@ class StubTracker:
 
             def do_POST(self):
                 tracker.seen_auth.append(self.headers.get("Authorization"))
+                if self._canned():
+                    return
                 if self.path != "/issues":
                     self._json(404, {"error": "not found"})
                     return
@@ -68,7 +84,7 @@ class StubTracker:
                 self._json(201, {"id": issue_id})
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        thread = threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         host, port = self._server.server_address
         return f"http://{host}:{port}"

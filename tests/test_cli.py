@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import alurity
 from alurity.cli import main
 from alurity.pipeline import FlawRecord
 
@@ -15,6 +18,13 @@ INDEX = str(FIXTURES / "registry_index.yaml")
 RESPONSES = str(FIXTURES / "mock_responses.yaml")
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
+
+TWO_ON_A_SLASH_30 = (
+    "networks:\n  - network:\n    - name: tiny\n    - subnet: 12.0.0.0/30\n"
+    "containers:\n"
+    "  - container:\n    - name: a\n    - modules:\n       - base: r/x:1\n       - network:\n         - tiny\n"
+    "  - container:\n    - name: b\n    - modules:\n       - base: r/x:1\n       - network:\n         - tiny\n"
+)
 
 
 @pytest.fixture
@@ -79,6 +89,22 @@ class TestValidate:
         assert diag_code == "unknown-key"
         assert location.startswith("networks[0]")
 
+    def test_exhausted_subnet_exits_1(self, run_cli, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(TWO_ON_A_SLASH_30)
+        code, out, _ = run_cli("validate", str(path))
+        assert code == 1
+        assert out.split()[:3] == ["error", "subnet-exhausted", "networks[0].subnet"]
+
+    def test_odd_scalars_validate(self, run_cli, tmp_path):
+        path = tmp_path / "odd.yaml"
+        path.write_text(
+            "networks:\n  - network:\n    - name: 2020-13-45\n    - subnet: 12.0.0.0/24\n"
+            "  - network:\n    - name: =\n    - subnet: 13.0.0.0/24\n"
+        )
+        code, out, _ = run_cli("validate", str(path))
+        assert (code, out) == (0, "")
+
 
 class TestGraph:
     def test_listing1_dot(self, run_cli):
@@ -99,6 +125,13 @@ class TestGraph:
         )
         code, _, _ = run_cli("graph", str(path))
         assert code == 1
+
+    def test_exhausted_subnet_is_reported_not_raised(self, run_cli, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(TWO_ON_A_SLASH_30)
+        code, _, err = run_cli("graph", str(path))
+        assert code == 1
+        assert "subnet-exhausted" in err
 
 
 class TestRun:
@@ -214,3 +247,11 @@ class TestPipeline:
         ids = [int(line) for line in out.splitlines()]
         assert len(ids) == 2
         assert all(i in stub.issues for i in ids)
+
+
+def test_cli_import_does_not_load_requests():
+    src = str(Path(alurity.__file__).resolve().parent.parent)
+    probe = "import sys, alurity.cli; print('requests' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

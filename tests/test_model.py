@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alurity.model import (
     ContainerSpec,
@@ -12,6 +13,7 @@ from alurity.model import (
     endpoints,
     validate,
 )
+from alurity.netplan import AllocationFailure, allocate_addresses
 
 from strategies import BASE_REFS, scenarios
 
@@ -113,6 +115,34 @@ class TestValidate:
         codes = [d.code for d in validate(s)]
         assert codes == ["invalid-cpus", "invalid-memory"]
 
+    def test_subnet_exhausted(self):
+        tiny = net(subnet="12.0.0.0/30")
+        s = Scenario(networks=(tiny,), containers=(box("a"),))
+        assert validate(s) == []
+        s = Scenario(networks=(tiny,), containers=(box("a"), box("b")))
+        diags = validate(s)
+        assert [(d.code, d.location) for d in diags] == [("subnet-exhausted", "networks[0].subnet")]
+        assert diags[0].severity == "error"
+
+    def test_manual_addresses_count_against_the_subnet(self):
+        small = net(subnet="12.0.0.0/29")  # 6 hosts: gateway + 5 free
+        manual = tuple(box(f"m{i}", ip=f"12.0.0.{i}") for i in (2, 3))
+        auto = tuple(box(f"a{i}") for i in range(3))
+        assert validate(Scenario(networks=(small,), containers=manual + auto)) == []
+        crowded = Scenario(networks=(small,), containers=manual + auto + (box("a3"),))
+        assert [d.code for d in validate(crowded)] == ["subnet-exhausted"]
+
+    def test_network_listed_twice_is_one_attachment(self):
+        s = Scenario(networks=(net(subnet="12.0.0.0/30"),), containers=(box("a", networks=("net", "net")),))
+        assert validate(s) == []
+
+    def test_manual_address_covers_only_its_own_network(self):
+        a, b = net("a", "12.0.0.0/30"), net("b", "13.0.0.0/30")
+        first = box("x", networks=("a", "b"), ip="13.0.0.2")  # auto on a, manual on b
+        second = box("y", networks=("a",))
+        diags = validate(Scenario(networks=(a, b), containers=(first, second)))
+        assert [(d.code, d.location) for d in diags] == [("subnet-exhausted", "networks[0].subnet")]
+
     def test_deterministic_and_pure(self, listing1):
         assert validate(listing1) == validate(listing1)
 
@@ -151,3 +181,46 @@ def test_injected_violation_is_reported(scenario):
     )
     diags = validate(broken)
     assert any(d.severity == "error" and d.location == "containers[0].ip" for d in diags)
+
+
+@st.composite
+def crowded_scenarios(draw) -> Scenario:
+    """Small subnets, several endpoints, some manual addresses."""
+    prefixes = draw(st.lists(st.integers(28, 30), min_size=1, max_size=3))
+    networks = tuple(net(f"n{i}", f"10.{i}.0.0/{p}") for i, p in enumerate(prefixes))
+    names = [n.name for n in networks]
+    hosts = {n.name: [str(h) for h in list(n.network().hosts())[1:]] for n in networks}
+    taken: set = set()
+    endpoints_ = []
+    for i in range(draw(st.integers(0, 8))):
+        attached = tuple(draw(st.permutations(names))[: draw(st.integers(1, len(names)))])
+        ip = None
+        if draw(st.booleans()):
+            free = [h for h in hosts[attached[0]] if h not in taken]
+            if free:
+                ip = draw(st.sampled_from(free))
+                taken.add(ip)
+        kind = draw(st.sampled_from(["container", "vm"]))
+        if kind == "container":
+            endpoints_.append(box(f"e{i}", networks=attached, ip=ip))
+        else:
+            endpoints_.append(VmSpec(name=f"e{i}", path="/vm", networks=attached, ip=ip))
+    return Scenario(
+        networks=networks,
+        containers=tuple(e for e in endpoints_ if isinstance(e, ContainerSpec)),
+        vms=tuple(e for e in endpoints_ if isinstance(e, VmSpec)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_scenarios())
+def test_clean_validation_means_allocation_succeeds(scenario):
+    diagnostics = validate(scenario)
+    try:
+        allocate_addresses(scenario)
+        allocated = True
+    except AllocationFailure:
+        allocated = False
+    if diagnostics == []:
+        assert allocated
+    assert allocated == ("subnet-exhausted" not in {d.code for d in diagnostics})

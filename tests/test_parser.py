@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alurity.model import (
     Command,
@@ -148,6 +149,23 @@ class TestParseScenario:
         assert [w.code for w in warnings] == ["unknown-key"]
         assert warnings[0].line == 5
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "2020-13-45",  # matches the timestamp pattern, is no date
+            "=",  # resolves to the value tag, which has no safe constructor
+        ],
+    )
+    def test_odd_scalar_stays_text(self, name):
+        text = f"networks:\n  - network:\n    - name: {name}\n    - subnet: 12.0.0.0/24\n"
+        scenario = parse_scenario(text)
+        assert scenario.networks[0].name == name
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    def test_lone_surrogate_fails_cleanly(self):
+        with pytest.raises(ParseFailure):
+            parse_scenario("networks:\n  - network:\n    - name: \ud800\n")
+
     def test_source_lines_recorded(self, listing1_text):
         scenario = parse_scenario(listing1_text)
         lines = listing1_text.splitlines()
@@ -155,6 +173,16 @@ class TestParseScenario:
         assert "ip: 12.0.0.20" in lines[ip_line - 1]
         subnet_line = scenario.source_map["networks[1].subnet"]
         assert "17.0.0.0/24" in lines[subnet_line - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=20))
+def test_any_network_name_parses_or_fails_cleanly(name):
+    text = f"networks:\n  - network:\n    - name: {name}\n    - subnet: 12.0.0.0/24\n"
+    try:
+        parse_scenario(text)
+    except ParseFailure:
+        pass
 
 
 class TestParseFlow:

@@ -1,7 +1,7 @@
 import pytest
 
 from alurity.parser import serialize_flow, serialize_scenario
-from alurity.pipeline import FlawRecord
+from alurity.pipeline import FlawRecord, TrackerSink, emit_all
 from alurity.rvd import (
     NoReproductionFound,
     NotFound,
@@ -52,6 +52,24 @@ class TestFetch:
         fetch_ticket(url, ticket_id)
         assert stub.seen_auth[-1] == "Bearer sekrit"
 
+    def test_non_json_body_is_a_transport_error(self, tracker):
+        stub, url = tracker
+        stub.canned = (200, b"<html>maintenance</html>")
+        with pytest.raises(TransportError):
+            fetch_ticket(url, 1)
+
+    def test_body_without_id_is_a_transport_error(self, tracker):
+        stub, url = tracker
+        stub.canned = (200, b'{"title": "t", "body": "b"}')
+        with pytest.raises(TransportError):
+            fetch_ticket(url, 1)
+
+    def test_server_error(self, tracker):
+        stub, url = tracker
+        stub.canned = (503, b"busy")
+        with pytest.raises(TransportError):
+            fetch_ticket(url, 1)
+
 
 class TestPush:
     def test_push_stores_fenced_yaml(self, tracker):
@@ -65,8 +83,32 @@ class TestPush:
     def test_rejected(self, tracker):
         stub, url = tracker
         stub.reject_status = 422
-        with pytest.raises(Rejected):
+        with pytest.raises(Rejected) as exc:
             push_issue(url, make_record("networks:\n"))
+        assert exc.value.status == 422
+
+    def test_bearer_token_argument(self, tracker):
+        stub, url = tracker
+        push_issue(url, make_record("networks:\n"), token="t0k")
+        assert stub.seen_auth[-1] == "Bearer t0k"
+
+    @pytest.mark.parametrize(
+        "canned",
+        [(200, b"not json"), (201, b'{"title": "no id"}'), (201, b"[1, 2]"), (500, b"oops")],
+    )
+    def test_unusable_reply_is_a_transport_error(self, tracker, canned):
+        stub, url = tracker
+        stub.canned = canned
+        with pytest.raises(TransportError):
+            push_issue(url, make_record("networks:\n"))
+
+    def test_batch_survives_unusable_replies(self, tracker):
+        stub, url = tracker
+        records = [make_record("networks:\n"), make_record("containers:\n")]
+        for canned in [(200, b"not json"), (201, b'{"title": "no id"}')]:
+            stub.canned = canned
+            locations, outbox = emit_all(records, TrackerSink(url))
+            assert locations == [] and outbox == records
 
 
 class TestExtract:
