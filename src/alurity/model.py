@@ -165,6 +165,14 @@ def endpoints(scenario: Scenario) -> list[tuple[str, str]]:
     return out
 
 
+def endpoint_specs(scenario: Scenario) -> dict:
+    """Endpoint name -> spec; when a name repeats, the last spec (VMs after
+    containers) wins."""
+    specs = {c.name: c for c in scenario.containers}
+    specs.update({v.name: v for v in scenario.vms})
+    return specs
+
+
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
@@ -298,8 +306,5 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
 
 def _parent(location: str) -> str:
-    for sep in (".",):
-        idx = location.rfind(sep)
-        if idx > 0:
-            return location[:idx]
-    return location
+    idx = location.rfind(".")
+    return location[:idx] if idx > 0 else location

@@ -11,7 +11,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Scenario, endpoints
+from .model import Scenario, endpoint_specs, endpoints
 from .parser import dump_yaml
 
 
@@ -34,8 +34,17 @@ class AddressAssignment:
     # network name -> gateway dotted quad
     gateways: dict
 
+    # endpoint name -> [(network name, dotted quad)], in ``addresses`` order
+    _by_endpoint: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index: dict = {}
+        for (name, net), addr in self.addresses.items():
+            index.setdefault(name, []).append((net, addr))
+        object.__setattr__(self, "_by_endpoint", index)
+
     def addresses_of(self, endpoint: str) -> list[tuple[str, str]]:
-        return [(net, addr) for (name, net), addr in self.addresses.items() if name == endpoint]
+        return list(self._by_endpoint.get(endpoint, ()))
 
 
 @dataclass(frozen=True)
@@ -69,20 +78,31 @@ class ConnectivityPlan:
         return [e for e in self.entries if e.kind == "bridge"]
 
 
+def _host_range(net: ipaddress.IPv4Network) -> tuple[int, int]:
+    """First and last host as integers, by the rule of ``hosts()``: a /31
+    has both its addresses, a /32 its one, any other prefix all but the
+    network and broadcast addresses."""
+    first, last = int(net.network_address), int(net.broadcast_address)
+    if net.prefixlen < 31:
+        return first + 1, last - 1
+    return first, last
+
+
 def allocate_addresses(scenario: Scenario) -> AddressAssignment:
     """Deterministic address plan: manual IPs verbatim, the rest lowest-free.
 
     Gateway of every subnet is its lowest host address; auto assignment walks
     endpoints in document order handing out the lowest unused host address
-    above the gateway.
+    above the gateway (host addresses as ``hosts()`` gives them, so a /31
+    offers both of its addresses and a /32 its single one).  Each network
+    keeps a cursor that only moves up past taken addresses, so the cost is
+    linear in attachments plus manual addresses, whatever the subnet size.
     """
     networks = {n.name: ipaddress.IPv4Network(n.subnet) for n in scenario.networks}
     gateways = {name: str(net.network_address + 1) for name, net in networks.items()}
 
-    specs = {c.name: c for c in scenario.containers}
-    specs.update({v.name: v for v in scenario.vms})
-
-    used: dict[str, set] = {name: {net.network_address + 1} for name, net in networks.items()}
+    specs = endpoint_specs(scenario)
+    used: dict[str, set] = {name: {int(net.network_address) + 1} for name, net in networks.items()}
     addresses: dict = {}
 
     # Manual addresses first so auto assignment can skip them.
@@ -94,26 +114,23 @@ def allocate_addresses(scenario: Scenario) -> AddressAssignment:
         for net_name in spec.networks:
             if addr in networks[net_name]:
                 addresses[(name, net_name)] = spec.ip
-                used[net_name].add(addr)
+                used[net_name].add(int(addr))
                 break
 
+    cursors = {name: _host_range(net) for name, net in networks.items()}
     for name, _kind in endpoints(scenario):
-        spec = specs[name]
-        for net_name in spec.networks:
+        for net_name in specs[name].networks:
             if (name, net_name) in addresses:
                 continue
-            net = networks[net_name]
-            candidate = None
-            for host in net.hosts():
-                if host not in used[net_name]:
-                    candidate = host
-                    break
-            if candidate is None:
+            host, last = cursors[net_name]
+            while host in used[net_name]:
+                host += 1
+            if host > last:
                 raise AllocationFailure(
-                    f"subnet {net} of network {net_name!r} has no free host address for {name!r}"
+                    f"subnet {networks[net_name]} of network {net_name!r} has no free host address for {name!r}"
                 )
-            addresses[(name, net_name)] = str(candidate)
-            used[net_name].add(candidate)
+            addresses[(name, net_name)] = str(ipaddress.IPv4Address(host))
+            cursors[net_name] = (host + 1, last)
 
     return AddressAssignment(addresses=addresses, gateways=gateways)
 
@@ -127,8 +144,7 @@ def build_connectivity_plan(scenario: Scenario, assignment: AddressAssignment) -
     attachments, routes, filter rules, then encryption metadata."""
     container_names = {c.name for c in scenario.containers}
     vm_names = {v.name for v in scenario.vms}
-    specs = {c.name: c for c in scenario.containers}
-    specs.update({v.name: v for v in scenario.vms})
+    specs = endpoint_specs(scenario)
 
     attachments = {name: tuple(specs[name].networks) for name, _ in endpoints(scenario)}
     members: dict[str, list[str]] = {n.name: [] for n in scenario.networks}

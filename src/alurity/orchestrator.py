@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from . import toolreg
-from .model import Scenario, endpoints, has_errors, validate
-from .netplan import ConnectivityPlan, allocate_addresses, build_connectivity_plan
+from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
+from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
 from .parser import load_yaml
-
-
-class UnknownEndpoint(Exception):
-    pass
 
 
 class EndpointNotRunning(Exception):
@@ -209,8 +205,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     plan = build_connectivity_plan(scenario, assignment)
     deployment = Deployment(scenario, assignment, plan, backend)
 
-    specs = {c.name: c for c in scenario.containers}
-    specs.update({v.name: v for v in scenario.vms})
+    specs = endpoint_specs(scenario)
 
     try:
         for name, kind in endpoints(scenario):
@@ -232,10 +227,3 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
         raise DeploymentFailure(failed, exc, deployment.events) from exc
     return deployment
 
-
-def exec_command(deployment: Deployment, endpoint: str, command: str, env: Optional[dict] = None) -> CommandResult:
-    return deployment.exec(endpoint, command, env)
-
-
-def down(deployment: Deployment) -> None:
-    deployment.down()

@@ -18,6 +18,7 @@ from typing import Optional
 from . import flows as flow_engine
 from . import orchestrator, rvd, toolreg
 from .model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, WindowSpec
+from .netplan import allocate_addresses
 from .parser import dump_yaml, load_yaml, serialize_flow, serialize_scenario
 
 PIPELINE_NETWORK = "pipeline-network"
@@ -140,9 +141,6 @@ def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:
         networks=(PIPELINE_NETWORK,),
     )
     scenario = Scenario(networks=(network,), containers=(target, scanner))
-
-    from .netplan import allocate_addresses
-
     assignment = allocate_addresses(scenario)
     target_ip = assignment.addresses[("target", PIPELINE_NETWORK)]
 

@@ -23,7 +23,9 @@ from .parser import ParseFailure, load_yaml, parse_flow, parse_scenario
 
 TOKEN_ENV = "ALURITY_TRACKER_TOKEN"
 
-_FENCE_RE = re.compile(r"```yaml\s*\n(.*?)```", re.DOTALL)
+# The closing fence starts a line, so backticks inside the block's text
+# (a flow command quoted as '```') do not end it.
+_FENCE_RE = re.compile(r"```yaml\s*\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
 class NotFound(Exception):
@@ -170,14 +172,19 @@ def _reproduction_from_record(block: str) -> Optional[tuple[Scenario, Optional[l
     if not isinstance(doc, dict) or "reproduction" not in doc:
         return None
     reproduction = doc.get("reproduction") or {}
+    if not isinstance(reproduction, dict):
+        return None
+    scenario_text = reproduction.get("scenario", "")
+    flow_text = reproduction.get("flow") or ""
+    if not isinstance(scenario_text, str) or not isinstance(flow_text, str):
+        return None
     try:
-        scenario = parse_scenario(reproduction.get("scenario", ""))
+        scenario = parse_scenario(scenario_text)
     except ParseFailure:
         return None
     if not _is_scenario(scenario):
         return None
     flow: Optional[list[FlowSpec]] = None
-    flow_text = reproduction.get("flow") or ""
     if flow_text:
         try:
             flow = parse_flow(flow_text) or None

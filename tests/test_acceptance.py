@@ -5,6 +5,7 @@ or read the captured output) and enforces its wall-clock budget; the mock
 backend's logical sleeps keep everything fast.
 """
 
+import ipaddress
 import random
 import sys
 import time
@@ -226,3 +227,25 @@ def test_criterion_8_all_or_nothing():
             destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
             assert sorted(creates) == sorted(destroys)
             assert destroys == list(reversed(creates))
+
+
+def test_allocation_scales_linearly():
+    # 20,000 containers on one /16, every 1000th with a manual address just
+    # above the automatic ones it would otherwise collide with.
+    base = ModuleRef.parse(BASE_REFS[0])
+    count = 20_000
+    manual = {i: str(ipaddress.IPv4Address("12.0.0.0") + i + 3) for i in range(0, count, 1000)}
+    scenario = Scenario(
+        networks=(NetworkSpec(name="net", subnet="12.0.0.0/16"),),
+        containers=tuple(
+            ContainerSpec(name=f"ep{i}", base=base, networks=("net",), ip=manual.get(i)) for i in range(count)
+        ),
+    )
+    with _Budget("allocation 20,000 endpoints on a /16", 2.0):
+        assignment = allocate_addresses(scenario)
+        looked_up = {c.name: assignment.addresses_of(c.name) for c in scenario.containers}
+    taken = {ipaddress.IPv4Address(ip) for ip in manual.values()}
+    free = (h for h in ipaddress.IPv4Network("12.0.0.0/16").hosts() if h not in taken and str(h) != "12.0.0.1")
+    for i in range(count):
+        expected = manual.get(i) or str(next(free))
+        assert looked_up[f"ep{i}"] == [("net", expected)]

@@ -188,6 +188,12 @@ class TestRun:
         _, url = tracker
         assert run_cli("run", "--rvd", "424242", "--tracker-url", url)[0] == 4
 
+    @pytest.mark.parametrize("record", ["reproduction: 5\n", "reproduction:\n  scenario: 5\n"])
+    def test_rvd_record_without_reproduction_exits_2(self, run_cli, tracker, record):
+        stub, url = tracker
+        issue_id = stub.seed("bad record", f"```yaml\n{record}```\n")
+        assert run_cli("run", "--rvd", str(issue_id), "--tracker-url", url)[0] == 2
+
     def test_rvd_without_url_exits_64(self, run_cli, monkeypatch):
         monkeypatch.delenv("ALURITY_TRACKER_URL", raising=False)
         assert run_cli("run", "--rvd", "1")[0] == 64

@@ -8,8 +8,6 @@ from alurity.orchestrator import (
     EndpointNotRunning,
     MockBackend,
     UnknownEndpoint,
-    down,
-    exec_command,
     up,
 )
 
@@ -112,8 +110,8 @@ class TestUp:
     def test_backend_contract_is_swappable(self, listing1):
         backend = SpecOnlyBackend()
         deployment = up(listing1, backend)
-        assert exec_command(deployment, "ur3", "true").stdout == b"ok"
-        down(deployment)
+        assert deployment.exec("ur3", "true").stdout == b"ok"
+        deployment.down()
         assert backend.alive == {"ur3": False, "attacker": False}
 
     def test_backend_may_refuse_a_kind(self, merged12):
@@ -130,7 +128,7 @@ class TestExec:
     def test_scripted_result_and_journal(self, listing1):
         backend = MockBackend(responses=[("^roscore$", {"exit": 0, "stdout": "core up"})])
         deployment = up(listing1, backend)
-        result = exec_command(deployment, "ur3", "roscore")
+        result = deployment.exec("ur3", "roscore")
         assert result.stdout == b"core up"
         assert backend.endpoints["ur3"].journal[-1] == "roscore"
         assert deployment.events[-1] == ("exec", "ur3", "roscore")
@@ -138,13 +136,13 @@ class TestExec:
     def test_unknown_endpoint(self, listing1):
         deployment = up(listing1, MockBackend())
         with pytest.raises(UnknownEndpoint):
-            exec_command(deployment, "ghost", "id")
+            deployment.exec("ghost", "id")
 
     def test_exec_after_down(self, listing1):
         deployment = up(listing1, MockBackend())
-        down(deployment)
+        deployment.down()
         with pytest.raises(EndpointNotRunning):
-            exec_command(deployment, "ur3", "id")
+            deployment.exec("ur3", "id")
 
     def test_exec_on_destroyed_handle_is_gone(self, listing1):
         backend = MockBackend()
@@ -160,7 +158,7 @@ class TestExec:
         backend = MockBackend()
         deployment = up(listing1, backend)
         start = time.monotonic()
-        result = exec_command(deployment, "ur3", "sleep 500")
+        result = deployment.exec("ur3", "sleep 500")
         assert time.monotonic() - start < 1.0
         assert result.ended_at - result.started_at == 500
         assert backend.clock == 500
@@ -170,7 +168,7 @@ class TestDown:
     def test_reverse_creation_order(self, listing1):
         backend = MockBackend()
         deployment = up(listing1, backend)
-        down(deployment)
+        deployment.down()
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
         assert destroys == ["attacker", "ur3"]
         assert set(deployment.states.values()) == {"stopped"}
@@ -178,15 +176,15 @@ class TestDown:
     def test_idempotent(self, listing1):
         backend = MockBackend()
         deployment = up(listing1, backend)
-        down(deployment)
+        deployment.down()
         journal_after_first = list(backend.journal)
-        down(deployment)
+        deployment.down()
         assert backend.journal == journal_after_first
 
     def test_destroy_failure_does_not_stop_teardown(self, listing1):
         backend = MockBackend(fail_destroy={"attacker"})
         deployment = up(listing1, backend)
-        down(deployment)
+        deployment.down()
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
         assert destroys == ["ur3"]
         assert any(e[0] == "destroy-failed" and e[1] == "attacker" for e in deployment.events)

@@ -1,6 +1,7 @@
 import pytest
 
-from alurity.parser import serialize_flow, serialize_scenario
+from alurity.model import Command, FlowSpec, WindowSpec
+from alurity.parser import dump_yaml, serialize_flow, serialize_scenario
 from alurity.pipeline import FlawRecord, TrackerSink, emit_all
 from alurity.rvd import (
     NoReproductionFound,
@@ -140,6 +141,33 @@ class TestExtract:
         scenario, flow = extract_reproduction(Ticket(id=1, title="t", body=body))
         assert scenario == listing1
         assert flow == listing3
+
+    def test_backticks_inside_a_record_do_not_close_the_fence(self, listing1_text, listing1):
+        flow = [FlowSpec(endpoint="ur3", windows=(WindowSpec(name="w0", items=(Command("```"),)),))]
+        record = make_record(listing1_text, serialize_flow(flow))
+        body = f"```yaml\n{record.to_yaml()}```\n"
+        scenario, recovered = extract_reproduction(Ticket(id=1, title="t", body=body))
+        assert scenario == listing1
+        assert recovered == flow
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "reproduction: 5\n",
+            "reproduction: [a, b]\n",
+            "reproduction:\n  scenario: 5\n",
+            "reproduction:\n  scenario: [networks]\n",
+        ],
+    )
+    def test_record_without_usable_reproduction(self, record):
+        with pytest.raises(NoReproductionFound):
+            extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{record}```\n"))
+
+    def test_record_with_non_text_flow(self, listing1_text):
+        record = {"reproduction": {"scenario": listing1_text, "flow": {"endpoint": "ur3"}}}
+        body = f"```yaml\n{dump_yaml(record)}```\n"
+        with pytest.raises(NoReproductionFound):
+            extract_reproduction(Ticket(id=1, title="t", body=body))
 
 
 class TestRoundTrip:
