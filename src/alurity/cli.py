@@ -178,11 +178,16 @@ def cmd_run(
             if not flow_engine.verify_transcript(plan, transcript):
                 click.echo("transcript failed verification", err=True)
                 return EXIT_DEPLOYMENT
-            os.makedirs(transcript_dir, exist_ok=True)
+            text = flow_engine.transcript_to_yaml(transcript)
             stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
             out_path = os.path.join(transcript_dir, f"{stamp}.yaml")
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(flow_engine.transcript_to_yaml(transcript))
+            try:
+                os.makedirs(transcript_dir, exist_ok=True)
+                with open(out_path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                click.echo(f"cannot write transcript to {transcript_dir}: {exc}", err=True)
+                return EXIT_DEPLOYMENT
             click.echo(f"transcript written to {out_path}", err=True)
     finally:
         deployment.down()

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .model import Command, FlowSpec, Split
 from .orchestrator import CommandResult, Deployment
-from .parser import dump_yaml
+from .parser import quote
 
 
 class UnknownEndpointInFlow(Exception):
@@ -156,19 +156,29 @@ def verify_transcript(plan: FlowPlan, transcript: Transcript) -> bool:
 
 
 def transcript_to_yaml(transcript: Transcript) -> str:
-    events = [
-        {
-            "seq": e.seq,
-            "endpoint": e.endpoint,
-            "window": e.window,
-            "pane": e.pane,
-            "command": e.command,
-            "exit": e.result.exit_code,
-            "stdout": e.result.stdout.decode("utf-8", "replace"),
-            "stderr": e.result.stderr.decode("utf-8", "replace"),
-            "started_at": e.result.started_at,
-            "ended_at": e.result.ended_at,
-        }
-        for e in transcript.events
-    ]
-    return dump_yaml({"transcript": events})
+    """The transcript as YAML: ``transcript:`` and one block item per event.
+
+    Each item has the keys seq, endpoint, window, pane, command, exit,
+    stdout, stderr, started_at and ended_at in that order.  Ints are
+    written as digits and strings through ``parser.quote``, so libyaml and
+    the pure-Python loader both read back exactly the event's fields, with
+    stdout and stderr decoded as UTF-8 (undecodable bytes replaced).
+    """
+    if not transcript.events:
+        return "transcript: []\n"
+    lines = ["transcript:"]
+    for e in transcript.events:
+        r = e.result
+        lines.append(
+            f"- seq: {e.seq}\n"
+            f"  endpoint: {quote(e.endpoint)}\n"
+            f"  window: {quote(e.window)}\n"
+            f"  pane: {e.pane}\n"
+            f"  command: {quote(e.command)}\n"
+            f"  exit: {r.exit_code}\n"
+            f"  stdout: {quote(r.stdout.decode('utf-8', 'replace'))}\n"
+            f"  stderr: {quote(r.stderr.decode('utf-8', 'replace'))}\n"
+            f"  started_at: {r.started_at}\n"
+            f"  ended_at: {r.ended_at}"
+        )
+    return "\n".join(lines) + "\n"

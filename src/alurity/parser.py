@@ -194,6 +194,14 @@ def _parse_network(node: yaml.Node, index: int, source_map: dict, warnings: list
     return NetworkSpec(**fields)
 
 
+def _network_names(node: yaml.Node, line: int, loc: str, what: str, source_map: dict, networks: list[str]) -> None:
+    """Append a ``network:`` entry's names: one scalar or a sequence of them."""
+    items = [(item, _line(item)) for item in node.value] if isinstance(node, yaml.SequenceNode) else [(node, line)]
+    for item, item_line in items:
+        source_map[f"{loc}.networks[{len(networks)}]"] = item_line
+        networks.append(_string(item, what))
+
+
 def _parse_modules(node: yaml.Node, loc: str, source_map: dict, warnings: list[Diagnostic]):
     base: Optional[ModuleRef] = None
     volumes: list[ModuleRef] = []
@@ -212,13 +220,7 @@ def _parse_modules(node: yaml.Node, loc: str, source_map: dict, warnings: list[D
             source_map[f"{loc}.modules.volumes[{len(volumes)}]"] = line
             volumes.append(ModuleRef.parse(_string(value, f"{loc}.modules.volume")))
         elif key == "network":
-            if isinstance(value, yaml.SequenceNode):
-                for item in value.value:
-                    source_map[f"{loc}.networks[{len(networks)}]"] = _line(item)
-                    networks.append(_string(item, f"{loc}.modules.network"))
-            else:
-                source_map[f"{loc}.networks[{len(networks)}]"] = line
-                networks.append(_string(value, f"{loc}.modules.network"))
+            _network_names(value, line, loc, f"{loc}.modules.network", source_map, networks)
         else:
             source_map[f"{loc}.modules.{key}"] = line
             warnings.append(
@@ -281,13 +283,7 @@ def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diag
             folder.record(key, line)
             fields[key] = _int(value, f"{loc}.{key}")
         elif key == "network":
-            if isinstance(value, yaml.SequenceNode):
-                for item in value.value:
-                    source_map[f"{loc}.networks[{len(networks)}]"] = _line(item)
-                    networks.append(_string(item, f"{loc}.network"))
-            else:
-                source_map[f"{loc}.networks[{len(networks)}]"] = line
-                networks.append(_string(value, f"{loc}.network"))
+            _network_names(value, line, loc, f"{loc}.network", source_map, networks)
         else:
             folder.unknown(key, line)
     folder.require("name", _line(node))
@@ -433,6 +429,21 @@ def parse_flow(text: str) -> list[FlowSpec]:
 # --- serialization -----------------------------------------------------------
 
 _BARE_RE = re.compile(r"[A-Za-z0-9$_./()=@+,^~:-]+")
+# Characters JSON leaves raw that YAML 1.1 rejects (DEL, C1, BOM, U+FFFE,
+# U+FFFF) or folds as line breaks (NEL, U+2028, U+2029) in a quoted scalar.
+_UNSAFE_IN_QUOTES_RE = re.compile("[\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
+_JSON_STRING = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def quote(text: str) -> str:
+    """``text`` as a YAML double-quoted scalar.
+
+    libyaml and PyYAML's pure-Python loader both read the result back as
+    exactly ``text``, for any string without lone surrogates.  ASCII text
+    comes out as ``json.dumps`` writes it; other characters stay raw, so
+    astral ones are not split into surrogate-pair escapes.
+    """
+    return _UNSAFE_IN_QUOTES_RE.sub(lambda m: f"\\u{ord(m.group()):04x}", _JSON_STRING(text))
 
 
 def _emit_scalar(value) -> str:
@@ -447,7 +458,7 @@ def _emit_scalar(value) -> str:
                 return s
         except (ValueError, yaml.YAMLError):
             pass
-    return json.dumps(s)
+    return quote(s)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -516,7 +527,7 @@ def serialize_flow(flows) -> str:
                 lines.append("      - commands:")
                 for item in window.items:
                     if isinstance(item, Command):
-                        lines.append(f"        - command: {json.dumps(item.text)}")
+                        lines.append(f"        - command: {quote(item.text)}")
                     else:
                         lines.append(f"        - split: {item.direction}")
         if flow.select is not None:

@@ -30,7 +30,7 @@ BASE_REFS = [
 _name = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 
 _command_text = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FFF, blacklist_categories=("Cs",)),
+    alphabet=st.characters(min_codepoint=32, blacklist_categories=("Cs",)),
     min_size=1,
     max_size=40,
 )

@@ -17,11 +17,11 @@ import yaml
 from hypothesis import given, settings
 
 from alurity.cli import main as cli_main
-from alurity.flows import compile_flow, run_flow, verify_transcript
+from alurity.flows import Transcript, TranscriptEvent, compile_flow, run_flow, transcript_to_yaml, verify_transcript
 from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
 from alurity.netplan import allocate_addresses, build_connectivity_plan, reachable
-from alurity.orchestrator import DeploymentFailure, MockBackend, up
-from alurity.parser import parse_flow, parse_scenario, serialize_scenario
+from alurity.orchestrator import CommandResult, DeploymentFailure, MockBackend, up
+from alurity.parser import load_yaml, parse_flow, parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord, PipelineSpec, run_pipeline
 from alurity.rvd import fetch_ticket, push_issue
 from alurity.toolreg import load_registry_index
@@ -46,7 +46,7 @@ class _Budget:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.monotonic() - self.start
         status = "PASS" if exc_type is None and elapsed <= self.seconds else "FAIL"
-        line = f"{status} {self.name} ({elapsed:.2f}s / budget {self.seconds:.0f}s)"
+        line = f"{status} {self.name} ({elapsed:.2f}s / budget {self.seconds:g}s)"
         print(line, file=sys.stderr)
         conftest.CRITERION_LINES.append(line)
         if exc_type is None:
@@ -249,3 +249,20 @@ def test_allocation_scales_linearly():
     for i in range(count):
         expected = manual.get(i) or str(next(free))
         assert looked_up[f"ep{i}"] == [("net", expected)]
+
+
+def test_transcript_emission_within_budget():
+    count = 20_000
+    transcript = Transcript(
+        [
+            TranscriptEvent(
+                f"ep{i % 7}", "w", i % 3, f"echo {i}", CommandResult(i % 2, f"line {i}\n".encode(), b"", i, i + 1), i
+            )
+            for i in range(count)
+        ]
+    )
+    with _Budget("transcript of 20,000 events", 0.5):
+        text = transcript_to_yaml(transcript)
+    loaded = load_yaml(text)["transcript"]
+    assert len(loaded) == count
+    assert loaded[-1]["stdout"] == f"line {count - 1}\n"

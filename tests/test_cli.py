@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import alurity
+from alurity import orchestrator
 from alurity.cli import main
 from alurity.pipeline import FlawRecord
 
@@ -146,6 +147,27 @@ class TestRun:
         assert len(transcripts) == 1
         doc = yaml.safe_load(transcripts[0].read_text())
         assert len(doc["transcript"]) == 23
+
+    def test_unwritable_transcript_dir_exits_3(self, run_cli, tmp_path, monkeypatch):
+        deployments = []
+        real_down = orchestrator.Deployment.down
+
+        def down(self):
+            deployments.append(self)
+            real_down(self)
+
+        monkeypatch.setattr(orchestrator.Deployment, "down", down)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        target = blocker / "transcripts"
+        code, _, err = run_cli(
+            "run", ROSNET, "--flow", LISTING3, "--mock-responses", RESPONSES,
+            "--transcript-dir", str(target),
+        )
+        assert code == 3
+        assert f"cannot write transcript to {target}: " in err
+        assert len(deployments) == 1
+        assert deployments[0].states and set(deployments[0].states.values()) == {"stopped"}
 
     def test_stdout_is_deterministic(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

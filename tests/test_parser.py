@@ -273,9 +273,24 @@ class TestRoundTrip:
                             Command("1234"),
                             Split("vertical"),
                             Command("wireshark -i eth0 . &"),
+                            Command("echo \U0001F916"),
+                            Command("printf '\\x85\x7f\x85\u2028\ufeff'"),
                         ),
                     ),
                 ),
             )
         ]
         assert parse_flow(serialize_flow(flow)) == flow
+
+    def test_astral_names(self):
+        scenario = Scenario(
+            networks=(NetworkSpec(name="net-\U0001F916", subnet="12.0.0.0/24"),),
+            containers=(
+                ContainerSpec(
+                    name="arm-\U0001F9BE",
+                    base=ModuleRef.parse(f"{REG}/robo_x:1"),
+                    networks=("net-\U0001F916",),
+                ),
+            ),
+        )
+        assert parse_scenario(serialize_scenario(scenario)) == scenario

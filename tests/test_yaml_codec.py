@@ -7,6 +7,7 @@ through libyaml when PyYAML has it, so their output is read back with the
 pure-Python loader.
 """
 
+import json
 import math
 import string
 
@@ -168,6 +169,94 @@ class TestEmittersReadBackUnderPurePython:
             "entries": [{"kind": "bridge", "name": f"br-{network}", "network": network}],
             "endpoints": {endpoint: [network]},
         }
+
+
+def reference_transcript_to_yaml(transcript: Transcript) -> str:
+    """The former emitter: the events as maps through PyYAML's representer."""
+    events = [
+        {
+            "seq": e.seq,
+            "endpoint": e.endpoint,
+            "window": e.window,
+            "pane": e.pane,
+            "command": e.command,
+            "exit": e.result.exit_code,
+            "stdout": e.result.stdout.decode("utf-8", "replace"),
+            "stderr": e.result.stderr.decode("utf-8", "replace"),
+            "started_at": e.result.started_at,
+            "ended_at": e.result.ended_at,
+        }
+        for e in transcript.events
+    ]
+    return parser.dump_yaml({"transcript": events})
+
+
+TRANSCRIPT_KEYS = ["seq", "endpoint", "window", "pane", "command", "exit", "stdout", "stderr", "started_at", "ended_at"]
+
+_events = st.builds(
+    TranscriptEvent,
+    endpoint=_text,
+    window=_text,
+    pane=st.integers(),
+    command=_text,
+    result=st.builds(
+        CommandResult,
+        exit_code=st.integers(),
+        stdout=st.binary(max_size=40),
+        stderr=st.binary(max_size=40),
+        started_at=st.integers(),
+        ended_at=st.integers(),
+    ),
+    seq=st.integers(),
+)
+
+# Raw in a double-quoted scalar, YAML 1.1 rejects these or folds them.
+_QUOTE_HAZARDS = "\x7f\x80\x85\x9f\u2028\u2029\ufeff\ufffe\uffff"
+
+
+class TestTranscriptEmitter:
+    """The line emitter against the PyYAML representer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_events, max_size=3))
+    def test_loads_like_the_reference(self, events):
+        transcript = Transcript(events)
+        text = transcript_to_yaml(transcript)
+        reference = reference_transcript_to_yaml(transcript)
+        for loader in LOADERS:
+            loaded = yaml.load(text, Loader=loader)
+            assert loaded == yaml.load(reference, Loader=loader)
+            assert [list(doc) for doc in loaded["transcript"]] == [TRANSCRIPT_KEYS] * len(events)
+
+    def test_empty(self):
+        assert transcript_to_yaml(Transcript()) == "transcript: []\n"
+
+    def test_hazardous_characters(self):
+        text = f"a{_QUOTE_HAZARDS}\U0001F916\x00\t\n\\\"z"
+        event = TranscriptEvent(text, text, 1, text, CommandResult(0, text.encode(), b"\xff\xfe", 2, 3), 0)
+        for loader in LOADERS:
+            doc = yaml.load(transcript_to_yaml(Transcript([event])), Loader=loader)["transcript"][0]
+            assert doc["endpoint"] == doc["window"] == doc["command"] == doc["stdout"] == text
+            assert doc["stderr"] == "\ufffd\ufffd"
+
+
+class TestQuote:
+    @settings(max_examples=300, deadline=None)
+    @given(_text)
+    def test_reads_back_exactly(self, text):
+        for loader in LOADERS:
+            assert yaml.load("k: " + parser.quote(text), Loader=loader) == {"k": text}
+
+    @pytest.mark.parametrize("char", list(_QUOTE_HAZARDS))
+    def test_escapes_hazards(self, char):
+        assert parser.quote(char) == f'"\\u{ord(char):04x}"'
+
+    @pytest.mark.parametrize("text", ["", "a b", 'say "hi"\\n', "\x00\x1f\t", "~"])
+    def test_ascii_is_written_as_json(self, text):
+        assert parser.quote(text) == json.dumps(text)
+
+    def test_astral_characters_stay_raw(self):
+        assert parser.quote("\U0001F916") == '"\U0001F916"'
 
 
 @pytest.fixture
