@@ -40,11 +40,22 @@ def _load_scenario(path: str) -> tuple[Scenario, list]:
     return parse_scenario_with_warnings(_read(path))
 
 
+class _Unreadable(Exception):
+    """A --mock-responses or --index file that cannot be read or parsed."""
+
+
+def _load(loader, path: str):
+    try:
+        return loader(path)
+    except (OSError, ParseFailure) as exc:
+        raise _Unreadable(f"cannot read {path}: {exc}") from exc
+
+
 def _make_backend(name: str, mock_responses: Optional[str]):
     if name != "mock":
         raise click.UsageError(f"unknown backend {name!r}; built-in backends: mock")
     if mock_responses:
-        return orchestrator.MockBackend.from_fixture(mock_responses)
+        return _load(orchestrator.MockBackend.from_fixture, mock_responses)
     return orchestrator.MockBackend()
 
 
@@ -52,7 +63,7 @@ def _load_registry(index_path: Optional[str]):
     path = index_path or os.environ.get(REGISTRY_INDEX_ENV)
     if not path:
         return None
-    return toolreg.load_registry_index(path)
+    return _load(toolreg.load_registry_index, path)
 
 
 @click.group()
@@ -119,8 +130,12 @@ def cmd_run(
     transcript_dir: str,
 ) -> int:
     """Bring a scenario up, optionally run its flow, tear it down."""
-    backend = _make_backend(backend_name, mock_responses)
-    registry = _load_registry(index_path)
+    try:
+        backend = _make_backend(backend_name, mock_responses)
+        registry = _load_registry(index_path)
+    except _Unreadable as exc:
+        click.echo(str(exc), err=True)
+        return EXIT_PARSE
 
     flow = None
     if rvd_id is not None:
@@ -172,7 +187,7 @@ def cmd_run(
             try:
                 plan = flow_engine.compile_flow(flow, known_endpoints=list(deployment.states))
                 transcript = flow_engine.run_flow(deployment, plan)
-            except (flow_engine.UnknownEndpointInFlow, flow_engine.UnknownSelectedWindow, flow_engine.FlowAborted) as exc:
+            except (flow_engine.UnknownEndpointInFlow, flow_engine.FlowAborted) as exc:
                 click.echo(f"flow failed: {exc}", err=True)
                 return EXIT_DEPLOYMENT
             if not flow_engine.verify_transcript(plan, transcript):
@@ -217,10 +232,14 @@ def cmd_pipeline(
     tools = tuple(ModuleRef.parse(t.strip()) for t in tools_text.split(",") if t.strip())
     if not tools:
         raise click.UsageError("--tools must list at least one module reference")
-    registry = _load_registry(index_path)
-    if registry is None:
-        raise click.UsageError(f"pipeline needs --index or ${REGISTRY_INDEX_ENV}")
-    backend = _make_backend(backend_name, mock_responses)
+    try:
+        registry = _load_registry(index_path)
+        if registry is None:
+            raise click.UsageError(f"pipeline needs --index or ${REGISTRY_INDEX_ENV}")
+        backend = _make_backend(backend_name, mock_responses)
+    except _Unreadable as exc:
+        click.echo(str(exc), err=True)
+        return EXIT_PARSE
 
     if sink_name == "tracker":
         url = tracker_url or os.environ.get(TRACKER_URL_ENV)

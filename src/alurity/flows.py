@@ -21,10 +21,6 @@ class UnknownEndpointInFlow(Exception):
     pass
 
 
-class UnknownSelectedWindow(Exception):
-    pass
-
-
 class FlowAborted(Exception):
     def __init__(self, event_index: int, transcript: "Transcript"):
         self.event_index = event_index
@@ -94,8 +90,6 @@ def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Sequence[st
                 else:
                     raise TypeError(f"unexpected window item {item!r}")
             windows.append(WindowPlan(name=window.name, panes=tuple(tuple(p) for p in panes)))
-        if spec.select is not None and spec.select not in {w.name for w in windows}:
-            raise UnknownSelectedWindow(spec.select)
         plans.append(EndpointFlowPlan(endpoint=spec.endpoint, windows=tuple(windows), focus=spec.select))
     return FlowPlan(endpoints=tuple(plans))
 

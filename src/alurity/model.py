@@ -24,8 +24,8 @@ MODULE_GROUPS = (
     "unknown",
 )
 
-# Prefix of the last path component -> group.  Data, not code: extend by
-# passing a custom map to ModuleRef.parse / classify.
+# Prefix of the last path component -> group, read by ModuleRef.parse; a
+# leaf that matches no prefix is "unknown".
 DEFAULT_GROUP_PREFIXES: Mapping[str, str] = {
     "robo_": "robots",
     "comp_": "robot-components",
@@ -48,7 +48,7 @@ class ModuleRef:
     group: str = "unknown"
 
     @classmethod
-    def parse(cls, text: str, prefixes: Mapping[str, str] = DEFAULT_GROUP_PREFIXES) -> "ModuleRef":
+    def parse(cls, text: str) -> "ModuleRef":
         slash = text.find("/")
         if slash < 0:
             registry, rest = "", text
@@ -61,7 +61,7 @@ class ModuleRef:
             path, tag = rest, ""
         leaf = path.rsplit("/", 1)[-1]
         group = "unknown"
-        for prefix, grp in prefixes.items():
+        for prefix, grp in DEFAULT_GROUP_PREFIXES.items():
             if leaf.startswith(prefix):
                 group = grp
                 break
@@ -133,6 +133,10 @@ class FlowSpec:
     endpoint: str
     windows: tuple[WindowSpec, ...] = ()
     select: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.select is not None and self.select not in {w.name for w in self.windows}:
+            raise ValueError(f"selected window {self.select!r} is not defined for {self.endpoint!r}")
 
 
 @dataclass(frozen=True)
@@ -289,16 +293,6 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 "subnet-exhausted",
                 f"networks[{i}].subnet",
                 f"{attached[net.name]} endpoints attach to {net.name!r} but {net.subnet} has {free} host addresses besides the gateway",
-            )
-
-    for i, flow in enumerate(scenario.flows):
-        if flow.select is not None and flow.select not in {w.name for w in flow.windows}:
-            emit(
-                (3, i),
-                "error",
-                "unknown-selected-window",
-                f"flows[{i}].select",
-                f"selected window {flow.select!r} is not defined for {flow.endpoint!r}",
             )
 
     found.sort(key=lambda item: (item[0], item[1].code))

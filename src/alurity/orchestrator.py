@@ -17,7 +17,7 @@ from typing import Optional, Protocol
 from . import toolreg
 from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
-from .parser import load_yaml
+from .parser import load_yaml_map
 
 
 class EndpointNotRunning(Exception):
@@ -89,9 +89,7 @@ class MockBackend:
 
     @classmethod
     def from_fixture(cls, path: str) -> "MockBackend":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = load_yaml(handle) or {}
-        responses = [(pattern, body or {}) for pattern, body in raw.items()]
+        responses = [(pattern, body or {}) for pattern, body in load_yaml_map(path).items()]
         return cls(responses=responses)
 
     def create_endpoint(self, spec, image, addresses) -> MockEndpoint:

@@ -7,9 +7,11 @@ The dialect encodes records as sequences of single-key maps::
         - name: process-network
         - subnet: 12.0.0.0/24
 
-Parsing folds such sequences into one record; repeated repeatable keys
-(``volume:``, ``network:``) accumulate in document order.  Serialization
-emits the same dialect so that ``parse(serialize(s)) == s``.
+One key table per record type (network, container, a container's
+``modules``, vm) names the record's keys, fields, order and which keys are
+required or may repeat.  Parsing folds a record's sequence through its table;
+repeated repeatable keys (``volume:``, ``network:``) accumulate in document
+order.  Serialization walks the same tables, so ``parse(serialize(s)) == s``.
 """
 
 from __future__ import annotations
@@ -65,10 +67,29 @@ def _compose(text: str) -> Optional[yaml.Node]:
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark else None
-        col = mark.column + 1 if mark else None
-        raise ParseFailure(f"malformed YAML: {getattr(exc, 'problem', exc)}", line, col) from exc
+        raise _malformed(exc) from exc
+
+
+def _malformed(exc: Exception) -> ParseFailure:
+    mark = getattr(exc, "problem_mark", None)
+    line = mark.line + 1 if mark else None
+    col = mark.column + 1 if mark else None
+    return ParseFailure(f"malformed YAML: {getattr(exc, 'problem', exc)}", line, col)
+
+
+def load_yaml_map(path: str) -> dict:
+    """The map a YAML file holds, ``{}`` for an empty file; ``ParseFailure``
+    when the file is malformed or holds anything but a map."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            doc = load_yaml(handle)
+        except (ValueError, yaml.YAMLError) as exc:  # ValueError: bad UTF-8, bad dates
+            raise _malformed(exc) from exc
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ParseFailure(f"expected a map at the top level, got a {type(doc).__name__}")
+    return doc
 
 
 def _line(node: yaml.Node) -> int:
@@ -139,157 +160,111 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
         if not isinstance(item, yaml.MappingNode) or len(item.value) != 1:
             raise ParseFailure(f"each entry under {what} must be a single-key map", _line(item))
         key_node, value_node = item.value[0]
+        if not isinstance(key_node, yaml.ScalarNode):
+            raise ParseFailure(f"each key under {what} must be a scalar", _line(key_node))
         out.append((key_node.value, value_node, _line(key_node)))
     return out
 
 
-class _Folder:
-    """Folds one record's key/value pairs, tracking repeats and locations."""
-
-    def __init__(self, loc: str, line: int, source_map: dict, warnings: list[Diagnostic]):
-        self.loc = loc
-        self.source_map = source_map
-        self.warnings = warnings
-        self.seen: dict[str, int] = {}
-        source_map[loc] = line
-
-    def take(self, key: str, node: yaml.Node, line: int, repeatable: bool = False) -> None:
-        if not repeatable and key in self.seen:
-            raise ParseFailure(
-                f"key {key!r} repeated in {self.loc} (first at line {self.seen[key]})", line
-            )
-        self.seen.setdefault(key, line)
-
-    def unknown(self, key: str, line: int) -> None:
-        location = f"{self.loc}.{key}"
-        self.source_map[location] = line
-        self.warnings.append(
-            Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", location, line)
-        )
-
-    def record(self, key: str, line: int) -> None:
-        self.source_map[f"{self.loc}.{key}"] = line
-
-    def require(self, key: str, record_line: int) -> None:
-        if key not in self.seen:
-            raise ParseFailure(f"missing mandatory key {key!r} in {self.loc}", record_line)
+# --- records -----------------------------------------------------------------
+#
+# The key tables are the dialect: each maps a record's YAML keys, in the order
+# the writer emits them, to (field, reader, count).  ``field`` is the value's
+# source-map path below the record and its last part the spec's attribute.
+# ``count`` is "1" for a required key, "?" for an optional one and "*" for a
+# key that may repeat.  A reader of a single key returns the value; a reader
+# of a repeating key returns (value, line) items.  A table in a reader's place
+# is a nested record whose fields belong to the enclosing spec.
 
 
-def _parse_network(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> NetworkSpec:
-    loc = f"networks[{index}]"
-    folder = _Folder(loc, _line(node), source_map, warnings)
+def _ref(node: yaml.Node, what: str) -> ModuleRef:
+    return ModuleRef.parse(_string(node, what))
+
+
+def _refs(node: yaml.Node, line: int, what: str) -> list:
+    return [(_ref(node, what), line)]
+
+
+def _names(node: yaml.Node, line: int, what: str) -> list:
+    """One network name, or a sequence of names each on its own line."""
+    if isinstance(node, yaml.SequenceNode):
+        return [(_string(item, what), _line(item)) for item in node.value]
+    return [(_string(node, what), line)]
+
+
+_NETWORK_KEYS = {
+    "name": ("name", _string, "1"),
+    "driver": ("driver", _string, "?"),
+    "internal": ("internal", _bool, "?"),
+    "encryption": ("encryption", _bool, "?"),
+    "subnet": ("subnet", _string, "1"),
+}
+_MODULE_KEYS = {
+    "base": ("modules.base", _ref, "1"),
+    "volume": ("modules.volumes", _refs, "*"),
+    "network": ("networks", _names, "*"),
+}
+_CONTAINER_KEYS = {
+    "name": ("name", _string, "1"),
+    "modules": ("modules", _MODULE_KEYS, "1"),
+    "ip": ("ip", _string, "?"),
+    "cpus": ("cpus", _int, "?"),
+    "memory": ("memory", _int, "?"),
+    "extra-options": ("extra_options", _string, "?"),
+}
+_VM_KEYS = {
+    "name": ("name", _string, "1"),
+    "path": ("path", _string, "1"),
+    "network": ("networks", _names, "*"),
+    "ip": ("ip", _string, "?"),
+    "cpus": ("cpus", _int, "?"),
+    "memory": ("memory", _int, "?"),
+}
+# section -> (entry key, spec type, key table), in document order
+_SECTIONS = {
+    "networks": ("network", NetworkSpec, _NETWORK_KEYS),
+    "containers": ("container", ContainerSpec, _CONTAINER_KEYS),
+    "vms": ("vm", VmSpec, _VM_KEYS),
+}
+
+
+def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, warnings: list, owner: str = "") -> dict:
+    """A record's fields, folded from its single-key maps by its key table.
+
+    ``loc`` names the record in messages and ``line`` is reported for a
+    missing key.  Source-map paths hang below ``owner``, the record itself
+    unless it is nested.
+    """
+    owner = owner or loc
+    source_map[loc] = line
     fields: dict = {}
-    for key, value, line in _pairs(node, loc):
-        if key in ("name", "driver", "internal", "encryption", "subnet"):
-            folder.take(key, value, line)
-            folder.record(key, line)
-            if key in ("internal", "encryption"):
-                fields[key] = _bool(value, f"{loc}.{key}")
-            else:
-                fields[key] = _string(value, f"{loc}.{key}")
+    seen: dict[str, int] = {}
+    for key, value, key_line in _pairs(node, loc):
+        what = f"{loc}.{key}"
+        if key not in keys:
+            source_map[what] = key_line
+            warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", what, key_line))
+            continue
+        path, reader, count = keys[key]
+        attr = path.rpartition(".")[2]
+        if count == "*":
+            for item, item_line in reader(value, key_line, what):
+                items = fields.get(attr, ())
+                source_map[f"{owner}.{path}[{len(items)}]"] = item_line
+                fields[attr] = items + (item,)
+            continue
+        if key in seen:
+            raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
+        seen[key] = key_line
+        source_map[f"{owner}.{path}"] = key_line
+        if isinstance(reader, dict):
+            fields.update(_fold(value, what, key_line, reader, source_map, warnings, owner))
         else:
-            folder.unknown(key, line)
-    folder.require("name", _line(node))
-    folder.require("subnet", _line(node))
-    return NetworkSpec(**fields)
-
-
-def _network_names(node: yaml.Node, line: int, loc: str, what: str, source_map: dict, networks: list[str]) -> None:
-    """Append a ``network:`` entry's names: one scalar or a sequence of them."""
-    items = [(item, _line(item)) for item in node.value] if isinstance(node, yaml.SequenceNode) else [(node, line)]
-    for item, item_line in items:
-        source_map[f"{loc}.networks[{len(networks)}]"] = item_line
-        networks.append(_string(item, what))
-
-
-def _parse_modules(node: yaml.Node, loc: str, source_map: dict, warnings: list[Diagnostic]):
-    base: Optional[ModuleRef] = None
-    volumes: list[ModuleRef] = []
-    networks: list[str] = []
-    seen_base_line: Optional[int] = None
-    for key, value, line in _pairs(node, f"{loc}.modules"):
-        if key == "base":
-            if seen_base_line is not None:
-                raise ParseFailure(
-                    f"key 'base' repeated in {loc}.modules (first at line {seen_base_line})", line
-                )
-            seen_base_line = line
-            source_map[f"{loc}.modules.base"] = line
-            base = ModuleRef.parse(_string(value, f"{loc}.modules.base"))
-        elif key == "volume":
-            source_map[f"{loc}.modules.volumes[{len(volumes)}]"] = line
-            volumes.append(ModuleRef.parse(_string(value, f"{loc}.modules.volume")))
-        elif key == "network":
-            _network_names(value, line, loc, f"{loc}.modules.network", source_map, networks)
-        else:
-            source_map[f"{loc}.modules.{key}"] = line
-            warnings.append(
-                Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", f"{loc}.modules.{key}", line)
-            )
-    return base, tuple(volumes), networks
-
-
-def _parse_container(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> ContainerSpec:
-    loc = f"containers[{index}]"
-    folder = _Folder(loc, _line(node), source_map, warnings)
-    fields: dict = {}
-    networks: list[str] = []
-    for key, value, line in _pairs(node, loc):
-        if key == "name":
-            folder.take(key, value, line)
-            folder.record(key, line)
-            fields["name"] = _string(value, f"{loc}.name")
-        elif key == "modules":
-            folder.take(key, value, line)
-            folder.record(key, line)
-            base, volumes, nets = _parse_modules(value, loc, source_map, warnings)
-            if base is None:
-                raise ParseFailure(f"missing mandatory key 'base' in {loc}.modules", line)
-            fields["base"] = base
-            fields["volumes"] = volumes
-            networks.extend(nets)
-        elif key == "ip":
-            folder.take(key, value, line)
-            folder.record(key, line)
-            fields["ip"] = _string(value, f"{loc}.ip")
-        elif key in ("cpus", "memory"):
-            folder.take(key, value, line)
-            folder.record(key, line)
-            fields[key] = _int(value, f"{loc}.{key}")
-        elif key == "extra-options":
-            folder.take(key, value, line)
-            source_map[f"{loc}.extra_options"] = line
-            fields["extra_options"] = _string(value, f"{loc}.extra-options")
-        else:
-            folder.unknown(key, line)
-    folder.require("name", _line(node))
-    folder.require("modules", _line(node))
-    fields["networks"] = tuple(networks)
-    return ContainerSpec(**fields)
-
-
-def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> VmSpec:
-    loc = f"vms[{index}]"
-    folder = _Folder(loc, _line(node), source_map, warnings)
-    fields: dict = {}
-    networks: list[str] = []
-    for key, value, line in _pairs(node, loc):
-        if key in ("name", "path", "ip"):
-            folder.take(key, value, line)
-            folder.record(key, line)
-            fields[key] = _string(value, f"{loc}.{key}")
-        elif key in ("cpus", "memory"):
-            folder.take(key, value, line)
-            folder.record(key, line)
-            fields[key] = _int(value, f"{loc}.{key}")
-        elif key == "network":
-            _network_names(value, line, loc, f"{loc}.network", source_map, networks)
-        else:
-            folder.unknown(key, line)
-    folder.require("name", _line(node))
-    folder.require("path", _line(node))
-    fields["networks"] = tuple(networks)
-    return VmSpec(**fields)
+            fields[attr] = reader(value, what)
+    for key, (_, _, count) in keys.items():
+        if count == "1" and key not in seen:
+            raise ParseFailure(f"missing mandatory key {key!r} in {loc}", line)
+    return fields
 
 
 def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
@@ -319,32 +294,19 @@ def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]
         raise ParseFailure("scenario document must be a top-level map", _line(root))
     warnings: list[Diagnostic] = []
     source_map: dict = {}
-    networks: list[NetworkSpec] = []
-    containers: list[ContainerSpec] = []
-    vms: list[VmSpec] = []
+    records: dict = {section: [] for section in _SECTIONS}
     flows: tuple[FlowSpec, ...] = ()
     for key_node, value_node in root.value:
         key = key_node.value
-        if key == "networks":
-            for i, item in enumerate(_tagged_items(value_node, "networks", ("network",))):
-                networks.append(_parse_network(item, i, source_map, warnings))
-        elif key == "containers":
-            for i, item in enumerate(_tagged_items(value_node, "containers", ("container",))):
-                containers.append(_parse_container(item, i, source_map, warnings))
-        elif key == "vms":
-            for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",))):
-                vms.append(_parse_vm(item, i, source_map, warnings))
-        elif key == "flow":
+        if key == "flow":
             flows = tuple(_parse_flow_section(value_node, source_map))
+        elif isinstance(key, str) and key in _SECTIONS:  # a non-scalar key is unhashable
+            tag, spec, keys = _SECTIONS[key]
+            for i, item in enumerate(_tagged_items(value_node, key, (tag,))):
+                records[key].append(spec(**_fold(item, f"{key}[{i}]", _line(item), keys, source_map, warnings)))
         else:
             raise ParseFailure(f"unknown top-level key {key!r}", _line(key_node))
-    scenario = Scenario(
-        networks=tuple(networks),
-        containers=tuple(containers),
-        vms=tuple(vms),
-        flows=flows,
-        source_map=source_map,
-    )
+    scenario = Scenario(**{k: tuple(v) for k, v in records.items()}, flows=flows, source_map=source_map)
     return scenario, warnings
 
 
@@ -400,9 +362,10 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
                 raise ParseFailure(f"unknown key {key!r} in {loc}", line)
         if name is None:
             raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(item))
-        if select is not None and select not in {w.name for w in windows}:
-            raise ParseFailure(f"selected window {select!r} is not defined for {name!r}", select_line)
-        flows.append(FlowSpec(endpoint=name, windows=tuple(windows), select=select))
+        try:
+            flows.append(FlowSpec(endpoint=name, windows=tuple(windows), select=select))
+        except ValueError as exc:
+            raise ParseFailure(str(exc), select_line) from exc
     return flows
 
 
@@ -461,57 +424,31 @@ def _emit_scalar(value) -> str:
     return quote(s)
 
 
+def _emit_record(lines: list[str], spec, keys: dict, indent: str) -> None:
+    for key, (path, reader, count) in keys.items():
+        if isinstance(reader, dict):
+            lines.append(f"{indent}- {key}:")
+            _emit_record(lines, spec, reader, indent + "    ")
+            continue
+        value = getattr(spec, path.rpartition(".")[2])
+        for item in value if count == "*" else (value,):
+            if item is not None:
+                lines.append(f"{indent}- {key}: {_emit_scalar(item)}")
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Emit the scenario in the same dialect; round-trips to an equal value."""
     lines: list[str] = []
-    lines.append("networks:")
-    for net in scenario.networks:
-        lines.append("  - network:")
-        lines.append(f"    - name: {_emit_scalar(net.name)}")
-        lines.append(f"    - driver: {_emit_scalar(net.driver)}")
-        lines.append(f"    - internal: {_emit_scalar(net.internal)}")
-        lines.append(f"    - encryption: {_emit_scalar(net.encryption)}")
-        lines.append(f"    - subnet: {_emit_scalar(net.subnet)}")
-        lines.append("")
-    if not scenario.networks:
-        lines.append("")
-    lines.append("containers:")
-    for c in scenario.containers:
-        lines.append("  - container:")
-        lines.append(f"    - name: {_emit_scalar(c.name)}")
-        lines.append("    - modules:")
-        lines.append(f"        - base: {_emit_scalar(str(c.base))}")
-        for vol in c.volumes:
-            lines.append(f"        - volume: {_emit_scalar(str(vol))}")
-        if c.networks:
-            lines.append("        - network:")
-            for net in c.networks:
-                lines.append(f"          - {_emit_scalar(net)}")
-        if c.ip is not None:
-            lines.append(f"    - ip: {_emit_scalar(c.ip)}")
-        lines.append(f"    - cpus: {_emit_scalar(c.cpus)}")
-        lines.append(f"    - memory: {_emit_scalar(c.memory)}")
-        if c.extra_options is not None:
-            lines.append(f"    - extra-options: {_emit_scalar(c.extra_options)}")
-        lines.append("")
-    if not scenario.containers:
-        lines.append("")
-    if scenario.vms:
-        lines.append("vms:")
-        for v in scenario.vms:
-            lines.append("  - vm:")
-            lines.append(f"    - name: {_emit_scalar(v.name)}")
-            lines.append(f"    - path: {_emit_scalar(v.path)}")
-            for net in v.networks:
-                lines.append(f"    - network: {_emit_scalar(net)}")
-            if v.ip is not None:
-                lines.append(f"    - ip: {_emit_scalar(v.ip)}")
-            lines.append(f"    - cpus: {_emit_scalar(v.cpus)}")
-            lines.append(f"    - memory: {_emit_scalar(v.memory)}")
+    for section, (tag, _, keys) in _SECTIONS.items():
+        records = getattr(scenario, section)
+        if records:
+            lines.append(f"{section}:")
+        for spec in records:
+            lines.append(f"  - {tag}:")
+            _emit_record(lines, spec, keys, "    ")
             lines.append("")
     if scenario.flows:
-        lines.append(serialize_flow(scenario.flows).rstrip("\n"))
-        lines.append("")
+        lines.append(serialize_flow(scenario.flows))
     return "\n".join(lines).rstrip("\n") + "\n"
 
 

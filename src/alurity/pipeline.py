@@ -48,13 +48,6 @@ class PipelineSpec:
     tools: tuple[ModuleRef, ...]
 
 
-@dataclass(frozen=True)
-class Finding:
-    fragment: str
-    rule_id: str
-    fields: dict = field(default_factory=dict)
-
-
 @dataclass
 class FlawRecord:
     title: str
@@ -152,7 +145,8 @@ def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:
     return replace(scenario, flows=(flow,))
 
 
-def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript) -> list[tuple[ModuleRef, toolreg.ExtractionRule, Finding]]:
+def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript) -> list[tuple[ModuleRef, toolreg.ExtractionRule, str, dict]]:
+    """(tool, rule, matched text, named groups) for every rule match."""
     found = []
     for event in transcript.events:
         text = event.result.stdout.decode("utf-8", "replace")
@@ -160,7 +154,7 @@ def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transc
             for rule in registry.lookup(tool).rules:
                 for match in re.finditer(rule.pattern, text):
                     fields = {k: v for k, v in match.groupdict().items() if v is not None}
-                    found.append((tool, rule, Finding(match.group(0), rule.id, fields)))
+                    found.append((tool, rule, match.group(0), fields))
     return found
 
 
@@ -187,12 +181,12 @@ def run_pipeline(spec: PipelineSpec, backend, registry: toolreg.RegistryIndex) -
         deployment.down()
 
     records = []
-    for tool, rule, finding in _scan_transcript(spec, registry, transcript):
+    for tool, rule, fragment, fields in _scan_transcript(spec, registry, transcript):
         records.append(
             FlawRecord(
-                title=_fill(rule.title, finding.fields, finding.fragment),
+                title=_fill(rule.title, fields, fragment),
                 flaw_class=rule.flaw_class,
-                description=_fill(rule.description, finding.fields, finding.fragment),
+                description=_fill(rule.description, fields, fragment),
                 system=str(spec.target),
                 detected_by=str(tool),
                 severity=rule.severity,

@@ -7,11 +7,11 @@ deterministic and offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import DEFAULT_GROUP_PREFIXES, ContainerSpec, ModuleRef
-from .parser import load_yaml
+from .model import ContainerSpec, ModuleRef
+from .parser import load_yaml_map
 
 
 class UnknownModule(Exception):
@@ -72,8 +72,7 @@ class RegistryIndex:
 
 
 def load_registry_index(path: str) -> RegistryIndex:
-    with open(path, "r", encoding="utf-8") as handle:
-        return registry_index_from_dict(load_yaml(handle) or {})
+    return registry_index_from_dict(load_yaml_map(path))
 
 
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
@@ -98,15 +97,6 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
             rules=rules,
         )
     return RegistryIndex(manifests)
-
-
-def classify(ref: ModuleRef, prefixes: Mapping[str, str] = DEFAULT_GROUP_PREFIXES) -> str:
-    """Group per path-prefix map; ``unknown`` when nothing matches."""
-    leaf = ref.path.rsplit("/", 1)[-1]
-    for prefix, group in prefixes.items():
-        if leaf.startswith(prefix):
-            return group
-    return "unknown"
 
 
 def resolve(container: ContainerSpec, index: RegistryIndex) -> ComposedImage:

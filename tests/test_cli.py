@@ -221,6 +221,36 @@ class TestRun:
         assert run_cli("run", "--rvd", "1")[0] == 64
 
 
+UNREADABLE = {
+    "missing": None,
+    "malformed": "a: [b\n",
+    "list": "- a\n- b\n",
+}
+TARGET_AND_TOOL = ("--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest")
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE))
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", ROSNET, "--mock-responses"),
+        ("run", ROSNET, "--index"),
+        ("pipeline", *TARGET_AND_TOOL, "--index"),
+        ("pipeline", *TARGET_AND_TOOL, "--index", INDEX, "--mock-responses"),
+    ],
+    ids=["run-mock-responses", "run-index", "pipeline-index", "pipeline-mock-responses"],
+)
+def test_unreadable_config_file_exits_2(run_cli, tmp_path, monkeypatch, args, content):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.yaml"
+    if UNREADABLE[content] is not None:
+        path.write_text(UNREADABLE[content])
+    code, out, err = run_cli(*args, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot read {path}: ")
+
+
 class TestPipeline:
     def test_findings_on_disk(self, run_cli, tmp_path):
         sink = tmp_path / "findings"

@@ -7,7 +7,6 @@ from alurity.flows import (
     FlowAborted,
     Transcript,
     UnknownEndpointInFlow,
-    UnknownSelectedWindow,
     compile_flow,
     run_flow,
     transcript_to_yaml,
@@ -80,9 +79,9 @@ class TestCompile:
             compile_flow(listing3, known_endpoints=["rosmachine"])
 
     def test_unknown_selected_window(self):
-        spec = FlowSpec(endpoint="x", windows=(WindowSpec("w", ()),), select="nope")
-        with pytest.raises(UnknownSelectedWindow):
-            compile_flow([spec])
+        # FlowSpec owns the rule, so no such flow reaches compile_flow
+        with pytest.raises(ValueError, match="selected window 'nope' is not defined for 'x'"):
+            FlowSpec(endpoint="x", windows=(WindowSpec("w", ()),), select="nope")
 
     def test_pure_and_deterministic(self, listing3):
         assert compile_flow(listing3) == compile_flow(listing3)

@@ -162,6 +162,25 @@ class TestParseScenario:
         assert scenario.networks[0].name == name
         assert parse_scenario(serialize_scenario(scenario)) == scenario
 
+    @pytest.mark.parametrize(
+        "text, where, line",
+        [
+            ("networks:\n  - network:\n    - name: n\n    - ? [a]\n      : b\n", "networks[0]", 4),
+            (
+                "containers:\n  - container:\n    - name: x\n    - modules:\n"
+                "       - base: a/b:1\n       - {volume: 1}: a/c:1\n",
+                "containers[0].modules",
+                6,
+            ),
+        ],
+        ids=["network", "modules"],
+    )
+    def test_non_scalar_key_fails(self, text, where, line):
+        with pytest.raises(ParseFailure) as exc:
+            parse_scenario_with_warnings(text)
+        assert exc.value.message == f"each key under {where} must be a scalar"
+        assert exc.value.line == line
+
     def test_lone_surrogate_fails_cleanly(self):
         with pytest.raises(ParseFailure):
             parse_scenario("networks:\n  - network:\n    - name: \ud800\n")
@@ -231,8 +250,17 @@ class TestParseFlow:
             "      - name: w\n"
             "    - select: ghost\n"
         )
-        with pytest.raises(ParseFailure):
+        with pytest.raises(ParseFailure) as exc:
             parse_flow(text)
+        assert exc.value.message == "selected window 'ghost' is not defined for 'x'"
+        assert exc.value.line == 6
+
+    def test_non_scalar_key_in_window_fails(self):
+        text = "flow:\n  - container:\n    - name: x\n    - window:\n      - [name]: w\n"
+        with pytest.raises(ParseFailure) as exc:
+            parse_flow(text)
+        assert exc.value.message == "each key under flows[0].windows[0] must be a scalar"
+        assert exc.value.line == 5
 
 
 class TestRoundTrip:

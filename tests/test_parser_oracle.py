@@ -1,0 +1,524 @@
+"""Differential test: the table-driven record reader and writer against the
+hand-written ones they replaced, kept here verbatim as the oracle.
+
+The oracle shares the package's scalar helpers (``_pairs``, ``_string``,
+``_tagged_items``, ``_emit_scalar`` ...), so ``_pairs``' rejection of a
+non-scalar key holds on both sides and is compared like everything else.  It
+keeps its own copy of the flow-section reader, whose ``select`` check moved
+into ``FlowSpec``.  Inputs are ``strategies.scenarios()`` and the fixture
+documents, mutated line by line: repeated, unknown, missing and non-scalar
+keys, aliases, tags, block scalars, odd plain scalars and collections where
+scalars belong.
+"""
+
+import re
+from pathlib import Path
+from typing import Optional
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from alurity.model import ContainerSpec, Diagnostic, FlowSpec, ModuleRef, NetworkSpec, Scenario, VmSpec, WindowSpec
+from alurity.parser import (
+    ParseFailure,
+    _bool,
+    _compose,
+    _emit_scalar,
+    _int,
+    _line,
+    _pairs,
+    _parse_window,
+    _string,
+    _tagged_items,
+    parse_flow,
+    parse_scenario,
+    parse_scenario_with_warnings,
+    serialize_flow,
+    serialize_scenario,
+)
+
+from strategies import scenarios
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# --- the oracle: the record reader, flow-section reader and scenario writer as
+# they were before the key tables ---------------------------------------------
+
+
+class _Folder:
+    """Folds one record's key/value pairs, tracking repeats and locations."""
+
+    def __init__(self, loc: str, line: int, source_map: dict, warnings: list[Diagnostic]):
+        self.loc = loc
+        self.source_map = source_map
+        self.warnings = warnings
+        self.seen: dict[str, int] = {}
+        source_map[loc] = line
+
+    def take(self, key: str, node: yaml.Node, line: int, repeatable: bool = False) -> None:
+        if not repeatable and key in self.seen:
+            raise ParseFailure(
+                f"key {key!r} repeated in {self.loc} (first at line {self.seen[key]})", line
+            )
+        self.seen.setdefault(key, line)
+
+    def unknown(self, key: str, line: int) -> None:
+        location = f"{self.loc}.{key}"
+        self.source_map[location] = line
+        self.warnings.append(
+            Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", location, line)
+        )
+
+    def record(self, key: str, line: int) -> None:
+        self.source_map[f"{self.loc}.{key}"] = line
+
+    def require(self, key: str, record_line: int) -> None:
+        if key not in self.seen:
+            raise ParseFailure(f"missing mandatory key {key!r} in {self.loc}", record_line)
+
+
+def _parse_network(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> NetworkSpec:
+    loc = f"networks[{index}]"
+    folder = _Folder(loc, _line(node), source_map, warnings)
+    fields: dict = {}
+    for key, value, line in _pairs(node, loc):
+        if key in ("name", "driver", "internal", "encryption", "subnet"):
+            folder.take(key, value, line)
+            folder.record(key, line)
+            if key in ("internal", "encryption"):
+                fields[key] = _bool(value, f"{loc}.{key}")
+            else:
+                fields[key] = _string(value, f"{loc}.{key}")
+        else:
+            folder.unknown(key, line)
+    folder.require("name", _line(node))
+    folder.require("subnet", _line(node))
+    return NetworkSpec(**fields)
+
+
+def _network_names(node: yaml.Node, line: int, loc: str, what: str, source_map: dict, networks: list[str]) -> None:
+    """Append a ``network:`` entry's names: one scalar or a sequence of them."""
+    items = [(item, _line(item)) for item in node.value] if isinstance(node, yaml.SequenceNode) else [(node, line)]
+    for item, item_line in items:
+        source_map[f"{loc}.networks[{len(networks)}]"] = item_line
+        networks.append(_string(item, what))
+
+
+def _parse_modules(node: yaml.Node, loc: str, source_map: dict, warnings: list[Diagnostic]):
+    base: Optional[ModuleRef] = None
+    volumes: list[ModuleRef] = []
+    networks: list[str] = []
+    seen_base_line: Optional[int] = None
+    for key, value, line in _pairs(node, f"{loc}.modules"):
+        if key == "base":
+            if seen_base_line is not None:
+                raise ParseFailure(
+                    f"key 'base' repeated in {loc}.modules (first at line {seen_base_line})", line
+                )
+            seen_base_line = line
+            source_map[f"{loc}.modules.base"] = line
+            base = ModuleRef.parse(_string(value, f"{loc}.modules.base"))
+        elif key == "volume":
+            source_map[f"{loc}.modules.volumes[{len(volumes)}]"] = line
+            volumes.append(ModuleRef.parse(_string(value, f"{loc}.modules.volume")))
+        elif key == "network":
+            _network_names(value, line, loc, f"{loc}.modules.network", source_map, networks)
+        else:
+            source_map[f"{loc}.modules.{key}"] = line
+            warnings.append(
+                Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", f"{loc}.modules.{key}", line)
+            )
+    return base, tuple(volumes), networks
+
+
+def _parse_container(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> ContainerSpec:
+    loc = f"containers[{index}]"
+    folder = _Folder(loc, _line(node), source_map, warnings)
+    fields: dict = {}
+    networks: list[str] = []
+    for key, value, line in _pairs(node, loc):
+        if key == "name":
+            folder.take(key, value, line)
+            folder.record(key, line)
+            fields["name"] = _string(value, f"{loc}.name")
+        elif key == "modules":
+            folder.take(key, value, line)
+            folder.record(key, line)
+            base, volumes, nets = _parse_modules(value, loc, source_map, warnings)
+            if base is None:
+                raise ParseFailure(f"missing mandatory key 'base' in {loc}.modules", line)
+            fields["base"] = base
+            fields["volumes"] = volumes
+            networks.extend(nets)
+        elif key == "ip":
+            folder.take(key, value, line)
+            folder.record(key, line)
+            fields["ip"] = _string(value, f"{loc}.ip")
+        elif key in ("cpus", "memory"):
+            folder.take(key, value, line)
+            folder.record(key, line)
+            fields[key] = _int(value, f"{loc}.{key}")
+        elif key == "extra-options":
+            folder.take(key, value, line)
+            source_map[f"{loc}.extra_options"] = line
+            fields["extra_options"] = _string(value, f"{loc}.extra-options")
+        else:
+            folder.unknown(key, line)
+    folder.require("name", _line(node))
+    folder.require("modules", _line(node))
+    fields["networks"] = tuple(networks)
+    return ContainerSpec(**fields)
+
+
+def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> VmSpec:
+    loc = f"vms[{index}]"
+    folder = _Folder(loc, _line(node), source_map, warnings)
+    fields: dict = {}
+    networks: list[str] = []
+    for key, value, line in _pairs(node, loc):
+        if key in ("name", "path", "ip"):
+            folder.take(key, value, line)
+            folder.record(key, line)
+            fields[key] = _string(value, f"{loc}.{key}")
+        elif key in ("cpus", "memory"):
+            folder.take(key, value, line)
+            folder.record(key, line)
+            fields[key] = _int(value, f"{loc}.{key}")
+        elif key == "network":
+            _network_names(value, line, loc, f"{loc}.network", source_map, networks)
+        else:
+            folder.unknown(key, line)
+    folder.require("name", _line(node))
+    folder.require("path", _line(node))
+    fields["networks"] = tuple(networks)
+    return VmSpec(**fields)
+
+
+def reference_parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
+    """Parse a scenario document; unknown record keys come back as warnings."""
+    root = _compose(text)
+    if root is None:
+        return Scenario(), []
+    if not isinstance(root, yaml.MappingNode):
+        raise ParseFailure("scenario document must be a top-level map", _line(root))
+    warnings: list[Diagnostic] = []
+    source_map: dict = {}
+    networks: list[NetworkSpec] = []
+    containers: list[ContainerSpec] = []
+    vms: list[VmSpec] = []
+    flows: tuple[FlowSpec, ...] = ()
+    for key_node, value_node in root.value:
+        key = key_node.value
+        if key == "networks":
+            for i, item in enumerate(_tagged_items(value_node, "networks", ("network",))):
+                networks.append(_parse_network(item, i, source_map, warnings))
+        elif key == "containers":
+            for i, item in enumerate(_tagged_items(value_node, "containers", ("container",))):
+                containers.append(_parse_container(item, i, source_map, warnings))
+        elif key == "vms":
+            for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",))):
+                vms.append(_parse_vm(item, i, source_map, warnings))
+        elif key == "flow":
+            flows = tuple(_parse_flow_section(value_node, source_map))
+        else:
+            raise ParseFailure(f"unknown top-level key {key!r}", _line(key_node))
+    scenario = Scenario(
+        networks=tuple(networks),
+        containers=tuple(containers),
+        vms=tuple(vms),
+        flows=flows,
+        source_map=source_map,
+    )
+    return scenario, warnings
+
+
+def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
+    flows: list[FlowSpec] = []
+    for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm"))):
+        loc = f"flows[{index}]"
+        source_map[loc] = _line(item)
+        name: Optional[str] = None
+        windows: list[WindowSpec] = []
+        select: Optional[str] = None
+        select_line: Optional[int] = None
+        for key, value, line in _pairs(item, loc):
+            if key == "name":
+                name = _string(value, f"{loc}.name")
+                source_map[f"{loc}.name"] = line
+            elif key == "window":
+                source_map[f"{loc}.windows[{len(windows)}]"] = line
+                windows.append(_parse_window(value, f"{loc}.windows[{len(windows)}]", source_map))
+            elif key == "select":
+                select = _string(value, f"{loc}.select")
+                select_line = line
+                source_map[f"{loc}.select"] = line
+            else:
+                raise ParseFailure(f"unknown key {key!r} in {loc}", line)
+        if name is None:
+            raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(item))
+        if select is not None and select not in {w.name for w in windows}:
+            raise ParseFailure(f"selected window {select!r} is not defined for {name!r}", select_line)
+        flows.append(FlowSpec(endpoint=name, windows=tuple(windows), select=select))
+    return flows
+
+
+def reference_parse_flow(text: str) -> list[FlowSpec]:
+    """Parse a standalone flow document (top-level ``flow:``)."""
+    root = _compose(text)
+    if root is None:
+        return []
+    if not isinstance(root, yaml.MappingNode):
+        raise ParseFailure("flow document must be a top-level map", _line(root))
+    flows: list[FlowSpec] = []
+    seen = False
+    for key_node, value_node in root.value:
+        if key_node.value == "flow":
+            seen = True
+            flows = _parse_flow_section(value_node, {})
+        else:
+            raise ParseFailure(f"unknown top-level key {key_node.value!r}", _line(key_node))
+    if not seen:
+        raise ParseFailure("flow document must contain a 'flow' section", _line(root))
+    return flows
+
+
+def reference_serialize_scenario(scenario: Scenario) -> str:
+    """Emit the scenario in the same dialect; round-trips to an equal value."""
+    lines: list[str] = []
+    lines.append("networks:")
+    for net in scenario.networks:
+        lines.append("  - network:")
+        lines.append(f"    - name: {_emit_scalar(net.name)}")
+        lines.append(f"    - driver: {_emit_scalar(net.driver)}")
+        lines.append(f"    - internal: {_emit_scalar(net.internal)}")
+        lines.append(f"    - encryption: {_emit_scalar(net.encryption)}")
+        lines.append(f"    - subnet: {_emit_scalar(net.subnet)}")
+        lines.append("")
+    if not scenario.networks:
+        lines.append("")
+    lines.append("containers:")
+    for c in scenario.containers:
+        lines.append("  - container:")
+        lines.append(f"    - name: {_emit_scalar(c.name)}")
+        lines.append("    - modules:")
+        lines.append(f"        - base: {_emit_scalar(str(c.base))}")
+        for vol in c.volumes:
+            lines.append(f"        - volume: {_emit_scalar(str(vol))}")
+        if c.networks:
+            lines.append("        - network:")
+            for net in c.networks:
+                lines.append(f"          - {_emit_scalar(net)}")
+        if c.ip is not None:
+            lines.append(f"    - ip: {_emit_scalar(c.ip)}")
+        lines.append(f"    - cpus: {_emit_scalar(c.cpus)}")
+        lines.append(f"    - memory: {_emit_scalar(c.memory)}")
+        if c.extra_options is not None:
+            lines.append(f"    - extra-options: {_emit_scalar(c.extra_options)}")
+        lines.append("")
+    if not scenario.containers:
+        lines.append("")
+    if scenario.vms:
+        lines.append("vms:")
+        for v in scenario.vms:
+            lines.append("  - vm:")
+            lines.append(f"    - name: {_emit_scalar(v.name)}")
+            lines.append(f"    - path: {_emit_scalar(v.path)}")
+            for net in v.networks:
+                lines.append(f"    - network: {_emit_scalar(net)}")
+            if v.ip is not None:
+                lines.append(f"    - ip: {_emit_scalar(v.ip)}")
+            lines.append(f"    - cpus: {_emit_scalar(v.cpus)}")
+            lines.append(f"    - memory: {_emit_scalar(v.memory)}")
+            lines.append("")
+    if scenario.flows:
+        lines.append(serialize_flow(scenario.flows).rstrip("\n"))
+        lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"
+
+
+# --- the mutation generator ----------------------------------------------------
+
+_ENTRY_RE = re.compile(r"^( *)- ([^:#\n]+):(.*)$")  # "- key: value" lines
+ODD_SCALARS = [
+    "", "~", "null", "yes", "no", "on", "true", "0", "-1", "4", "1.5", "0x1f", "0o17", "1_000",
+    "190:20:30", "2020-01-01", "2020-13-45", "=", "x", "a/b:1", "12.0.0.0/24", "horizontal.",
+    "'quoted'", "'12'", '"a: b"', '"\\u2028"', ".nan", ".inf", "@x", "a #c", "process-network",
+]
+TAGS = ["!!str", "!!int", "!!bool", "!!null", "!!float", "!!binary", "!!timestamp", "!local", "!!python/name:os.system"]
+KEYS = [
+    "name", "subnet", "driver", "internal", "encryption", "modules", "base", "volume", "network",
+    "ip", "cpus", "memory", "extra-options", "extra_options", "path", "window", "commands",
+    "command", "split", "select", "fancy", "Name", "networks", "container", "vm",
+]
+MUTATIONS = [
+    "repeat", "insert", "delete", "rekey", "nonscalar-key", "value", "tag", "alias",
+    "block", "wrap", "sequence", "mapping", "indent", "raw",
+]
+
+
+def _mutate(data, lines: list[str], kind: str, n: int) -> None:
+    """Apply one mutation to ``lines`` in place; ``n`` keeps anchors unique."""
+    if not lines:
+        lines.append("")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    entry = _ENTRY_RE.match(lines[i])
+    indent = len(lines[i]) - len(lines[i].lstrip(" "))
+    if kind == "repeat":
+        lines.insert(i + 1, lines[i])
+    elif kind == "insert":
+        key, value = data.draw(st.sampled_from(KEYS)), data.draw(st.sampled_from(ODD_SCALARS))
+        lines.insert(i + 1, f"{' ' * indent}- {key}: {value}")
+    elif kind == "delete":
+        del lines[i : i + data.draw(st.integers(1, 3))]
+    elif kind == "indent":
+        lines[i] = "  " + lines[i] if data.draw(st.booleans()) else lines[i][2:]
+    elif kind == "raw":
+        lines.insert(i, data.draw(st.text(max_size=12)))
+    elif entry is None:
+        return
+    elif kind == "rekey":
+        lines[i] = f"{entry[1]}- {data.draw(st.sampled_from(KEYS))}:{entry[3]}"
+    elif kind == "nonscalar-key":
+        key = data.draw(st.sampled_from([f"[{entry[2]}]", f"{{{entry[2]}: 1}}"]))
+        lines[i] = f"{entry[1]}- {key}:{entry[3]}"
+    elif kind == "value":
+        lines[i] = f"{entry[1]}- {entry[2]}: {data.draw(st.sampled_from(ODD_SCALARS))}"
+    elif kind == "tag":
+        lines[i] = f"{entry[1]}- {entry[2]}: {data.draw(st.sampled_from(TAGS))}{entry[3]}"
+    elif kind == "alias":
+        lines[i] = f"{entry[1]}- {entry[2]}: &a{n}{entry[3]}"
+        j = data.draw(st.integers(0, len(lines) - 1))
+        target = _ENTRY_RE.match(lines[j])
+        if target is not None:
+            lines[j] = f"{target[1]}- {target[2]}: *a{n}"
+    elif kind == "block":
+        style = data.draw(st.sampled_from(["|", ">", "|-", ">+"]))
+        text = entry[3].strip() or data.draw(st.sampled_from(ODD_SCALARS))
+        lines[i : i + 1] = [f"{entry[1]}- {entry[2]}: {style}", f"{' ' * (indent + 6)}{text}"]
+    elif kind == "wrap":  # the value on the next line, as a continuation
+        lines[i : i + 1] = [f"{entry[1]}- {entry[2]}:", f"{' ' * (indent + 6)}{entry[3].strip() or 'x'}"]
+    elif kind == "sequence":
+        value = entry[3].strip() or "x"
+        if data.draw(st.booleans()):
+            lines[i] = f"{entry[1]}- {entry[2]}: [{value}, {value}]"
+        else:
+            lines[i : i + 1] = [f"{entry[1]}- {entry[2]}:", f"{' ' * (indent + 2)}- {value}"]
+    elif kind == "mapping":
+        lines[i] = f"{entry[1]}- {entry[2]}: {{a: {entry[3].strip() or 'b'}}}"
+
+
+@st.composite
+def mutated(draw, bases):
+    """A base document with up to four line mutations applied."""
+    lines = draw(bases).split("\n")
+    data = draw(st.data())
+    for n, kind in enumerate(draw(st.lists(st.sampled_from(MUTATIONS), max_size=4))):
+        _mutate(data, lines, kind, n)
+    return "\n".join(lines)
+
+
+def _fixture(name: str) -> str:
+    return (FIXTURES / name).read_text()
+
+
+SCENARIO_TEXTS = [
+    _fixture("listing1.yaml"),
+    _fixture("listing2.yaml"),
+    _fixture("listing1.yaml") + _fixture("listing2.yaml"),
+    _fixture("rosnet.yaml") + _fixture("listing3.yaml"),
+]
+scenario_bases = st.one_of(
+    st.sampled_from(SCENARIO_TEXTS),
+    scenarios().map(reference_serialize_scenario),
+    scenarios().map(serialize_scenario),
+)
+flow_bases = st.one_of(
+    st.just(_fixture("listing3.yaml")),
+    scenarios().map(lambda s: serialize_flow(s.flows)),
+)
+documents = st.one_of(mutated(scenario_bases), mutated(flow_bases))
+
+
+def _outcome(parse, text: str):
+    try:
+        result = parse(text)
+    except ParseFailure as exc:
+        return ("ParseFailure", exc.message, exc.line, exc.column)
+    if isinstance(result, tuple):  # (scenario, warnings)
+        return ("ok", result[0], result[0].source_map, result[1])
+    return ("ok", result)
+
+
+# --- the tests -------------------------------------------------------------------
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents)
+def test_readers_match_oracle(text):
+    """Both readers agree with the oracle on values, source maps, warnings
+    and failure messages and lines.  ``_outcome`` lets anything but
+    ``ParseFailure`` through, so this is also the property that any text
+    given to ``parse_scenario`` or ``parse_flow`` returns a value or raises
+    ``ParseFailure``, and nothing else."""
+    assert _outcome(parse_scenario_with_warnings, text) == _outcome(reference_parse_scenario_with_warnings, text)
+    assert _outcome(parse_flow, text) == _outcome(reference_parse_flow, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_writer_round_trips_like_oracle(scenario):
+    """The bytes differ (one ``- network: NAME`` entry per name, no empty
+    sections); what they parse to does not."""
+    assert parse_scenario(serialize_scenario(scenario)) == parse_scenario(reference_serialize_scenario(scenario)) == scenario
+
+
+class _Script:
+    """Stands in for ``st.data()``: hands out the scripted draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def draw(self, strategy):
+        return self.draws.pop(0)
+
+
+def _at(text: str, needle: str) -> int:
+    return next(i for i, line in enumerate(text.split("\n")) if needle in line)
+
+
+LISTING1, LISTING2 = SCENARIO_TEXTS[:2]
+WITH_FLOW = SCENARIO_TEXTS[3]
+
+
+@pytest.mark.parametrize(
+    "text, kind, draws, expected",
+    [
+        (LISTING1, "insert", [_at(LISTING1, "12.0.0.0/24"), "fancy", "x"], "unknown key 'fancy' ignored"),
+        (LISTING1, "repeat", [_at(LISTING1, "cpus: 4")], "key 'cpus' repeated in containers[0] (first at line 22)"),
+        (LISTING1, "delete", [_at(LISTING1, "17.0.0.0/24"), 1], "missing mandatory key 'subnet' in networks[1]"),
+        (LISTING1, "delete", [_at(LISTING1, "- base:"), 1], "missing mandatory key 'base' in containers[0].modules"),
+        (LISTING2, "delete", [_at(LISTING2, "name: irc5"), 2], "missing mandatory key 'name' in vms[0]"),
+        (LISTING1, "nonscalar-key", [_at(LISTING1, "driver"), "[driver]"], "each key under networks[0] must be a scalar"),
+        (LISTING1, "sequence", [_at(LISTING1, "name: attacker"), True], "expected a scalar value"),
+        (LISTING1, "alias", [_at(LISTING1, "name: process-network"), _at(LISTING1, "ip: 12.0.0.20")], None),
+        (LISTING1, "tag", [_at(LISTING1, "cpus: 4"), "!!str"], None),
+        (LISTING1, "block", [_at(LISTING1, "extra-options"), "|"], None),
+        (WITH_FLOW, "value", [_at(WITH_FLOW, "select: attack"), "x"], "selected window 'x' is not defined for 'attacker'"),
+    ],
+    ids=["unknown", "repeated", "missing", "missing-nested", "missing-both", "nonscalar", "sequence", "alias", "tag", "block", "select"],
+)
+def test_mutations_reach_each_rule(text, kind, draws, expected):
+    """Each mutation does what its name says, and the oracle agrees."""
+    lines = text.split("\n")
+    _mutate(_Script(*draws), lines, kind, 0)
+    mutant = "\n".join(lines)
+    outcome = _outcome(parse_scenario_with_warnings, mutant)
+    assert outcome == _outcome(reference_parse_scenario_with_warnings, mutant)
+    if expected is None:
+        assert outcome[0] == "ok" and not outcome[3] and mutant != text
+    elif outcome[0] == "ok":
+        assert [w.message for w in outcome[3]] == [expected]
+    else:
+        assert outcome[1] == expected

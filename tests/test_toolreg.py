@@ -6,7 +6,6 @@ from alurity.toolreg import (
     ModuleManifest,
     RegistryIndex,
     UnknownModule,
-    classify,
     registry_index_from_dict,
     resolve,
 )
@@ -20,16 +19,13 @@ def ref(text):
 
 class TestClassify:
     def test_seven_groups_plus_unknown(self):
-        assert classify(ref(f"{REG}/robo_ur_cb3_1:3.13.0")) == "robots"
-        assert classify(ref(f"{REG}/reco_aztarna:latest")) == "reconnaissance"
-        assert classify(ref("r/xyz_tool:1")) == "unknown"
+        assert ref(f"{REG}/robo_ur_cb3_1:3.13.0").group == "robots"
+        assert ref(f"{REG}/reco_aztarna:latest").group == "reconnaissance"
+        assert ref("r/xyz_tool:1").group == "unknown"
 
     def test_image_is_bounded_by_group_set(self):
         for text in ("r/robo_a:1", "r/comp_b:1", "r/fore_c:1", "r/expl_d:1", "r/test_e:1", "r/reco_f:1", "r/deve_g:1", "r/zzz:1"):
-            assert classify(ref(text)) in MODULE_GROUPS
-
-    def test_custom_prefix_map(self):
-        assert classify(ref("r/scan_x:1"), {"scan_": "testing"}) == "testing"
+            assert ref(text).group in MODULE_GROUPS
 
 
 class TestResolve:
