@@ -33,7 +33,10 @@ EXIT_USAGE = 64
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseFailure(f"not UTF-8: {exc}") from exc
 
 
 def _load_scenario(path: str) -> tuple[Scenario, list]:

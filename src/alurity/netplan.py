@@ -206,6 +206,11 @@ def export_plan_yaml(plan: ConnectivityPlan) -> str:
     return dump_yaml(doc)
 
 
+def _dot_escape(text: str) -> str:
+    """``text`` as the inside of a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: str = "dot") -> str:
     """Topology as a Graphviz digraph: endpoint and network nodes, one edge
     per attachment."""
@@ -216,14 +221,23 @@ def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: 
     for entry in plan.entries:
         if entry.kind == "bridge":
             networks.append(entry.network)
-    for name in plan.attachments:
+    # IDs and labels are DOT quoted strings; names are escaped only when
+    # one of them holds a quote or a backslash.
+    names, attached = list(plan.attachments), list(plan.attachments.values())
+    ids, net_ids, attached_ids = names, networks, attached
+    every = "".join(names) + "".join(networks)
+    if '"' in every or "\\" in every:
+        ids = [_dot_escape(name) for name in names]
+        net_ids = [_dot_escape(net) for net in networks]
+        attached_ids = [[_dot_escape(net) for net in nets] for nets in attached]
+    for name, node in zip(names, ids):
         addrs = ", ".join(addr for _net, addr in sorted(assignment.addresses_of(name)))
-        label = f"{name}\\n{addrs}" if addrs else name
-        lines.append(f'  "{name}" [shape=box, label="{label}"];')
-    for net in networks:
-        lines.append(f'  "net:{net}" [shape=ellipse, label="{net}"];')
-    for name, nets in plan.attachments.items():
+        label = f"{node}\\n{addrs}" if addrs else node
+        lines.append(f'  "{node}" [shape=box, label="{label}"];')
+    for node in net_ids:
+        lines.append(f'  "net:{node}" [shape=ellipse, label="{node}"];')
+    for node, nets in zip(ids, attached_ids):
         for net in nets:
-            lines.append(f'  "{name}" -> "net:{net}";')
+            lines.append(f'  "{node}" -> "net:{net}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from typing import Optional, Protocol
 from . import toolreg
 from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
-from .parser import load_yaml_map
+from .parser import ParseFailure, load_yaml_map
 
 
 class EndpointNotRunning(Exception):
@@ -89,7 +89,20 @@ class MockBackend:
 
     @classmethod
     def from_fixture(cls, path: str) -> "MockBackend":
-        responses = [(pattern, body or {}) for pattern, body in load_yaml_map(path).items()]
+        """A backend scripted by a YAML map of regex -> response map;
+        ``ParseFailure`` for a key that is not a regex or a response that is
+        not a map (an empty one is)."""
+        responses = []
+        for pattern, body in load_yaml_map(path).items():
+            try:
+                re.compile(pattern)
+            except (TypeError, re.error) as exc:
+                raise ParseFailure(f"{pattern!r} is not a regex: {exc}") from exc
+            if body is None:
+                body = {}
+            if not isinstance(body, dict):
+                raise ParseFailure(f"the response to {pattern!r} must be a map, got a {type(body).__name__}")
+            responses.append((pattern, body))
         return cls(responses=responses)
 
     def create_endpoint(self, spec, image, addresses) -> MockEndpoint:

@@ -21,6 +21,7 @@ import re
 from typing import Optional
 
 import yaml
+from yaml import MappingNode, ScalarNode, SequenceNode
 
 from .model import (
     Command,
@@ -61,9 +62,27 @@ def dump_yaml(doc) -> str:
     return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False, default_flow_style=False)
 
 
+class _NodeLoader(YAML_LOADER):
+    """Composes nodes and leaves their tags unresolved.
+
+    Nothing reads ``node.tag``: ``_scalar`` types each plain scalar where it
+    is read.  Skipping the resolver is exact because the safe loaders
+    register no path resolvers, so resolution never steers composition.
+    """
+
+    def resolve(self, kind, value, implicit):
+        return None
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+
 def _compose(text: str) -> Optional[yaml.Node]:
     try:
-        return yaml.compose(text, Loader=YAML_LOADER)
+        return yaml.compose(text, Loader=_NodeLoader)
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
     except yaml.YAMLError as exc:
@@ -99,6 +118,11 @@ def _line(node: yaml.Node) -> int:
 _RESOLVER = yaml.resolver.Resolver()
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _STR_TAG = "tag:yaml.org,2002:str"
+# The resolver picks a plain scalar's candidate tags by its first character,
+# so text that starts with a character no implicit resolver is registered for
+# resolves to a string.  (No safe resolver is registered for any first
+# character, under the key None.)
+_TYPED_FIRST = frozenset(_RESOLVER.yaml_implicit_resolvers)
 
 
 def _scalar(node: yaml.Node):
@@ -109,7 +133,7 @@ def _scalar(node: yaml.Node):
     Text that matches a tag's pattern but does not construct (``=``, a
     timestamp such as ``2020-13-45``) stays text.
     """
-    if not isinstance(node, yaml.ScalarNode):
+    if not isinstance(node, ScalarNode):
         raise ParseFailure("expected a scalar value", _line(node))
     text = node.value
     if node.style in ('"', "'"):
@@ -119,7 +143,9 @@ def _scalar(node: yaml.Node):
     try:
         if node.style in ("|", ">"):  # a block scalar: its text is re-read
             return load_yaml(text)
-        tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
+        if text[0] not in _TYPED_FIRST:
+            return text
+        tag = _RESOLVER.resolve(ScalarNode, text, (True, False))
         if tag == _STR_TAG:
             return text
         construct = _CONSTRUCTOR.yaml_constructors.get(tag)
@@ -128,40 +154,50 @@ def _scalar(node: yaml.Node):
         return text
 
 
-def _string(node: yaml.Node, what: str) -> str:
+# Readers take the record's ``loc`` and the ``key`` apart and join them only
+# for a message.
+
+
+def _string(node: yaml.Node, loc: str, key: str) -> str:
     value = _scalar(node)
     if value is None:
-        raise ParseFailure(f"{what} must not be empty", _line(node))
+        raise ParseFailure(f"{loc}.{key} must not be empty", _line(node))
     return value if isinstance(value, str) else str(value)
 
 
-def _int(node: yaml.Node, what: str) -> int:
+def _int(node: yaml.Node, loc: str, key: str) -> int:
     value = _scalar(node)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseFailure(f"{what} must be an integer, got {value!r}", _line(node))
+        raise ParseFailure(f"{loc}.{key} must be an integer, got {value!r}", _line(node))
     return value
 
 
-def _bool(node: yaml.Node, what: str) -> bool:
+def _bool(node: yaml.Node, loc: str, key: str) -> bool:
     value = _scalar(node)
     if not isinstance(value, bool):
-        raise ParseFailure(f"{what} must be a boolean, got {value!r}", _line(node))
+        raise ParseFailure(f"{loc}.{key} must be a boolean, got {value!r}", _line(node))
     return value
+
+
+def _entry(item: yaml.Node, what: str) -> tuple[yaml.Node, yaml.Node]:
+    """The (key node, value node) of one single-key map entry."""
+    if not isinstance(item, MappingNode) or len(item.value) != 1:
+        raise ParseFailure(f"each entry under {what} must be a single-key map", _line(item))
+    key_node, value_node = item.value[0]
+    if not isinstance(key_node, ScalarNode):
+        raise ParseFailure(f"each key under {what} must be a scalar", _line(key_node))
+    return key_node, value_node
 
 
 def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
     """Flatten a sequence of single-key maps into (key, value node, line)."""
     if node is None:
         return []
-    if not isinstance(node, yaml.SequenceNode):
+    if not isinstance(node, SequenceNode):
         raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(node))
     out = []
     for item in node.value:
-        if not isinstance(item, yaml.MappingNode) or len(item.value) != 1:
-            raise ParseFailure(f"each entry under {what} must be a single-key map", _line(item))
-        key_node, value_node = item.value[0]
-        if not isinstance(key_node, yaml.ScalarNode):
-            raise ParseFailure(f"each key under {what} must be a scalar", _line(key_node))
+        key_node, value_node = _entry(item, what)
         out.append((key_node.value, value_node, _line(key_node)))
     return out
 
@@ -169,57 +205,64 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
 # --- records -----------------------------------------------------------------
 #
 # The key tables are the dialect: each maps a record's YAML keys, in the order
-# the writer emits them, to (field, reader, count).  ``field`` is the value's
-# source-map path below the record and its last part the spec's attribute.
-# ``count`` is "1" for a required key, "?" for an optional one and "*" for a
-# key that may repeat.  A reader of a single key returns the value; a reader
-# of a repeating key returns (value, line) items.  A table in a reader's place
-# is a nested record whose fields belong to the enclosing spec.
+# the writer emits them, to (field, attr, reader, count).  ``field`` is the
+# value's source-map path below the record and ``attr``, its last part, the
+# spec's attribute.  ``count`` is "1" for a required key, "?" for an optional
+# one and "*" for a key that may repeat.  A reader of a single key returns the
+# value; a reader of a repeating key returns (value, line) items.  A table in
+# a reader's place is a nested record whose fields belong to the enclosing
+# spec.
 
 
-def _ref(node: yaml.Node, what: str) -> ModuleRef:
-    return ModuleRef.parse(_string(node, what))
+def _ref(node: yaml.Node, loc: str, key: str) -> ModuleRef:
+    return ModuleRef.parse(_string(node, loc, key))
 
 
-def _refs(node: yaml.Node, line: int, what: str) -> list:
-    return [(_ref(node, what), line)]
+def _refs(node: yaml.Node, line: int, loc: str, key: str) -> list:
+    return [(_ref(node, loc, key), line)]
 
 
-def _names(node: yaml.Node, line: int, what: str) -> list:
+def _names(node: yaml.Node, line: int, loc: str, key: str) -> list:
     """One network name, or a sequence of names each on its own line."""
-    if isinstance(node, yaml.SequenceNode):
-        return [(_string(item, what), _line(item)) for item in node.value]
-    return [(_string(node, what), line)]
+    if isinstance(node, SequenceNode):
+        return [(_string(item, loc, key), _line(item)) for item in node.value]
+    return [(_string(node, loc, key), line)]
 
 
-_NETWORK_KEYS = {
+def _table(keys: dict) -> dict:
+    """A key table from key -> (field, reader, count): adds each field's
+    spec attribute."""
+    return {key: (field, field.rpartition(".")[2], reader, count) for key, (field, reader, count) in keys.items()}
+
+
+_NETWORK_KEYS = _table({
     "name": ("name", _string, "1"),
     "driver": ("driver", _string, "?"),
     "internal": ("internal", _bool, "?"),
     "encryption": ("encryption", _bool, "?"),
     "subnet": ("subnet", _string, "1"),
-}
-_MODULE_KEYS = {
+})
+_MODULE_KEYS = _table({
     "base": ("modules.base", _ref, "1"),
     "volume": ("modules.volumes", _refs, "*"),
     "network": ("networks", _names, "*"),
-}
-_CONTAINER_KEYS = {
+})
+_CONTAINER_KEYS = _table({
     "name": ("name", _string, "1"),
     "modules": ("modules", _MODULE_KEYS, "1"),
     "ip": ("ip", _string, "?"),
     "cpus": ("cpus", _int, "?"),
     "memory": ("memory", _int, "?"),
     "extra-options": ("extra_options", _string, "?"),
-}
-_VM_KEYS = {
+})
+_VM_KEYS = _table({
     "name": ("name", _string, "1"),
     "path": ("path", _string, "1"),
     "network": ("networks", _names, "*"),
     "ip": ("ip", _string, "?"),
     "cpus": ("cpus", _int, "?"),
     "memory": ("memory", _int, "?"),
-}
+})
 # section -> (entry key, spec type, key table), in document order
 _SECTIONS = {
     "networks": ("network", NetworkSpec, _NETWORK_KEYS),
@@ -237,31 +280,41 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, wa
     """
     owner = owner or loc
     source_map[loc] = line
+    if not isinstance(node, SequenceNode):
+        raise ParseFailure(f"{loc} must be a sequence of single-key maps", _line(node))
     fields: dict = {}
     seen: dict[str, int] = {}
-    for key, value, key_line in _pairs(node, loc):
-        what = f"{loc}.{key}"
-        if key not in keys:
-            source_map[what] = key_line
-            warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", what, key_line))
-            continue
-        path, reader, count = keys[key]
-        attr = path.rpartition(".")[2]
-        if count == "*":
-            for item, item_line in reader(value, key_line, what):
+    try:
+        for pair in node.value:
+            key_node, value = _entry(pair, loc)
+            key = key_node.value
+            key_line = key_node.start_mark.line + 1
+            entry = keys.get(key)
+            if entry is None:
+                what = f"{loc}.{key}"
+                source_map[what] = key_line
+                warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", what, key_line))
+                continue
+            path, attr, reader, count = entry
+            if count == "*":
                 items = fields.get(attr, ())
-                source_map[f"{owner}.{path}[{len(items)}]"] = item_line
-                fields[attr] = items + (item,)
-            continue
-        if key in seen:
-            raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
-        seen[key] = key_line
-        source_map[f"{owner}.{path}"] = key_line
-        if isinstance(reader, dict):
-            fields.update(_fold(value, what, key_line, reader, source_map, warnings, owner))
-        else:
-            fields[attr] = reader(value, what)
-    for key, (_, _, count) in keys.items():
+                for item, item_line in reader(value, key_line, loc, key):
+                    source_map[f"{owner}.{path}[{len(items)}]"] = item_line
+                    items += (item,)
+                fields[attr] = items
+                continue
+            if key in seen:
+                raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
+            seen[key] = key_line
+            source_map[f"{owner}.{path}"] = key_line
+            if isinstance(reader, dict):
+                fields.update(_fold(value, f"{loc}.{key}", key_line, reader, source_map, warnings, owner))
+            else:
+                fields[attr] = reader(value, loc, key)
+    except ParseFailure:
+        _pairs(node, loc)  # a malformed entry anywhere in the record is reported first
+        raise
+    for key, (_, _, _, count) in keys.items():
         if count == "1" and key not in seen:
             raise ParseFailure(f"missing mandatory key {key!r} in {loc}", line)
     return fields
@@ -269,7 +322,7 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, wa
 
 def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
     """Unwrap ``- network:`` / ``- container:`` wrapper entries."""
-    if node is None or (isinstance(node, yaml.ScalarNode) and node.value == ""):
+    if node is None or (isinstance(node, ScalarNode) and node.value == ""):
         return []
     out = []
     for key, value, line in _pairs(node, section):
@@ -290,7 +343,7 @@ def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]
     root = _compose(text)
     if root is None:
         return Scenario(), []
-    if not isinstance(root, yaml.MappingNode):
+    if not isinstance(root, MappingNode):
         raise ParseFailure("scenario document must be a top-level map", _line(root))
     warnings: list[Diagnostic] = []
     source_map: dict = {}
@@ -319,13 +372,13 @@ def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
     items: list[object] = []
     for key, value, line in _pairs(node, loc):
         if key == "name":
-            name = _string(value, f"{loc}.name")
+            name = _string(value, loc, "name")
         elif key == "commands":
             for ckey, cvalue, cline in _pairs(value, f"{loc}.commands"):
                 if ckey == "command":
-                    items.append(Command(_string(cvalue, f"{loc}.commands.command")))
+                    items.append(Command(_string(cvalue, loc, "commands.command")))
                 elif ckey == "split":
-                    direction = _normalize_split(_string(cvalue, f"{loc}.commands.split"))
+                    direction = _normalize_split(_string(cvalue, loc, "commands.split"))
                     if direction not in _SPLIT_DIRECTIONS:
                         raise ParseFailure(f"unknown split direction {direction!r}", cline)
                     items.append(Split(direction))
@@ -349,13 +402,14 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
         select_line: Optional[int] = None
         for key, value, line in _pairs(item, loc):
             if key == "name":
-                name = _string(value, f"{loc}.name")
+                name = _string(value, loc, "name")
                 source_map[f"{loc}.name"] = line
             elif key == "window":
-                source_map[f"{loc}.windows[{len(windows)}]"] = line
-                windows.append(_parse_window(value, f"{loc}.windows[{len(windows)}]", source_map))
+                window_loc = f"{loc}.windows[{len(windows)}]"
+                source_map[window_loc] = line
+                windows.append(_parse_window(value, window_loc, source_map))
             elif key == "select":
-                select = _string(value, f"{loc}.select")
+                select = _string(value, loc, "select")
                 select_line = line
                 source_map[f"{loc}.select"] = line
             else:
@@ -374,7 +428,7 @@ def parse_flow(text: str) -> list[FlowSpec]:
     root = _compose(text)
     if root is None:
         return []
-    if not isinstance(root, yaml.MappingNode):
+    if not isinstance(root, MappingNode):
         raise ParseFailure("flow document must be a top-level map", _line(root))
     flows: list[FlowSpec] = []
     seen = False
@@ -425,12 +479,12 @@ def _emit_scalar(value) -> str:
 
 
 def _emit_record(lines: list[str], spec, keys: dict, indent: str) -> None:
-    for key, (path, reader, count) in keys.items():
+    for key, (_, attr, reader, count) in keys.items():
         if isinstance(reader, dict):
             lines.append(f"{indent}- {key}:")
             _emit_record(lines, spec, reader, indent + "    ")
             continue
-        value = getattr(spec, path.rpartition(".")[2])
+        value = getattr(spec, attr)
         for item in value if count == "*" else (value,):
             if item is not None:
                 lines.append(f"{indent}- {key}: {_emit_scalar(item)}")

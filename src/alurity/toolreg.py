@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import ContainerSpec, ModuleRef
-from .parser import load_yaml_map
+from .parser import ParseFailure, load_yaml_map
 
 
 class UnknownModule(Exception):
@@ -75,21 +75,35 @@ def load_registry_index(path: str) -> RegistryIndex:
     return registry_index_from_dict(load_yaml_map(path))
 
 
+def _rule(r, where: str) -> ExtractionRule:
+    if not isinstance(r, dict) or "id" not in r or "pattern" not in r:
+        raise ParseFailure(f"each rule of {where} must be a map with an 'id' and a 'pattern', got {r!r}")
+    return ExtractionRule(
+        id=str(r["id"]),
+        pattern=str(r["pattern"]),
+        title=str(r.get("title", "{title}")),
+        flaw_class=str(r.get("flaw-class", r.get("flaw_class", "vulnerability"))),
+        severity=str(r.get("severity", "medium")),
+        description=str(r.get("description", "")),
+    )
+
+
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
+    """The index a map of module reference -> manifest describes;
+    ``ParseFailure`` for a manifest that is not a map (an empty one is) or
+    a ``rules`` entry that is not a list of rule maps."""
     manifests = {}
     for ref_text, body in raw.items():
-        body = body or {}
-        rules = tuple(
-            ExtractionRule(
-                id=str(r["id"]),
-                pattern=str(r["pattern"]),
-                title=str(r.get("title", "{title}")),
-                flaw_class=str(r.get("flaw-class", r.get("flaw_class", "vulnerability"))),
-                severity=str(r.get("severity", "medium")),
-                description=str(r.get("description", "")),
-            )
-            for r in body.get("rules", [])
-        )
+        if body is None:
+            body = {}
+        if not isinstance(body, dict):
+            raise ParseFailure(f"the manifest of {ref_text} must be a map, got a {type(body).__name__}")
+        rules = body.get("rules")
+        if rules is None:
+            rules = []
+        if not isinstance(rules, list):
+            raise ParseFailure(f"the rules of {ref_text} must be a list, got a {type(rules).__name__}")
+        rules = tuple(_rule(r, ref_text) for r in rules)
         manifests[str(ref_text)] = ModuleManifest(
             group=str(body.get("group", "unknown")),
             tools=tuple(body.get("tools", [])),

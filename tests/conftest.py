@@ -11,6 +11,7 @@ from alurity.parser import parse_flow, parse_scenario
 from alurity.toolreg import load_registry_index
 
 from stub_tracker import StubTracker
+from yaml_classes import pure_python_classes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +60,13 @@ def listing3(listing3_text):
 @pytest.fixture
 def merged12(listing1, listing2) -> Scenario:
     return replace(listing1, vms=listing2.vms)
+
+
+@pytest.fixture
+def pure_python_yaml():
+    """The YAML layer on PyYAML's pure-Python classes."""
+    with pure_python_classes():
+        yield
 
 
 @pytest.fixture

@@ -221,34 +221,67 @@ class TestRun:
         assert run_cli("run", "--rvd", "1")[0] == 64
 
 
+TARGET_AND_TOOL = ("--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest")
+CONFIG_ARGS = {
+    "run-mock-responses": ("run", ROSNET, "--mock-responses"),
+    "run-index": ("run", ROSNET, "--index"),
+    "pipeline-index": ("pipeline", *TARGET_AND_TOOL, "--index"),
+    "pipeline-mock-responses": ("pipeline", *TARGET_AND_TOOL, "--index", INDEX, "--mock-responses"),
+}
+# Contents every config file rejects, then those only one kind rejects.
 UNREADABLE = {
     "missing": None,
     "malformed": "a: [b\n",
     "list": "- a\n- b\n",
+    "not-utf8": b"a: \xff\n",
 }
-TARGET_AND_TOOL = ("--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest")
+BAD_RESPONSES = {
+    "bad-regex": '"[": {exit: 1}\n',
+    "non-string-pattern": "5: {exit: 1}\n",
+    "response-not-map": "x: 5\n",
+}
+BAD_INDEX = {
+    "manifest-not-map": "r/x:1: 5\n",
+    "rules-not-list": "r/x:1:\n  rules: 5\n",
+    "rule-not-map": "r/x:1:\n  rules: [5]\n",
+    "rule-without-id": "r/x:1:\n  rules:\n    - pattern: x\n",
+    "rule-without-pattern": "r/x:1:\n  rules:\n    - id: x\n",
+}
+CONFIG_CASES = [
+    pytest.param(args, contents[content], id=f"{kind}-{content}")
+    for kind, args in CONFIG_ARGS.items()
+    for contents in (UNREADABLE, BAD_RESPONSES if kind.endswith("mock-responses") else BAD_INDEX)
+    for content in contents
+]
 
 
-@pytest.mark.parametrize("content", list(UNREADABLE))
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("run", ROSNET, "--mock-responses"),
-        ("run", ROSNET, "--index"),
-        ("pipeline", *TARGET_AND_TOOL, "--index"),
-        ("pipeline", *TARGET_AND_TOOL, "--index", INDEX, "--mock-responses"),
-    ],
-    ids=["run-mock-responses", "run-index", "pipeline-index", "pipeline-mock-responses"],
-)
+@pytest.mark.parametrize("args, content", CONFIG_CASES)
 def test_unreadable_config_file_exits_2(run_cli, tmp_path, monkeypatch, args, content):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.yaml"
-    if UNREADABLE[content] is not None:
-        path.write_text(UNREADABLE[content])
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
     code, out, err = run_cli(*args, str(path))
     assert code == 2
     assert out == ""
     assert err.startswith(f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("validate",), ("graph",), ("run",), ("run", ROSNET, "--flow")],
+    ids=["validate", "graph", "run", "run-flow"],
+)
+def test_non_utf8_document_exits_2(run_cli, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(b"networks:\n  - network:\n    - name: \xff\n")
+    code, out, err = run_cli(*args, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot parse ") and "not UTF-8" in err
 
 
 class TestPipeline:

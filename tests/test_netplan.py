@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -198,6 +199,35 @@ class TestGraphExport:
         plan, a = plan_for(listing1)
         with pytest.raises(UnsupportedFormat):
             export_graph(plan, a, "svg")
+
+    @pytest.mark.parametrize("name", ['a"b\\c', "ends\\", '"', "\\n", "plain"])
+    def test_quoted_ids_unescape_to_names(self, name):
+        """Every line is a well-formed DOT statement, and each quoted ID and
+        label reads back as the name it stands for."""
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node = re.compile(rf"  {quoted} \[shape=(box|ellipse), label={quoted}\];")
+        edge = re.compile(rf"  {quoted} -> {quoted};")
+
+        def unescape(text):
+            return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text)
+
+        net = f"net {name}"
+        scenario = Scenario(
+            networks=(NetworkSpec(name=net, subnet="12.0.0.0/24"),),
+            containers=(ContainerSpec(name=name, base=BASE, networks=(net,)),),
+        )
+        lines = export_graph(*plan_for(scenario)).splitlines()
+        assert lines[0] == "digraph topology {" and lines[-1] == "}"
+        nodes, edges = set(), set()
+        for line in lines[1:-1]:
+            if m := node.fullmatch(line):
+                nodes.add((unescape(m[1]), m[2], unescape(m[3])))
+            else:
+                m = edge.fullmatch(line)
+                assert m, line
+                edges.add((unescape(m[1]), unescape(m[2])))
+        assert nodes == {(name, "box", f"{name}\n12.0.0.2"), (f"net:{net}", "ellipse", net)}
+        assert edges == {(name, f"net:{net}")}
 
 
 def test_subnet_safety_over_random_scenarios():

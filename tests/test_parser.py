@@ -181,6 +181,26 @@ class TestParseScenario:
         assert exc.value.message == f"each key under {where} must be a scalar"
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "containers:\n  - container:\n    - name: c\n    - cpus: many\n    - [x]: 1\n",
+                "each key under containers[0] must be a scalar",
+            ),
+            (
+                "networks:\n  - network:\n    - name: a\n    - name: b\n    - 5\n",
+                "each entry under networks[0] must be a single-key map",
+            ),
+        ],
+        ids=["bad-value", "repeated-key"],
+    )
+    def test_malformed_entry_is_reported_before_earlier_errors(self, text, message):
+        """A record's entries are checked for shape before any is read."""
+        with pytest.raises(ParseFailure) as exc:
+            parse_scenario_with_warnings(text)
+        assert (exc.value.message, exc.value.line) == (message, 5)
+
     def test_lone_surrogate_fails_cleanly(self):
         with pytest.raises(ParseFailure):
             parse_scenario("networks:\n  - network:\n    - name: \ud800\n")

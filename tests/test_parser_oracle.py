@@ -1,14 +1,16 @@
 """Differential test: the table-driven record reader and writer against the
 hand-written ones they replaced, kept here verbatim as the oracle.
 
-The oracle shares the package's scalar helpers (``_pairs``, ``_string``,
-``_tagged_items``, ``_emit_scalar`` ...), so ``_pairs``' rejection of a
-non-scalar key holds on both sides and is compared like everything else.  It
-keeps its own copy of the flow-section reader, whose ``select`` check moved
-into ``FlowSpec``.  Inputs are ``strategies.scenarios()`` and the fixture
-documents, mutated line by line: repeated, unknown, missing and non-scalar
-keys, aliases, tags, block scalars, odd plain scalars and collections where
-scalars belong.
+The oracle reads documents the way the package did before composing without
+tag resolution: it composes through the resolving ``parser.YAML_LOADER`` and
+keeps its own copies of the scalar helpers (``_scalar``, ``_string``,
+``_pairs``, ``_tagged_items``, ``_parse_window`` ...), which resolve every
+plain scalar.  It keeps its own copy of the flow-section reader too, whose
+``select`` check moved into ``FlowSpec``.  Inputs are
+``strategies.scenarios()`` and the fixture documents, mutated line by line:
+repeated, unknown, missing and non-scalar keys, aliases, tags, block scalars,
+odd plain scalars and collections where scalars belong.  The reader tests
+run on the libyaml classes and again on PyYAML's pure-Python ones.
 """
 
 import re
@@ -20,18 +22,26 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alurity.model import ContainerSpec, Diagnostic, FlowSpec, ModuleRef, NetworkSpec, Scenario, VmSpec, WindowSpec
+from alurity import parser
+from alurity.model import (
+    Command,
+    ContainerSpec,
+    Diagnostic,
+    FlowSpec,
+    ModuleRef,
+    NetworkSpec,
+    Scenario,
+    Split,
+    VmSpec,
+    WindowSpec,
+)
 from alurity.parser import (
     ParseFailure,
-    _bool,
-    _compose,
     _emit_scalar,
-    _int,
     _line,
-    _pairs,
-    _parse_window,
-    _string,
-    _tagged_items,
+    _malformed,
+    _normalize_split,
+    load_yaml,
     parse_flow,
     parse_scenario,
     parse_scenario_with_warnings,
@@ -40,8 +50,125 @@ from alurity.parser import (
 )
 
 from strategies import scenarios
+from yaml_classes import pure_python_classes
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# --- the oracle's YAML layer: composing with tag resolution and typing each
+# plain scalar through the resolver --------------------------------------------
+
+
+def _compose(text: str) -> Optional[yaml.Node]:
+    try:
+        return yaml.compose(text, Loader=parser.YAML_LOADER)
+    except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
+        raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
+    except yaml.YAMLError as exc:
+        raise _malformed(exc) from exc
+
+
+_RESOLVER = yaml.resolver.Resolver()
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
+def _scalar(node: yaml.Node):
+    if not isinstance(node, yaml.ScalarNode):
+        raise ParseFailure("expected a scalar value", _line(node))
+    text = node.value
+    if node.style in ('"', "'"):
+        return text
+    if text == "":
+        return None
+    try:
+        if node.style in ("|", ">"):  # a block scalar: its text is re-read
+            return load_yaml(text)
+        tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
+        if tag == _STR_TAG:
+            return text
+        construct = _CONSTRUCTOR.yaml_constructors.get(tag)
+        return text if construct is None else construct(_CONSTRUCTOR, node)
+    except (ValueError, yaml.YAMLError):
+        return text
+
+
+def _string(node: yaml.Node, what: str) -> str:
+    value = _scalar(node)
+    if value is None:
+        raise ParseFailure(f"{what} must not be empty", _line(node))
+    return value if isinstance(value, str) else str(value)
+
+
+def _int(node: yaml.Node, what: str) -> int:
+    value = _scalar(node)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseFailure(f"{what} must be an integer, got {value!r}", _line(node))
+    return value
+
+
+def _bool(node: yaml.Node, what: str) -> bool:
+    value = _scalar(node)
+    if not isinstance(value, bool):
+        raise ParseFailure(f"{what} must be a boolean, got {value!r}", _line(node))
+    return value
+
+
+def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
+    """Flatten a sequence of single-key maps into (key, value node, line)."""
+    if node is None:
+        return []
+    if not isinstance(node, yaml.SequenceNode):
+        raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(node))
+    out = []
+    for item in node.value:
+        if not isinstance(item, yaml.MappingNode) or len(item.value) != 1:
+            raise ParseFailure(f"each entry under {what} must be a single-key map", _line(item))
+        key_node, value_node = item.value[0]
+        if not isinstance(key_node, yaml.ScalarNode):
+            raise ParseFailure(f"each key under {what} must be a scalar", _line(key_node))
+        out.append((key_node.value, value_node, _line(key_node)))
+    return out
+
+
+def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
+    """Unwrap ``- network:`` / ``- container:`` wrapper entries."""
+    if node is None or (isinstance(node, yaml.ScalarNode) and node.value == ""):
+        return []
+    out = []
+    for key, value, line in _pairs(node, section):
+        if key not in tags:
+            expected = " or ".join(repr(tag) for tag in tags)
+            raise ParseFailure(f"expected {expected} entries under {section}, got {key!r}", line)
+        out.append(value)
+    return out
+
+
+_SPLIT_DIRECTIONS = {"horizontal", "vertical"}
+
+
+def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
+    name: Optional[str] = None
+    items: list[object] = []
+    for key, value, line in _pairs(node, loc):
+        if key == "name":
+            name = _string(value, f"{loc}.name")
+        elif key == "commands":
+            for ckey, cvalue, cline in _pairs(value, f"{loc}.commands"):
+                if ckey == "command":
+                    items.append(Command(_string(cvalue, f"{loc}.commands.command")))
+                elif ckey == "split":
+                    direction = _normalize_split(_string(cvalue, f"{loc}.commands.split"))
+                    if direction not in _SPLIT_DIRECTIONS:
+                        raise ParseFailure(f"unknown split direction {direction!r}", cline)
+                    items.append(Split(direction))
+                else:
+                    raise ParseFailure(f"unknown key {ckey!r} under {loc}.commands", cline)
+        else:
+            raise ParseFailure(f"unknown key {key!r} in {loc}", line)
+    if name is None:
+        raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(node))
+    return WindowSpec(name=name, items=tuple(items))
 
 
 # --- the oracle: the record reader, flow-section reader and scenario writer as
@@ -454,6 +581,11 @@ def _outcome(parse, text: str):
 
 # --- the tests -------------------------------------------------------------------
 
+def _readers_agree(text: str) -> None:
+    assert _outcome(parse_scenario_with_warnings, text) == _outcome(reference_parse_scenario_with_warnings, text)
+    assert _outcome(parse_flow, text) == _outcome(reference_parse_flow, text)
+
+
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents)
 def test_readers_match_oracle(text):
@@ -462,8 +594,16 @@ def test_readers_match_oracle(text):
     ``ParseFailure`` through, so this is also the property that any text
     given to ``parse_scenario`` or ``parse_flow`` returns a value or raises
     ``ParseFailure``, and nothing else."""
-    assert _outcome(parse_scenario_with_warnings, text) == _outcome(reference_parse_scenario_with_warnings, text)
-    assert _outcome(parse_flow, text) == _outcome(reference_parse_flow, text)
+    _readers_agree(text)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(st.sampled_from(SCENARIO_TEXTS + [_fixture("listing3.yaml")])))
+def test_readers_match_oracle_pure_python(text):
+    """The same on PyYAML's pure-Python classes, over mutated fixtures: the
+    classes differ in composing, which the small documents reach as well."""
+    with pure_python_classes():
+        _readers_agree(text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,7 +632,7 @@ LISTING1, LISTING2 = SCENARIO_TEXTS[:2]
 WITH_FLOW = SCENARIO_TEXTS[3]
 
 
-@pytest.mark.parametrize(
+MUTATION_CASES = pytest.mark.parametrize(
     "text, kind, draws, expected",
     [
         (LISTING1, "insert", [_at(LISTING1, "12.0.0.0/24"), "fancy", "x"], "unknown key 'fancy' ignored"),
@@ -509,6 +649,9 @@ WITH_FLOW = SCENARIO_TEXTS[3]
     ],
     ids=["unknown", "repeated", "missing", "missing-nested", "missing-both", "nonscalar", "sequence", "alias", "tag", "block", "select"],
 )
+
+
+@MUTATION_CASES
 def test_mutations_reach_each_rule(text, kind, draws, expected):
     """Each mutation does what its name says, and the oracle agrees."""
     lines = text.split("\n")
@@ -522,3 +665,9 @@ def test_mutations_reach_each_rule(text, kind, draws, expected):
         assert [w.message for w in outcome[3]] == [expected]
     else:
         assert outcome[1] == expected
+
+
+@MUTATION_CASES
+def test_mutations_reach_each_rule_pure_python(text, kind, draws, expected):
+    with pure_python_classes():
+        test_mutations_reach_each_rule(text, kind, draws, expected)

@@ -112,6 +112,25 @@ class TestScalarClassifier:
         parse_scenario(listing1_text)
         parser.parse_flow(listing3_text)
 
+    @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
+    def test_composing_resolves_no_tags(self, classes, listing1_text, listing3_text, monkeypatch, request):
+        if classes == "pure-python":
+            request.getfixturevalue("pure_python_yaml")
+        calls = []
+        resolve = yaml.resolver.BaseResolver.resolve
+
+        def counting(self, kind, value, implicit):
+            calls.append(value)
+            return resolve(self, kind, value, implicit)
+
+        monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", counting)
+        yaml.compose(listing1_text, Loader=parser.YAML_LOADER)
+        assert calls  # the count sees the resolving loader
+        calls.clear()
+        parser._compose(listing1_text)
+        parser._compose(listing3_text)
+        assert calls == []
+
     def test_block_scalars_are_reread(self):
         text = "networks:\n  - network:\n    - name: |\n        lab\n    - subnet: 12.0.0.0/24\n"
         assert parse_scenario(text).networks[0].name == "lab"
@@ -259,13 +278,6 @@ class TestQuote:
         assert parser.quote("\U0001F916") == '"\U0001F916"'
 
 
-@pytest.fixture
-def pure_python_yaml(monkeypatch):
-    """Route the shared loader and dumper through PyYAML's Python classes."""
-    monkeypatch.setattr(parser, "YAML_LOADER", yaml.SafeLoader)
-    monkeypatch.setattr(parser, "YAML_DUMPER", yaml.SafeDumper)
-
-
 # The round-trip, source-line and error-line tests once more on the fallback.
 _FALLBACK = pytest.mark.usefixtures("pure_python_yaml")
 
@@ -274,6 +286,7 @@ _FALLBACK = pytest.mark.usefixtures("pure_python_yaml")
 class TestParseScenarioPurePython(test_parser.TestParseScenario):
     def test_fallback_is_in_use(self):
         assert parser.YAML_LOADER is yaml.SafeLoader and parser.YAML_DUMPER is yaml.SafeDumper
+        assert issubclass(parser._NodeLoader, yaml.SafeLoader)
 
 
 @_FALLBACK
