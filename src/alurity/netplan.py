@@ -221,23 +221,18 @@ def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: 
     for entry in plan.entries:
         if entry.kind == "bridge":
             networks.append(entry.network)
-    # IDs and labels are DOT quoted strings; names are escaped only when
-    # one of them holds a quote or a backslash.
-    names, attached = list(plan.attachments), list(plan.attachments.values())
-    ids, net_ids, attached_ids = names, networks, attached
-    every = "".join(names) + "".join(networks)
-    if '"' in every or "\\" in every:
-        ids = [_dot_escape(name) for name in names]
-        net_ids = [_dot_escape(net) for net in networks]
-        attached_ids = [[_dot_escape(net) for net in nets] for nets in attached]
-    for name, node in zip(names, ids):
+    # IDs and labels are DOT quoted strings.
+    for name in plan.attachments:
+        node = _dot_escape(name)
         addrs = ", ".join(addr for _net, addr in sorted(assignment.addresses_of(name)))
         label = f"{node}\\n{addrs}" if addrs else node
         lines.append(f'  "{node}" [shape=box, label="{label}"];')
-    for node in net_ids:
+    for net in networks:
+        node = _dot_escape(net)
         lines.append(f'  "net:{node}" [shape=ellipse, label="{node}"];')
-    for node, nets in zip(ids, attached_ids):
+    for name, nets in plan.attachments.items():
+        node = _dot_escape(name)
         for net in nets:
-            lines.append(f'  "{node}" -> "net:{net}";')
+            lines.append(f'  "{node}" -> "net:{_dot_escape(net)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

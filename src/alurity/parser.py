@@ -73,12 +73,6 @@ class _NodeLoader(YAML_LOADER):
     def resolve(self, kind, value, implicit):
         return None
 
-    def descend_resolver(self, current_node, current_index):
-        pass
-
-    def ascend_resolver(self):
-        pass
-
 
 def _compose(text: str) -> Optional[yaml.Node]:
     try:

@@ -90,8 +90,9 @@ def _rule(r, where: str) -> ExtractionRule:
 
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
     """The index a map of module reference -> manifest describes;
-    ``ParseFailure`` for a manifest that is not a map (an empty one is) or
-    a ``rules`` entry that is not a list of rule maps."""
+    ``ParseFailure`` for a manifest that is not a map (an empty one is), a
+    ``rules`` entry that is not a list of rule maps or a ``tools`` entry
+    that is not a list."""
     manifests = {}
     for ref_text, body in raw.items():
         if body is None:
@@ -104,9 +105,14 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
         if not isinstance(rules, list):
             raise ParseFailure(f"the rules of {ref_text} must be a list, got a {type(rules).__name__}")
         rules = tuple(_rule(r, ref_text) for r in rules)
+        tools = body.get("tools")
+        if tools is None:
+            tools = []
+        if not isinstance(tools, list):
+            raise ParseFailure(f"the tools of {ref_text} must be a list, got a {type(tools).__name__}")
         manifests[str(ref_text)] = ModuleManifest(
             group=str(body.get("group", "unknown")),
-            tools=tuple(body.get("tools", [])),
+            tools=tuple(tools),
             entrypoint=str(body.get("entrypoint", "")),
             rules=rules,
         )

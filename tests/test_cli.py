@@ -246,6 +246,8 @@ BAD_INDEX = {
     "rule-not-map": "r/x:1:\n  rules: [5]\n",
     "rule-without-id": "r/x:1:\n  rules:\n    - pattern: x\n",
     "rule-without-pattern": "r/x:1:\n  rules:\n    - id: x\n",
+    "tools-not-list": "r/x:1:\n  tools: 5\n",
+    "tools-string": "r/x:1:\n  tools: abc\n",
 }
 CONFIG_CASES = [
     pytest.param(args, contents[content], id=f"{kind}-{content}")
