@@ -2,8 +2,9 @@
 
 Exit codes are a documented contract: 0 success, 1 validation errors,
 2 parse failure, 3 deployment/flow failure, 4 transport failure, 64 usage
-error.  Machine-readable output (diagnostics, record locations, DOT) goes
-to stdout one record per line; prose goes to stderr.
+error, 70 internal error.  Subcommands raise; ``main`` alone turns an
+outcome into an exit code.  Machine-readable output (diagnostics, record
+locations, DOT) goes to stdout one record per line; prose goes to stderr.
 """
 
 from __future__ import annotations
@@ -29,29 +30,43 @@ EXIT_PARSE = 2
 EXIT_DEPLOYMENT = 3
 EXIT_TRANSPORT = 4
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE: an exception the CLI does not describe
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ParseFailure(f"not UTF-8: {exc}") from exc
+class _Failure(Exception):
+    """An outcome a subcommand explains itself: its exit code and stderr text."""
+
+    def __init__(self, code: int, message: str):
+        self.code = code
+        super().__init__(message)
 
 
-def _load_scenario(path: str) -> tuple[Scenario, list]:
-    return parse_scenario_with_warnings(_read(path))
-
-
-class _Unreadable(Exception):
-    """A --mock-responses or --index file that cannot be read or parsed."""
+def _parse(parse, path: str, what: str = ""):
+    """``parse`` of the text in ``path``; exit 2 if it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ParseFailure(f"not UTF-8: {exc}") from exc
+        return parse(text)
+    except (OSError, ParseFailure) as exc:
+        raise _Failure(EXIT_PARSE, f"cannot parse {what}{path}: {exc}") from exc
 
 
 def _load(loader, path: str):
+    """A --mock-responses or --index file loaded; exit 2 if it cannot be."""
     try:
         return loader(path)
     except (OSError, ParseFailure) as exc:
-        raise _Unreadable(f"cannot read {path}: {exc}") from exc
+        raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+
+
+def _runnable(scenario: Scenario) -> None:
+    """Exit 1 with the diagnostics on stderr unless ``scenario`` validates."""
+    diagnostics = validate(scenario)
+    if has_errors(diagnostics):
+        raise _Failure(EXIT_VALIDATION, "\n".join(map(str, diagnostics)))
 
 
 def _make_backend(name: str, mock_responses: Optional[str]):
@@ -78,11 +93,7 @@ def cli() -> None:
 @click.argument("file")
 def cmd_validate(file: str) -> int:
     """Check a scenario file; one diagnostic per stdout line."""
-    try:
-        scenario, warnings = _load_scenario(file)
-    except (OSError, ParseFailure) as exc:
-        click.echo(f"cannot parse {file}: {exc}", err=True)
-        return EXIT_PARSE
+    scenario, warnings = _parse(parse_scenario_with_warnings, file)
     diagnostics = list(warnings) + validate(scenario)
     for diag in diagnostics:
         click.echo(str(diag))
@@ -94,19 +105,8 @@ def cmd_validate(file: str) -> int:
 @click.option("--format", "fmt", default="dot", show_default=True)
 def cmd_graph(file: str, fmt: str) -> int:
     """Print the scenario topology as a Graphviz document."""
-    if fmt != "dot":
-        click.echo(f"unsupported format {fmt!r}", err=True)
-        return EXIT_USAGE
-    try:
-        scenario, _ = _load_scenario(file)
-    except (OSError, ParseFailure) as exc:
-        click.echo(f"cannot parse {file}: {exc}", err=True)
-        return EXIT_PARSE
-    diagnostics = validate(scenario)
-    if has_errors(diagnostics):
-        for diag in diagnostics:
-            click.echo(str(diag), err=True)
-        return EXIT_VALIDATION
+    scenario, _ = _parse(parse_scenario_with_warnings, file)
+    _runnable(scenario)
     assignment = netplan.allocate_addresses(scenario)
     plan = netplan.build_connectivity_plan(scenario, assignment)
     click.echo(netplan.export_graph(plan, assignment, fmt), nl=False)
@@ -133,12 +133,8 @@ def cmd_run(
     transcript_dir: str,
 ) -> int:
     """Bring a scenario up, optionally run its flow, tear it down."""
-    try:
-        backend = _make_backend(backend_name, mock_responses)
-        registry = _load_registry(index_path)
-    except _Unreadable as exc:
-        click.echo(str(exc), err=True)
-        return EXIT_PARSE
+    backend = _make_backend(backend_name, mock_responses)
+    registry = _load_registry(index_path)
 
     flow = None
     if rvd_id is not None:
@@ -148,54 +144,26 @@ def cmd_run(
         try:
             ticket = rvd.fetch_ticket(url, rvd_id)
         except (rvd.NotFound, rvd.TransportError) as exc:
-            click.echo(f"cannot fetch ticket {rvd_id}: {exc}", err=True)
-            return EXIT_TRANSPORT
-        try:
-            scenario, flow = rvd.extract_reproduction(ticket)
-        except rvd.NoReproductionFound as exc:
-            click.echo(str(exc), err=True)
-            return EXIT_PARSE
+            raise _Failure(EXIT_TRANSPORT, f"cannot fetch ticket {rvd_id}: {exc}") from exc
+        scenario, flow = rvd.extract_reproduction(ticket)
     else:
         if file is None:
             raise click.UsageError("either FILE or --rvd is required")
-        try:
-            scenario, _ = _load_scenario(file)
-        except (OSError, ParseFailure) as exc:
-            click.echo(f"cannot parse {file}: {exc}", err=True)
-            return EXIT_PARSE
+        scenario, _ = _parse(parse_scenario_with_warnings, file)
         if scenario.flows:
             flow = list(scenario.flows)
 
     if flow_path is not None:
-        try:
-            flow = parse_flow(_read(flow_path))
-        except (OSError, ParseFailure) as exc:
-            click.echo(f"cannot parse flow {flow_path}: {exc}", err=True)
-            return EXIT_PARSE
+        flow = _parse(parse_flow, flow_path, "flow ")
 
-    diagnostics = validate(scenario)
-    if has_errors(diagnostics):
-        for diag in diagnostics:
-            click.echo(str(diag), err=True)
-        return EXIT_VALIDATION
-
-    try:
-        deployment = orchestrator.up(scenario, backend, registry)
-    except orchestrator.DeploymentFailure as exc:
-        click.echo(f"deployment failed: {exc}", err=True)
-        return EXIT_DEPLOYMENT
-
+    _runnable(scenario)
+    deployment = orchestrator.up(scenario, backend, registry)
     try:
         if flow:
-            try:
-                plan = flow_engine.compile_flow(flow, known_endpoints=list(deployment.states))
-                transcript = flow_engine.run_flow(deployment, plan)
-            except (flow_engine.UnknownEndpointInFlow, flow_engine.FlowAborted) as exc:
-                click.echo(f"flow failed: {exc}", err=True)
-                return EXIT_DEPLOYMENT
+            plan = flow_engine.compile_flow(flow, known_endpoints=list(deployment.states))
+            transcript = flow_engine.run_flow(deployment, plan)
             if not flow_engine.verify_transcript(plan, transcript):
-                click.echo("transcript failed verification", err=True)
-                return EXIT_DEPLOYMENT
+                raise _Failure(EXIT_DEPLOYMENT, "transcript failed verification")
             text = flow_engine.transcript_to_yaml(transcript)
             stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
             out_path = os.path.join(transcript_dir, f"{stamp}.yaml")
@@ -204,11 +172,12 @@ def cmd_run(
                 with open(out_path, "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:
-                click.echo(f"cannot write transcript to {transcript_dir}: {exc}", err=True)
-                return EXIT_DEPLOYMENT
+                raise _Failure(EXIT_DEPLOYMENT, f"cannot write transcript to {transcript_dir}: {exc}") from exc
             click.echo(f"transcript written to {out_path}", err=True)
     finally:
-        deployment.down()
+        live = deployment.down()
+    if live:
+        raise _Failure(EXIT_DEPLOYMENT, f"teardown left {len(live)} endpoint(s) live: {', '.join(live)}")
     return EXIT_OK
 
 
@@ -235,14 +204,10 @@ def cmd_pipeline(
     tools = tuple(ModuleRef.parse(t.strip()) for t in tools_text.split(",") if t.strip())
     if not tools:
         raise click.UsageError("--tools must list at least one module reference")
-    try:
-        registry = _load_registry(index_path)
-        if registry is None:
-            raise click.UsageError(f"pipeline needs --index or ${REGISTRY_INDEX_ENV}")
-        backend = _make_backend(backend_name, mock_responses)
-    except _Unreadable as exc:
-        click.echo(str(exc), err=True)
-        return EXIT_PARSE
+    registry = _load_registry(index_path)
+    if registry is None:
+        raise click.UsageError(f"pipeline needs --index or ${REGISTRY_INDEX_ENV}")
+    backend = _make_backend(backend_name, mock_responses)
 
     if sink_name == "tracker":
         url = tracker_url or os.environ.get(TRACKER_URL_ENV)
@@ -253,28 +218,32 @@ def cmd_pipeline(
         sink = pipeline.DirectorySink(sink_path)
 
     spec = pipeline.PipelineSpec(target=ModuleRef.parse(target_ref), tools=tools)
-    try:
-        records = pipeline.run_pipeline(spec, backend, registry)
-    except (pipeline.ValidationFailure, toolreg.UnknownModule) as exc:
-        click.echo(str(exc), err=True)
-        return EXIT_VALIDATION
-    except orchestrator.DeploymentFailure as exc:
-        click.echo(f"deployment failed: {exc}", err=True)
-        return EXIT_DEPLOYMENT
-
+    records = pipeline.run_pipeline(spec, backend, registry)
     locations, outbox = pipeline.emit_all(records, sink)
     for location in locations:
         click.echo(location)
     if outbox:
-        click.echo(f"{len(outbox)} record(s) could not be emitted", err=True)
-        return EXIT_TRANSPORT
+        raise _Failure(EXIT_TRANSPORT, f"{len(outbox)} record(s) could not be emitted")
     return EXIT_OK
 
 
+# Library exceptions whose own text explains them: exit code, stderr prefix.
+_OUTCOMES = (
+    ((pipeline.ValidationFailure, toolreg.UnknownModule), EXIT_VALIDATION, ""),
+    (rvd.NoReproductionFound, EXIT_PARSE, ""),
+    (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
+    ((flow_engine.UnknownEndpointInFlow, flow_engine.FlowAborted), EXIT_DEPLOYMENT, "flow failed: "),
+    (netplan.UnsupportedFormat, EXIT_USAGE, "unsupported format: "),
+)
+
+
 def main(argv=None) -> int:
-    """Invoke the CLI, mapping usage problems to exit code 64."""
+    """Invoke the CLI and decide its exit code; the only place that does."""
     try:
         result = cli.main(args=argv, standalone_mode=False)
+    except _Failure as exc:
+        click.echo(str(exc), err=True)
+        return exc.code
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
@@ -283,6 +252,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except click.exceptions.Abort:
         return EXIT_USAGE
+    except Exception as exc:
+        for types, code, prefix in _OUTCOMES:
+            if isinstance(exc, types):
+                click.echo(f"{prefix}{exc}", err=True)
+                return code
+        click.echo(f"internal error: {exc!r}", err=True)
+        return EXIT_INTERNAL
     return result if isinstance(result, int) else EXIT_OK
 
 

@@ -74,9 +74,6 @@ class ConnectivityPlan:
     # endpoint name -> attached network names, including endpoints with none
     attachments: dict = field(default_factory=dict)
 
-    def bridges(self) -> list[PlanEntry]:
-        return [e for e in self.entries if e.kind == "bridge"]
-
 
 def _host_range(net: ipaddress.IPv4Network) -> tuple[int, int]:
     """First and last host as integers, by the rule of ``hosts()``: a /31

@@ -10,14 +10,13 @@ and a journal the tests assert on.
 from __future__ import annotations
 
 import re
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from . import toolreg
 from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
-from .parser import ParseFailure, load_yaml_map
+from .parser import ParseFailure, compile_regex, load_yaml_map
 
 
 class EndpointNotRunning(Exception):
@@ -65,7 +64,6 @@ _SLEEP_RE = re.compile(r"^sleep\s+(\d+)\s*$")
 @dataclass
 class MockEndpoint:
     name: str
-    journal: list = field(default_factory=list)
     destroyed: bool = False
 
 
@@ -85,73 +83,67 @@ class MockBackend:
         self.journal: list = []
         self.endpoints: dict[str, MockEndpoint] = {}
         self.clock = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_fixture(cls, path: str) -> "MockBackend":
         """A backend scripted by a YAML map of regex -> response map;
-        ``ParseFailure`` for a key that is not a regex or a response that is
-        not a map (an empty one is)."""
+        ``ParseFailure`` for a key that is not a regex, a response that is
+        not a map (an empty one is) or an ``exit`` that is not an integer."""
         responses = []
         for pattern, body in load_yaml_map(path).items():
-            try:
-                re.compile(pattern)
-            except (TypeError, re.error) as exc:
-                raise ParseFailure(f"{pattern!r} is not a regex: {exc}") from exc
+            compile_regex(pattern, repr(pattern))
             if body is None:
                 body = {}
             if not isinstance(body, dict):
                 raise ParseFailure(f"the response to {pattern!r} must be a map, got a {type(body).__name__}")
+            code = body.get("exit", 0)
+            if type(code) is not int:
+                raise ParseFailure(f"the exit of {pattern!r} must be an integer, got {code!r}")
             responses.append((pattern, body))
         return cls(responses=responses)
 
     def create_endpoint(self, spec, image, addresses) -> MockEndpoint:
-        with self._lock:
-            kind = "vm" if hasattr(spec, "path") else "container"
-            if kind in self.refuse_kinds:
-                raise RuntimeError(f"backend refuses to host {kind} endpoints")
-            if spec.name in self.endpoints and not self.endpoints[spec.name].destroyed:
-                return self.endpoints[spec.name]
-            if spec.name in self.fail_create:
-                raise RuntimeError(f"injected creation failure for {spec.name!r}")
-            handle = MockEndpoint(name=spec.name)
-            self.endpoints[spec.name] = handle
-            self.journal.append(("create", spec.name))
-            return handle
+        kind = "vm" if hasattr(spec, "path") else "container"
+        if kind in self.refuse_kinds:
+            raise RuntimeError(f"backend refuses to host {kind} endpoints")
+        if spec.name in self.endpoints and not self.endpoints[spec.name].destroyed:
+            return self.endpoints[spec.name]
+        if spec.name in self.fail_create:
+            raise RuntimeError(f"injected creation failure for {spec.name!r}")
+        handle = MockEndpoint(name=spec.name)
+        self.endpoints[spec.name] = handle
+        self.journal.append(("create", spec.name))
+        return handle
 
     def destroy(self, handle: MockEndpoint) -> None:
-        with self._lock:
-            if handle.destroyed:
-                return
-            if handle.name in self.fail_destroy:
-                raise RuntimeError(f"injected destroy failure for {handle.name!r}")
-            handle.destroyed = True
-            self.journal.append(("destroy", handle.name))
+        if handle.destroyed:
+            return
+        if handle.name in self.fail_destroy:
+            raise RuntimeError(f"injected destroy failure for {handle.name!r}")
+        handle.destroyed = True
+        self.journal.append(("destroy", handle.name))
 
     def exec(self, handle: MockEndpoint, command: str, env: Optional[dict] = None) -> CommandResult:
-        with self._lock:
-            if handle.destroyed:
-                raise EndpointGone(handle.name)
-            started = self.clock
-            match = _SLEEP_RE.match(command)
-            if match:
-                self.clock += int(match.group(1))
-            handle.journal.append(command)
-            self.journal.append(("exec", handle.name, command))
-            for pattern, body in self.responses:
-                if pattern.search(command):
-                    return CommandResult(
-                        exit_code=int(body.get("exit", 0)),
-                        stdout=str(body.get("stdout", "")).encode(),
-                        stderr=str(body.get("stderr", "")).encode(),
-                        started_at=started,
-                        ended_at=self.clock,
-                    )
-            return CommandResult(exit_code=0, started_at=started, ended_at=self.clock)
+        if handle.destroyed:
+            raise EndpointGone(handle.name)
+        started = self.clock
+        match = _SLEEP_RE.match(command)
+        if match:
+            self.clock += int(match.group(1))
+        self.journal.append(("exec", handle.name, command))
+        for pattern, body in self.responses:
+            if pattern.search(command):
+                return CommandResult(
+                    exit_code=int(body.get("exit", 0)),
+                    stdout=str(body.get("stdout", "")).encode(),
+                    stderr=str(body.get("stderr", "")).encode(),
+                    started_at=started,
+                    ended_at=self.clock,
+                )
+        return CommandResult(exit_code=0, started_at=started, ended_at=self.clock)
 
     def apply_plan(self, plan: ConnectivityPlan) -> None:
-        with self._lock:
-            self.journal.append(("apply_plan",))
+        self.journal.append(("apply_plan",))
 
 
 class Deployment:
@@ -165,12 +157,6 @@ class Deployment:
         self.states: dict[str, str] = {}
         self.handles: dict = {}
         self.events: list = []
-        self.created_order: list[str] = []
-        self._lock = threading.Lock()
-
-    def log(self, *event) -> None:
-        with self._lock:
-            self.events.append(tuple(event))
 
     def exec(self, endpoint: str, command: str, env: Optional[dict] = None) -> CommandResult:
         if endpoint not in self.states:
@@ -178,19 +164,27 @@ class Deployment:
         if self.states[endpoint] != "running":
             raise EndpointNotRunning(endpoint)
         result = self.backend.exec(self.handles[endpoint], command, env)
-        self.log("exec", endpoint, command)
+        self.events.append(("exec", endpoint, command))
         return result
 
-    def down(self) -> None:
-        for name in reversed(self.created_order):
-            if self.states.get(name) in ("stopped", None):
+    def down(self) -> list[str]:
+        """Destroy every endpoint not yet stopped, newest first; return the
+        names still live.  An endpoint whose destroy fails stays in state
+        ``destroy-failed``, and a later ``down()`` retries it."""
+        live = []
+        for name in reversed(self.handles):
+            if self.states[name] == "stopped":
                 continue
             try:
                 self.backend.destroy(self.handles[name])
-                self.log("destroy", name)
             except Exception as exc:
-                self.log("destroy-failed", name, str(exc))
+                self.events.append(("destroy-failed", name, str(exc)))
+                self.states[name] = "destroy-failed"
+                live.append(name)
+                continue
+            self.events.append(("destroy", name))
             self.states[name] = "stopped"
+        return live
 
 
 def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.RegistryIndex] = None) -> Deployment:
@@ -225,13 +219,12 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
             handle = backend.create_endpoint(spec, image, dict(assignment.addresses_of(name)))
             deployment.handles[name] = handle
             deployment.states[name] = "created"
-            deployment.created_order.append(name)
-            deployment.log("create", name)
+            deployment.events.append(("create", name))
         backend.apply_plan(plan)
-        deployment.log("apply_plan")
-        for name in deployment.created_order:
+        deployment.events.append(("apply_plan",))
+        for name in deployment.handles:
             deployment.states[name] = "running"
-            deployment.log("run", name)
+            deployment.events.append(("run", name))
     except Exception as exc:
         failed = next((n for n, _ in endpoints(scenario) if n not in deployment.states), None)
         deployment.down()

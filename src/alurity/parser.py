@@ -55,7 +55,12 @@ YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def load_yaml(stream):
-    return yaml.load(stream, Loader=YAML_LOADER)
+    """The document in ``stream``; ``ValueError`` or ``yaml.YAMLError`` when
+    it cannot be read."""
+    try:
+        return yaml.load(stream, Loader=YAML_LOADER)
+    except (KeyError, AttributeError) as exc:  # "!!bool x", "!!timestamp x"
+        raise ValueError(f"a tagged scalar its tag cannot read: {exc!r}") from exc
 
 
 def dump_yaml(doc) -> str:
@@ -103,6 +108,14 @@ def load_yaml_map(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseFailure(f"expected a map at the top level, got a {type(doc).__name__}")
     return doc
+
+
+def compile_regex(pattern, what: str) -> re.Pattern:
+    """``pattern`` compiled; ``ParseFailure`` naming ``what`` if it is not a regex."""
+    try:
+        return re.compile(pattern)
+    except (TypeError, re.error, OverflowError, RecursionError) as exc:
+        raise ParseFailure(f"{what} is not a regex: {exc}") from exc
 
 
 def _line(node: yaml.Node) -> int:

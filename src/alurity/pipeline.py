@@ -33,15 +33,6 @@ class ValidationFailure(Exception):
         super().__init__(f"{code}: {message}")
 
 
-class SinkUnavailable(Exception):
-    """Emission failed; the un-emitted record rides along in ``outbox``."""
-
-    def __init__(self, cause, outbox):
-        self.cause = cause
-        self.outbox = list(outbox)
-        super().__init__(f"sink unavailable: {cause}")
-
-
 @dataclass(frozen=True)
 class PipelineSpec:
     target: ModuleRef
@@ -163,7 +154,7 @@ def _fill(template: str, fields: dict, fallback: str) -> str:
         return fallback
     try:
         return template.format(**fields)
-    except (KeyError, IndexError):
+    except (LookupError, ValueError, AttributeError, TypeError):  # "{x", "{x.y}", "{x:d}"
         return template
 
 
@@ -217,14 +208,6 @@ class TrackerSink:
 
     def emit(self, record: FlawRecord) -> str:
         return str(rvd.push_issue(self.base_url, record, token=self.token))
-
-
-def emit(record: FlawRecord, sink) -> str:
-    """Write one record to its sink, returning the file path or issue id."""
-    try:
-        return sink.emit(record)
-    except (OSError, rvd.TransportError, rvd.Rejected) as exc:
-        raise SinkUnavailable(exc, [record]) from exc
 
 
 def emit_all(records, sink) -> tuple[list[str], list[FlawRecord]]:

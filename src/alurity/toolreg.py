@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import ContainerSpec, ModuleRef
-from .parser import ParseFailure, load_yaml_map
+from .parser import ParseFailure, compile_regex, load_yaml_map
 
 
 class UnknownModule(Exception):
@@ -78,9 +78,11 @@ def load_registry_index(path: str) -> RegistryIndex:
 def _rule(r, where: str) -> ExtractionRule:
     if not isinstance(r, dict) or "id" not in r or "pattern" not in r:
         raise ParseFailure(f"each rule of {where} must be a map with an 'id' and a 'pattern', got {r!r}")
+    pattern = str(r["pattern"])
+    compile_regex(pattern, f"the pattern of rule {r['id']!r} of {where}")
     return ExtractionRule(
         id=str(r["id"]),
-        pattern=str(r["pattern"]),
+        pattern=pattern,
         title=str(r.get("title", "{title}")),
         flaw_class=str(r.get("flaw-class", r.get("flaw_class", "vulnerability"))),
         severity=str(r.get("severity", "medium")),
@@ -91,8 +93,8 @@ def _rule(r, where: str) -> ExtractionRule:
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
     """The index a map of module reference -> manifest describes;
     ``ParseFailure`` for a manifest that is not a map (an empty one is), a
-    ``rules`` entry that is not a list of rule maps or a ``tools`` entry
-    that is not a list."""
+    ``rules`` entry that is not a list of rule maps, a rule ``pattern``
+    that is not a regex or a ``tools`` entry that is not a list."""
     manifests = {}
     for ref_text, body in raw.items():
         if body is None:

@@ -1,15 +1,20 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import alurity
-from alurity import orchestrator
+from alurity import netplan, orchestrator
 from alurity.cli import main
 from alurity.pipeline import FlawRecord
+
+from test_parser_oracle import SCENARIO_TEXTS, mutated
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LISTING1 = str(FIXTURES / "listing1.yaml")
@@ -17,6 +22,7 @@ LISTING3 = str(FIXTURES / "listing3.yaml")
 ROSNET = str(FIXTURES / "rosnet.yaml")
 INDEX = str(FIXTURES / "registry_index.yaml")
 RESPONSES = str(FIXTURES / "mock_responses.yaml")
+LISTING3_TEXT, RESPONSES_TEXT, INDEX_TEXT = (Path(p).read_text() for p in (LISTING3, RESPONSES, INDEX))
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
 
@@ -169,6 +175,22 @@ class TestRun:
         assert len(deployments) == 1
         assert deployments[0].states and set(deployments[0].states.values()) == {"stopped"}
 
+    @pytest.mark.parametrize("flow", [(), ("--flow", LISTING3)], ids=["no-flow", "flow"])
+    def test_endpoint_left_live_by_teardown_exits_3(self, run_cli, tmp_path, monkeypatch, flow):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(orchestrator, "MockBackend", partial(orchestrator.MockBackend, fail_destroy={"attacker"}))
+        code, out, err = run_cli("run", ROSNET, *flow)
+        assert code == 3
+        assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: attacker"
+
+    def test_earlier_failure_outranks_a_teardown_leak(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "MockBackend", partial(orchestrator.MockBackend, fail_destroy={"attacker"}))
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code, _, err = run_cli("run", ROSNET, "--flow", LISTING3, "--transcript-dir", str(blocker / "t"))
+        assert code == 3
+        assert err.startswith("cannot write transcript to ") and "teardown" not in err
+
     def test_stdout_is_deterministic(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         outs = set()
@@ -210,7 +232,9 @@ class TestRun:
         _, url = tracker
         assert run_cli("run", "--rvd", "424242", "--tracker-url", url)[0] == 4
 
-    @pytest.mark.parametrize("record", ["reproduction: 5\n", "reproduction:\n  scenario: 5\n"])
+    @pytest.mark.parametrize(
+        "record", ["reproduction: 5\n", "reproduction:\n  scenario: 5\n", "reproduction: !!bool x\n", "a: !!timestamp x\n"]
+    )
     def test_rvd_record_without_reproduction_exits_2(self, run_cli, tracker, record):
         stub, url = tracker
         issue_id = stub.seed("bad record", f"```yaml\n{record}```\n")
@@ -234,11 +258,16 @@ UNREADABLE = {
     "malformed": "a: [b\n",
     "list": "- a\n- b\n",
     "not-utf8": b"a: \xff\n",
+    "bad-bool-tag": "a: !!bool x\n",
+    "bad-timestamp-tag": "a: !!timestamp x\n",
 }
 BAD_RESPONSES = {
     "bad-regex": '"[": {exit: 1}\n',
     "non-string-pattern": "5: {exit: 1}\n",
     "response-not-map": "x: 5\n",
+    "exit-not-int": "x: {exit: abc}\n",
+    "exit-bool": "x: {exit: true}\n",
+    "exit-null": "x: {exit: null}\n",
 }
 BAD_INDEX = {
     "manifest-not-map": "r/x:1: 5\n",
@@ -248,6 +277,7 @@ BAD_INDEX = {
     "rule-without-pattern": "r/x:1:\n  rules:\n    - id: x\n",
     "tools-not-list": "r/x:1:\n  tools: 5\n",
     "tools-string": "r/x:1:\n  tools: abc\n",
+    "pattern-not-regex": "r/x:1:\n  rules:\n    - {id: x, pattern: \"FINDING: ([\"}\n",
 }
 CONFIG_CASES = [
     pytest.param(args, contents[content], id=f"{kind}-{content}")
@@ -284,6 +314,33 @@ def test_non_utf8_document_exits_2(run_cli, tmp_path, monkeypatch, args):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot parse ") and "not UTF-8" in err
+
+
+# Every file argument, the arguments before it, and the documents its
+# mutated inputs start from.
+FILE_ARGS = {
+    "validate": (("validate",), SCENARIO_TEXTS),
+    "graph": (("graph",), SCENARIO_TEXTS),
+    "run": (("run",), SCENARIO_TEXTS),
+    "run-flow": (("run", ROSNET, "--flow"), [LISTING3_TEXT]),
+    "run-mock-responses": (("run", ROSNET, "--flow", LISTING3, "--mock-responses"), [RESPONSES_TEXT]),
+    "run-index": (("run", ROSNET, "--index"), [INDEX_TEXT]),
+    "pipeline-index": (("pipeline", *TARGET_AND_TOOL, "--mock-responses", RESPONSES, "--index"), [INDEX_TEXT]),
+    "pipeline-mock-responses": (("pipeline", *TARGET_AND_TOOL, "--index", INDEX, "--mock-responses"), [RESPONSES_TEXT]),
+}
+DOCUMENTED_CODES = {0, 1, 2, 3, 4, 64}
+
+
+@pytest.mark.parametrize("args, bases", FILE_ARGS.values(), ids=FILE_ARGS.keys())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_file_contents_exit_with_a_documented_code(run_cli, tmp_path, monkeypatch, args, bases, data):
+    monkeypatch.chdir(tmp_path)
+    contents = data.draw(st.one_of(st.binary(max_size=64), mutated(st.sampled_from(bases)).map(str.encode)))
+    path = tmp_path / "input.yaml"
+    path.write_bytes(contents)
+    code, _, err = run_cli(*args, str(path))
+    assert code in DOCUMENTED_CODES, err
 
 
 class TestPipeline:
@@ -340,6 +397,14 @@ class TestPipeline:
         ids = [int(line) for line in out.splitlines()]
         assert len(ids) == 2
         assert all(i in stub.issues for i in ids)
+
+
+def test_unexpected_exception_is_a_one_line_internal_error(run_cli, monkeypatch):
+    def boom(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(netplan, "allocate_addresses", boom)
+    assert run_cli("graph", LISTING1) == (70, "", "internal error: RuntimeError('boom')\n")
 
 
 def test_cli_import_does_not_load_requests():

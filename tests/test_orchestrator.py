@@ -130,7 +130,7 @@ class TestExec:
         deployment = up(listing1, backend)
         result = deployment.exec("ur3", "roscore")
         assert result.stdout == b"core up"
-        assert backend.endpoints["ur3"].journal[-1] == "roscore"
+        assert backend.journal[-1] == ("exec", "ur3", "roscore")
         assert deployment.events[-1] == ("exec", "ur3", "roscore")
 
     def test_unknown_endpoint(self, listing1):
@@ -168,7 +168,7 @@ class TestDown:
     def test_reverse_creation_order(self, listing1):
         backend = MockBackend()
         deployment = up(listing1, backend)
-        deployment.down()
+        assert deployment.down() == []
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
         assert destroys == ["attacker", "ur3"]
         assert set(deployment.states.values()) == {"stopped"}
@@ -188,6 +188,28 @@ class TestDown:
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
         assert destroys == ["ur3"]
         assert any(e[0] == "destroy-failed" and e[1] == "attacker" for e in deployment.events)
+
+    def test_failed_destroy_stays_live_until_a_retry(self, listing1):
+        backend = MockBackend(fail_destroy={"attacker"})
+        deployment = up(listing1, backend)
+        assert deployment.down() == ["attacker"]
+        assert deployment.states == {"ur3": "stopped", "attacker": "destroy-failed"}
+        assert not backend.endpoints["attacker"].destroyed
+        assert deployment.down() == ["attacker"]
+        backend.fail_destroy.clear()
+        assert deployment.down() == []
+        assert set(deployment.states.values()) == {"stopped"}
+        assert backend.endpoints["attacker"].destroyed
+        assert [e[1] for e in backend.journal if e[0] == "destroy"] == ["ur3", "attacker"]
+
+    @pytest.mark.parametrize("leaky", ["ur3", "attacker"])
+    def test_rollback_reports_a_failed_destroy(self, merged12, leaky):
+        backend = MockBackend(refuse_kinds={"vm"}, fail_destroy={leaky})
+        with pytest.raises(DeploymentFailure) as exc:
+            up(merged12, backend)
+        live = [name for name, handle in backend.endpoints.items() if not handle.destroyed]
+        assert live == [leaky]
+        assert [e[1] for e in exc.value.events if e[0] == "destroy-failed"] == [leaky]
 
 
 def test_mock_fixture_loading(tmp_path):

@@ -9,15 +9,14 @@ from alurity.pipeline import (
     DirectorySink,
     FlawRecord,
     PipelineSpec,
-    SinkUnavailable,
     TrackerSink,
     ValidationFailure,
     assemble,
-    emit,
     emit_all,
     run_pipeline,
 )
 from alurity.parser import parse_flow, parse_scenario
+from alurity.toolreg import registry_index_from_dict
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
 TARGET = ModuleRef.parse(f"{REG}/robo_ur_cb3_1:3.13.0")
@@ -94,6 +93,14 @@ class TestRunPipeline:
         assert all("containers:" in r.reproduction_scenario for r in records)
         assert all("flow:" in r.reproduction_flow for r in records)
 
+    @pytest.mark.parametrize("template", ["{title", "{title.x}", "{title[x]}", "{title:d}", "{0}", "{other}"])
+    def test_unusable_template_is_kept_verbatim(self, template):
+        rule = {"id": "r", "pattern": "FINDING: (?P<title>[^\\n]+)", "title": template, "description": template}
+        registry = registry_index_from_dict({str(TARGET): {}, str(AZTARNA): {"entrypoint": "aztarna", "rules": [rule]}})
+        backend = MockBackend(responses=[("^aztarna", {"stdout": "FINDING: x\n"})])
+        (rec,) = run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
+        assert (rec.title, rec.description) == (template, template)
+
     def test_clean_run_yields_nothing(self, registry):
         records = run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), MockBackend(), registry)
         assert records == []
@@ -147,25 +154,17 @@ class TestFlawRecord:
 class TestEmit:
     def test_directory_sink_roundtrip(self, tmp_path):
         rec = record()
-        location = emit(rec, DirectorySink(str(tmp_path)))
+        location = DirectorySink(str(tmp_path)).emit(rec)
         assert location.endswith(".yaml") and "rvd-" in location
         assert FlawRecord.from_yaml(open(location).read()) == rec
 
     def test_stable_file_name_per_title(self, tmp_path):
         sink = DirectorySink(str(tmp_path))
-        assert emit(record(), sink) == emit(record(), sink)
-
-    def test_unwritable_directory(self, tmp_path):
-        target = tmp_path / "blocked"
-        target.write_text("a file, not a directory")
-        rec = record()
-        with pytest.raises(SinkUnavailable) as exc:
-            emit(rec, DirectorySink(str(target)))
-        assert exc.value.outbox == [rec]
+        assert sink.emit(record()) == sink.emit(record())
 
     def test_tracker_sink(self, tracker):
         stub, url = tracker
-        location = emit(record(), TrackerSink(url))
+        location = TrackerSink(url).emit(record())
         assert int(location) in stub.issues
 
     def test_emit_all_keeps_failures_in_outbox(self, tmp_path):
