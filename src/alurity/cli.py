@@ -102,9 +102,9 @@ def cmd_validate(file: str) -> int:
 
 @cli.command("graph")
 @click.argument("file")
-@click.option("--format", "fmt", default="dot", show_default=True)
+@click.option("--format", "fmt", default="dot", show_default=True, help="dot (Graphviz) or yaml (the connectivity plan)")
 def cmd_graph(file: str, fmt: str) -> int:
-    """Print the scenario topology as a Graphviz document."""
+    """Print the scenario topology as a Graphviz document or as YAML."""
     scenario, _ = _parse(parse_scenario_with_warnings, file)
     _runnable(scenario)
     assignment = netplan.allocate_addresses(scenario)
@@ -157,8 +157,7 @@ def cmd_run(
         flow = _parse(parse_flow, flow_path, "flow ")
 
     _runnable(scenario)
-    deployment = orchestrator.up(scenario, backend, registry)
-    try:
+    with orchestrator.up(scenario, backend, registry) as deployment:
         if flow:
             plan = flow_engine.compile_flow(flow, known_endpoints=list(deployment.states))
             transcript = flow_engine.run_flow(deployment, plan)
@@ -174,10 +173,6 @@ def cmd_run(
             except OSError as exc:
                 raise _Failure(EXIT_DEPLOYMENT, f"cannot write transcript to {transcript_dir}: {exc}") from exc
             click.echo(f"transcript written to {out_path}", err=True)
-    finally:
-        live = deployment.down()
-    if live:
-        raise _Failure(EXIT_DEPLOYMENT, f"teardown left {len(live)} endpoint(s) live: {', '.join(live)}")
     return EXIT_OK
 
 
@@ -232,6 +227,7 @@ _OUTCOMES = (
     ((pipeline.ValidationFailure, toolreg.UnknownModule), EXIT_VALIDATION, ""),
     (rvd.NoReproductionFound, EXIT_PARSE, ""),
     (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
+    (orchestrator.TeardownLeak, EXIT_DEPLOYMENT, ""),
     ((flow_engine.UnknownEndpointInFlow, flow_engine.FlowAborted), EXIT_DEPLOYMENT, "flow failed: "),
     (netplan.UnsupportedFormat, EXIT_USAGE, "unsupported format: "),
 )

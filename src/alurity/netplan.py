@@ -209,8 +209,11 @@ def _dot_escape(text: str) -> str:
 
 
 def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: str = "dot") -> str:
-    """Topology as a Graphviz digraph: endpoint and network nodes, one edge
-    per attachment."""
+    """Topology as a Graphviz digraph (``dot``): endpoint and network nodes,
+    one edge per attachment; or the plan itself (``yaml``,
+    ``export_plan_yaml``)."""
+    if format == "yaml":
+        return export_plan_yaml(plan)
     if format != "dot":
         raise UnsupportedFormat(format)
     lines = ["digraph topology {"]

@@ -35,6 +35,12 @@ class DeploymentFailure(Exception):
         super().__init__(f"deployment failed at endpoint {endpoint!r}: {cause}")
 
 
+class TeardownLeak(Exception):
+    def __init__(self, live: list[str]):
+        self.live = list(live)
+        super().__init__(f"teardown left {len(live)} endpoint(s) live: {', '.join(live)}")
+
+
 @dataclass(frozen=True)
 class CommandResult:
     exit_code: int
@@ -185,6 +191,15 @@ class Deployment:
             self.events.append(("destroy", name))
             self.states[name] = "stopped"
         return live
+
+    def __enter__(self) -> "Deployment":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """``down()``; a leak raises ``TeardownLeak`` unless the block raised."""
+        live = self.down()
+        if live and exc_type is None:
+            raise TeardownLeak(live)
 
 
 def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.RegistryIndex] = None) -> Deployment:

@@ -47,6 +47,7 @@ class ParseFailure(Exception):
 
 
 _SPLIT_DIRECTIONS = {"horizontal", "vertical"}
+_TOO_DEEP = "nested too deeply to read"
 
 # Every YAML read and write in the package goes through this pair: libyaml
 # when PyYAML was built with it, the pure-Python classes otherwise.
@@ -54,12 +55,17 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
+# Besides ValueError and YAMLError, what the safe constructor raises for a
+# tagged scalar its tag cannot read: "!!bool x", "!!timestamp x", '!!int ""'.
+_TAG_ERRORS = (KeyError, AttributeError, IndexError)
+
+
 def load_yaml(stream):
     """The document in ``stream``; ``ValueError`` or ``yaml.YAMLError`` when
     it cannot be read."""
     try:
         return yaml.load(stream, Loader=YAML_LOADER)
-    except (KeyError, AttributeError) as exc:  # "!!bool x", "!!timestamp x"
+    except _TAG_ERRORS as exc:
         raise ValueError(f"a tagged scalar its tag cannot read: {exc!r}") from exc
 
 
@@ -79,13 +85,32 @@ class _NodeLoader(YAML_LOADER):
         return None
 
 
-def _compose(text: str) -> Optional[yaml.Node]:
+def _compose(text: str, loader) -> Optional[yaml.Node]:
     try:
-        return yaml.compose(text, Loader=_NodeLoader)
+        return yaml.compose(text, Loader=loader)
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
+    except RecursionError as exc:  # the pure-Python composer recurses per level
+        raise ParseFailure(_TOO_DEEP) from exc
     except yaml.YAMLError as exc:
         raise _malformed(exc) from exc
+
+
+def compose_yaml(text: str) -> Optional[yaml.Node]:
+    """The root node of the document in ``text`` with its tags resolved, as
+    ``load_yaml`` composes it; ``ParseFailure`` when it cannot be composed."""
+    return _compose(text, YAML_LOADER)
+
+
+def construct_yaml(node: Optional[yaml.Node]):
+    """The value of a node from ``compose_yaml``: ``load_yaml`` of its text
+    without composing it again, with the same errors."""
+    if node is None:  # an empty document
+        return None
+    try:
+        return yaml.constructor.SafeConstructor().construct_document(node)
+    except _TAG_ERRORS as exc:
+        raise ValueError(f"a tagged scalar its tag cannot read: {exc!r}") from exc
 
 
 def _malformed(exc: Exception) -> ParseFailure:
@@ -149,7 +174,9 @@ def _scalar(node: yaml.Node):
         return None
     try:
         if node.style in ("|", ">"):  # a block scalar: its text is re-read
-            return load_yaml(text)
+            value = load_yaml(text)
+            repr(value)  # readers print values: one nested too deeply to print fails here
+            return value
         if text[0] not in _TYPED_FIRST:
             return text
         tag = _RESOLVER.resolve(ScalarNode, text, (True, False))
@@ -159,6 +186,8 @@ def _scalar(node: yaml.Node):
         return text if construct is None else construct(_CONSTRUCTOR, node)
     except (ValueError, yaml.YAMLError):
         return text
+    except RecursionError as exc:
+        raise ParseFailure(_TOO_DEEP, _line(node)) from exc
 
 
 # Readers take the record's ``loc`` and the ``key`` apart and join them only
@@ -347,7 +376,12 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
     """Parse a scenario document; unknown record keys come back as warnings."""
-    root = _compose(text)
+    return scenario_from_node(_compose(text, _NodeLoader))
+
+
+def scenario_from_node(root: Optional[yaml.Node]) -> tuple[Scenario, list[Diagnostic]]:
+    """``parse_scenario_with_warnings`` of a composed document's root node,
+    from either loader: the fold reads no tags."""
     if root is None:
         return Scenario(), []
     if not isinstance(root, MappingNode):
@@ -432,7 +466,7 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
 
 def parse_flow(text: str) -> list[FlowSpec]:
     """Parse a standalone flow document (top-level ``flow:``)."""
-    root = _compose(text)
+    root = _compose(text, _NodeLoader)
     if root is None:
         return []
     if not isinstance(root, MappingNode):

@@ -19,7 +19,7 @@ from . import flows as flow_engine
 from . import orchestrator, rvd, toolreg
 from .model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, WindowSpec
 from .netplan import allocate_addresses
-from .parser import dump_yaml, load_yaml, serialize_flow, serialize_scenario
+from .parser import dump_yaml, quote, serialize_flow, serialize_scenario
 
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
@@ -37,6 +37,17 @@ class ValidationFailure(Exception):
 class PipelineSpec:
     target: ModuleRef
     tools: tuple[ModuleRef, ...]
+
+
+def _inline(value) -> Optional[str]:
+    """A str, int or None as a one-line YAML scalar; None for other values."""
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return quote(value)
+    if type(value) is int:  # not a bool
+        return str(value)
+    return None
 
 
 @dataclass
@@ -72,7 +83,26 @@ class FlawRecord:
         return doc
 
     def to_yaml(self) -> str:
-        return dump_yaml(self.to_dict())
+        """``to_dict()`` as YAML, key by key in its order.
+
+        A string is written through ``parser.quote``, ``None`` as ``null``
+        and an int as digits; ``reproduction`` is a nested map of two such
+        values.  Any other value, and every ``extra`` entry, is written by
+        ``dump_yaml``.
+        """
+        parts = []
+        for key, value in self.to_dict().items():
+            if key not in self.extra:
+                if key == "reproduction":
+                    scenario, flow = _inline(value["scenario"]), _inline(value["flow"])
+                    if scenario is not None and flow is not None:
+                        parts.append(f"reproduction:\n  scenario: {scenario}\n  flow: {flow}\n")
+                        continue
+                elif (text := _inline(value)) is not None:
+                    parts.append(f"{key}: {text}\n")
+                    continue
+            parts.append(dump_yaml({key: value}))
+        return "".join(parts)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FlawRecord":
@@ -101,10 +131,6 @@ class FlawRecord:
             reproduction_flow=reproduction.get("flow", ""),
             extra={k: v for k, v in doc.items() if k not in known},
         )
-
-    @classmethod
-    def from_yaml(cls, text: str) -> "FlawRecord":
-        return cls.from_dict(load_yaml(text) or {})
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:
@@ -159,17 +185,16 @@ def _fill(template: str, fields: dict, fallback: str) -> str:
 
 
 def run_pipeline(spec: PipelineSpec, backend, registry: toolreg.RegistryIndex) -> list[FlawRecord]:
-    """Assemble, deploy, run the flow, extract findings; teardown always."""
+    """Assemble, deploy, run the flow, extract findings; teardown always,
+    and ``orchestrator.TeardownLeak`` instead of records if it leaves an
+    endpoint live."""
     scenario = assemble(spec, registry)
     scenario_yaml = serialize_scenario(replace(scenario, flows=()))
     flow_yaml = serialize_flow(scenario.flows)
 
-    deployment = orchestrator.up(scenario, backend, registry)
-    try:
+    with orchestrator.up(scenario, backend, registry) as deployment:
         plan = flow_engine.compile_flow(scenario.flows, known_endpoints=list(deployment.states))
         transcript = flow_engine.run_flow(deployment, plan)
-    finally:
-        deployment.down()
 
     records = []
     for tool, rule, fragment, fields in _scan_transcript(spec, registry, transcript):

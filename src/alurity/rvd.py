@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import yaml
+from yaml import MappingNode
 
 from .model import FlowSpec, Scenario
-from .parser import ParseFailure, load_yaml, parse_flow, parse_scenario
+from .parser import ParseFailure, compose_yaml, construct_yaml, parse_flow, parse_scenario, scenario_from_node
 
 TOKEN_ENV = "ALURITY_TRACKER_TOKEN"
 
@@ -131,9 +132,11 @@ def _is_scenario(scenario: Scenario) -> bool:
 def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSpec]]]:
     """Pure text scan over the ticket body's fenced yaml blocks.
 
-    The first block parsing as a scenario wins; the first subsequent block
-    parsing as a flow becomes the flow.  A block holding an emitted flaw
-    record counts through its embedded ``reproduction`` material.
+    Each block is composed once.  Until a scenario is found, a block folding
+    to a scenario with endpoints becomes the scenario, and any other block
+    holding an emitted flaw record returns its embedded ``reproduction``
+    material.  After the scenario, the first block parsing as a flow becomes
+    the flow.
     """
     blocks = [m.group(1) for m in _FENCE_RE.finditer(ticket.body)]
     scenario: Optional[Scenario] = None
@@ -141,15 +144,14 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
     for block in blocks:
         if scenario is None:
             try:
-                candidate = parse_scenario(block)
-                if _is_scenario(candidate):
-                    scenario = candidate
-                    if candidate.flows:
-                        flow = list(candidate.flows)
-                    continue
+                root = compose_yaml(block)
             except ParseFailure:
-                pass
-            embedded = _reproduction_from_record(block)
+                continue
+            scenario = _scenario_of(root)
+            if scenario is not None:
+                flow = list(scenario.flows) or None
+                continue
+            embedded = _embedded(root)  # runs last: loading may rewrite merge keys in the tree
             if embedded is not None:
                 return embedded
         elif flow is None:
@@ -164,9 +166,24 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
     return scenario, flow
 
 
-def _reproduction_from_record(block: str) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
+def _scenario_of(root: Optional[yaml.Node]) -> Optional[Scenario]:
+    """The scenario a block folds to, if it has endpoints.  A block with a
+    ``reproduction`` key (a flaw record) is never one, so it is not folded."""
+    if isinstance(root, MappingNode) and any(k.value == "reproduction" for k, _ in root.value):
+        return None
     try:
-        doc = load_yaml(block)
+        scenario, _ = scenario_from_node(root)
+    except ParseFailure:
+        return None
+    return scenario if _is_scenario(scenario) else None
+
+
+def _embedded(root: Optional[yaml.Node]) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
+    """The scenario and flow a flaw record block embeds; None unless the
+    block loads to a map whose ``reproduction`` holds scenario text with
+    endpoints and, optionally, flow text."""
+    try:
+        doc = construct_yaml(root)
     except (ValueError, yaml.YAMLError):
         return None
     if not isinstance(doc, dict) or "reproduction" not in doc:

@@ -173,7 +173,7 @@ def test_criterion_6_pipeline_emission(count, tmp_path, registry):
         assert outbox == []
         assert len(locations) == count
         for location in locations:
-            loaded = FlawRecord.from_yaml(Path(location).read_text())
+            loaded = FlawRecord.from_dict(load_yaml(Path(location).read_text()))
             doc = yaml.safe_load(Path(location).read_text())
             assert set(doc) == {
                 "id", "title", "flaw-class", "description", "system",

@@ -124,6 +124,13 @@ class TestGraph:
         code, _, _ = run_cli("graph", LISTING1, "--format", "svg")
         assert code == 64
 
+    def test_listing1_yaml(self, run_cli, listing1):
+        code, out, _ = run_cli("graph", LISTING1, "--format", "yaml")
+        assert code == 0
+        plan = netplan.build_connectivity_plan(listing1, netplan.allocate_addresses(listing1))
+        assert yaml.safe_load(out) == yaml.safe_load(netplan.export_plan_yaml(plan))
+        assert set(yaml.safe_load(out)["endpoints"]) == {"ur3", "attacker"}
+
     def test_invalid_scenario_exits_1(self, run_cli, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -233,7 +240,7 @@ class TestRun:
         assert run_cli("run", "--rvd", "424242", "--tracker-url", url)[0] == 4
 
     @pytest.mark.parametrize(
-        "record", ["reproduction: 5\n", "reproduction:\n  scenario: 5\n", "reproduction: !!bool x\n", "a: !!timestamp x\n"]
+        "record", ["reproduction: 5\n", "reproduction:\n  scenario: 5\n", "reproduction: !!bool x\n", "a: !!timestamp x\n", 'a: !!int ""\n']
     )
     def test_rvd_record_without_reproduction_exits_2(self, run_cli, tracker, record):
         stub, url = tracker
@@ -260,6 +267,7 @@ UNREADABLE = {
     "not-utf8": b"a: \xff\n",
     "bad-bool-tag": "a: !!bool x\n",
     "bad-timestamp-tag": "a: !!timestamp x\n",
+    "bad-int-tag": 'a: !!int ""\n',
 }
 BAD_RESPONSES = {
     "bad-regex": '"[": {exit: 1}\n',
@@ -314,6 +322,29 @@ def test_non_utf8_document_exits_2(run_cli, tmp_path, monkeypatch, args):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot parse ") and "not UTF-8" in err
+
+
+DEEP = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize(
+    "args, document",
+    [
+        (("validate",), f"networks:\n  - network:\n    - name: |\n        {DEEP}\n    - subnet: 12.0.0.0/24\n"),
+        (("graph",), f"networks:\n  - network:\n    - name: |\n        {DEEP}\n    - subnet: 12.0.0.0/24\n"),
+        (("run",), f"containers:\n  - container:\n    - name: x\n    - cpus: |\n        {DEEP}\n"),
+        (("run", ROSNET, "--flow"), f"flow:\n  - container:\n    - name: |\n        {DEEP}\n"),
+    ],
+    ids=["validate", "graph", "run", "run-flow"],
+)
+def test_deeply_nested_block_scalar_exits_2(run_cli, tmp_path, monkeypatch, args, document):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.yaml"
+    path.write_text(document)
+    code, out, err = run_cli(*args, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot parse ") and "nested too deeply" in err
 
 
 # Every file argument, the arguments before it, and the documents its
@@ -382,6 +413,25 @@ class TestPipeline:
             "--sink-path", str(tmp_path / "f"),
         )
         assert code == 0
+
+    def test_endpoint_left_live_by_teardown_exits_3(self, run_cli, tmp_path, monkeypatch):
+        class LeakyBackend(orchestrator.MockBackend):
+            def __init__(self, responses=None):
+                super().__init__(responses, fail_destroy={"scanner"})
+
+        monkeypatch.setattr(orchestrator, "MockBackend", LeakyBackend)
+        sink = tmp_path / "findings"
+        code, out, err = run_cli(
+            "pipeline",
+            "--target", f"{REG}/robo_ur_cb3_1:3.13.0",
+            "--tools", f"{REG}/reco_aztarna:latest",
+            "--index", INDEX,
+            "--mock-responses", RESPONSES,
+            "--sink", "dir", "--sink-path", str(sink),
+        )
+        assert code == 3
+        assert out == "" and not sink.exists()
+        assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: scanner"
 
     def test_tracker_sink(self, run_cli, tracker, tmp_path):
         stub, url = tracker

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario
+from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
 from alurity.orchestrator import (
     CommandResult,
     DeploymentFailure,
@@ -11,7 +12,9 @@ from alurity.orchestrator import (
     up,
 )
 
-from strategies import BASE_REFS
+from alurity.toolreg import registry_index_from_dict
+
+from strategies import BASE_REFS, scenarios
 
 BASE = ModuleRef.parse(BASE_REFS[0])
 
@@ -219,3 +222,18 @@ def test_mock_fixture_loading(tmp_path):
     handle = backend.create_endpoint(ContainerSpec(name="x", base=BASE), None, {})
     assert backend.exec(handle, "id").exit_code == 7
     assert backend.exec(handle, "other").exit_code == 0
+
+
+STRATEGY_INDEX = registry_index_from_dict({ref: {} for ref in BASE_REFS})
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_clean_validate_means_up_succeeds(scenario):
+    """``validate(s) == []`` implies ``up`` brings every endpoint up, on the
+    mock backend with a registry index that knows every module."""
+    if validate(scenario):
+        return
+    deployment = up(scenario, MockBackend(), STRATEGY_INDEX)
+    assert deployment.states == {name: "running" for name, _ in endpoints(scenario)}
+    assert deployment.down() == []

@@ -214,6 +214,30 @@ class TestParseScenario:
         assert "17.0.0.0/24" in lines[subnet_line - 1]
 
 
+DEEP = "[" * 3000 + "]" * 3000
+DEEP_SCENARIO = f"networks:\n  - network:\n    - name: |\n        {DEEP}\n    - subnet: 12.0.0.0/24\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, classes",
+    [
+        (parse_scenario, DEEP_SCENARIO, "libyaml"),
+        (parse_scenario, f"containers:\n  - container:\n    - name: x\n    - cpus: |\n        {DEEP}\n", "libyaml"),
+        (parse_flow, f"flow:\n  - container:\n    - name: |\n        {DEEP}\n", "libyaml"),
+        (parse_scenario, DEEP_SCENARIO, "pure-python"),
+        (parse_scenario, f"networks: {DEEP}\n", "pure-python"),
+    ],
+    ids=["block-name", "block-int", "flow-block-name", "block-name-pure-python", "flow-sequence-pure-python"],
+)
+def test_deep_nesting_is_a_parse_failure(parse, text, classes, request):
+    """A block scalar's text is re-read as YAML, so it can nest deeper than a
+    reader can print it; the pure-Python composer recurses per level."""
+    if classes == "pure-python":
+        request.getfixturevalue("pure_python_yaml")
+    with pytest.raises(ParseFailure):
+        parse(text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=20))
 def test_any_network_name_parses_or_fails_cleanly(name):

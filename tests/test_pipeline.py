@@ -3,8 +3,10 @@ import itertools
 import pytest
 import yaml
 
+from alurity import flows
+from alurity.flows import FlowAborted, Transcript
 from alurity.model import ModuleRef, validate
-from alurity.orchestrator import MockBackend
+from alurity.orchestrator import MockBackend, TeardownLeak
 from alurity.pipeline import (
     DirectorySink,
     FlawRecord,
@@ -15,7 +17,7 @@ from alurity.pipeline import (
     emit_all,
     run_pipeline,
 )
-from alurity.parser import parse_flow, parse_scenario
+from alurity.parser import load_yaml, parse_flow, parse_scenario
 from alurity.toolreg import registry_index_from_dict
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
@@ -123,6 +125,24 @@ class TestRunPipeline:
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
         assert destroys == list(reversed(creates))
 
+    def test_teardown_leak_raises_instead_of_records(self, registry):
+        backend = MockBackend(responses=[("^aztarna", {"stdout": "FINDING: x\n"})], fail_destroy={"scanner"})
+        with pytest.raises(TeardownLeak) as exc:
+            run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
+        assert str(exc.value) == "teardown left 1 endpoint(s) live: scanner"
+        assert exc.value.live == ["scanner"]
+        assert backend.endpoints["target"].destroyed and not backend.endpoints["scanner"].destroyed
+
+    def test_earlier_failure_outranks_a_teardown_leak(self, registry, monkeypatch):
+        def abort(deployment, plan):
+            raise FlowAborted(0, Transcript())
+
+        monkeypatch.setattr(flows, "run_flow", abort)
+        backend = MockBackend(fail_destroy={"scanner"})
+        with pytest.raises(FlowAborted):
+            run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
+        assert not backend.endpoints["scanner"].destroyed
+
 
 class TestFlawRecord:
     def test_yaml_key_set(self):
@@ -142,11 +162,11 @@ class TestFlawRecord:
 
     def test_roundtrip(self):
         rec = record()
-        assert FlawRecord.from_yaml(rec.to_yaml()) == rec
+        assert FlawRecord.from_dict(load_yaml(rec.to_yaml())) == rec
 
     def test_unknown_fields_pass_through(self):
         rec = record(extra={"cvss": 9.8, "links": ["a"]})
-        loaded = FlawRecord.from_yaml(rec.to_yaml())
+        loaded = FlawRecord.from_dict(load_yaml(rec.to_yaml()))
         assert loaded.extra == {"cvss": 9.8, "links": ["a"]}
         assert loaded == rec
 
@@ -156,7 +176,7 @@ class TestEmit:
         rec = record()
         location = DirectorySink(str(tmp_path)).emit(rec)
         assert location.endswith(".yaml") and "rvd-" in location
-        assert FlawRecord.from_yaml(open(location).read()) == rec
+        assert FlawRecord.from_dict(load_yaml(open(location).read())) == rec
 
     def test_stable_file_name_per_title(self, tmp_path):
         sink = DirectorySink(str(tmp_path))

@@ -20,7 +20,7 @@ from alurity import parser
 from alurity.flows import Transcript, TranscriptEvent, transcript_to_yaml
 from alurity.netplan import ConnectivityPlan, PlanEntry, export_plan_yaml
 from alurity.orchestrator import CommandResult
-from alurity.parser import parse_scenario, serialize_scenario
+from alurity.parser import load_yaml, parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord
 
 import test_parser
@@ -127,8 +127,8 @@ class TestScalarClassifier:
         yaml.compose(listing1_text, Loader=parser.YAML_LOADER)
         assert calls  # the count sees the resolving loader
         calls.clear()
-        parser._compose(listing1_text)
-        parser._compose(listing3_text)
+        parser._compose(listing1_text, parser._NodeLoader)
+        parser._compose(listing3_text, parser._NodeLoader)
         assert calls == []
 
     def test_block_scalars_are_reread(self):
@@ -175,7 +175,7 @@ class TestEmittersReadBackUnderPurePython:
         )
         text = record.to_yaml()
         assert pure_load(text) == record.to_dict()
-        assert FlawRecord.from_yaml(text) == record
+        assert FlawRecord.from_dict(load_yaml(text)) == record
 
     @settings(max_examples=150, deadline=None)
     @given(_text, _text)
