@@ -16,7 +16,7 @@ from typing import Optional, Protocol
 from . import toolreg
 from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
-from .parser import ParseFailure, compile_regex, load_yaml_map
+from .parser import ParseFailure, cached_regex, compile_regex, load_yaml_map
 
 
 class EndpointNotRunning(Exception):
@@ -82,7 +82,7 @@ class MockBackend:
     """
 
     def __init__(self, responses=None, fail_create=(), fail_destroy=(), refuse_kinds=()):
-        self.responses = [(re.compile(p), r) for p, r in (responses or [])]
+        self.responses = [(cached_regex(p), r) for p, r in (responses or [])]
         self.fail_create = set(fail_create)
         self.fail_destroy = set(fail_destroy)
         self.refuse_kinds = set(refuse_kinds)

@@ -16,6 +16,9 @@ order.  Serialization walks the same tables, so ``parse(serialize(s)) == s``.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import gc
 import json
 import re
 from typing import Optional
@@ -135,10 +138,15 @@ def load_yaml_map(path: str) -> dict:
     return doc
 
 
+# A mock backend is built many times from the same responses: each distinct
+# pattern is compiled once.
+cached_regex = functools.lru_cache(maxsize=1024)(re.compile)
+
+
 def compile_regex(pattern, what: str) -> re.Pattern:
     """``pattern`` compiled; ``ParseFailure`` naming ``what`` if it is not a regex."""
     try:
-        return re.compile(pattern)
+        return cached_regex(pattern)
     except (TypeError, re.error, OverflowError, RecursionError) as exc:
         raise ParseFailure(f"{what} is not a regex: {exc}") from exc
 
@@ -177,17 +185,31 @@ def _scalar(node: yaml.Node):
             value = load_yaml(text)
             repr(value)  # readers print values: one nested too deeply to print fails here
             return value
-        if text[0] not in _TYPED_FIRST:
-            return text
-        tag = _RESOLVER.resolve(ScalarNode, text, (True, False))
-        if tag == _STR_TAG:
-            return text
-        construct = _CONSTRUCTOR.yaml_constructors.get(tag)
-        return text if construct is None else construct(_CONSTRUCTOR, node)
+        return text if text[0] not in _TYPED_FIRST else _typed(text)
     except (ValueError, yaml.YAMLError):
         return text
     except RecursionError as exc:
         raise ParseFailure(_TOO_DEEP, _line(node)) from exc
+
+
+@functools.lru_cache(maxsize=1024)
+def _typed(text: str):
+    """Plain scalar ``text`` typed by the resolver and built by the safe
+    constructor for its tag.
+
+    Most texts repeat within a document (``cpus``, ``memory``, network
+    names), so each is typed once.  Sharing a value between callers is safe:
+    every implicit type (None, bool, int, float, str, date, datetime) is
+    immutable.
+    """
+    tag = _RESOLVER.resolve(ScalarNode, text, (True, False))
+    if tag == _STR_TAG:
+        return text
+    construct = _CONSTRUCTOR.yaml_constructors.get(tag)
+    try:
+        return text if construct is None else construct(_CONSTRUCTOR, ScalarNode(tag, text))
+    except (ValueError, yaml.YAMLError):
+        return text
 
 
 # Readers take the record's ``loc`` and the ``key`` apart and join them only
@@ -374,9 +396,30 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and restart it after only if it
+    was running before.
+
+    A composed node tree and the records folded from it hold no reference
+    cycles, so each collection the reader's allocations would trigger walks
+    young objects and frees nothing.  Readers fold the tree in a call of its
+    own, so the tree is freed before the collector restarts and the one
+    collection that follows walks only the records.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
     """Parse a scenario document; unknown record keys come back as warnings."""
-    return scenario_from_node(_compose(text, _NodeLoader))
+    with _collector_paused():
+        return scenario_from_node(_compose(text, _NodeLoader))
 
 
 def scenario_from_node(root: Optional[yaml.Node]) -> tuple[Scenario, list[Diagnostic]]:
@@ -466,7 +509,11 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
 
 def parse_flow(text: str) -> list[FlowSpec]:
     """Parse a standalone flow document (top-level ``flow:``)."""
-    root = _compose(text, _NodeLoader)
+    with _collector_paused():
+        return _flows_from_node(_compose(text, _NodeLoader))
+
+
+def _flows_from_node(root: Optional[yaml.Node]) -> list[FlowSpec]:
     if root is None:
         return []
     if not isinstance(root, MappingNode):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -14,7 +15,7 @@ from alurity import netplan, orchestrator
 from alurity.cli import main
 from alurity.pipeline import FlawRecord
 
-from test_parser_oracle import SCENARIO_TEXTS, mutated
+from test_parser_oracle import ODD_SCALARS, SCENARIO_TEXTS, mutated
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LISTING1 = str(FIXTURES / "listing1.yaml")
@@ -360,6 +361,22 @@ FILE_ARGS = {
     "pipeline-mock-responses": (("pipeline", *TARGET_AND_TOOL, "--index", INDEX, "--mock-responses"), [RESPONSES_TEXT]),
 }
 DOCUMENTED_CODES = {0, 1, 2, 3, 4, 64}
+_MAP_LINE_RE = re.compile(r"^( *)([^\s#-][^:#\n]*):( .*)?$")  # "key: value" lines of a map
+
+
+@st.composite
+def map_mutated(draw, bases):
+    """A ``mutated`` document with up to two of its ``key: value`` map lines
+    given an odd scalar value: ``mutated`` rewrites only ``- key: value``
+    lines, and the ``--mock-responses`` and ``--index`` files are maps."""
+    lines = draw(mutated(bases)).split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        targets = [i for i, line in enumerate(lines) if _MAP_LINE_RE.match(line)]
+        if targets:
+            i = draw(st.sampled_from(targets))
+            entry = _MAP_LINE_RE.match(lines[i])
+            lines[i] = f"{entry[1]}{entry[2]}: {draw(st.sampled_from(ODD_SCALARS))}"
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("args, bases", FILE_ARGS.values(), ids=FILE_ARGS.keys())
@@ -367,7 +384,7 @@ DOCUMENTED_CODES = {0, 1, 2, 3, 4, 64}
 @given(data=st.data())
 def test_any_file_contents_exit_with_a_documented_code(run_cli, tmp_path, monkeypatch, args, bases, data):
     monkeypatch.chdir(tmp_path)
-    contents = data.draw(st.one_of(st.binary(max_size=64), mutated(st.sampled_from(bases)).map(str.encode)))
+    contents = data.draw(st.one_of(st.binary(max_size=64), map_mutated(st.sampled_from(bases)).map(str.encode)))
     path = tmp_path / "input.yaml"
     path.write_bytes(contents)
     code, _, err = run_cli(*args, str(path))

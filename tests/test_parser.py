@@ -1,6 +1,14 @@
+import gc
+import math
+from pathlib import Path
+
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from yaml import ScalarNode
+
+from alurity import parser
 
 from alurity.model import (
     Command,
@@ -18,11 +26,14 @@ from alurity.parser import (
     parse_flow,
     parse_scenario,
     parse_scenario_with_warnings,
+    quote,
     serialize_flow,
     serialize_scenario,
 )
+from alurity.rvd import NoReproductionFound, Ticket, extract_reproduction
 
 from strategies import scenarios
+from test_parser_oracle import ODD_SCALARS
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
 
@@ -366,3 +377,80 @@ class TestRoundTrip:
             ),
         )
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+# --- the cyclic collector and the scalar cache ---------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+LISTING1_TEXT, LISTING3_TEXT = ((FIXTURES / name).read_text() for name in ("listing1.yaml", "listing3.yaml"))
+
+
+def _extract(*blocks: str):
+    body = "".join(f"```yaml\n{block}```\n" for block in blocks)
+    return extract_reproduction(Ticket(id=1, title="t", body=body))
+
+
+def _record(scenario_text: str, flow_text: str = "") -> str:
+    return f"reproduction:\n  scenario: {quote(scenario_text)}\n  flow: {quote(flow_text)}\n"
+
+
+# reader, its arguments, the exception it raises (None when it reads them)
+READS = {
+    "scenario": (parse_scenario, [LISTING1_TEXT], None),
+    "scenario-malformed": (parse_scenario, ["networks: [\n"], ParseFailure),
+    "scenario-missing-key": (parse_scenario, ["networks:\n  - network:\n    - name: x\n"], ParseFailure),
+    "scenario-deep": (parse_scenario, [DEEP_SCENARIO], ParseFailure),
+    "flow": (parse_flow, [LISTING3_TEXT], None),
+    "flow-malformed": (parse_flow, ["flow: [\n"], ParseFailure),
+    "flow-missing-key": (parse_flow, ["flow:\n  - container:\n    - select: w\n"], ParseFailure),
+    "flow-deep": (parse_flow, [f"flow:\n  - container:\n    - name: |\n        {DEEP}\n"], ParseFailure),
+    "extract": (_extract, [LISTING1_TEXT, LISTING3_TEXT], None),
+    "extract-record": (_extract, [_record(LISTING1_TEXT, LISTING3_TEXT)], None),
+    "extract-malformed-flow": (_extract, [LISTING1_TEXT, "flow: [\n"], None),
+    "extract-deep-record": (_extract, [_record(DEEP_SCENARIO)], NoReproductionFound),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("read, args, failure", READS.values(), ids=READS.keys())
+def test_readers_leave_the_collector_as_they_found_it(read, args, failure, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if failure is None:
+            read(*args)
+        else:
+            with pytest.raises(failure):
+                read(*args)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def reference_typed(text: str):
+    """The uncached typing of a plain scalar: resolve its tag, then build the
+    value with the safe constructor; text that does not construct stays text."""
+    tag = yaml.resolver.Resolver().resolve(ScalarNode, text, (True, False))
+    constructor = yaml.constructor.SafeConstructor()
+    construct = constructor.yaml_constructors.get(tag)
+    if tag == "tag:yaml.org,2002:str" or construct is None:
+        return text
+    try:
+        return construct(constructor, ScalarNode(tag, text))
+    except (ValueError, yaml.YAMLError):
+        return text
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.sampled_from(ODD_SCALARS), st.text(max_size=20)))
+def test_cached_typing_matches_the_uncached_rule(text):
+    expected = reference_typed(text)
+    first = parser._typed(text)
+    assert _same(first, expected), (text, first, expected)
+    assert _same(parser._typed(text), first)
