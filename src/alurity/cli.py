@@ -133,6 +133,8 @@ def cmd_run(
     transcript_dir: str,
 ) -> int:
     """Bring a scenario up, optionally run its flow, tear it down."""
+    if file is not None and rvd_id is not None:
+        raise click.UsageError("FILE and --rvd exclude each other")
     backend = _make_backend(backend_name, mock_responses)
     registry = _load_registry(index_path)
 
@@ -228,7 +230,7 @@ _OUTCOMES = (
     (rvd.NoReproductionFound, EXIT_PARSE, ""),
     (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
     (orchestrator.TeardownLeak, EXIT_DEPLOYMENT, ""),
-    ((flow_engine.UnknownEndpointInFlow, flow_engine.FlowAborted), EXIT_DEPLOYMENT, "flow failed: "),
+    (flow_engine.UnknownEndpointInFlow, EXIT_DEPLOYMENT, "flow failed: "),
     (netplan.UnsupportedFormat, EXIT_USAGE, "unsupported format: "),
 )
 

@@ -21,13 +21,6 @@ class UnknownEndpointInFlow(Exception):
     pass
 
 
-class FlowAborted(Exception):
-    def __init__(self, event_index: int, transcript: "Transcript"):
-        self.event_index = event_index
-        self.transcript = transcript
-        super().__init__(f"flow aborted at event {event_index}")
-
-
 @dataclass(frozen=True)
 class WindowPlan:
     name: str
@@ -69,9 +62,6 @@ class TranscriptEvent:
 class Transcript:
     events: list = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Sequence[str]] = None) -> FlowPlan:
     """Deterministic pane assignment for every endpoint's windows."""
@@ -94,7 +84,7 @@ def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Sequence[st
     return FlowPlan(endpoints=tuple(plans))
 
 
-def run_flow(deployment: Deployment, plan: FlowPlan, rng=None, env: Optional[dict] = None) -> Transcript:
+def run_flow(deployment: Deployment, plan: FlowPlan, rng=None) -> Transcript:
     """Execute the plan's panes as interleaved sequential sessions.
 
     Scheduling is round-robin over pane sessions (started in plan order)
@@ -121,12 +111,10 @@ def run_flow(deployment: Deployment, plan: FlowPlan, rng=None, env: Optional[dic
             index = rng.randrange(len(sessions))
         endpoint, window, pane_index, queue = sessions[index]
         command = queue.pop(0)
-        result = deployment.exec(endpoint, command.text, env)
+        result = deployment.exec(endpoint, command.text)
         transcript.events.append(
             TranscriptEvent(endpoint, window, pane_index, command.text, result, seq)
         )
-        if command.fail_fast and result.exit_code != 0:
-            raise FlowAborted(seq, transcript)
         seq += 1
         if not queue:
             sessions.pop(index)

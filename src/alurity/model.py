@@ -109,7 +109,6 @@ class VmSpec:
 @dataclass(frozen=True)
 class Command:
     text: str
-    fail_fast: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,6 @@ class Split:
 class WindowSpec:
     name: str
     items: tuple[object, ...] = ()  # Command | Split
-
-    def commands(self) -> tuple[Command, ...]:
-        return tuple(i for i in self.items if isinstance(i, Command))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A backend owns endpoint creation/destruction and command execution; the
 orchestrator owns ordering (create everything, apply the connectivity plan,
 mark running) and the all-or-nothing guarantee on failure.  The mock backend
 is fully deterministic: scripted responses, a logical clock for ``sleep``,
-and a journal the tests assert on.
+and a journal of every create, apply, exec and destroy.
 """
 
 from __future__ import annotations
@@ -27,18 +27,27 @@ class EndpointGone(Exception):
     pass
 
 
+def _left_live(live: list[str]) -> str:
+    return f"left {len(live)} endpoint(s) live: {', '.join(live)}"
+
+
 class DeploymentFailure(Exception):
-    def __init__(self, endpoint: Optional[str], cause, events):
+    """A failed bring-up; ``live`` names what its rollback left live."""
+
+    def __init__(self, endpoint: Optional[str], cause, live=()):
         self.endpoint = endpoint
         self.cause = cause
-        self.events = list(events)
-        super().__init__(f"deployment failed at endpoint {endpoint!r}: {cause}")
+        self.live = list(live)
+        message = f"deployment failed at endpoint {endpoint!r}: {cause}"
+        if self.live:
+            message += f"; rollback {_left_live(self.live)}"
+        super().__init__(message)
 
 
 class TeardownLeak(Exception):
     def __init__(self, live: list[str]):
         self.live = list(live)
-        super().__init__(f"teardown left {len(live)} endpoint(s) live: {', '.join(live)}")
+        super().__init__(f"teardown {_left_live(self.live)}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class Backend(Protocol):
     def destroy(self, handle) -> None:
         ...
 
-    def exec(self, handle, command: str, env: Optional[dict] = None) -> CommandResult:
+    def exec(self, handle, command: str) -> CommandResult:
         ...
 
     def apply_plan(self, plan: ConnectivityPlan) -> None:
@@ -129,7 +138,7 @@ class MockBackend:
         handle.destroyed = True
         self.journal.append(("destroy", handle.name))
 
-    def exec(self, handle: MockEndpoint, command: str, env: Optional[dict] = None) -> CommandResult:
+    def exec(self, handle: MockEndpoint, command: str) -> CommandResult:
         if handle.destroyed:
             raise EndpointGone(handle.name)
         started = self.clock
@@ -153,7 +162,7 @@ class MockBackend:
 
 
 class Deployment:
-    """Live scenario state: handles, per-endpoint states, append-only events."""
+    """Live scenario state: backend handles and per-endpoint states."""
 
     def __init__(self, scenario, assignment, plan, backend):
         self.scenario = scenario
@@ -162,16 +171,13 @@ class Deployment:
         self.backend = backend
         self.states: dict[str, str] = {}
         self.handles: dict = {}
-        self.events: list = []
 
-    def exec(self, endpoint: str, command: str, env: Optional[dict] = None) -> CommandResult:
+    def exec(self, endpoint: str, command: str) -> CommandResult:
         if endpoint not in self.states:
             raise UnknownEndpoint(endpoint)
         if self.states[endpoint] != "running":
             raise EndpointNotRunning(endpoint)
-        result = self.backend.exec(self.handles[endpoint], command, env)
-        self.events.append(("exec", endpoint, command))
-        return result
+        return self.backend.exec(self.handles[endpoint], command)
 
     def down(self) -> list[str]:
         """Destroy every endpoint not yet stopped, newest first; return the
@@ -183,12 +189,10 @@ class Deployment:
                 continue
             try:
                 self.backend.destroy(self.handles[name])
-            except Exception as exc:
-                self.events.append(("destroy-failed", name, str(exc)))
+            except Exception:
                 self.states[name] = "destroy-failed"
                 live.append(name)
                 continue
-            self.events.append(("destroy", name))
             self.states[name] = "stopped"
         return live
 
@@ -211,7 +215,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     """
     diagnostics = validate(scenario)
     if has_errors(diagnostics):
-        raise DeploymentFailure(None, f"scenario invalid: {diagnostics[0]}", [])
+        raise DeploymentFailure(None, f"scenario invalid: {diagnostics[0]}")
 
     images: dict[str, object] = {}
     if registry is not None:
@@ -219,7 +223,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
             for container in scenario.containers:
                 images[container.name] = toolreg.resolve(container, registry)
         except toolreg.UnknownModule as exc:
-            raise DeploymentFailure(None, exc, []) from exc
+            raise DeploymentFailure(None, exc) from exc
 
     assignment = allocate_addresses(scenario)
     plan = build_connectivity_plan(scenario, assignment)
@@ -234,15 +238,11 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
             handle = backend.create_endpoint(spec, image, dict(assignment.addresses_of(name)))
             deployment.handles[name] = handle
             deployment.states[name] = "created"
-            deployment.events.append(("create", name))
         backend.apply_plan(plan)
-        deployment.events.append(("apply_plan",))
         for name in deployment.handles:
             deployment.states[name] = "running"
-            deployment.events.append(("run", name))
     except Exception as exc:
         failed = next((n for n, _ in endpoints(scenario) if n not in deployment.states), None)
-        deployment.down()
-        raise DeploymentFailure(failed, exc, deployment.events) from exc
+        raise DeploymentFailure(failed, exc, deployment.down()) from exc
     return deployment
 

@@ -24,9 +24,6 @@ from .parser import dump_yaml, quote, serialize_flow, serialize_scenario
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
 
-SEVERITIES = ("none", "low", "medium", "high", "critical")
-
-
 class ValidationFailure(Exception):
     def __init__(self, code: str, message: str):
         self.code = code
@@ -103,34 +100,6 @@ class FlawRecord:
                     continue
             parts.append(dump_yaml({key: value}))
         return "".join(parts)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FlawRecord":
-        known = {
-            "id",
-            "title",
-            "flaw-class",
-            "description",
-            "system",
-            "vendor",
-            "severity",
-            "detected-by",
-            "reproduction",
-        }
-        reproduction = doc.get("reproduction") or {}
-        return cls(
-            id=doc.get("id"),
-            title=doc.get("title", ""),
-            flaw_class=doc.get("flaw-class", ""),
-            description=doc.get("description", ""),
-            system=doc.get("system", ""),
-            vendor=doc.get("vendor"),
-            severity=doc.get("severity", "medium"),
-            detected_by=doc.get("detected-by", ""),
-            reproduction_scenario=reproduction.get("scenario", ""),
-            reproduction_flow=reproduction.get("flow", ""),
-            extra={k: v for k, v in doc.items() if k not in known},
-        )
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:
@@ -218,11 +187,13 @@ class DirectorySink:
         self.path = path
 
     def emit(self, record: FlawRecord) -> str:
-        digest = hashlib.sha256(record.title.encode()).hexdigest()[:12]
+        """Write the record to ``rvd-<digest of its YAML>.yaml``; the path."""
+        text = record.to_yaml()
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
         target = os.path.join(self.path, f"rvd-{digest}.yaml")
         os.makedirs(self.path, exist_ok=True)
         with open(target, "w", encoding="utf-8") as handle:
-            handle.write(record.to_yaml())
+            handle.write(text)
         return target
 
 

@@ -64,12 +64,6 @@ class RegistryIndex:
             raise UnknownModule(ref)
         return self._manifests[key]
 
-    def __contains__(self, ref) -> bool:
-        return str(ref) in self._manifests
-
-    def __len__(self) -> int:
-        return len(self._manifests)
-
 
 def load_registry_index(path: str) -> RegistryIndex:
     return registry_index_from_dict(load_yaml_map(path))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 from alurity.cli import main as cli_main
 from alurity.flows import Transcript, TranscriptEvent, compile_flow, run_flow, transcript_to_yaml, verify_transcript
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
+from alurity.model import Command, ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
 from alurity.netplan import allocate_addresses, build_connectivity_plan, reachable
 from alurity.orchestrator import CommandResult, DeploymentFailure, MockBackend, up
 from alurity.parser import load_yaml, parse_flow, parse_scenario, serialize_scenario
@@ -172,14 +172,14 @@ def test_criterion_6_pipeline_emission(count, tmp_path, registry):
         locations, outbox = emit_all(records, DirectorySink(str(tmp_path)))
         assert outbox == []
         assert len(locations) == count
+        expected = [r.to_dict() for r in records]
         for location in locations:
-            loaded = FlawRecord.from_dict(load_yaml(Path(location).read_text()))
-            doc = yaml.safe_load(Path(location).read_text())
-            assert set(doc) == {
+            loaded = load_yaml(Path(location).read_text())
+            assert set(loaded) == {
                 "id", "title", "flaw-class", "description", "system",
                 "vendor", "severity", "detected-by", "reproduction",
             }
-            assert loaded in records
+            assert loaded in expected
 
 
 def test_criterion_7_rvd_loop(tracker, tmp_path, monkeypatch, capsys):
@@ -205,7 +205,7 @@ def test_criterion_7_rvd_loop(tracker, tmp_path, monkeypatch, capsys):
         assert len(transcripts) == 1
         doc = yaml.safe_load(transcripts[0].read_text())
         flow = parse_flow(record.reproduction_flow)
-        total = sum(len(w.commands()) for f in flow for w in f.windows)
+        total = sum(isinstance(i, Command) for f in flow for w in f.windows for i in w.items)
         assert len(doc["transcript"]) == total
 
 

@@ -252,6 +252,13 @@ class TestRun:
         monkeypatch.delenv("ALURITY_TRACKER_URL", raising=False)
         assert run_cli("run", "--rvd", "1")[0] == 64
 
+    def test_file_and_rvd_exclude_each_other(self, run_cli, tracker):
+        stub, url = tracker
+        issue_id = stub.seed("repro", f"```yaml\n{Path(ROSNET).read_text()}```\n")
+        code, _, err = run_cli("run", "/no/such/scenario.yaml", "--rvd", str(issue_id), "--tracker-url", url)
+        assert code == 64 and "FILE and --rvd" in err
+        assert stub.seen_auth == []
+
 
 TARGET_AND_TOOL = ("--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest")
 CONFIG_ARGS = {

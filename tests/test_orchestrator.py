@@ -41,7 +41,7 @@ class SpecOnlyBackend:
     def destroy(self, handle):
         self.alive[handle] = False
 
-    def exec(self, handle, command, env=None):
+    def exec(self, handle, command):
         return CommandResult(exit_code=0, stdout=b"ok")
 
     def apply_plan(self, plan):
@@ -52,12 +52,10 @@ class TestUp:
     def test_listing1_event_ordering(self, listing1):
         backend = MockBackend()
         deployment = up(listing1, backend)
-        assert deployment.events == [
+        assert backend.journal == [
             ("create", "ur3"),
             ("create", "attacker"),
             ("apply_plan",),
-            ("run", "ur3"),
-            ("run", "attacker"),
         ]
         assert deployment.states == {"ur3": "running", "attacker": "running"}
 
@@ -90,7 +88,7 @@ class TestUp:
         backend = MockBackend()
         deployment = up(Scenario(), backend)
         assert deployment.states == {}
-        assert deployment.events == [("apply_plan",)]
+        assert backend.journal == [("apply_plan",)]
 
     def test_failure_mid_creation_tears_down(self, listing1):
         backend = MockBackend(fail_create={"attacker"})
@@ -122,6 +120,8 @@ class TestUp:
         with pytest.raises(DeploymentFailure) as exc:
             up(merged12, backend)
         assert exc.value.endpoint == "irc5"
+        assert exc.value.live == []
+        assert str(exc.value) == "deployment failed at endpoint 'irc5': backend refuses to host vm endpoints"
         # both containers created, then rolled back
         destroys = [n for op, *rest in backend.journal if op == "destroy" for n in rest]
         assert set(destroys) == {"ur3", "attacker"}
@@ -134,7 +134,6 @@ class TestExec:
         result = deployment.exec("ur3", "roscore")
         assert result.stdout == b"core up"
         assert backend.journal[-1] == ("exec", "ur3", "roscore")
-        assert deployment.events[-1] == ("exec", "ur3", "roscore")
 
     def test_unknown_endpoint(self, listing1):
         deployment = up(listing1, MockBackend())
@@ -190,7 +189,7 @@ class TestDown:
         deployment.down()
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
         assert destroys == ["ur3"]
-        assert any(e[0] == "destroy-failed" and e[1] == "attacker" for e in deployment.events)
+        assert deployment.states == {"ur3": "stopped", "attacker": "destroy-failed"}
 
     def test_failed_destroy_stays_live_until_a_retry(self, listing1):
         backend = MockBackend(fail_destroy={"attacker"})
@@ -212,7 +211,8 @@ class TestDown:
             up(merged12, backend)
         live = [name for name, handle in backend.endpoints.items() if not handle.destroyed]
         assert live == [leaky]
-        assert [e[1] for e in exc.value.events if e[0] == "destroy-failed"] == [leaky]
+        assert exc.value.live == [leaky]
+        assert str(exc.value).endswith(f"; rollback left 1 endpoint(s) live: {leaky}")
 
 
 def test_mock_fixture_loading(tmp_path):

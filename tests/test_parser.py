@@ -276,7 +276,7 @@ class TestParseFlow:
         assert [s.direction for s in splits] == ["horizontal"]
 
     def test_last_attack_command(self, listing3):
-        commands = listing3[1].windows[1].commands()
+        commands = [i for i in listing3[1].windows[1].items if isinstance(i, Command)]
         assert commands[-1].text == 'robosploit -m exploits/ros/fin_ack -s "target 12.0.0.2"'
 
     def test_empty_flow(self):

@@ -1,10 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 import yaml
 
 from alurity import flows
-from alurity.flows import FlowAborted, Transcript
+from alurity.flows import UnknownEndpointInFlow
 from alurity.model import ModuleRef, validate
 from alurity.orchestrator import MockBackend, TeardownLeak
 from alurity.pipeline import (
@@ -49,7 +50,7 @@ class TestAssemble:
         assert scenario.containers[0].base == TARGET
         assert scenario.containers[1].base == AZTARNA
         assert len(scenario.networks) == 1
-        commands = scenario.flows[0].windows[0].commands()
+        commands = scenario.flows[0].windows[0].items
         assert len(commands) == 1
         # target is the first endpoint: first auto address above the gateway
         assert commands[0].text == "aztarna -t ros -a 10.110.0.2"
@@ -64,7 +65,7 @@ class TestAssemble:
         scanner = scenario.containers[1]
         assert scanner.base == AZTARNA
         assert scanner.volumes == (ROBOSPLOIT, GAZEBO)
-        commands = [c.text for c in scenario.flows[0].windows[0].commands()]
+        commands = [c.text for c in scenario.flows[0].windows[0].items]
         assert len(commands) == 3
         assert commands[0].startswith("aztarna")
         assert commands[1].startswith("robosploit")
@@ -135,11 +136,11 @@ class TestRunPipeline:
 
     def test_earlier_failure_outranks_a_teardown_leak(self, registry, monkeypatch):
         def abort(deployment, plan):
-            raise FlowAborted(0, Transcript())
+            raise UnknownEndpointInFlow("ghost")
 
         monkeypatch.setattr(flows, "run_flow", abort)
         backend = MockBackend(fail_destroy={"scanner"})
-        with pytest.raises(FlowAborted):
+        with pytest.raises(UnknownEndpointInFlow):
             run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
         assert not backend.endpoints["scanner"].destroyed
 
@@ -162,13 +163,13 @@ class TestFlawRecord:
 
     def test_roundtrip(self):
         rec = record()
-        assert FlawRecord.from_dict(load_yaml(rec.to_yaml())) == rec
+        assert load_yaml(rec.to_yaml()) == rec.to_dict()
 
     def test_unknown_fields_pass_through(self):
         rec = record(extra={"cvss": 9.8, "links": ["a"]})
-        loaded = FlawRecord.from_dict(load_yaml(rec.to_yaml()))
-        assert loaded.extra == {"cvss": 9.8, "links": ["a"]}
-        assert loaded == rec
+        loaded = load_yaml(rec.to_yaml())
+        assert (loaded["cvss"], loaded["links"]) == (9.8, ["a"])
+        assert loaded == rec.to_dict()
 
 
 class TestEmit:
@@ -176,11 +177,19 @@ class TestEmit:
         rec = record()
         location = DirectorySink(str(tmp_path)).emit(rec)
         assert location.endswith(".yaml") and "rvd-" in location
-        assert FlawRecord.from_dict(load_yaml(open(location).read())) == rec
+        assert load_yaml(Path(location).read_text()) == rec.to_dict()
 
     def test_stable_file_name_per_title(self, tmp_path):
         sink = DirectorySink(str(tmp_path))
         assert sink.emit(record()) == sink.emit(record())
+
+    def test_records_sharing_a_title_get_a_file_each(self, tmp_path):
+        records = [record("open port 22", detected_by=str(AZTARNA)), record("open port 22", detected_by=str(ROBOSPLOIT))]
+        locations, outbox = emit_all(records, DirectorySink(str(tmp_path)))
+        assert outbox == [] and len(set(locations)) == 2
+        assert len(list(tmp_path.iterdir())) == 2
+        for location, rec in zip(locations, records):
+            assert load_yaml(Path(location).read_text()) == rec.to_dict()
 
     def test_tracker_sink(self, tracker):
         stub, url = tracker

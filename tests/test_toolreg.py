@@ -73,8 +73,9 @@ class TestResolve:
 
 class TestIndex:
     def test_lookup_is_exact_on_canonical_text(self, registry):
-        assert ref(f"{REG}/reco_aztarna:latest") in registry
-        assert ref(f"{REG}/reco_aztarna:other") not in registry
+        assert registry.lookup(ref(f"{REG}/reco_aztarna:latest")).entrypoint
+        with pytest.raises(UnknownModule):
+            registry.lookup(ref(f"{REG}/reco_aztarna:other"))
 
     def test_rules_loaded_from_manifest(self, registry):
         manifest = registry.lookup(ref(f"{REG}/reco_aztarna:latest"))

@@ -175,7 +175,7 @@ class TestEmittersReadBackUnderPurePython:
         )
         text = record.to_yaml()
         assert pure_load(text) == record.to_dict()
-        assert FlawRecord.from_dict(load_yaml(text)) == record
+        assert load_yaml(text) == record.to_dict()
 
     @settings(max_examples=150, deadline=None)
     @given(_text, _text)
