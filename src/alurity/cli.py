@@ -19,7 +19,7 @@ import click
 from . import flows as flow_engine
 from . import netplan, orchestrator, pipeline, rvd, toolreg
 from .model import ModuleRef, Scenario, has_errors, validate
-from .parser import ParseFailure, parse_flow, parse_scenario_with_warnings
+from .parser import ParseFailure, parse_flow, parse_scenario_with_warnings, read_text
 
 TRACKER_URL_ENV = "ALURITY_TRACKER_URL"
 REGISTRY_INDEX_ENV = "ALURITY_REGISTRY_INDEX"
@@ -44,12 +44,7 @@ class _Failure(Exception):
 def _parse(parse, path: str, what: str = ""):
     """``parse`` of the text in ``path``; exit 2 if it cannot be read or parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                text = handle.read()
-            except UnicodeDecodeError as exc:
-                raise ParseFailure(f"not UTF-8: {exc}") from exc
-        return parse(text)
+        return parse(read_text(path))
     except (OSError, ParseFailure) as exc:
         raise _Failure(EXIT_PARSE, f"cannot parse {what}{path}: {exc}") from exc
 
@@ -161,7 +156,7 @@ def cmd_run(
     _runnable(scenario)
     with orchestrator.up(scenario, backend, registry) as deployment:
         if flow:
-            plan = flow_engine.compile_flow(flow, known_endpoints=list(deployment.states))
+            plan = flow_engine.compile_flow(flow, known_endpoints=deployment.states)
             transcript = flow_engine.run_flow(deployment, plan)
             if not flow_engine.verify_transcript(plan, transcript):
                 raise _Failure(EXIT_DEPLOYMENT, "transcript failed verification")
@@ -229,7 +224,7 @@ _OUTCOMES = (
     ((pipeline.ValidationFailure, toolreg.UnknownModule), EXIT_VALIDATION, ""),
     (rvd.NoReproductionFound, EXIT_PARSE, ""),
     (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
-    (orchestrator.TeardownLeak, EXIT_DEPLOYMENT, ""),
+    ((orchestrator.TeardownLeak, pipeline.SinkUnwritable), EXIT_DEPLOYMENT, ""),
     (flow_engine.UnknownEndpointInFlow, EXIT_DEPLOYMENT, "flow failed: "),
     (netplan.UnsupportedFormat, EXIT_USAGE, "unsupported format: "),
 )

@@ -10,7 +10,7 @@ checked after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import Command, FlowSpec, Split
 from .orchestrator import CommandResult, Deployment
@@ -63,11 +63,12 @@ class Transcript:
     events: list = field(default_factory=list)
 
 
-def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Sequence[str]] = None) -> FlowPlan:
+def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Iterable[str]] = None) -> FlowPlan:
     """Deterministic pane assignment for every endpoint's windows."""
     plans = []
+    known = None if known_endpoints is None else set(known_endpoints)
     for spec in flow:
-        if known_endpoints is not None and spec.endpoint not in known_endpoints:
+        if known is not None and spec.endpoint not in known:
             raise UnknownEndpointInFlow(spec.endpoint)
         windows = []
         for window in spec.windows:

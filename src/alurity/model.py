@@ -13,17 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
-MODULE_GROUPS = (
-    "robots",
-    "robot-components",
-    "forensics",
-    "exploitation",
-    "testing",
-    "reconnaissance",
-    "ide-ui",
-    "unknown",
-)
-
 # Prefix of the last path component -> group, read by ModuleRef.parse; a
 # leaf that matches no prefix is "unknown".
 DEFAULT_GROUP_PREFIXES: Mapping[str, str] = {

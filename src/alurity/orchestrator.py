@@ -107,8 +107,7 @@ class MockBackend:
         responses = []
         for pattern, body in load_yaml_map(path).items():
             compile_regex(pattern, repr(pattern))
-            if body is None:
-                body = {}
+            body = {} if body is None else body
             if not isinstance(body, dict):
                 raise ParseFailure(f"the response to {pattern!r} must be a map, got a {type(body).__name__}")
             code = body.get("exit", 0)

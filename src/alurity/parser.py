@@ -79,9 +79,9 @@ def dump_yaml(doc) -> str:
 class _NodeLoader(YAML_LOADER):
     """Composes nodes and leaves their tags unresolved.
 
-    Nothing reads ``node.tag``: ``_scalar`` types each plain scalar where it
-    is read.  Skipping the resolver is exact because the safe loaders
-    register no path resolvers, so resolution never steers composition.
+    Nothing reads ``node.tag``: ``_scalar`` and ``_built`` type each plain
+    scalar where it is read.  Skipping the resolver is exact: the safe
+    loaders register no path resolvers, so it never steers composition.
     """
 
     def resolve(self, kind, value, implicit):
@@ -118,24 +118,68 @@ def construct_yaml(node: Optional[yaml.Node]):
 
 def _malformed(exc: Exception) -> ParseFailure:
     mark = getattr(exc, "problem_mark", None)
-    line = mark.line + 1 if mark else None
-    col = mark.column + 1 if mark else None
+    line, col = (mark.line + 1, mark.column + 1) if mark else (None, None)
     return ParseFailure(f"malformed YAML: {getattr(exc, 'problem', exc)}", line, col)
 
 
-def load_yaml_map(path: str) -> dict:
-    """The map a YAML file holds, ``{}`` for an empty file; ``ParseFailure``
-    when the file is malformed or holds anything but a map."""
+def read_text(path: str) -> str:
+    """The text of the file at ``path``; ``ParseFailure`` if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = load_yaml(handle)
-        except (ValueError, yaml.YAMLError) as exc:  # ValueError: bad UTF-8, bad dates
-            raise _malformed(exc) from exc
-    if doc is None:
-        return {}
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseFailure(f"not UTF-8: {exc}") from exc
+
+
+def load_yaml_map(path: str) -> dict:
+    """The map a YAML file holds, ``{}`` for an empty file: ``load_yaml`` of
+    it, except that explicit tags are ignored, as in scenarios.
+    ``ParseFailure`` when the file is malformed, holds anything but a map,
+    uses a map or a list as a key or holds a node that contains itself."""
+    text = read_text(path)
+    try:
+        with _collector_paused():
+            doc = _built(_compose(text, _NodeLoader), {None: {}})  # an empty document is an empty map
+    except RecursionError as exc:  # _built recurses once per level of nesting
+        raise ParseFailure(_TOO_DEEP) from exc
     if not isinstance(doc, dict):
         raise ParseFailure(f"expected a map at the top level, got a {type(doc).__name__}")
     return doc
+
+
+def _built(node: yaml.Node, built: dict):
+    """The safe constructor's value for ``node``, each plain scalar typed by
+    its text.  ``built`` maps each collection node to its value, so aliases
+    share one value and nested ones cost one build each.  As in the
+    constructor, maps merged by ``<<`` come first, the first of a list winning."""
+    if isinstance(node, ScalarNode):
+        typed = not node.style and node.value[:1] in _TYPED_FIRST  # plain text a type's pattern may match
+        value = _typed(node.value) if typed else node.value
+        if typed and type(value) is str and (tag := _RESOLVER.resolve(ScalarNode, node.value, (True, False))) != _STR_TAG:
+            raise ParseFailure(f"{node.value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(node))
+        return value
+    if node in built:
+        if built[node] is None:
+            raise ParseFailure("a node contains itself", _line(node))
+        return built[node]
+    built[node] = None
+    if isinstance(node, SequenceNode):
+        value = [_built(item, built) for item in node.value]
+    else:
+        value = {}
+        for key_node, value_node in node.value:
+            if key_node.value == "<<" and not key_node.style:
+                for source in value_node.value[::-1] if isinstance(value_node, SequenceNode) else [value_node]:
+                    if not isinstance(source, MappingNode):
+                        raise ParseFailure("a merge key takes a map or a list of maps", _line(source))
+                    value.update(_built(source, built))
+        for key_node, value_node in node.value:
+            if not isinstance(key_node, ScalarNode):
+                raise ParseFailure("a map or a list is used as a key", _line(key_node))
+            if key_node.value != "<<" or key_node.style:  # "=", YAML's value key, reads as text
+                value["=" if key_node.value == "=" else _built(key_node, built)] = _built(value_node, built)
+    built[node] = value
+    return value
 
 
 # A mock backend is built many times from the same responses: each distinct

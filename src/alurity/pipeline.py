@@ -9,7 +9,6 @@ emits one flaw record per finding.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -28,6 +27,10 @@ class ValidationFailure(Exception):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(f"{code}: {message}")
+
+
+class SinkUnwritable(Exception):
+    """A record directory that cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def run_pipeline(spec: PipelineSpec, backend, registry: toolreg.RegistryIndex) -
     flow_yaml = serialize_flow(scenario.flows)
 
     with orchestrator.up(scenario, backend, registry) as deployment:
-        plan = flow_engine.compile_flow(scenario.flows, known_endpoints=list(deployment.states))
+        plan = flow_engine.compile_flow(scenario.flows, known_endpoints=deployment.states)
         transcript = flow_engine.run_flow(deployment, plan)
 
     records = []
@@ -188,12 +191,16 @@ class DirectorySink:
 
     def emit(self, record: FlawRecord) -> str:
         """Write the record to ``rvd-<digest of its YAML>.yaml``; the path."""
+        import hashlib  # imported by its only user: it loads OpenSSL
         text = record.to_yaml()
         digest = hashlib.sha256(text.encode()).hexdigest()[:12]
         target = os.path.join(self.path, f"rvd-{digest}.yaml")
-        os.makedirs(self.path, exist_ok=True)
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            os.makedirs(self.path, exist_ok=True)
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SinkUnwritable(f"cannot write records to {self.path}: {exc}") from exc
         return target
 
 
@@ -207,12 +214,12 @@ class TrackerSink:
 
 
 def emit_all(records, sink) -> tuple[list[str], list[FlawRecord]]:
-    """Best-effort batch emit; failed records come back in the outbox."""
+    """Best-effort batch emit; records a tracker refuses or cannot take come back in the outbox."""
     locations: list[str] = []
     outbox: list[FlawRecord] = []
     for record in records:
         try:
             locations.append(sink.emit(record))
-        except (OSError, rvd.TransportError, rvd.Rejected):
+        except (rvd.TransportError, rvd.Rejected):
             outbox.append(record)
     return locations, outbox

@@ -7,12 +7,9 @@ issue body as fenced ``yaml`` code blocks.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,6 +60,9 @@ def _headers(token: Optional[str]) -> dict:
 def _request(method: str, url: str, token: Optional[str], timeout: float, payload=None) -> tuple[int, bytes]:
     """One HTTP exchange (proxies from the environment); returns status and
     body, error statuses included.  A failed exchange is a TransportError."""
+    import http.client  # imported by its only user: start-up loads no HTTP stack
+    import urllib.error
+    import urllib.request
     headers = _headers(token)
     data = None
     if payload is not None:

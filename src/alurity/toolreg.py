@@ -84,6 +84,13 @@ def _rule(r, where: str) -> ExtractionRule:
     )
 
 
+def _list(body: dict, key: str, where: str) -> list:
+    value = body.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ParseFailure(f"the {key} of {where} must be a list, got a {type(value).__name__}")
+    return value or []
+
+
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
     """The index a map of module reference -> manifest describes;
     ``ParseFailure`` for a manifest that is not a map (an empty one is), a
@@ -91,26 +98,14 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
     that is not a regex or a ``tools`` entry that is not a list."""
     manifests = {}
     for ref_text, body in raw.items():
-        if body is None:
-            body = {}
+        body = {} if body is None else body
         if not isinstance(body, dict):
             raise ParseFailure(f"the manifest of {ref_text} must be a map, got a {type(body).__name__}")
-        rules = body.get("rules")
-        if rules is None:
-            rules = []
-        if not isinstance(rules, list):
-            raise ParseFailure(f"the rules of {ref_text} must be a list, got a {type(rules).__name__}")
-        rules = tuple(_rule(r, ref_text) for r in rules)
-        tools = body.get("tools")
-        if tools is None:
-            tools = []
-        if not isinstance(tools, list):
-            raise ParseFailure(f"the tools of {ref_text} must be a list, got a {type(tools).__name__}")
         manifests[str(ref_text)] = ModuleManifest(
+            rules=tuple(_rule(r, ref_text) for r in _list(body, "rules", ref_text)),
+            tools=tuple(_list(body, "tools", ref_text)),
             group=str(body.get("group", "unknown")),
-            tools=tuple(tools),
             entrypoint=str(body.get("entrypoint", "")),
-            rules=rules,
         )
     return RegistryIndex(manifests)
 

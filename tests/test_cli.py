@@ -457,6 +457,35 @@ class TestPipeline:
         assert out == "" and not sink.exists()
         assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: scanner"
 
+    def test_unwritable_sink_dir_exits_3(self, run_cli, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            "pipeline",
+            "--target", f"{REG}/robo_ur_cb3_1:3.13.0",
+            "--tools", f"{REG}/reco_aztarna:latest",
+            "--index", INDEX,
+            "--mock-responses", RESPONSES,
+            "--sink", "dir", "--sink-path", str(blocker),
+        )
+        assert code == 3
+        assert out == "" and blocker.read_text() == ""
+        assert err.startswith(f"cannot write records to {blocker}: ")
+
+    def test_tracker_transport_failure_exits_4(self, run_cli, tracker):
+        stub, url = tracker
+        stub.canned = (500, b"oops")
+        code, out, err = run_cli(
+            "pipeline",
+            "--target", f"{REG}/robo_ur_cb3_1:3.13.0",
+            "--tools", f"{REG}/reco_aztarna:latest",
+            "--index", INDEX,
+            "--mock-responses", RESPONSES,
+            "--sink", "tracker", "--tracker-url", url,
+        )
+        assert (code, out) == (4, "")
+        assert err == "2 record(s) could not be emitted\n"
+
     def test_tracker_sink(self, run_cli, tracker, tmp_path):
         stub, url = tracker
         code, out, _ = run_cli(
@@ -481,9 +510,16 @@ def test_unexpected_exception_is_a_one_line_internal_error(run_cli, monkeypatch)
     assert run_cli("graph", LISTING1) == (70, "", "internal error: RuntimeError('boom')\n")
 
 
+# Only a tracker round trip or a record directory needs these; start-up loads
+# none of them.
+DEFERRED_MODULES = ("requests", "http.client", "urllib.request", "email", "ssl", "socket", "hashlib")
+
+
 def test_cli_import_does_not_load_requests():
+    """A fresh interpreter that imports the CLI loads no HTTP stack and no
+    OpenSSL binding."""
     src = str(Path(alurity.__file__).resolve().parent.parent)
-    probe = "import sys, alurity.cli; print('requests' in sys.modules)"
+    probe = f"import sys, alurity.cli; print(sorted(m for m in {DEFERRED_MODULES!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -82,6 +82,14 @@ class TestCompile:
         with pytest.raises(ValueError, match="selected window 'nope' is not defined for 'x'"):
             FlowSpec(endpoint="x", windows=(WindowSpec("w", ()),), select="nope")
 
+    def test_known_endpoints_may_be_any_iterable(self, listing3, deployment):
+        """The names are read once, so a dict, a set or a one-shot iterator
+        all give the plan that a list does."""
+        names = list(deployment.states)
+        expected = compile_flow(listing3, known_endpoints=names)
+        for known in (deployment.states, set(names), iter(names[::-1])):
+            assert compile_flow(listing3, known_endpoints=known) == expected
+
     def test_pure_and_deterministic(self, listing3):
         assert compile_flow(listing3) == compile_flow(listing3)
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from alurity.model import (
 )
 from alurity.parser import (
     ParseFailure,
+    load_yaml_map,
     parse_flow,
     parse_scenario,
     parse_scenario_with_warnings,
@@ -394,6 +396,13 @@ def _record(scenario_text: str, flow_text: str = "") -> str:
     return f"reproduction:\n  scenario: {quote(scenario_text)}\n  flow: {quote(flow_text)}\n"
 
 
+def _config(text: str) -> dict:
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "config.yaml"
+        path.write_text(text)
+        return load_yaml_map(str(path))
+
+
 # reader, its arguments, the exception it raises (None when it reads them)
 READS = {
     "scenario": (parse_scenario, [LISTING1_TEXT], None),
@@ -408,6 +417,10 @@ READS = {
     "extract-record": (_extract, [_record(LISTING1_TEXT, LISTING3_TEXT)], None),
     "extract-malformed-flow": (_extract, [LISTING1_TEXT, "flow: [\n"], None),
     "extract-deep-record": (_extract, [_record(DEEP_SCENARIO)], NoReproductionFound),
+    "config": (_config, [(FIXTURES / "registry_index.yaml").read_text()], None),
+    "config-malformed": (_config, ["a: [\n"], ParseFailure),
+    "config-contains-itself": (_config, ["a: &x [*x]\n"], ParseFailure),
+    "config-deep": (_config, [f"a: {DEEP}\n"], ParseFailure),
 }
 
 

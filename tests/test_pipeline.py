@@ -1,4 +1,5 @@
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from alurity.pipeline import (
     DirectorySink,
     FlawRecord,
     PipelineSpec,
+    SinkUnwritable,
     TrackerSink,
     ValidationFailure,
     assemble,
@@ -196,9 +198,9 @@ class TestEmit:
         location = TrackerSink(url).emit(record())
         assert int(location) in stub.issues
 
-    def test_emit_all_keeps_failures_in_outbox(self, tmp_path):
+    def test_unwritable_directory_raises_instead_of_filling_the_outbox(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("x")
-        records = [record("a"), record("b")]
-        locations, outbox = emit_all(records, DirectorySink(str(target)))
-        assert locations == [] and outbox == records
+        with pytest.raises(SinkUnwritable, match=f"^cannot write records to {re.escape(str(target))}: "):
+            emit_all([record("a"), record("b")], DirectorySink(str(target)))
+        assert target.read_text() == "x"

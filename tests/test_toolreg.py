@@ -1,6 +1,6 @@
 import pytest
 
-from alurity.model import MODULE_GROUPS, ContainerSpec, ModuleRef
+from alurity.model import ContainerSpec, ModuleRef
 from alurity.toolreg import (
     ComposedImage,
     ModuleManifest,
@@ -15,6 +15,10 @@ REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
 
 def ref(text):
     return ModuleRef.parse(text)
+
+
+# The paper's seven module groups, and the group of a module that matches none.
+MODULE_GROUPS = {"robots", "robot-components", "forensics", "exploitation", "testing", "reconnaissance", "ide-ui", "unknown"}
 
 
 class TestClassify:
