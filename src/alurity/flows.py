@@ -9,6 +9,7 @@ checked after the fact.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -99,7 +100,7 @@ def run_flow(deployment: Deployment, plan: FlowPlan, rng=None) -> Transcript:
         for window in ep.windows:
             for pane_index, pane in enumerate(window.panes):
                 if pane:
-                    sessions.append([ep.endpoint, window.name, pane_index, list(pane)])
+                    sessions.append([ep.endpoint, window.name, pane_index, deque(pane)])
 
     transcript = Transcript()
     seq = 0
@@ -111,7 +112,7 @@ def run_flow(deployment: Deployment, plan: FlowPlan, rng=None) -> Transcript:
         else:
             index = rng.randrange(len(sessions))
         endpoint, window, pane_index, queue = sessions[index]
-        command = queue.pop(0)
+        command = queue.popleft()
         result = deployment.exec(endpoint, command.text)
         transcript.events.append(
             TranscriptEvent(endpoint, window, pane_index, command.text, result, seq)

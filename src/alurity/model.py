@@ -8,6 +8,7 @@ with a document at once.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,7 +37,10 @@ class ModuleRef:
     tag: str
     group: str = "unknown"
 
+    # A registry's texts repeat across a scenario, and a ModuleRef is
+    # immutable, so each text is parsed once and its value shared.
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def parse(cls, text: str) -> "ModuleRef":
         slash = text.find("/")
         if slash < 0:
@@ -185,6 +189,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
     seen_networks: dict[str, int] = {}
     subnets: list[tuple[int, NetworkSpec, ipaddress.IPv4Network]] = []
+    # network name -> its parsed subnet or None; when a name repeats, the
+    # last network wins
+    subnet_by_name: dict[str, Optional[ipaddress.IPv4Network]] = {}
     for i, net in enumerate(scenario.networks):
         loc = f"networks[{i}]"
         pos = (0, i)
@@ -194,7 +201,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             seen_networks[net.name] = i
         if net.driver != "overlay":
             emit(pos, "warning", "unknown-driver", f"{loc}.driver", f"driver {net.driver!r} is not a known driver")
-        parsed = _subnet_or_none(net)
+        parsed = subnet_by_name[net.name] = _subnet_or_none(net)
         if parsed is None:
             emit(pos, "error", "invalid-subnet", f"{loc}.subnet", f"{net.subnet!r} is not a valid IPv4 CIDR block")
         else:
@@ -217,7 +224,6 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                     )
             subnets.append((i, net, parsed))
 
-    network_by_name = {n.name: n for n in scenario.networks}
     seen_endpoints: dict[str, str] = {}
     seen_ips: dict[str, str] = {}
 
@@ -229,7 +235,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         if not networks:
             emit(pos, "warning", "no-network", loc, f"endpoint {name!r} is attached to no network")
         for j, ref in enumerate(networks):
-            if ref not in network_by_name:
+            if ref not in subnet_by_name:
                 emit(pos, "error", "network-not-found", f"{loc}.networks[{j}]", f"network {ref!r} is not declared")
         if cpus < 1:
             emit(pos, "error", "invalid-cpus", f"{loc}.cpus", f"cpus must be a positive integer, got {cpus}")
@@ -244,8 +250,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             return
         containing = None
         for ref in networks:
-            net = network_by_name.get(ref)
-            subnet = _subnet_or_none(net) if net else None
+            subnet = subnet_by_name.get(ref)
             if subnet is not None and addr in subnet:
                 containing = subnet
                 break

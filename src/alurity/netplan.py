@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import Scenario, endpoint_specs, endpoints
 from .parser import dump_yaml
@@ -47,8 +47,7 @@ class AddressAssignment:
         return list(self._by_endpoint.get(endpoint, ()))
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     kind: str  # bridge | veth-pair | tap-attach | route | filter-rule | metadata
     name: Optional[str] = None
     network: Optional[str] = None
@@ -60,12 +59,7 @@ class PlanEntry:
     encryption: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("name", "network", "endpoint", "bridge", "subnet", "via", "action", "encryption"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {key: value for key, value in zip(self._fields, self) if value is not None}
 
 
 @dataclass(frozen=True)
@@ -83,6 +77,11 @@ def _host_range(net: ipaddress.IPv4Network) -> tuple[int, int]:
     if net.prefixlen < 31:
         return first + 1, last - 1
     return first, last
+
+
+def _dotted(host: int) -> str:
+    """``str(IPv4Address(host))`` for a host number in ``[0, 2**32)``."""
+    return f"{host >> 24}.{host >> 16 & 255}.{host >> 8 & 255}.{host & 255}"
 
 
 def allocate_addresses(scenario: Scenario) -> AddressAssignment:
@@ -126,7 +125,7 @@ def allocate_addresses(scenario: Scenario) -> AddressAssignment:
                 raise AllocationFailure(
                     f"subnet {networks[net_name]} of network {net_name!r} has no free host address for {name!r}"
                 )
-            addresses[(name, net_name)] = str(ipaddress.IPv4Address(host))
+            addresses[(name, net_name)] = _dotted(host)
             cursors[net_name] = (host + 1, last)
 
     return AddressAssignment(addresses=addresses, gateways=gateways)

@@ -27,27 +27,30 @@ class EndpointGone(Exception):
     pass
 
 
-def _left_live(live: list[str]) -> str:
-    return f"left {len(live)} endpoint(s) live: {', '.join(live)}"
+def _left_live(live: dict[str, str]) -> str:
+    """``live`` maps each endpoint left live to why its destroy failed, as
+    ``Deployment.destroy_errors`` does."""
+    named = ", ".join(f"{name} ({error})" for name, error in live.items())
+    return f"left {len(live)} endpoint(s) live: {named}"
 
 
 class DeploymentFailure(Exception):
     """A failed bring-up; ``live`` names what its rollback left live."""
 
-    def __init__(self, endpoint: Optional[str], cause, live=()):
+    def __init__(self, endpoint: Optional[str], cause, live: Optional[dict[str, str]] = None):
         self.endpoint = endpoint
         self.cause = cause
-        self.live = list(live)
+        self.live = list(live or ())
         message = f"deployment failed at endpoint {endpoint!r}: {cause}"
-        if self.live:
-            message += f"; rollback {_left_live(self.live)}"
+        if live:
+            message += f"; rollback {_left_live(live)}"
         super().__init__(message)
 
 
 class TeardownLeak(Exception):
-    def __init__(self, live: list[str]):
+    def __init__(self, live: dict[str, str]):
         self.live = list(live)
-        super().__init__(f"teardown {_left_live(self.live)}")
+        super().__init__(f"teardown {_left_live(live)}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,7 @@ class Deployment:
         self.backend = backend
         self.states: dict[str, str] = {}
         self.handles: dict = {}
+        self.destroy_errors: dict[str, str] = {}
 
     def exec(self, endpoint: str, command: str) -> CommandResult:
         if endpoint not in self.states:
@@ -181,28 +185,28 @@ class Deployment:
     def down(self) -> list[str]:
         """Destroy every endpoint not yet stopped, newest first; return the
         names still live.  An endpoint whose destroy fails stays in state
-        ``destroy-failed``, and a later ``down()`` retries it."""
-        live = []
+        ``destroy-failed``, and a later ``down()`` retries it.
+        ``destroy_errors`` maps each name returned to its destroy's error."""
+        self.destroy_errors = {}
         for name in reversed(self.handles):
             if self.states[name] == "stopped":
                 continue
             try:
                 self.backend.destroy(self.handles[name])
-            except Exception:
+            except Exception as exc:
                 self.states[name] = "destroy-failed"
-                live.append(name)
+                self.destroy_errors[name] = str(exc) or type(exc).__name__
                 continue
             self.states[name] = "stopped"
-        return live
+        return list(self.destroy_errors)
 
     def __enter__(self) -> "Deployment":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         """``down()``; a leak raises ``TeardownLeak`` unless the block raised."""
-        live = self.down()
-        if live and exc_type is None:
-            raise TeardownLeak(live)
+        if self.down() and exc_type is None:
+            raise TeardownLeak(self.destroy_errors)
 
 
 def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.RegistryIndex] = None) -> Deployment:
@@ -242,6 +246,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
             deployment.states[name] = "running"
     except Exception as exc:
         failed = next((n for n, _ in endpoints(scenario) if n not in deployment.states), None)
-        raise DeploymentFailure(failed, exc, deployment.down()) from exc
+        deployment.down()
+        raise DeploymentFailure(failed, exc, deployment.destroy_errors) from exc
     return deployment
 

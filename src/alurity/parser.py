@@ -261,6 +261,10 @@ def _typed(text: str):
 
 
 def _string(node: yaml.Node, loc: str, key: str) -> str:
+    if isinstance(node, ScalarNode):
+        text = node.value
+        if node.style in ('"', "'") or (not node.style and text[:1] not in _TYPED_FIRST):
+            return text  # quoted, or plain text no implicit type can match
     value = _scalar(node)
     if value is None:
         raise ParseFailure(f"{loc}.{key} must not be empty", _line(node))
@@ -388,7 +392,10 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, wa
     seen: dict[str, int] = {}
     try:
         for pair in node.value:
-            key_node, value = _entry(pair, loc)
+            if isinstance(pair, MappingNode) and len(pair.value) == 1 and isinstance(pair.value[0][0], ScalarNode):
+                key_node, value = pair.value[0]
+            else:
+                key_node, value = _entry(pair, loc)  # raises the entry's error
             key = key_node.value
             key_line = key_node.start_mark.line + 1
             entry = keys.get(key)
@@ -577,7 +584,11 @@ def _flows_from_node(root: Optional[yaml.Node]) -> list[FlowSpec]:
 
 # --- serialization -----------------------------------------------------------
 
-_BARE_RE = re.compile(r"[A-Za-z0-9$_./()=@+,^~:-]+")
+# Text a YAML reader reads back as plain text, unless an implicit type takes
+# it: it does not start with `@` (reserved) or `,` (a flow indicator), does
+# not end with `:` (a map key), and is not `-`, `---` or `...` alone (a list
+# item, a document marker).
+_BARE_RE = re.compile(r"(?![@,])(?!(?:-|---|\.\.\.)\Z)[A-Za-z0-9$_./()=@+,^~:-]*[A-Za-z0-9$_./()=@+,^~-]")
 # Characters JSON leaves raw that YAML 1.1 rejects (DEL, C1, BOM, U+FFFE,
 # U+FFFF) or folds as line breaks (NEL, U+2028, U+2029) in a quoted scalar.
 _UNSAFE_IN_QUOTES_RE = re.compile("[\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
@@ -601,12 +612,8 @@ def _emit_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     s = str(value)
-    if _BARE_RE.fullmatch(s) and ": " not in s:
-        try:
-            if isinstance(load_yaml(s), str):
-                return s
-        except (ValueError, yaml.YAMLError):
-            pass
+    if _BARE_RE.fullmatch(s) and _RESOLVER.resolve(ScalarNode, s, (True, False)) == _STR_TAG:
+        return s
     return quote(s)
 
 

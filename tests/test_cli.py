@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -121,6 +122,16 @@ class TestGraph:
         assert out.startswith("digraph")
         assert out.count("->") == 3
 
+    # The output of the version before plan entries became named tuples and
+    # addresses were formatted from integers, captured once.
+    @pytest.mark.parametrize("fmt", ["yaml", "dot"])
+    @pytest.mark.parametrize("fixture", ["listing1.yaml", "rosnet.yaml", "mixed.yaml"])
+    def test_output_is_unchanged(self, run_cli, fixture, fmt):
+        golden = json.loads((FIXTURES / "graph_golden.json").read_text())
+        code, out, err = run_cli("graph", str(FIXTURES / fixture), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == golden[fixture][fmt]
+
     def test_unknown_format_exits_64(self, run_cli):
         code, _, _ = run_cli("graph", LISTING1, "--format", "svg")
         assert code == 64
@@ -189,7 +200,7 @@ class TestRun:
         monkeypatch.setattr(orchestrator, "MockBackend", partial(orchestrator.MockBackend, fail_destroy={"attacker"}))
         code, out, err = run_cli("run", ROSNET, *flow)
         assert code == 3
-        assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: attacker"
+        assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: attacker (injected destroy failure for 'attacker')"
 
     def test_earlier_failure_outranks_a_teardown_leak(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setattr(orchestrator, "MockBackend", partial(orchestrator.MockBackend, fail_destroy={"attacker"}))
@@ -455,7 +466,7 @@ class TestPipeline:
         )
         assert code == 3
         assert out == "" and not sink.exists()
-        assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: scanner"
+        assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: scanner (injected destroy failure for 'scanner')"
 
     def test_unwritable_sink_dir_exits_3(self, run_cli, tmp_path):
         blocker = tmp_path / "a-file"

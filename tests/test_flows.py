@@ -2,17 +2,23 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alurity.flows import (
+    EndpointFlowPlan,
+    FlowPlan,
     Transcript,
+    TranscriptEvent,
     UnknownEndpointInFlow,
+    WindowPlan,
     compile_flow,
     run_flow,
     transcript_to_yaml,
     verify_transcript,
 )
 from alurity.model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, Split, WindowSpec
-from alurity.orchestrator import MockBackend, up
+from alurity.orchestrator import CommandResult, MockBackend, up
 
 from strategies import BASE_REFS
 
@@ -155,6 +161,81 @@ class TestRun:
         start = time.monotonic()
         run_flow(deployment, plan)
         assert time.monotonic() - start < 1.0
+
+
+def reference_run_flow(deployment, plan, rng=None):
+    """``run_flow`` as it was, taking each command off the front of a list:
+    the reference for the transcript and for the ``rng`` draws."""
+    sessions = []
+    for ep in plan.endpoints:
+        if ep.endpoint not in deployment.states:
+            raise UnknownEndpointInFlow(ep.endpoint)
+        for window in ep.windows:
+            for pane_index, pane in enumerate(window.panes):
+                if pane:
+                    sessions.append([ep.endpoint, window.name, pane_index, list(pane)])
+
+    transcript = Transcript()
+    seq = 0
+    cursor = 0
+    while sessions:
+        if rng is None:
+            cursor %= len(sessions)
+            index = cursor
+        else:
+            index = rng.randrange(len(sessions))
+        endpoint, window, pane_index, queue = sessions[index]
+        command = queue.pop(0)
+        result = deployment.exec(endpoint, command.text)
+        transcript.events.append(TranscriptEvent(endpoint, window, pane_index, command.text, result, seq))
+        seq += 1
+        if not queue:
+            sessions.pop(index)
+        elif rng is None:
+            cursor = index + 1
+    return transcript
+
+
+class CountingDeployment:
+    """Stands in for a deployment: each exec's result carries its call number."""
+
+    def __init__(self, names):
+        self.states = {name: "running" for name in names}
+        self.calls = []
+
+    def exec(self, endpoint, command):
+        self.calls.append((endpoint, command))
+        return CommandResult(exit_code=len(self.calls) % 3, stdout=f"{len(self.calls)}".encode())
+
+
+_ENDPOINTS = ("a", "b", "c")
+_panes = st.lists(
+    st.lists(st.sampled_from(["x", "y", "sleep 1"]), max_size=5).map(lambda texts: tuple(map(Command, texts))),
+    min_size=1,
+    max_size=3,
+).map(tuple)
+_plans = st.lists(
+    st.builds(
+        EndpointFlowPlan,
+        endpoint=st.sampled_from(_ENDPOINTS),
+        windows=st.lists(st.builds(WindowPlan, name=st.sampled_from(["w", "v"]), panes=_panes), max_size=3).map(tuple),
+    ),
+    max_size=4,
+).map(lambda eps: FlowPlan(endpoints=tuple(eps)))
+
+
+class TestScheduleMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_plans, st.one_of(st.none(), st.integers(0, 2**32)))
+    def test_same_transcript_and_draws(self, plan, seed):
+        rngs = [None, None] if seed is None else [random.Random(seed), random.Random(seed)]
+        deployments = [CountingDeployment(_ENDPOINTS), CountingDeployment(_ENDPOINTS)]
+        actual = run_flow(deployments[0], plan, rng=rngs[0])
+        expected = reference_run_flow(deployments[1], plan, rng=rngs[1])
+        assert actual.events == expected.events
+        assert deployments[0].calls == deployments[1].calls
+        if seed is not None:
+            assert rngs[0].getstate() == rngs[1].getstate()
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alurity.model import (
+    DEFAULT_GROUP_PREFIXES,
     ContainerSpec,
     ModuleRef,
     NetworkSpec,
@@ -56,6 +57,38 @@ class TestModuleRef:
         assert str(ModuleRef.parse(text)) == text
 
 
+def reference_parse(text: str) -> tuple:
+    """``ModuleRef.parse``'s rule, uncached: (registry, path, tag, group)."""
+    registry, _, rest = text.partition("/") if "/" in text else ("", "", text)
+    path, _, tag = rest.rpartition(":") if ":" in rest else (rest, "", "")
+    leaf = path.split("/")[-1]
+    group = next((g for prefix, g in DEFAULT_GROUP_PREFIXES.items() if leaf.startswith(prefix)), "unknown")
+    return registry, path, tag, group
+
+
+# Registry-like texts, with and without a registry part and a tag, drawn from
+# a small pool so the same text comes back among others.
+_segments = st.sampled_from(["reg", "r.io", "lab", "robo_x", "reco_y", "ui_z", "deve_w", "tool", "robo", ""])
+_ref_texts = st.builds(
+    lambda parts, tag: "/".join(parts) + tag,
+    st.lists(_segments, min_size=1, max_size=4),
+    st.sampled_from(["", ":1", ":latest", ":", ":a:b", ":3.13.0"]),
+)
+
+
+class TestModuleRefCache:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_ref_texts, min_size=1, max_size=8))
+    def test_matches_the_uncached_rule(self, texts):
+        for text in texts + texts[::-1]:
+            ref = ModuleRef.parse(text)
+            assert (ref.registry, ref.path, ref.tag, ref.group) == reference_parse(text)
+
+    def test_repeats_share_one_value(self):
+        text = f"reg/lab/robo_shared:{id(self)}"
+        assert ModuleRef.parse(text) is ModuleRef.parse(text)
+
+
 class TestValidate:
     def test_listing1_is_clean(self, listing1):
         assert validate(listing1) == []
@@ -101,6 +134,15 @@ class TestValidate:
         codes = [d.code for d in validate(s)]
         assert "duplicate-network-name" in codes
         assert "duplicate-endpoint-name" in codes
+
+    @pytest.mark.parametrize("last_subnet", ["13.0.0.0/24", "not-a-subnet"])
+    def test_a_repeated_network_name_places_addresses_in_its_last_subnet(self, last_subnet):
+        s = Scenario(
+            networks=(net("n1"), net("n1", subnet=last_subnet)),
+            containers=(box("a", networks=("n1",), ip="13.0.0.5"), box("b", networks=("n1",), ip="12.0.0.5")),
+        )
+        outside = [d.location for d in validate(s) if d.code == "ip-outside-subnet"]
+        assert outside == (["containers[1].ip"] if last_subnet == "13.0.0.0/24" else ["containers[0].ip", "containers[1].ip"])
 
     def test_subnet_overlap_and_prefix_range(self):
         s = Scenario(networks=(net("a", "12.0.0.0/24"), net("b", "12.0.0.128/25")))

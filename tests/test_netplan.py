@@ -1,14 +1,20 @@
+import ipaddress
 import random
 import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints
 from alurity.netplan import (
     AllocationFailure,
+    PlanEntry,
     UnknownEndpoint,
     UnsupportedFormat,
+    _dotted,
+    _host_range,
     allocate_addresses,
     build_connectivity_plan,
     export_graph,
@@ -78,6 +84,36 @@ class TestAllocation:
 
     def test_deterministic(self, merged12):
         assert allocate_addresses(merged12) == allocate_addresses(merged12)
+
+
+class TestDottedQuad:
+    @pytest.mark.parametrize("host", [0, 1, 255, 256, 2**24 - 1, 2**24, 2**31, 2**32 - 2, 2**32 - 1])
+    def test_ends_of_the_range(self, host):
+        assert _dotted(host) == str(ipaddress.IPv4Address(host))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 32), st.integers(0, 2**32 - 1))
+    def test_hosts_of_any_subnet(self, address, prefixlen, offset):
+        net = ipaddress.IPv4Network((address, prefixlen), strict=False)
+        first, last = _host_range(net)
+        for host in (first, last, first + offset % (last - first + 1)):
+            assert _dotted(host) == str(ipaddress.IPv4Address(host))
+
+
+class TestPlanEntry:
+    def test_is_immutable(self):
+        entry = PlanEntry(kind="bridge", name="br-n", network="n")
+        for field in ("kind", "name", "encryption"):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, "x")
+        assert entry == PlanEntry(kind="bridge", name="br-n", network="n")
+        assert hash(entry) == hash(PlanEntry(kind="bridge", name="br-n", network="n"))
+
+    def test_to_dict_keeps_set_fields_in_order(self):
+        entry = PlanEntry(kind="filter-rule", action="masquerade", network="n", encryption=False)
+        assert list(entry.to_dict().items()) == [
+            ("kind", "filter-rule"), ("network", "n"), ("action", "masquerade"), ("encryption", False),
+        ]
 
 
 class TestPlan:

@@ -8,6 +8,7 @@ from alurity.orchestrator import (
     EndpointGone,
     EndpointNotRunning,
     MockBackend,
+    TeardownLeak,
     UnknownEndpoint,
     up,
 )
@@ -204,6 +205,25 @@ class TestDown:
         assert backend.endpoints["attacker"].destroyed
         assert [e[1] for e in backend.journal if e[0] == "destroy"] == ["ur3", "attacker"]
 
+    def test_teardown_leak_names_each_cause(self, listing1):
+        class Refusing(MockBackend):
+            def destroy(self, handle):
+                if handle.name == "ur3":
+                    raise EndpointGone()  # an error without text is named by its type
+                super().destroy(handle)
+
+        backend = Refusing(fail_destroy={"attacker"})
+        with pytest.raises(TeardownLeak) as exc:
+            with up(listing1, backend) as deployment:
+                pass
+        assert exc.value.live == ["attacker", "ur3"]
+        assert str(exc.value) == (
+            "teardown left 2 endpoint(s) live: attacker (injected destroy failure for 'attacker'), ur3 (EndpointGone)"
+        )
+        backend.fail_destroy.clear()
+        assert deployment.down() == ["ur3"]
+        assert deployment.destroy_errors == {"ur3": "EndpointGone"}
+
     @pytest.mark.parametrize("leaky", ["ur3", "attacker"])
     def test_rollback_reports_a_failed_destroy(self, merged12, leaky):
         backend = MockBackend(refuse_kinds={"vm"}, fail_destroy={leaky})
@@ -212,7 +232,7 @@ class TestDown:
         live = [name for name, handle in backend.endpoints.items() if not handle.destroyed]
         assert live == [leaky]
         assert exc.value.live == [leaky]
-        assert str(exc.value).endswith(f"; rollback left 1 endpoint(s) live: {leaky}")
+        assert str(exc.value).endswith(f"; rollback left 1 endpoint(s) live: {leaky} (injected destroy failure for {leaky!r})")
 
 
 def test_mock_fixture_loading(tmp_path):

@@ -214,6 +214,16 @@ class TestParseScenario:
             parse_scenario_with_warnings(text)
         assert (exc.value.message, exc.value.line) == (message, 5)
 
+    @pytest.mark.parametrize("value", ["", " ~", " null"], ids=["empty", "tilde", "null"])
+    def test_empty_text_fails(self, value):
+        with pytest.raises(ParseFailure) as exc:
+            parse_scenario(f"networks:\n  - network:\n    - name:{value}\n    - subnet: 12.0.0.0/24\n")
+        assert (exc.value.message, exc.value.line) == ("networks[0].name must not be empty", 3)
+
+    def test_quoted_empty_text_is_text(self):
+        text = "networks:\n  - network:\n    - name: ''\n    - subnet: 12.0.0.0/24\n"
+        assert parse_scenario(text).networks[0].name == ""
+
     def test_lone_surrogate_fails_cleanly(self):
         with pytest.raises(ParseFailure):
             parse_scenario("networks:\n  - network:\n    - name: \ud800\n")

@@ -132,7 +132,7 @@ class TestRunPipeline:
         backend = MockBackend(responses=[("^aztarna", {"stdout": "FINDING: x\n"})], fail_destroy={"scanner"})
         with pytest.raises(TeardownLeak) as exc:
             run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
-        assert str(exc.value) == "teardown left 1 endpoint(s) live: scanner"
+        assert str(exc.value) == "teardown left 1 endpoint(s) live: scanner (injected destroy failure for 'scanner')"
         assert exc.value.live == ["scanner"]
         assert backend.endpoints["target"].destroyed and not backend.endpoints["scanner"].destroyed
 

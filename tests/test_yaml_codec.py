@@ -9,6 +9,7 @@ pure-Python loader.
 
 import json
 import math
+import re
 import string
 
 import pytest
@@ -146,6 +147,52 @@ class TestScalarClassifier:
             assert parser.YAML_DUMPER is yaml.CSafeDumper
         else:
             assert parser.YAML_LOADER is yaml.SafeLoader
+
+
+_OLD_BARE_RE = re.compile(r"[A-Za-z0-9$_./()=@+,^~:-]+")
+
+
+def reference_emit_scalar(text: str) -> str:
+    """The former string emitter: bare text was written bare only when
+    reading it back as a whole document gave a string."""
+    if _OLD_BARE_RE.fullmatch(text) and ": " not in text:
+        try:
+            if isinstance(load_yaml(text), str):
+                return text
+        except (ValueError, yaml.YAMLError):
+            pass
+    return parser.quote(text)
+
+
+# Text that is all in the bare alphabet, weighted towards the indicators and
+# document markers where reading back as a document and the resolver differ.
+_bare_candidates = st.one_of(
+    _plain_candidates,
+    st.text("Aa0$_./()=@+,^~:-19eEnNyY", min_size=1, max_size=6),
+    st.lists(st.sampled_from(["@", ",", ":", "-", "---", "...", ".", "a", "1", "y"]), min_size=1, max_size=4).map("".join),
+)
+
+
+class TestEmitScalar:
+    @settings(max_examples=1000, deadline=None)
+    @given(_bare_candidates)
+    def test_matches_the_reparse_reference(self, text):
+        assert parser._emit_scalar(text) == reference_emit_scalar(text)
+
+    @pytest.mark.parametrize("text", ["@a", ",a", ":", "a:", ":a:", "-", "---", "...", "null", "1_000", "2020-13-45", "="])
+    def test_text_that_reads_back_otherwise_is_quoted(self, text):
+        assert parser._emit_scalar(text) == parser.quote(text) == reference_emit_scalar(text)
+
+    @pytest.mark.parametrize("text", [":a", "-a", "a:b", "a,b", "a@b", "--", "....", "r/robo_x:1.0"])
+    def test_plain_text_stays_bare(self, text):
+        assert parser._emit_scalar(text) == text == reference_emit_scalar(text)
+
+    def test_no_document_is_loaded(self, listing1, monkeypatch):
+        def load(_text):
+            raise AssertionError("a scalar was read back as a document")
+
+        monkeypatch.setattr(parser, "load_yaml", load)
+        assert "- name: attacker" in serialize_scenario(listing1)
 
 
 def pure_load(text: str):
