@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import Command, FlowSpec, Split
 from .orchestrator import CommandResult, Deployment
@@ -32,7 +32,6 @@ class WindowPlan:
 class EndpointFlowPlan:
     endpoint: str
     windows: tuple[WindowPlan, ...]
-    focus: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,10 @@ class FlowPlan:
         return out
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
+    """One command as it ran: an immutable tuple, so a changed copy comes
+    from ``_replace``, not ``dataclasses.replace``."""
+
     endpoint: str
     window: str
     pane: int
@@ -82,7 +83,7 @@ def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Iterable[st
                 else:
                     raise TypeError(f"unexpected window item {item!r}")
             windows.append(WindowPlan(name=window.name, panes=tuple(tuple(p) for p in panes)))
-        plans.append(EndpointFlowPlan(endpoint=spec.endpoint, windows=tuple(windows), focus=spec.select))
+        plans.append(EndpointFlowPlan(endpoint=spec.endpoint, windows=tuple(windows)))
     return FlowPlan(endpoints=tuple(plans))
 
 
@@ -146,23 +147,24 @@ def transcript_to_yaml(transcript: Transcript) -> str:
     stdout, stderr, started_at and ended_at in that order.  Ints are
     written as digits and strings through ``parser.quote``, so libyaml and
     the pure-Python loader both read back exactly the event's fields, with
-    stdout and stderr decoded as UTF-8 (undecodable bytes replaced).
+    stdout and stderr decoded as UTF-8 (undecodable bytes replaced).  Each
+    distinct (endpoint, window) and (stdout, stderr) pair is written once.
     """
     if not transcript.events:
         return "transcript: []\n"
     lines = ["transcript:"]
-    for e in transcript.events:
-        r = e.result
+    places: dict = {}
+    outputs: dict = {}
+    for endpoint, window, pane, command, (exit_code, stdout, stderr, started_at, ended_at), seq in transcript.events:
+        if (place := places.get((endpoint, window))) is None:
+            place = places[endpoint, window] = f"  endpoint: {quote(endpoint)}\n  window: {quote(window)}"
+        if (output := outputs.get((stdout, stderr))) is None:
+            output = outputs[stdout, stderr] = (
+                f"  stdout: {quote(stdout.decode('utf-8', 'replace'))}\n"
+                f"  stderr: {quote(stderr.decode('utf-8', 'replace'))}"
+            )
         lines.append(
-            f"- seq: {e.seq}\n"
-            f"  endpoint: {quote(e.endpoint)}\n"
-            f"  window: {quote(e.window)}\n"
-            f"  pane: {e.pane}\n"
-            f"  command: {quote(e.command)}\n"
-            f"  exit: {r.exit_code}\n"
-            f"  stdout: {quote(r.stdout.decode('utf-8', 'replace'))}\n"
-            f"  stderr: {quote(r.stderr.decode('utf-8', 'replace'))}\n"
-            f"  started_at: {r.started_at}\n"
-            f"  ended_at: {r.ended_at}"
+            f"- seq: {seq}\n{place}\n  pane: {pane}\n  command: {quote(command)}\n  exit: {exit_code}\n"
+            f"{output}\n  started_at: {started_at}\n  ended_at: {ended_at}"
         )
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from . import toolreg
 from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
@@ -53,8 +53,10 @@ class TeardownLeak(Exception):
         super().__init__(f"teardown {_left_live(live)}")
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
+    """What one command did: an immutable tuple, so a changed copy comes
+    from ``_replace``, not ``dataclasses.replace``."""
+
     exit_code: int
     stdout: bytes = b""
     stderr: bytes = b""
@@ -150,14 +152,9 @@ class MockBackend:
         self.journal.append(("exec", handle.name, command))
         for pattern, body in self.responses:
             if pattern.search(command):
-                return CommandResult(
-                    exit_code=int(body.get("exit", 0)),
-                    stdout=str(body.get("stdout", "")).encode(),
-                    stderr=str(body.get("stderr", "")).encode(),
-                    started_at=started,
-                    ended_at=self.clock,
-                )
-        return CommandResult(exit_code=0, started_at=started, ended_at=self.clock)
+                stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
+                return CommandResult(int(body.get("exit", 0)), stdout, stderr, started, self.clock)
+        return CommandResult(0, b"", b"", started, self.clock)
 
     def apply_plan(self, plan: ConnectivityPlan) -> None:
         self.journal.append(("apply_plan",))

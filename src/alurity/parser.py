@@ -175,6 +175,10 @@ def _built(node: yaml.Node, built: dict):
                     value.update(_built(source, built))
         for key_node, value_node in node.value:
             if not isinstance(key_node, ScalarNode):
+                if key_node in built:  # an alias: the composer hands back the node it names
+                    kind = "map" if isinstance(key_node, MappingNode) else "list"
+                    where = f"the {kind} at line {_line(key_node)}"
+                    raise ParseFailure(f"an alias of {where} is used as a key in the map at line {_line(node)}", _line(node))
                 raise ParseFailure("a map or a list is used as a key", _line(key_node))
             if key_node.value != "<<" or key_node.style:  # "=", YAML's value key, reads as text
                 value["=" if key_node.value == "=" else _built(key_node, built)] = _built(value_node, built)
@@ -592,7 +596,7 @@ _BARE_RE = re.compile(r"(?![@,])(?!(?:-|---|\.\.\.)\Z)[A-Za-z0-9$_./()=@+,^~:-]*
 # Characters JSON leaves raw that YAML 1.1 rejects (DEL, C1, BOM, U+FFFE,
 # U+FFFF) or folds as line breaks (NEL, U+2028, U+2029) in a quoted scalar.
 _UNSAFE_IN_QUOTES_RE = re.compile("[\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
-_JSON_STRING = json.JSONEncoder(ensure_ascii=False).encode
+_JSON_STRING = json.encoder.encode_basestring  # what JSONEncoder(ensure_ascii=False).encode does to a str
 
 
 def quote(text: str) -> str:
@@ -603,7 +607,10 @@ def quote(text: str) -> str:
     comes out as ``json.dumps`` writes it; other characters stay raw, so
     astral ones are not split into surrogate-pair escapes.
     """
-    return _UNSAFE_IN_QUOTES_RE.sub(lambda m: f"\\u{ord(m.group()):04x}", _JSON_STRING(text))
+    quoted = _JSON_STRING(text)
+    if _UNSAFE_IN_QUOTES_RE.search(quoted) is None:
+        return quoted
+    return _UNSAFE_IN_QUOTES_RE.sub(lambda m: f"\\u{ord(m.group()):04x}", quoted)
 
 
 def _emit_scalar(value) -> str:

@@ -173,6 +173,16 @@ class TestRun:
         doc = yaml.safe_load(transcripts[0].read_text())
         assert len(doc["transcript"]) == 23
 
+    def test_transcript_matches_the_golden_file(self, run_cli, tmp_path):
+        """The transcript of listing 3 on rosnet, byte for byte as committed."""
+        code, _, _ = run_cli(
+            "run", ROSNET, "--flow", LISTING3, "--mock-responses", RESPONSES,
+            "--transcript-dir", str(tmp_path),
+        )
+        assert code == 0
+        (transcript,) = tmp_path.glob("*.yaml")
+        assert transcript.read_bytes() == (FIXTURES / "listing3_transcript.yaml").read_bytes()
+
     def test_unwritable_transcript_dir_exits_3(self, run_cli, tmp_path, monkeypatch):
         deployments = []
         real_down = orchestrator.Deployment.down

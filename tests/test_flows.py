@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +63,7 @@ class TestCompile:
         assert [c.text for c in attack.panes[1]][-1] == (
             'robosploit -m exploits/ros/fin_ack -s "target 12.0.0.2"'
         )
-        assert attacker.focus == "attack"
+        assert [spec.select for spec in listing3] == [None, "attack"]
 
     def test_window_without_splits(self):
         spec = FlowSpec(endpoint="x", windows=(WindowSpec("w", (Command("a"), Command("b"))),))
@@ -249,15 +248,15 @@ class TestVerify:
         ]
         i, j = pane0[0], pane0[1]
         events = list(transcript.events)
-        events[i] = replace(events[i], command=transcript.events[j].command)
-        events[j] = replace(events[j], command=transcript.events[i].command)
+        events[i] = events[i]._replace(command=transcript.events[j].command)
+        events[j] = events[j]._replace(command=transcript.events[i].command)
         assert verify_transcript(plan, Transcript(events)) is False
 
     def test_non_monotone_sequence_fails(self, listing3, deployment):
         plan = compile_flow(listing3)
         transcript = run_flow(deployment, plan)
         events = list(transcript.events)
-        events[1] = replace(events[1], seq=events[0].seq)
+        events[1] = events[1]._replace(seq=events[0].seq)
         assert verify_transcript(plan, Transcript(events)) is False
 
     def test_yaml_export_is_ordered(self, listing3, deployment):
@@ -269,3 +268,19 @@ class TestVerify:
         seqs = [e["seq"] for e in doc["transcript"]]
         assert seqs == sorted(seqs)
         assert len(seqs) == len(transcript.events)
+
+
+class TestValuesAreImmutable:
+    @pytest.mark.parametrize("field", ["exit_code", "stdout", "stderr", "started_at", "ended_at"])
+    def test_command_result(self, field):
+        result = CommandResult(0, b"out")
+        with pytest.raises(AttributeError):
+            setattr(result, field, 1)
+        assert result._replace(exit_code=2) == CommandResult(exit_code=2, stdout=b"out", stderr=b"", started_at=0, ended_at=0)
+
+    @pytest.mark.parametrize("field", ["endpoint", "window", "pane", "command", "result", "seq"])
+    def test_transcript_event(self, field):
+        event = TranscriptEvent("a", "w", 0, "x", CommandResult(0), 0)
+        with pytest.raises(AttributeError):
+            setattr(event, field, 1)
+        assert event._replace(seq=5).seq == 5 and event.seq == 0

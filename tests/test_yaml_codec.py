@@ -325,6 +325,111 @@ class TestQuote:
         assert parser.quote("\U0001F916") == '"\U0001F916"'
 
 
+_FORMER_JSON_STRING = json.JSONEncoder(ensure_ascii=False).encode
+_FORMER_HAZARDS_RE = re.compile("[\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
+
+
+def reference_quote(text: str) -> str:
+    """The former ``quote``: the JSON encoder's ``encode``, then every hazard
+    escaped by a callable substitution."""
+    return _FORMER_HAZARDS_RE.sub(lambda m: f"\\u{ord(m.group()):04x}", _FORMER_JSON_STRING(text))
+
+
+def reference_event_transcript_to_yaml(transcript: Transcript) -> str:
+    """The former line emitter: every field of every event quoted anew."""
+    if not transcript.events:
+        return "transcript: []\n"
+    lines = ["transcript:"]
+    for e in transcript.events:
+        r = e.result
+        lines.append(
+            f"- seq: {e.seq}\n"
+            f"  endpoint: {reference_quote(e.endpoint)}\n"
+            f"  window: {reference_quote(e.window)}\n"
+            f"  pane: {e.pane}\n"
+            f"  command: {reference_quote(e.command)}\n"
+            f"  exit: {r.exit_code}\n"
+            f"  stdout: {reference_quote(r.stdout.decode('utf-8', 'replace'))}\n"
+            f"  stderr: {reference_quote(r.stderr.decode('utf-8', 'replace'))}\n"
+            f"  started_at: {r.started_at}\n"
+            f"  ended_at: {r.ended_at}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+# Text weighted towards what quoting escapes: the hazards, C0 controls, the
+# JSON escapes, non-ASCII the encoder leaves raw and astral characters.
+_QUOTING_CHARS = list(_QUOTE_HAZARDS) + ["\x00", "\x1f", "\t", "\n", '"', "\\", "/", "a", " ", "\xe9", "\U0001F916", "\U00010000", "\U0010ffff"]
+_quoting_text = st.one_of(_text, st.text(st.sampled_from(_QUOTING_CHARS), max_size=12))
+# Command output: valid UTF-8 of that text, or bytes that do not decode
+# (a lone continuation byte, a cut sequence, an encoded surrogate, 0xff).
+_output = st.one_of(
+    _quoting_text.map(str.encode),
+    st.binary(max_size=12),
+    st.lists(st.sampled_from([b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xff", b"ok", "\u2028".encode()]), max_size=4).map(b"".join),
+)
+
+
+@st.composite
+def _repetitive_transcripts(draw):
+    """Events whose endpoints, windows and outputs come from small pools, so
+    that pairs repeat and also appear swapped."""
+    names = draw(st.lists(_quoting_text, min_size=1, max_size=3))
+    outputs = draw(st.lists(_output, min_size=1, max_size=3))
+    events = []
+    for seq in range(draw(st.integers(0, 12))):
+        result = CommandResult(
+            draw(st.integers(-1, 255)),
+            draw(st.sampled_from(outputs)),
+            draw(st.sampled_from(outputs)),
+            draw(st.integers(0, 10**6)),
+            draw(st.integers(0, 10**6)),
+        )
+        name = st.sampled_from(names)
+        events.append(TranscriptEvent(draw(name), draw(name), draw(st.integers(0, 3)), draw(_quoting_text), result, seq))
+    return Transcript(events)
+
+
+class TestAgainstFormerEmitters:
+    """``quote`` and ``transcript_to_yaml`` write the bytes their former
+    versions wrote."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_quoting_text)
+    def test_quote(self, text):
+        assert parser.quote(text) == reference_quote(text)
+
+    @pytest.mark.parametrize("text", ["", "plain", _QUOTE_HAZARDS, "\U0001F916\u2028x\ufeff", '\x00"\\'])
+    def test_quote_examples(self, text):
+        assert parser.quote(text) == reference_quote(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repetitive_transcripts())
+    def test_transcript_with_repeats(self, transcript):
+        assert transcript_to_yaml(transcript) == reference_event_transcript_to_yaml(transcript)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_events, max_size=4))
+    def test_transcript_of_any_events(self, events):
+        transcript = Transcript(events)
+        assert transcript_to_yaml(transcript) == reference_event_transcript_to_yaml(transcript)
+
+    def test_repeated_values_are_not_confused(self):
+        """An output pair and its swap, and one endpoint in two windows,
+        each keep their own text."""
+        events = [
+            TranscriptEvent("a", "w", 0, "x", CommandResult(0, b"1", b"\xff", 0, 0), 0),
+            TranscriptEvent("a", "v", 0, "x", CommandResult(0, b"\xff", b"1", 0, 0), 1),
+            TranscriptEvent("a", "w", 1, "x", CommandResult(0, b"1", b"\xff", 0, 0), 2),
+        ]
+        text = transcript_to_yaml(Transcript(events))
+        assert text == reference_event_transcript_to_yaml(Transcript(events))
+        loaded = yaml.safe_load(text)["transcript"]
+        assert [(e["window"], e["stdout"], e["stderr"]) for e in loaded] == [
+            ("w", "1", "\ufffd"), ("v", "\ufffd", "1"), ("w", "1", "\ufffd"),
+        ]
+
+
 # The round-trip, source-line and error-line tests once more on the fallback.
 _FALLBACK = pytest.mark.usefixtures("pure_python_yaml")
 

@@ -269,11 +269,17 @@ def test_explicit_tags_are_ignored(tmp_path):
 
 
 # document, line of the offending node, words of the message; an alias is
-# the node it names, so its line is the anchor's
+# the node it names, so an alias used as a key is placed by the map using it
 FAILURES = {
-    "map-key": ("a: 1\n? {b: 1}\n: 2\n", 2, "used as a key"),
-    "list-key": ("a: 1\n[b, c]: 2\n", 2, "used as a key"),
-    "alias-to-map-key": ("a: &m {b: 1}\n*m : 2\n", 1, "used as a key"),
+    "map-key": ("a: 1\n? {b: 1}\n: 2\n", 2, "a map or a list is used as a key"),
+    "list-key": ("a: 1\n[b, c]: 2\n", 2, "a map or a list is used as a key"),
+    "alias-to-map-key": ("a: &m {b: 1}\n*m : 2\n", 1, "an alias of the map at line 1 is used as a key in the map at line 1"),
+    "alias-to-map-key-in-a-later-map": (
+        "a: &m {b: 1}\nc:\n  *m : 2\n", 3, "an alias of the map at line 1 is used as a key in the map at line 3",
+    ),
+    "alias-to-list-key": (
+        "a: &l [1]\nc:\n  d: 1\n  *l : 2\n", 3, "an alias of the list at line 1 is used as a key in the map at line 3",
+    ),
     "list-contains-itself": ("a: 1\nb: &x [1, *x]\n", 2, "contains itself"),
     "map-contains-itself": ("a: 1\nb: &x\n  c: *x\n", 2, "contains itself"),
     "map-merges-itself": ("a: &m\n  <<: *m\n", 1, "contains itself"),
