@@ -58,7 +58,7 @@ def _load(loader, path: str):
 
 
 def _runnable(scenario: Scenario) -> None:
-    """Exit 1 with the diagnostics on stderr unless ``scenario`` validates."""
+    """Exit 1 with the diagnostics on stderr unless ``scenario`` validates; ``up`` reuses the result."""
     diagnostics = validate(scenario)
     if has_errors(diagnostics):
         raise _Failure(EXIT_VALIDATION, "\n".join(map(str, diagnostics)))

@@ -137,6 +137,8 @@ class Scenario:
     # document path -> 1-based source line, filled by the parser; excluded
     # from equality so round-tripped scenarios compare equal.
     source_map: dict = field(default_factory=dict, compare=False, repr=False)
+    # derivation -> result, for ``derive_once``; ``replace`` starts it empty
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,21 @@ def _subnet_or_none(net: NetworkSpec) -> Optional[ipaddress.IPv4Network]:
         return None
 
 
+def derive_once(scenario: Scenario, key: str, derive, *args):
+    """``derive(scenario, *args)``, kept on ``scenario`` under ``key``; a failure is not kept."""
+    memo = scenario._derived
+    if key not in memo:
+        memo[key] = derive(scenario, *args)
+    return memo[key]
+
+
 def validate(scenario: Scenario) -> list[Diagnostic]:
-    """All invariant violations, document order then code; [] iff runnable."""
+    """All invariant violations, document order then code; [] iff runnable.
+    Computed once per ``Scenario`` value; each call returns a new list."""
+    return list(derive_once(scenario, "validate", _validate))
+
+
+def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
     found: list[tuple[tuple, Diagnostic]] = []
     src = scenario.source_map
 
@@ -286,7 +301,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             )
 
     found.sort(key=lambda item: (item[0], item[1].code))
-    return [diag for _, diag in found]
+    return tuple(diag for _, diag in found)
 
 
 def _parent(location: str) -> str:

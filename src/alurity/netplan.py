@@ -11,7 +11,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .model import Scenario, endpoint_specs, endpoints
+from .model import Scenario, derive_once, endpoint_specs, endpoints
 from .parser import dump_yaml
 
 
@@ -29,6 +29,7 @@ class UnsupportedFormat(Exception):
 
 @dataclass(frozen=True)
 class AddressAssignment:
+    """Derived once per ``Scenario`` value, and shared: read-only."""
     # (endpoint name, network name) -> dotted quad
     addresses: dict
     # network name -> gateway dotted quad
@@ -64,6 +65,7 @@ class PlanEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ConnectivityPlan:
+    """Derived once per ``Scenario`` value, and shared: read-only."""
     entries: tuple[PlanEntry, ...] = ()
     # endpoint name -> attached network names, including endpoints with none
     attachments: dict = field(default_factory=dict)
@@ -93,7 +95,12 @@ def allocate_addresses(scenario: Scenario) -> AddressAssignment:
     offers both of its addresses and a /32 its single one).  Each network
     keeps a cursor that only moves up past taken addresses, so the cost is
     linear in attachments plus manual addresses, whatever the subnet size.
+    Computed once per ``Scenario`` value and shared, so read-only; failures are not kept.
     """
+    return derive_once(scenario, "allocate_addresses", _allocate)
+
+
+def _allocate(scenario: Scenario) -> AddressAssignment:
     networks = {n.name: ipaddress.IPv4Network(n.subnet) for n in scenario.networks}
     gateways = {name: str(net.network_address + 1) for name, net in networks.items()}
 
@@ -137,7 +144,14 @@ def bridge_name(network: str) -> str:
 
 def build_connectivity_plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
     """Pure function of (scenario, assignment); entry order is bridges,
-    attachments, routes, filter rules, then encryption metadata."""
+    attachments, routes, filter rules, then encryption metadata.  Computed once per
+    ``Scenario`` value when ``assignment`` is ``allocate_addresses(scenario)``; shared, so read-only."""
+    if assignment is not None and assignment is scenario._derived.get("allocate_addresses"):
+        return derive_once(scenario, "build_connectivity_plan", _plan, assignment)
+    return _plan(scenario, assignment)
+
+
+def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
     container_names = {c.name for c in scenario.containers}
     vm_names = {v.name for v in scenario.vms}
     specs = endpoint_specs(scenario)

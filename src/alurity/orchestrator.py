@@ -92,11 +92,12 @@ class MockBackend:
 
     ``responses`` is an ordered list of (regex, CommandResult-ish dict);
     the first matching pattern wins, anything else exits 0 with no output.
-    ``sleep N`` advances a logical clock instead of waiting.
+    ``sleep N`` advances a logical clock instead of waiting; each distinct command is matched once.
     """
 
     def __init__(self, responses=None, fail_create=(), fail_destroy=(), refuse_kinds=()):
         self.responses = [(cached_regex(p), r) for p, r in (responses or [])]
+        self._answers: dict = {}  # command -> (sleep ticks, exit, stdout, stderr)
         self.fail_create = set(fail_create)
         self.fail_destroy = set(fail_destroy)
         self.refuse_kinds = set(refuse_kinds)
@@ -145,16 +146,15 @@ class MockBackend:
     def exec(self, handle: MockEndpoint, command: str) -> CommandResult:
         if handle.destroyed:
             raise EndpointGone(handle.name)
-        started = self.clock
-        match = _SLEEP_RE.match(command)
-        if match:
-            self.clock += int(match.group(1))
+        if command not in self._answers:
+            match = _SLEEP_RE.match(command)
+            body = next((body for pattern, body in self.responses if pattern.search(command)), {})
+            stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
+            self._answers[command] = (int(match.group(1)) if match else 0, int(body.get("exit", 0)), stdout, stderr)
+        ticks, code, stdout, stderr = self._answers[command]
+        self.clock += ticks
         self.journal.append(("exec", handle.name, command))
-        for pattern, body in self.responses:
-            if pattern.search(command):
-                stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
-                return CommandResult(int(body.get("exit", 0)), stdout, stderr, started, self.clock)
-        return CommandResult(0, b"", b"", started, self.clock)
+        return CommandResult(code, stdout, stderr, self.clock - ticks, self.clock)
 
     def apply_plan(self, plan: ConnectivityPlan) -> None:
         self.journal.append(("apply_plan",))
@@ -211,7 +211,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
 
     With a registry, every container's module stack is resolved up front;
     unresolvable modules fail before anything is created.  Without one,
-    specs are handed to the backend uncomposed.
+    specs are handed to the backend uncomposed.  What was derived from ``scenario`` is reused.
     """
     diagnostics = validate(scenario)
     if has_errors(diagnostics):

@@ -324,6 +324,13 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
 # spec.
 
 
+def _once(seen: dict, key: str, loc: str, line: int) -> None:
+    """Note ``key`` of ``loc`` at ``line``; ``ParseFailure`` if already noted."""
+    if key in seen:
+        raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", line)
+    seen[key] = line
+
+
 def _ref(node: yaml.Node, loc: str, key: str) -> ModuleRef:
     return ModuleRef.parse(_string(node, loc, key))
 
@@ -416,9 +423,7 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, wa
                     items += (item,)
                 fields[attr] = items
                 continue
-            if key in seen:
-                raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
-            seen[key] = key_line
+            _once(seen, key, loc, key_line)
             source_map[f"{owner}.{path}"] = key_line
             if isinstance(reader, dict):
                 fields.update(_fold(value, f"{loc}.{key}", key_line, reader, source_map, warnings, owner))
@@ -509,8 +514,10 @@ def _normalize_split(raw: str) -> str:
 def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
     name: Optional[str] = None
     items: list[object] = []
+    seen: dict[str, int] = {}
     for key, value, line in _pairs(node, loc):
         if key == "name":
+            _once(seen, key, loc, line)
             name = _string(value, loc, "name")
         elif key == "commands":
             for ckey, cvalue, cline in _pairs(value, f"{loc}.commands"):
@@ -535,30 +542,26 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
     for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm"))):
         loc = f"flows[{index}]"
         source_map[loc] = _line(item)
-        name: Optional[str] = None
         windows: list[WindowSpec] = []
-        select: Optional[str] = None
-        select_line: Optional[int] = None
+        texts: dict[str, str] = {}
+        seen: dict[str, int] = {}
         for key, value, line in _pairs(item, loc):
-            if key == "name":
-                name = _string(value, loc, "name")
-                source_map[f"{loc}.name"] = line
-            elif key == "window":
+            if key == "window":
                 window_loc = f"{loc}.windows[{len(windows)}]"
                 source_map[window_loc] = line
                 windows.append(_parse_window(value, window_loc, source_map))
-            elif key == "select":
-                select = _string(value, loc, "select")
-                select_line = line
-                source_map[f"{loc}.select"] = line
+            elif key in ("name", "select"):
+                _once(seen, key, loc, line)
+                texts[key] = _string(value, loc, key)
+                source_map[f"{loc}.{key}"] = line
             else:
                 raise ParseFailure(f"unknown key {key!r} in {loc}", line)
-        if name is None:
+        if "name" not in texts:
             raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(item))
         try:
-            flows.append(FlowSpec(endpoint=name, windows=tuple(windows), select=select))
+            flows.append(FlowSpec(endpoint=texts["name"], windows=tuple(windows), select=texts.get("select")))
         except ValueError as exc:
-            raise ParseFailure(str(exc), select_line) from exc
+            raise ParseFailure(str(exc), seen["select"]) from exc
     return flows
 
 

@@ -47,9 +47,7 @@ class ModuleManifest:
 @dataclass(frozen=True)
 class ComposedImage:
     base: ModuleRef
-    overlays: tuple[ModuleRef, ...] = ()
     entrypoint: str = ""
-    provides: frozenset = frozenset()
 
 
 class RegistryIndex:
@@ -111,18 +109,8 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
 
 
 def resolve(container: ContainerSpec, index: RegistryIndex) -> ComposedImage:
-    """Compose base + volume overlays; later overlays shadow earlier tools."""
-    base_manifest = index.lookup(container.base)
-    provides = set(base_manifest.tools)
-    entrypoint = base_manifest.entrypoint
+    """Compose base + volume overlays; each must be in ``index``, and the last non-empty entrypoint wins."""
+    entrypoint = index.lookup(container.base).entrypoint
     for overlay in container.volumes:
-        manifest = index.lookup(overlay)
-        provides.update(manifest.tools)
-        if manifest.entrypoint:
-            entrypoint = manifest.entrypoint
-    return ComposedImage(
-        base=container.base,
-        overlays=container.volumes,
-        entrypoint=entrypoint,
-        provides=frozenset(provides),
-    )
+        entrypoint = index.lookup(overlay).entrypoint or entrypoint
+    return ComposedImage(base=container.base, entrypoint=entrypoint)

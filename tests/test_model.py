@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,10 @@ from alurity.model import (
     endpoints,
     validate,
 )
-from alurity.netplan import AllocationFailure, allocate_addresses
+from alurity import cli, model, netplan
+from alurity.netplan import AddressAssignment, AllocationFailure, allocate_addresses, build_connectivity_plan
+from alurity.orchestrator import MockBackend, up
+from alurity.parser import parse_scenario_with_warnings
 
 from strategies import BASE_REFS, scenarios
 
@@ -266,3 +270,82 @@ def test_clean_validation_means_allocation_succeeds(scenario):
     if diagnostics == []:
         assert allocated
     assert allocated == ("subnet-exhausted" not in {d.code for d in diagnostics})
+
+
+# --- each derivation runs once per Scenario value ----------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_derived_results_equal_a_fresh_derivation(scenario):
+    """What a Scenario keeps equals what a copy of it derives afresh, is
+    shared by later calls and by ``up``, and leaves its value alone."""
+    as_before = (hash(scenario), repr(scenario), replace(scenario))
+    diagnostics = validate(scenario)
+    assignment = allocate_addresses(scenario)
+    plan = build_connectivity_plan(scenario, assignment)
+    fresh = replace(scenario)
+    assert diagnostics == validate(fresh)
+    assert assignment == allocate_addresses(fresh) and assignment is not allocate_addresses(fresh)
+    assert plan == build_connectivity_plan(fresh, allocate_addresses(fresh))
+    diagnostics.append("not a diagnostic")
+    assert validate(scenario) == validate(fresh) and validate(scenario) is not validate(scenario)
+    assert allocate_addresses(scenario) is assignment
+    assert build_connectivity_plan(scenario, assignment) is plan
+    deployment = up(scenario, MockBackend())
+    assert deployment.assignment is assignment and deployment.plan is plan
+    assert (hash(scenario), repr(scenario), scenario) == as_before
+
+
+class TestDerivedOnce:
+    @pytest.fixture
+    def bodies(self, monkeypatch):
+        """Counts of the runs of each derivation's body."""
+        counts = {"validate": 0, "allocate": 0, "plan": 0}
+        bodies = ((model, "_validate", "validate"), (netplan, "_allocate", "allocate"), (netplan, "_plan", "plan"))
+        for module, name, key in bodies:
+            def counting(*args, body=getattr(module, name), key=key):
+                counts[key] += 1
+                return body(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_graph_then_run_derives_once(self, bodies, listing1_text, registry):
+        """The wide-scenario workload's call order."""
+        scenario, _ = parse_scenario_with_warnings(listing1_text)
+        assert validate(scenario) == []
+        assignment = allocate_addresses(scenario)
+        plan = build_connectivity_plan(scenario, assignment)
+        netplan.export_graph(plan, assignment)
+        up(scenario, MockBackend(), registry).down()
+        assert bodies == {"validate": 1, "allocate": 1, "plan": 1}
+
+    def test_cli_run_derives_once(self, bodies, capsys):
+        assert cli.main(["run", str(Path(__file__).parent / "fixtures" / "listing1.yaml")]) == 0
+        assert bodies == {"validate": 1, "allocate": 1, "plan": 1}
+
+    def test_replace_derives_afresh(self, bodies, listing1):
+        allocate_addresses(listing1)
+        assert validate(listing1) == []
+        stray = (replace(listing1.containers[0], ip="203.0.113.77"),) + listing1.containers[1:]
+        assert "ip-outside-subnet" in [d.code for d in validate(replace(listing1, containers=stray))]
+        extra = listing1.containers + (box("extra", networks=("process-network",)),)
+        assert ("extra", "process-network") in allocate_addresses(replace(listing1, containers=extra)).addresses
+        assert bodies == {"validate": 2, "allocate": 2, "plan": 0}
+
+    def test_a_failure_is_not_kept(self, bodies):
+        crowded = Scenario(networks=(net(subnet="10.0.0.0/30"),), containers=(box("a"), box("b")))
+        for _ in range(2):
+            with pytest.raises(AllocationFailure):
+                allocate_addresses(crowded)
+        assert bodies["allocate"] == 2
+
+    def test_a_plan_for_another_assignment_is_not_kept(self, bodies, listing1):
+        own_assignment = allocate_addresses(listing1)
+        other = AddressAssignment(addresses=dict(own_assignment.addresses), gateways=dict(own_assignment.gateways))
+        first = build_connectivity_plan(listing1, other)
+        assert build_connectivity_plan(listing1, other) == first
+        own = build_connectivity_plan(listing1, own_assignment)
+        assert own == first and build_connectivity_plan(listing1, own_assignment) is own
+        assert bodies["plan"] == 3

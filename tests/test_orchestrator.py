@@ -1,5 +1,8 @@
+import re
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
 from alurity.orchestrator import (
@@ -165,6 +168,46 @@ class TestExec:
         assert time.monotonic() - start < 1.0
         assert result.ended_at - result.started_at == 500
         assert backend.clock == 500
+
+
+# Overlapping patterns, so the first match decides; "sleep" ones advance the clock.
+RESPONSES = [
+    ("^ros", {"stdout": "ros"}),
+    ("roscore", {"exit": 2}),
+    ("sleep", {"stderr": "zz"}),
+    ("x$", {"exit": 1, "stdout": 5}),
+]
+COMMANDS = ["roscore", "rostopic echo x", "sleep 3", "sleep 3 ", "sleep 10", "nmap x", "id", ""]
+
+
+def former_exec(clock: int, command: str) -> tuple[CommandResult, int]:
+    """``MockBackend.exec`` before it kept one answer per command: the
+    result and the clock after it."""
+    started = clock
+    match = re.match(r"^sleep\s+(\d+)\s*$", command)
+    if match:
+        clock += int(match.group(1))
+    for pattern, body in RESPONSES:
+        if re.search(pattern, command):
+            stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
+            return CommandResult(int(body.get("exit", 0)), stdout, stderr, started, clock), clock
+    return CommandResult(0, b"", b"", started, clock), clock
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(COMMANDS), max_size=30))
+def test_exec_answers_like_the_former_exec(commands):
+    """Repeated commands get the answer the ordered first-match scan gives,
+    and each one is journaled and advances the clock."""
+    backend = MockBackend(responses=RESPONSES)
+    handle = backend.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {})
+    clock, expected = 0, []
+    for command in commands:
+        result, clock = former_exec(clock, command)
+        expected.append(result)
+    assert [backend.exec(handle, command) for command in commands] == expected
+    assert backend.journal[1:] == [("exec", "ep", command) for command in commands]
+    assert backend.clock == clock
 
 
 class TestDown:

@@ -322,6 +322,33 @@ class TestParseFlow:
         assert exc.value.message == "selected window 'ghost' is not defined for 'x'"
         assert exc.value.line == 6
 
+    @pytest.mark.parametrize(
+        "entry, window, message, line",
+        [
+            ("    - name: a\n    - name: b\n", "      - name: w\n", "key 'name' repeated in flows[0] (first at line 3)", 4),
+            (
+                "    - name: a\n    - select: w\n    - select: w\n",
+                "      - name: w\n",
+                "key 'select' repeated in flows[0] (first at line 4)",
+                5,
+            ),
+            (
+                "    - name: a\n",
+                "      - name: w\n      - name: v\n",
+                "key 'name' repeated in flows[0].windows[0] (first at line 5)",
+                6,
+            ),
+        ],
+        ids=["flow-name", "select", "window-name"],
+    )
+    def test_repeated_key_fails(self, entry, window, message, line):
+        """A flow entry's name or select, or a window's name, given twice is
+        an error, as a record's repeated key is, not a silent overwrite."""
+        text = f"flow:\n  - container:\n{entry}    - window:\n{window}"
+        with pytest.raises(ParseFailure) as exc:
+            parse_flow(text)
+        assert (exc.value.message, exc.value.line) == (message, line)
+
     def test_non_scalar_key_in_window_fails(self):
         text = "flow:\n  - container:\n    - name: x\n    - window:\n      - [name]: w\n"
         with pytest.raises(ParseFailure) as exc:

@@ -6,11 +6,12 @@ tag resolution: it composes through the resolving ``parser.YAML_LOADER`` and
 keeps its own copies of the scalar helpers (``_scalar``, ``_string``,
 ``_pairs``, ``_tagged_items``, ``_parse_window`` ...), which resolve every
 plain scalar.  It keeps its own copy of the flow-section reader too, whose
-``select`` check moved into ``FlowSpec``.  Inputs are
-``strategies.scenarios()`` and the fixture documents, mutated line by line:
-repeated, unknown, missing and non-scalar keys, aliases, tags, block scalars,
-odd plain scalars and collections where scalars belong.  The reader tests
-run on the libyaml classes and again on PyYAML's pure-Python ones.
+``select`` check moved into ``FlowSpec``, with the package's later rule that
+a flow entry's ``name`` or ``select`` and a window's ``name`` may not repeat.
+Inputs are ``strategies.scenarios()`` and the fixture documents, mutated line
+by line: repeated, unknown, missing and non-scalar keys, aliases, tags, block
+scalars, odd plain scalars and collections where scalars belong.  The reader
+tests run on the libyaml classes and again on PyYAML's pure-Python ones.
 """
 
 import re
@@ -149,9 +150,13 @@ _SPLIT_DIRECTIONS = {"horizontal", "vertical"}
 
 def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
     name: Optional[str] = None
+    name_line: Optional[int] = None
     items: list[object] = []
     for key, value, line in _pairs(node, loc):
         if key == "name":
+            if name_line is not None:
+                raise ParseFailure(f"key 'name' repeated in {loc} (first at line {name_line})", line)
+            name_line = line
             name = _string(value, f"{loc}.name")
         elif key == "commands":
             for ckey, cvalue, cline in _pairs(value, f"{loc}.commands"):
@@ -371,7 +376,12 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
         windows: list[WindowSpec] = []
         select: Optional[str] = None
         select_line: Optional[int] = None
+        first: dict[str, int] = {}  # the line each of name and select is first given on
         for key, value, line in _pairs(item, loc):
+            if key in ("name", "select"):
+                if key in first:
+                    raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {first[key]})", line)
+                first[key] = line
             if key == "name":
                 name = _string(value, f"{loc}.name")
                 source_map[f"{loc}.name"] = line
@@ -630,6 +640,7 @@ def _at(text: str, needle: str) -> int:
 
 LISTING1, LISTING2 = SCENARIO_TEXTS[:2]
 WITH_FLOW = SCENARIO_TEXTS[3]
+LISTING3 = _fixture("listing3.yaml")
 
 
 MUTATION_CASES = pytest.mark.parametrize(
@@ -646,8 +657,24 @@ MUTATION_CASES = pytest.mark.parametrize(
         (LISTING1, "tag", [_at(LISTING1, "cpus: 4"), "!!str"], None),
         (LISTING1, "block", [_at(LISTING1, "extra-options"), "|"], None),
         (WITH_FLOW, "value", [_at(WITH_FLOW, "select: attack"), "x"], "selected window 'x' is not defined for 'attacker'"),
+        (LISTING3, "repeat", [_at(LISTING3, "name: rosmachine")], "key 'name' repeated in flows[0] (first at line 4)"),
+        (
+            WITH_FLOW,
+            "repeat",
+            [_at(WITH_FLOW, "select: attack")],
+            f"key 'select' repeated in flows[1] (first at line {_at(WITH_FLOW, 'select: attack') + 1})",
+        ),
+        (
+            WITH_FLOW,
+            "repeat",
+            [_at(WITH_FLOW, "name: setup")],
+            f"key 'name' repeated in flows[1].windows[0] (first at line {_at(WITH_FLOW, 'name: setup') + 1})",
+        ),
     ],
-    ids=["unknown", "repeated", "missing", "missing-nested", "missing-both", "nonscalar", "sequence", "alias", "tag", "block", "select"],
+    ids=[
+        "unknown", "repeated", "missing", "missing-nested", "missing-both", "nonscalar", "sequence", "alias", "tag",
+        "block", "select", "repeated-flow-name", "repeated-select", "repeated-window-name",
+    ],
 )
 
 
