@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import click
@@ -19,7 +20,7 @@ import click
 from . import flows as flow_engine
 from . import netplan, orchestrator, pipeline, rvd, toolreg
 from .model import ModuleRef, Scenario, has_errors, validate
-from .parser import ParseFailure, parse_flow, parse_scenario_with_warnings, read_text
+from .parser import ParseFailure, parse_flow_document, parse_scenario_with_warnings, read_text
 
 TRACKER_URL_ENV = "ALURITY_TRACKER_URL"
 REGISTRY_INDEX_ENV = "ALURITY_REGISTRY_INDEX"
@@ -127,13 +128,12 @@ def cmd_run(
     mock_responses: Optional[str],
     transcript_dir: str,
 ) -> int:
-    """Bring a scenario up, optionally run its flow, tear it down."""
+    """Validate a scenario with the flow it runs, bring it up, run the flow, tear it down."""
     if file is not None and rvd_id is not None:
         raise click.UsageError("FILE and --rvd exclude each other")
     backend = _make_backend(backend_name, mock_responses)
     registry = _load_registry(index_path)
 
-    flow = None
     if rvd_id is not None:
         url = tracker_url or os.environ.get(TRACKER_URL_ENV)
         if not url:
@@ -143,20 +143,21 @@ def cmd_run(
         except (rvd.NotFound, rvd.TransportError) as exc:
             raise _Failure(EXIT_TRANSPORT, f"cannot fetch ticket {rvd_id}: {exc}") from exc
         scenario, flow = rvd.extract_reproduction(ticket)
+        scenario = replace(scenario, flows=tuple(flow or ()))
     else:
         if file is None:
             raise click.UsageError("either FILE or --rvd is required")
         scenario, _ = _parse(parse_scenario_with_warnings, file)
-        if scenario.flows:
-            flow = list(scenario.flows)
 
-    if flow_path is not None:
-        flow = _parse(parse_flow, flow_path, "flow ")
+    if flow_path is not None:  # its flows, and their lines, replace the scenario's
+        flows = _parse(parse_flow_document, flow_path, "flow ")
+        lines = {k: v for k, v in scenario.source_map.items() if not k.startswith("flows[")}
+        scenario = replace(scenario, flows=flows.flows, source_map={**lines, **flows.source_map})
 
     _runnable(scenario)
     with orchestrator.up(scenario, backend, registry) as deployment:
-        if flow:
-            plan = flow_engine.compile_flow(flow, known_endpoints=deployment.states)
+        if scenario.flows:
+            plan = flow_engine.compile_flow(scenario.flows, known_endpoints=deployment.states)
             transcript = flow_engine.run_flow(deployment, plan)
             if not flow_engine.verify_transcript(plan, transcript):
                 raise _Failure(EXIT_DEPLOYMENT, "transcript failed verification")
@@ -225,7 +226,6 @@ _OUTCOMES = (
     (rvd.NoReproductionFound, EXIT_PARSE, ""),
     (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
     ((orchestrator.TeardownLeak, pipeline.SinkUnwritable), EXIT_DEPLOYMENT, ""),
-    (flow_engine.UnknownEndpointInFlow, EXIT_DEPLOYMENT, "flow failed: "),
     (netplan.UnsupportedFormat, EXIT_USAGE, "unsupported format: "),
 )
 

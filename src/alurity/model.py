@@ -188,8 +188,8 @@ def derive_once(scenario: Scenario, key: str, derive, *args):
 
 
 def validate(scenario: Scenario) -> list[Diagnostic]:
-    """All invariant violations, document order then code; [] iff runnable.
-    Computed once per ``Scenario`` value; each call returns a new list."""
+    """All invariant violations, flows' too, document order then code; [] iff
+    runnable.  Computed once per ``Scenario`` value; each call returns a new list."""
     return list(derive_once(scenario, "validate", _validate))
 
 
@@ -284,6 +284,18 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
         check_endpoint((1, i), f"containers[{i}]", c.name, c.networks, c.ip, c.cpus, c.memory)
     for i, v in enumerate(scenario.vms):
         check_endpoint((2, i), f"vms[{i}]", v.name, v.networks, v.ip, v.cpus, v.memory)
+
+    # A window is named by its endpoint and name across all flow entries:
+    # the transcript check keys each pane by both.
+    seen_windows: dict[tuple[str, str], str] = {}
+    for i, flow in enumerate(scenario.flows):
+        if flow.endpoint not in seen_endpoints:
+            emit((3, i), "error", "endpoint-not-found", f"flows[{i}].endpoint", f"endpoint {flow.endpoint!r} is not declared")
+        for j, window in enumerate(flow.windows):
+            loc = f"flows[{i}].windows[{j}].name"
+            first = seen_windows.setdefault((flow.endpoint, window.name), loc)
+            if first != loc:
+                emit((3, i), "error", "duplicate-window-name", loc, f"window {window.name!r} of {flow.endpoint!r} already defined at {first}")
 
     # Each attachment takes one host address of its network, manual or
     # allocated, and the gateway takes one more.  Manual addresses that

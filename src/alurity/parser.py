@@ -8,10 +8,12 @@ The dialect encodes records as sequences of single-key maps::
         - subnet: 12.0.0.0/24
 
 One key table per record type (network, container, a container's
-``modules``, vm) names the record's keys, fields, order and which keys are
-required or may repeat.  Parsing folds a record's sequence through its table;
-repeated repeatable keys (``volume:``, ``network:``) accumulate in document
-order.  Serialization walks the same tables, so ``parse(serialize(s)) == s``.
+``modules``, vm, a flow entry, a window) names the record's keys, fields,
+order and which keys are required or may repeat.  Parsing folds a record's
+sequence through its table; repeated repeatable keys (``volume:``,
+``network:``, ``window:``) accumulate in document order.  Serialization
+walks the same tables for networks, containers and vms; ``serialize_flow``
+writes flows.  Either way ``parse(serialize(s)) == s``.
 """
 
 from __future__ import annotations
@@ -301,8 +303,6 @@ def _entry(item: yaml.Node, what: str) -> tuple[yaml.Node, yaml.Node]:
 
 def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
     """Flatten a sequence of single-key maps into (key, value node, line)."""
-    if node is None:
-        return []
     if not isinstance(node, SequenceNode):
         raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(node))
     out = []
@@ -320,8 +320,8 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
 # spec's attribute.  ``count`` is "1" for a required key, "?" for an optional
 # one and "*" for a key that may repeat.  A reader of a single key returns the
 # value; a reader of a repeating key returns (value, line) items.  A table in
-# a reader's place is a nested record whose fields belong to the enclosing
-# spec.
+# a reader's place is a nested record: a single one's fields belong to the
+# enclosing spec, each entry of a repeating one is built into its own spec.
 
 
 def _once(seen: dict, key: str, loc: str, line: int) -> None:
@@ -346,60 +346,106 @@ def _names(node: yaml.Node, line: int, loc: str, key: str) -> list:
     return [(_string(node, loc, key), line)]
 
 
-def _table(keys: dict) -> dict:
-    """A key table from key -> (field, reader, count): adds each field's
-    spec attribute."""
-    return {key: (field, field.rpartition(".")[2], reader, count) for key, (field, reader, count) in keys.items()}
+def _normalize_split(raw: str) -> str:
+    return raw.rstrip(".,;:! ")
 
 
-_NETWORK_KEYS = _table({
+def _commands(node: yaml.Node, loc: str, key: str) -> tuple:
+    """A window's ``command:`` and ``split:`` entries, in order."""
+    what = f"{loc}.commands"
+    if not isinstance(node, SequenceNode):
+        raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(node))
+    items: list[object] = []
+    try:
+        for entry in node.value:
+            key_node, value = _entry(entry, what)
+            if key_node.value == "command":
+                items.append(Command(_string(value, loc, "commands.command")))
+            elif key_node.value == "split":
+                direction = _normalize_split(_string(value, loc, "commands.split"))
+                if direction not in _SPLIT_DIRECTIONS:
+                    raise ParseFailure(f"unknown split direction {direction!r}", _line(key_node))
+                items.append(Split(direction))
+            else:
+                raise ParseFailure(f"unknown key {key_node.value!r} under {what}", _line(key_node))
+    except ParseFailure:
+        _pairs(node, what)  # a malformed entry anywhere in the list is reported first
+        raise
+    return tuple(items)
+
+
+class _Table(dict):
+    """A key table: key -> (field, attr, reader, count).  ``spec`` builds the
+    record (None for one whose fields belong to the enclosing spec); in a
+    ``strict`` table an unknown key is an error, not a warning.  ``required``
+    and ``repeated`` list its "1" keys and its "*" attributes."""
+
+    def __init__(self, keys: dict, spec=None, strict: bool = False):
+        super().__init__({key: (field, field.rpartition(".")[2], reader, count) for key, (field, reader, count) in keys.items()})
+        self.spec, self.strict = spec, strict
+        self.required = tuple(key for key, (_, _, count) in keys.items() if count == "1")
+        self.repeated = tuple(field.rpartition(".")[2] for field, _, count in keys.values() if count == "*")
+
+
+_NETWORK_KEYS = _Table({
     "name": ("name", _string, "1"),
     "driver": ("driver", _string, "?"),
     "internal": ("internal", _bool, "?"),
     "encryption": ("encryption", _bool, "?"),
     "subnet": ("subnet", _string, "1"),
-})
-_MODULE_KEYS = _table({
+}, NetworkSpec)
+_MODULE_KEYS = _Table({
     "base": ("modules.base", _ref, "1"),
     "volume": ("modules.volumes", _refs, "*"),
     "network": ("networks", _names, "*"),
 })
-_CONTAINER_KEYS = _table({
+_CONTAINER_KEYS = _Table({
     "name": ("name", _string, "1"),
     "modules": ("modules", _MODULE_KEYS, "1"),
     "ip": ("ip", _string, "?"),
     "cpus": ("cpus", _int, "?"),
     "memory": ("memory", _int, "?"),
     "extra-options": ("extra_options", _string, "?"),
-})
-_VM_KEYS = _table({
+}, ContainerSpec)
+_VM_KEYS = _Table({
     "name": ("name", _string, "1"),
     "path": ("path", _string, "1"),
     "network": ("networks", _names, "*"),
     "ip": ("ip", _string, "?"),
     "cpus": ("cpus", _int, "?"),
     "memory": ("memory", _int, "?"),
-})
-# section -> (entry key, spec type, key table), in document order
+}, VmSpec)
+_WINDOW_KEYS = _Table({
+    "name": ("name", _string, "1"),
+    "commands": ("items", _commands, "?"),
+}, WindowSpec, strict=True)
+_FLOW_KEYS = _Table({
+    "name": ("endpoint", _string, "1"),
+    "window": ("windows", _WINDOW_KEYS, "*"),
+    "select": ("select", _string, "?"),
+}, FlowSpec, strict=True)
+# section -> (Scenario field, entry keys, key table), in document order
 _SECTIONS = {
-    "networks": ("network", NetworkSpec, _NETWORK_KEYS),
-    "containers": ("container", ContainerSpec, _CONTAINER_KEYS),
-    "vms": ("vm", VmSpec, _VM_KEYS),
+    "networks": ("networks", ("network",), _NETWORK_KEYS),
+    "containers": ("containers", ("container",), _CONTAINER_KEYS),
+    "vms": ("vms", ("vm",), _VM_KEYS),
+    "flow": ("flows", ("container", "vm"), _FLOW_KEYS),
 }
 
 
-def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, warnings: list, owner: str = "") -> dict:
+def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, source_map: dict, warnings: list, owner: str = "") -> dict:
     """A record's fields, folded from its single-key maps by its key table.
 
     ``loc`` names the record in messages and ``line`` is reported for a
     missing key.  Source-map paths hang below ``owner``, the record itself
-    unless it is nested.
+    unless it is nested.  A repeating key's values collect in a list, made a
+    tuple once the record is read.
     """
     owner = owner or loc
     source_map[loc] = line
     if not isinstance(node, SequenceNode):
         raise ParseFailure(f"{loc} must be a sequence of single-key maps", _line(node))
-    fields: dict = {}
+    fields: dict = {attr: [] for attr in keys.repeated}
     seen: dict[str, int] = {}
     try:
         for pair in node.value:
@@ -411,29 +457,36 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: dict, source_map: dict, wa
             key_line = key_node.start_mark.line + 1
             entry = keys.get(key)
             if entry is None:
+                if keys.strict:
+                    raise ParseFailure(f"unknown key {key!r} in {loc}", key_line)
                 what = f"{loc}.{key}"
                 source_map[what] = key_line
                 warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", what, key_line))
                 continue
             path, attr, reader, count = entry
             if count == "*":
-                items = fields.get(attr, ())
+                items = fields[attr]
+                if isinstance(reader, _Table):
+                    where = f"{owner}.{path}[{len(items)}]"
+                    items.append(reader.spec(**_fold(value, where, key_line, reader, source_map, warnings)))
+                    continue
                 for item, item_line in reader(value, key_line, loc, key):
                     source_map[f"{owner}.{path}[{len(items)}]"] = item_line
-                    items += (item,)
-                fields[attr] = items
+                    items.append(item)
                 continue
             _once(seen, key, loc, key_line)
             source_map[f"{owner}.{path}"] = key_line
-            if isinstance(reader, dict):
+            if isinstance(reader, _Table):
                 fields.update(_fold(value, f"{loc}.{key}", key_line, reader, source_map, warnings, owner))
             else:
                 fields[attr] = reader(value, loc, key)
     except ParseFailure:
         _pairs(node, loc)  # a malformed entry anywhere in the record is reported first
         raise
-    for key, (_, _, _, count) in keys.items():
-        if count == "1" and key not in seen:
+    for attr in keys.repeated:
+        fields[attr] = tuple(fields[attr])
+    for key in keys.required:
+        if key not in seen:
             raise ParseFailure(f"missing mandatory key {key!r} in {loc}", line)
     return fields
 
@@ -482,111 +535,44 @@ def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]
         return scenario_from_node(_compose(text, _NodeLoader))
 
 
-def scenario_from_node(root: Optional[yaml.Node]) -> tuple[Scenario, list[Diagnostic]]:
+def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tuple[Scenario, list[Diagnostic]]:
     """``parse_scenario_with_warnings`` of a composed document's root node,
-    from either loader: the fold reads no tags."""
+    from either loader: the fold reads no tags.  A ``flow`` document holds a
+    ``flow`` section and nothing else."""
     if root is None:
         return Scenario(), []
     if not isinstance(root, MappingNode):
-        raise ParseFailure("scenario document must be a top-level map", _line(root))
+        raise ParseFailure(f"{what} document must be a top-level map", _line(root))
+    sections = _SECTIONS if what == "scenario" else {"flow": _SECTIONS["flow"]}
     warnings: list[Diagnostic] = []
     source_map: dict = {}
-    records: dict = {section: [] for section in _SECTIONS}
-    flows: tuple[FlowSpec, ...] = ()
+    records: dict = {field: [] for field, _, _ in _SECTIONS.values()}
     for key_node, value_node in root.value:
         key = key_node.value
-        if key == "flow":
-            flows = tuple(_parse_flow_section(value_node, source_map))
-        elif isinstance(key, str) and key in _SECTIONS:  # a non-scalar key is unhashable
-            tag, spec, keys = _SECTIONS[key]
-            for i, item in enumerate(_tagged_items(value_node, key, (tag,))):
-                records[key].append(spec(**_fold(item, f"{key}[{i}]", _line(item), keys, source_map, warnings)))
-        else:
+        if not isinstance(key, str) or key not in sections:  # a non-scalar key is unhashable
             raise ParseFailure(f"unknown top-level key {key!r}", _line(key_node))
-    scenario = Scenario(**{k: tuple(v) for k, v in records.items()}, flows=flows, source_map=source_map)
-    return scenario, warnings
-
-
-def _normalize_split(raw: str) -> str:
-    return raw.rstrip(".,;:! ")
-
-
-def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
-    name: Optional[str] = None
-    items: list[object] = []
-    seen: dict[str, int] = {}
-    for key, value, line in _pairs(node, loc):
-        if key == "name":
-            _once(seen, key, loc, line)
-            name = _string(value, loc, "name")
-        elif key == "commands":
-            for ckey, cvalue, cline in _pairs(value, f"{loc}.commands"):
-                if ckey == "command":
-                    items.append(Command(_string(cvalue, loc, "commands.command")))
-                elif ckey == "split":
-                    direction = _normalize_split(_string(cvalue, loc, "commands.split"))
-                    if direction not in _SPLIT_DIRECTIONS:
-                        raise ParseFailure(f"unknown split direction {direction!r}", cline)
-                    items.append(Split(direction))
-                else:
-                    raise ParseFailure(f"unknown key {ckey!r} under {loc}.commands", cline)
-        else:
-            raise ParseFailure(f"unknown key {key!r} in {loc}", line)
-    if name is None:
-        raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(node))
-    return WindowSpec(name=name, items=tuple(items))
-
-
-def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
-    flows: list[FlowSpec] = []
-    for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm"))):
-        loc = f"flows[{index}]"
-        source_map[loc] = _line(item)
-        windows: list[WindowSpec] = []
-        texts: dict[str, str] = {}
-        seen: dict[str, int] = {}
-        for key, value, line in _pairs(item, loc):
-            if key == "window":
-                window_loc = f"{loc}.windows[{len(windows)}]"
-                source_map[window_loc] = line
-                windows.append(_parse_window(value, window_loc, source_map))
-            elif key in ("name", "select"):
-                _once(seen, key, loc, line)
-                texts[key] = _string(value, loc, key)
-                source_map[f"{loc}.{key}"] = line
-            else:
-                raise ParseFailure(f"unknown key {key!r} in {loc}", line)
-        if "name" not in texts:
-            raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(item))
-        try:
-            flows.append(FlowSpec(endpoint=texts["name"], windows=tuple(windows), select=texts.get("select")))
-        except ValueError as exc:
-            raise ParseFailure(str(exc), seen["select"]) from exc
-    return flows
+        field, tags, keys = sections[key]
+        for i, item in enumerate(_tagged_items(value_node, key, tags)):
+            fields = _fold(item, f"{field}[{i}]", _line(item), keys, source_map, warnings)
+            try:
+                records[field].append(keys.spec(**fields))
+            except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
+                raise ParseFailure(str(exc), source_map[f"{field}[{i}].select"]) from exc
+    if what == "flow" and not root.value:
+        raise ParseFailure("flow document must contain a 'flow' section", _line(root))
+    return Scenario(**{field: tuple(specs) for field, specs in records.items()}, source_map=source_map), warnings
 
 
 def parse_flow(text: str) -> list[FlowSpec]:
     """Parse a standalone flow document (top-level ``flow:``)."""
+    return list(parse_flow_document(text).flows)
+
+
+def parse_flow_document(text: str) -> Scenario:
+    """A standalone flow document as a scenario of its flows alone, with
+    their lines in its source map."""
     with _collector_paused():
-        return _flows_from_node(_compose(text, _NodeLoader))
-
-
-def _flows_from_node(root: Optional[yaml.Node]) -> list[FlowSpec]:
-    if root is None:
-        return []
-    if not isinstance(root, MappingNode):
-        raise ParseFailure("flow document must be a top-level map", _line(root))
-    flows: list[FlowSpec] = []
-    seen = False
-    for key_node, value_node in root.value:
-        if key_node.value == "flow":
-            seen = True
-            flows = _parse_flow_section(value_node, {})
-        else:
-            raise ParseFailure(f"unknown top-level key {key_node.value!r}", _line(key_node))
-    if not seen:
-        raise ParseFailure("flow document must contain a 'flow' section", _line(root))
-    return flows
+        return scenario_from_node(_compose(text, _NodeLoader), "flow")[0]
 
 
 # --- serialization -----------------------------------------------------------
@@ -642,16 +628,16 @@ def _emit_record(lines: list[str], spec, keys: dict, indent: str) -> None:
 def serialize_scenario(scenario: Scenario) -> str:
     """Emit the scenario in the same dialect; round-trips to an equal value."""
     lines: list[str] = []
-    for section, (tag, _, keys) in _SECTIONS.items():
-        records = getattr(scenario, section)
-        if records:
+    for section, (field, (tag, *_), keys) in _SECTIONS.items():
+        records = getattr(scenario, field)
+        if records and field == "flows":  # written by serialize_flow
+            lines.append(serialize_flow(records))
+        elif records:
             lines.append(f"{section}:")
-        for spec in records:
-            lines.append(f"  - {tag}:")
-            _emit_record(lines, spec, keys, "    ")
-            lines.append("")
-    if scenario.flows:
-        lines.append(serialize_flow(scenario.flows))
+            for spec in records:
+                lines.append(f"  - {tag}:")
+                _emit_record(lines, spec, keys, "    ")
+                lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
 

@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import alurity
-from alurity import netplan, orchestrator
+from alurity import cli, netplan, orchestrator
 from alurity.cli import main
+from alurity.model import validate
 from alurity.pipeline import FlawRecord
 
 from test_parser_oracle import ODD_SCALARS, SCENARIO_TEXTS, mutated
@@ -279,6 +280,56 @@ class TestRun:
         code, _, err = run_cli("run", "/no/such/scenario.yaml", "--rvd", str(issue_id), "--tracker-url", url)
         assert code == 64 and "FILE and --rvd" in err
         assert stub.seen_auth == []
+
+
+GHOST = str(FIXTURES / "ghost_flow.yaml")
+GHOST_FLOW = LISTING3_TEXT.replace("- name: attacker\n", "- name: ghost\n")
+REPEATED_WINDOW_FLOW = LISTING3_TEXT.replace("- name: attack\n", "- name: setup\n").replace("    - select: attack\n", "")
+
+
+class TestFlowsAreValidated:
+    """``validate`` and ``run`` check a scenario together with the flow that
+    runs on it, embedded, from ``--flow`` or from ``--rvd``: a flow naming an
+    undeclared endpoint or repeating a window name exits 1, before bring-up."""
+
+    @pytest.mark.parametrize(
+        "flow, code",
+        [(GHOST_FLOW, "endpoint-not-found"), (REPEATED_WINDOW_FLOW, "duplicate-window-name")],
+        ids=["undeclared-endpoint", "repeated-window"],
+    )
+    def test_embedded_and_separate_flows_exit_1(self, run_cli, tmp_path, monkeypatch, flow, code):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(orchestrator, "up", None)  # validation comes first
+        embedded, separate = tmp_path / "embedded.yaml", tmp_path / "flow.yaml"
+        embedded.write_text(Path(ROSNET).read_text() + flow)
+        separate.write_text(flow)
+        exit_code, out, _ = run_cli("validate", str(embedded))
+        assert exit_code == 1 and f"error {code} flows[1]" in out
+        for args in ((str(embedded),), (ROSNET, "--flow", str(separate))):
+            exit_code, out, err = run_cli("run", *args)
+            assert exit_code == 1 and f"error {code} flows[1]" in err
+        assert not (tmp_path / "transcripts").exists()
+
+    def test_ghost_fixture_exits_1(self, run_cli):
+        assert run_cli("validate", GHOST)[:2] == (1, "error endpoint-not-found flows[0].endpoint endpoint 'ghost' is not declared\n")
+        assert run_cli("run", GHOST)[0] == 1
+
+    def test_a_flow_file_replaces_the_embedded_flow_and_its_lines(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        found = []
+        monkeypatch.setattr(cli, "validate", lambda scenario: found.append(validate(scenario)) or found[-1])
+        flow = tmp_path / "flow.yaml"
+        flow.write_text("flow:\n  - container:\n    - name: attacker\n")
+        assert run_cli("run", GHOST, "--flow", str(flow))[0] == 0
+        flow.write_text("# one\n# two\nflow:\n  - container:\n    - name: ghost\n")
+        assert run_cli("run", GHOST, "--flow", str(flow))[0] == 1
+        assert found[0] == [] and [(d.location, d.line) for d in found[1]] == [("flows[0].endpoint", 5)]
+
+    def test_rvd_flow_exits_1(self, run_cli, tracker):
+        stub, url = tracker
+        issue_id = stub.seed("repro", f"```yaml\n{Path(ROSNET).read_text()}```\n\n```yaml\n{GHOST_FLOW}```\n")
+        code, _, err = run_cli("run", "--rvd", str(issue_id), "--tracker-url", url)
+        assert code == 1 and "error endpoint-not-found flows[1].endpoint" in err
 
 
 TARGET_AND_TOOL = ("--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest")

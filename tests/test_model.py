@@ -18,11 +18,12 @@ from alurity.model import (
 from alurity import cli, model, netplan
 from alurity.netplan import AddressAssignment, AllocationFailure, allocate_addresses, build_connectivity_plan
 from alurity.orchestrator import MockBackend, up
-from alurity.parser import parse_scenario_with_warnings
+from alurity.parser import parse_scenario, parse_scenario_with_warnings
 
 from strategies import BASE_REFS, scenarios
 
 BASE = ModuleRef.parse(BASE_REFS[0])
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def net(name="net", subnet="12.0.0.0/24", **kw):
@@ -191,6 +192,51 @@ class TestValidate:
 
     def test_deterministic_and_pure(self, listing1):
         assert validate(listing1) == validate(listing1)
+
+
+class TestValidateFlows:
+    """A flow must name a declared endpoint, and an endpoint's window names
+    must differ across all its flow entries; each diagnostic has its line."""
+
+    def text(self, listing3_text, *edits):
+        text = (FIXTURES / "rosnet.yaml").read_text() + listing3_text
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        return text
+
+    def line(self, text, needle, nth=1):
+        return [i for i, line in enumerate(text.split("\n"), 1) if line.endswith(needle)][nth - 1]
+
+    def diagnostics(self, text):
+        scenario, warnings = parse_scenario_with_warnings(text)
+        assert warnings == []
+        return [(d.code, d.location, d.line) for d in validate(scenario)]
+
+    def test_listing3_on_rosnet_is_clean(self, listing3_text):
+        assert self.diagnostics(self.text(listing3_text)) == []
+
+    def test_undeclared_endpoint(self, listing3_text):
+        text = self.text(listing3_text, ("- name: attacker\n    - window", "- name: ghost\n    - window"))
+        (diag,) = validate(parse_scenario(text))
+        assert (diag.severity, diag.code, diag.location) == ("error", "endpoint-not-found", "flows[1].endpoint")
+        assert diag.message == "endpoint 'ghost' is not declared"
+        assert diag.line == self.line(text, "- name: ghost")
+
+    def test_window_name_repeated_in_one_entry(self, listing3_text):
+        text = self.text(listing3_text, ("- name: attack\n", "- name: setup\n"), ("    - select: attack\n", ""))
+        assert self.diagnostics(text) == [
+            ("duplicate-window-name", "flows[1].windows[1].name", self.line(text, "- name: setup", 2))
+        ]
+        assert validate(parse_scenario(text))[0].message == "window 'setup' of 'attacker' already defined at flows[1].windows[0].name"
+
+    def test_window_name_repeated_across_entries(self, listing3_text):
+        again = "  - container:\n    - name: rosmachine\n    - window:\n      - name: ros\n"
+        text = self.text(listing3_text) + again
+        assert self.diagnostics(text) == [("duplicate-window-name", "flows[2].windows[0].name", self.line(text, "- name: ros", 2))]
+
+    def test_one_window_name_on_two_endpoints_is_fine(self, listing3_text):
+        assert self.diagnostics(self.text(listing3_text, ("- name: ros\n", "- name: setup\n"))) == []
 
 
 class TestEndpoints:

@@ -1,10 +1,12 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
+from alurity.flows import compile_flow, run_flow, verify_transcript
+from alurity.model import ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, endpoints, has_errors, validate
 from alurity.orchestrator import (
     CommandResult,
     DeploymentFailure,
@@ -18,7 +20,7 @@ from alurity.orchestrator import (
 
 from alurity.toolreg import registry_index_from_dict
 
-from strategies import BASE_REFS, scenarios
+from strategies import BASE_REFS, scenarios, window_specs
 
 BASE = ModuleRef.parse(BASE_REFS[0])
 
@@ -290,13 +292,28 @@ def test_mock_fixture_loading(tmp_path):
 STRATEGY_INDEX = registry_index_from_dict({ref: {} for ref in BASE_REFS})
 
 
+@st.composite
+def scenarios_with_loose_flows(draw) -> Scenario:
+    """``scenarios()`` with up to two more flow entries, which may name an
+    undeclared endpoint or repeat a window name of their endpoint."""
+    scenario = draw(scenarios())
+    names = [name for name, _ in endpoints(scenario)] + ["ghost"]
+    windows = st.lists(st.sampled_from(["w0", "w1"]).flatmap(window_specs), min_size=1, max_size=2).map(tuple)
+    extra = draw(st.lists(st.builds(FlowSpec, endpoint=st.sampled_from(names), windows=windows), max_size=2))
+    return replace(scenario, flows=scenario.flows + tuple(extra))
+
+
 @settings(max_examples=100, deadline=None)
-@given(scenarios())
+@given(scenarios_with_loose_flows())
 def test_clean_validate_means_up_succeeds(scenario):
-    """``validate(s) == []`` implies ``up`` brings every endpoint up, on the
-    mock backend with a registry index that knows every module."""
-    if validate(scenario):
+    """A ``validate(s)`` without errors (so also ``validate(s) == []``)
+    implies that ``up`` brings every endpoint up, on the mock backend with a
+    registry index that knows every module, and that the scenario's flow
+    compiles, runs and verifies."""
+    if has_errors(validate(scenario)):
         return
     deployment = up(scenario, MockBackend(), STRATEGY_INDEX)
     assert deployment.states == {name: "running" for name, _ in endpoints(scenario)}
+    plan = compile_flow(scenario.flows, known_endpoints=deployment.states)
+    assert verify_transcript(plan, run_flow(deployment, plan))
     assert deployment.down() == []

@@ -1,6 +1,7 @@
 import gc
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from alurity.parser import (
     ParseFailure,
     load_yaml_map,
     parse_flow,
+    parse_flow_document,
     parse_scenario,
     parse_scenario_with_warnings,
     quote,
@@ -271,6 +273,20 @@ def test_any_network_name_parses_or_fails_cleanly(name):
         pass
 
 
+def test_repeated_keys_fold_in_linear_time():
+    """A record's repeated key collects its values in one list: reading four
+    times the entries takes about four times as long, not sixteen."""
+
+    def seconds(n):
+        text = "containers:\n  - container:\n    - name: a\n    - modules:\n       - base: r/x:1\n"
+        text += "".join(f"       - volume: r/v{i}:1\n" for i in range(n))
+        start = time.perf_counter()
+        assert len(parse_scenario(text).containers[0].volumes) == n
+        return time.perf_counter() - start
+
+    assert min(seconds(32_000) for _ in range(2)) < 8 * min(seconds(8_000) for _ in range(2))
+
+
 class TestParseFlow:
     def test_listing3_shape(self, listing3):
         assert [f.endpoint for f in listing3] == ["rosmachine", "attacker"]
@@ -338,16 +354,52 @@ class TestParseFlow:
                 "key 'name' repeated in flows[0].windows[0] (first at line 5)",
                 6,
             ),
+            (
+                "    - name: a\n",
+                "      - name: w\n      - commands: []\n      - commands: []\n",
+                "key 'commands' repeated in flows[0].windows[0] (first at line 6)",
+                7,
+            ),
         ],
-        ids=["flow-name", "select", "window-name"],
+        ids=["flow-name", "select", "window-name", "commands"],
     )
     def test_repeated_key_fails(self, entry, window, message, line):
-        """A flow entry's name or select, or a window's name, given twice is
-        an error, as a record's repeated key is, not a silent overwrite."""
+        """A flow entry's name or select, or a window's name or commands,
+        given twice is an error, as a record's repeated key is, not a silent
+        overwrite or concatenation."""
         text = f"flow:\n  - container:\n{entry}    - window:\n{window}"
         with pytest.raises(ParseFailure) as exc:
             parse_flow(text)
         assert (exc.value.message, exc.value.line) == (message, line)
+
+    @pytest.mark.parametrize(
+        "entry, message, line",
+        [
+            ("    - name: x\n    - fancy: 1\n", "unknown key 'fancy' in flows[0]", 4),
+            ("    - name: x\n    - window:\n      - name: w\n      - fancy: 1\n", "unknown key 'fancy' in flows[0].windows[0]", 6),
+            ("    - name: x\n    - window:\n      - commands: []\n", "missing mandatory key 'name' in flows[0].windows[0]", 4),
+        ],
+        ids=["unknown-in-entry", "unknown-in-window", "window-without-name"],
+    )
+    def test_flow_tables_are_strict(self, entry, message, line):
+        """An unknown key in a flow entry or a window is an error, not a
+        warning; a window without a name fails at its ``- window:`` line."""
+        with pytest.raises(ParseFailure) as exc:
+            parse_flow(f"flow:\n  - container:\n{entry}")
+        assert (exc.value.message, exc.value.line) == (message, line)
+
+    def test_flow_source_lines_recorded(self, listing3_text):
+        lines = listing3_text.splitlines()
+        source_map = parse_flow_document(listing3_text).source_map
+        assert parse_scenario(listing3_text).source_map == source_map
+        for location, text in [
+            ("flows[1].endpoint", "- name: attacker"),
+            ("flows[1].windows[1]", "- window:"),
+            ("flows[1].windows[1].name", "- name: attack"),
+            ("flows[1].windows[1].items", "- commands:"),
+            ("flows[1].select", "- select: attack"),
+        ]:
+            assert lines[source_map[location] - 1].endswith(text), location
 
     def test_non_scalar_key_in_window_fails(self):
         text = "flow:\n  - container:\n    - name: x\n    - window:\n      - [name]: w\n"

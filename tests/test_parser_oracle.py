@@ -5,9 +5,14 @@ The oracle reads documents the way the package did before composing without
 tag resolution: it composes through the resolving ``parser.YAML_LOADER`` and
 keeps its own copies of the scalar helpers (``_scalar``, ``_string``,
 ``_pairs``, ``_tagged_items``, ``_parse_window`` ...), which resolve every
-plain scalar.  It keeps its own copy of the flow-section reader too, whose
-``select`` check moved into ``FlowSpec``, with the package's later rule that
-a flow entry's ``name`` or ``select`` and a window's ``name`` may not repeat.
+plain scalar.  It keeps its own copy of the hand-written flow-section
+reader too, which key tables replaced as well, with the package's later
+rules: the ``select`` check moved into ``FlowSpec``; a flow entry's ``name``
+or ``select`` and a window's ``name`` or ``commands`` may not repeat; the
+source map holds a flow's endpoint under ``flows[i].endpoint`` and a
+window's name and commands under ``.name`` and ``.items``; a window without
+a ``name`` fails at its ``- window:`` line; and a second ``flow:`` section
+adds its entries, as a second ``networks:`` section does.
 Inputs are ``strategies.scenarios()`` and the fixture documents, mutated line
 by line: repeated, unknown, missing and non-scalar keys, aliases, tags, block
 scalars, odd plain scalars and collections where scalars belong.  The reader
@@ -148,15 +153,17 @@ def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[
 _SPLIT_DIRECTIONS = {"horizontal", "vertical"}
 
 
-def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
+def _parse_window(node: yaml.Node, loc: str, source_map: dict, window_line: int) -> WindowSpec:
     name: Optional[str] = None
-    name_line: Optional[int] = None
+    first: dict[str, int] = {}  # the line each of name and commands is first given on
     items: list[object] = []
     for key, value, line in _pairs(node, loc):
+        if key in ("name", "commands"):
+            if key in first:
+                raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {first[key]})", line)
+            first[key] = line
+            source_map[f"{loc}.{'name' if key == 'name' else 'items'}"] = line
         if key == "name":
-            if name_line is not None:
-                raise ParseFailure(f"key 'name' repeated in {loc} (first at line {name_line})", line)
-            name_line = line
             name = _string(value, f"{loc}.name")
         elif key == "commands":
             for ckey, cvalue, cline in _pairs(value, f"{loc}.commands"):
@@ -172,7 +179,7 @@ def _parse_window(node: yaml.Node, loc: str, source_map: dict) -> WindowSpec:
         else:
             raise ParseFailure(f"unknown key {key!r} in {loc}", line)
     if name is None:
-        raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(node))
+        raise ParseFailure(f"missing mandatory key 'name' in {loc}", window_line)
     return WindowSpec(name=name, items=tuple(items))
 
 
@@ -354,7 +361,7 @@ def reference_parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Di
             for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",))):
                 vms.append(_parse_vm(item, i, source_map, warnings))
         elif key == "flow":
-            flows = tuple(_parse_flow_section(value_node, source_map))
+            flows += tuple(_parse_flow_section(value_node, source_map))
         else:
             raise ParseFailure(f"unknown top-level key {key!r}", _line(key_node))
     scenario = Scenario(
@@ -384,10 +391,10 @@ def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
                 first[key] = line
             if key == "name":
                 name = _string(value, f"{loc}.name")
-                source_map[f"{loc}.name"] = line
+                source_map[f"{loc}.endpoint"] = line
             elif key == "window":
                 source_map[f"{loc}.windows[{len(windows)}]"] = line
-                windows.append(_parse_window(value, f"{loc}.windows[{len(windows)}]", source_map))
+                windows.append(_parse_window(value, f"{loc}.windows[{len(windows)}]", source_map, line))
             elif key == "select":
                 select = _string(value, f"{loc}.select")
                 select_line = line
@@ -414,7 +421,7 @@ def reference_parse_flow(text: str) -> list[FlowSpec]:
     for key_node, value_node in root.value:
         if key_node.value == "flow":
             seen = True
-            flows = _parse_flow_section(value_node, {})
+            flows += _parse_flow_section(value_node, {})
         else:
             raise ParseFailure(f"unknown top-level key {key_node.value!r}", _line(key_node))
     if not seen:
@@ -670,10 +677,11 @@ MUTATION_CASES = pytest.mark.parametrize(
             [_at(WITH_FLOW, "name: setup")],
             f"key 'name' repeated in flows[1].windows[0] (first at line {_at(WITH_FLOW, 'name: setup') + 1})",
         ),
+        (WITH_FLOW, "insert", [_at(WITH_FLOW, "name: setup"), "fancy", "x"], "unknown key 'fancy' in flows[1].windows[0]"),
     ],
     ids=[
         "unknown", "repeated", "missing", "missing-nested", "missing-both", "nonscalar", "sequence", "alias", "tag",
-        "block", "select", "repeated-flow-name", "repeated-select", "repeated-window-name",
+        "block", "select", "repeated-flow-name", "repeated-select", "repeated-window-name", "unknown-in-window",
     ],
 )
 
