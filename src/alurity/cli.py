@@ -157,7 +157,7 @@ def cmd_run(
     _runnable(scenario)
     with orchestrator.up(scenario, backend, registry) as deployment:
         if scenario.flows:
-            plan = flow_engine.compile_flow(scenario.flows, known_endpoints=deployment.states)
+            plan = flow_engine.compile_flow(scenario.flows)  # up validated its endpoints
             transcript = flow_engine.run_flow(deployment, plan)
             if not flow_engine.verify_transcript(plan, transcript):
                 raise _Failure(EXIT_DEPLOYMENT, "transcript failed verification")

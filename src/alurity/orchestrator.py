@@ -127,7 +127,7 @@ class MockBackend:
         if kind in self.refuse_kinds:
             raise RuntimeError(f"backend refuses to host {kind} endpoints")
         if spec.name in self.endpoints and not self.endpoints[spec.name].destroyed:
-            return self.endpoints[spec.name]
+            raise RuntimeError(f"an endpoint named {spec.name!r} is already live")
         if spec.name in self.fail_create:
             raise RuntimeError(f"injected creation failure for {spec.name!r}")
         handle = MockEndpoint(name=spec.name)

@@ -60,20 +60,6 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-# Besides ValueError and YAMLError, what the safe constructor raises for a
-# tagged scalar its tag cannot read: "!!bool x", "!!timestamp x", '!!int ""'.
-_TAG_ERRORS = (KeyError, AttributeError, IndexError)
-
-
-def load_yaml(stream):
-    """The document in ``stream``; ``ValueError`` or ``yaml.YAMLError`` when
-    it cannot be read."""
-    try:
-        return yaml.load(stream, Loader=YAML_LOADER)
-    except _TAG_ERRORS as exc:
-        raise ValueError(f"a tagged scalar its tag cannot read: {exc!r}") from exc
-
-
 def dump_yaml(doc) -> str:
     return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False, default_flow_style=False)
 
@@ -81,18 +67,21 @@ def dump_yaml(doc) -> str:
 class _NodeLoader(YAML_LOADER):
     """Composes nodes and leaves their tags unresolved.
 
-    Nothing reads ``node.tag``: ``_scalar`` and ``_built`` type each plain
-    scalar where it is read.  Skipping the resolver is exact: the safe
-    loaders register no path resolvers, so it never steers composition.
+    Nothing reads ``node.tag``, so explicit tags are ignored: ``_scalar``
+    and ``_built`` type each plain scalar where it is read.  Skipping the
+    resolver is exact: the safe loaders register no path resolvers, so it
+    never steers composition.
     """
 
     def resolve(self, kind, value, implicit):
         return None
 
 
-def _compose(text: str, loader) -> Optional[yaml.Node]:
+def compose_yaml(text: str) -> Optional[yaml.Node]:
+    """The root node of the document in ``text``, None for an empty one;
+    ``ParseFailure`` when it cannot be composed."""
     try:
-        return yaml.compose(text, Loader=loader)
+        return yaml.compose(text, Loader=_NodeLoader)
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
     except RecursionError as exc:  # the pure-Python composer recurses per level
@@ -101,21 +90,15 @@ def _compose(text: str, loader) -> Optional[yaml.Node]:
         raise _malformed(exc) from exc
 
 
-def compose_yaml(text: str) -> Optional[yaml.Node]:
-    """The root node of the document in ``text`` with its tags resolved, as
-    ``load_yaml`` composes it; ``ParseFailure`` when it cannot be composed."""
-    return _compose(text, YAML_LOADER)
-
-
-def construct_yaml(node: Optional[yaml.Node]):
-    """The value of a node from ``compose_yaml``: ``load_yaml`` of its text
-    without composing it again, with the same errors."""
-    if node is None:  # an empty document
-        return None
+def build_yaml(node: Optional[yaml.Node], empty=None):
+    """``_built`` of a node from ``compose_yaml``, ``empty`` for an empty
+    document; ``ParseFailure`` where ``_built`` fails or nests too deeply."""
+    if node is None:
+        return empty
     try:
-        return yaml.constructor.SafeConstructor().construct_document(node)
-    except _TAG_ERRORS as exc:
-        raise ValueError(f"a tagged scalar its tag cannot read: {exc!r}") from exc
+        return _built(node, {})
+    except RecursionError as exc:  # _built recurses once per level of nesting
+        raise ParseFailure(_TOO_DEEP) from exc
 
 
 def _malformed(exc: Exception) -> ParseFailure:
@@ -134,16 +117,12 @@ def read_text(path: str) -> str:
 
 
 def load_yaml_map(path: str) -> dict:
-    """The map a YAML file holds, ``{}`` for an empty file: ``load_yaml`` of
-    it, except that explicit tags are ignored, as in scenarios.
-    ``ParseFailure`` when the file is malformed, holds anything but a map,
-    uses a map or a list as a key or holds a node that contains itself."""
+    """The map a YAML file holds, ``{}`` for an empty file.  ``ParseFailure``
+    when the file is malformed or holds anything but a map, or where
+    ``build_yaml`` fails."""
     text = read_text(path)
-    try:
-        with _collector_paused():
-            doc = _built(_compose(text, _NodeLoader), {None: {}})  # an empty document is an empty map
-    except RecursionError as exc:  # _built recurses once per level of nesting
-        raise ParseFailure(_TOO_DEEP) from exc
+    with _collector_paused():
+        doc = build_yaml(compose_yaml(text), {})
     if not isinstance(doc, dict):
         raise ParseFailure(f"expected a map at the top level, got a {type(doc).__name__}")
     return doc
@@ -221,7 +200,8 @@ def _scalar(node: yaml.Node):
     Plain scalars are typed by the resolver and built by the safe
     constructor for that tag, without re-parsing the text as a document.
     Text that matches a tag's pattern but does not construct (``=``, a
-    timestamp such as ``2020-13-45``) stays text.
+    timestamp such as ``2020-13-45``) stays text, and so does a block
+    scalar's text that ``build_yaml`` cannot read.
     """
     if not isinstance(node, ScalarNode):
         raise ParseFailure("expected a scalar value", _line(node))
@@ -230,15 +210,13 @@ def _scalar(node: yaml.Node):
         return text
     if text == "":
         return None
-    try:
-        if node.style in ("|", ">"):  # a block scalar: its text is re-read
-            value = load_yaml(text)
-            repr(value)  # readers print values: one nested too deeply to print fails here
-            return value
+    if node.style not in ("|", ">"):
         return text if text[0] not in _TYPED_FIRST else _typed(text)
-    except (ValueError, yaml.YAMLError):
-        return text
-    except RecursionError as exc:
+    try:  # a block scalar: its text is re-read by the same builder
+        return build_yaml(compose_yaml(text))
+    except ParseFailure as exc:
+        if exc.message != _TOO_DEEP:
+            return text
         raise ParseFailure(_TOO_DEEP, _line(node)) from exc
 
 
@@ -532,13 +510,12 @@ def _collector_paused():
 def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
     """Parse a scenario document; unknown record keys come back as warnings."""
     with _collector_paused():
-        return scenario_from_node(_compose(text, _NodeLoader))
+        return scenario_from_node(compose_yaml(text))
 
 
 def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tuple[Scenario, list[Diagnostic]]:
-    """``parse_scenario_with_warnings`` of a composed document's root node,
-    from either loader: the fold reads no tags.  A ``flow`` document holds a
-    ``flow`` section and nothing else."""
+    """``parse_scenario_with_warnings`` of the root node ``compose_yaml``
+    returns.  A ``flow`` document holds a ``flow`` section and nothing else."""
     if root is None:
         return Scenario(), []
     if not isinstance(root, MappingNode):
@@ -550,14 +527,15 @@ def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tup
     for key_node, value_node in root.value:
         key = key_node.value
         if not isinstance(key, str) or key not in sections:  # a non-scalar key is unhashable
-            raise ParseFailure(f"unknown top-level key {key!r}", _line(key_node))
+            raise ParseFailure(f"unknown top-level key {key!r}" if isinstance(key, str) else "each top-level key must be a scalar", _line(key_node))
         field, tags, keys = sections[key]
-        for i, item in enumerate(_tagged_items(value_node, key, tags)):
-            fields = _fold(item, f"{field}[{i}]", _line(item), keys, source_map, warnings)
+        for item in _tagged_items(value_node, key, tags):
+            loc = f"{field}[{len(records[field])}]"  # a repeated section goes on where the one before ended
+            fields = _fold(item, loc, _line(item), keys, source_map, warnings)
             try:
                 records[field].append(keys.spec(**fields))
             except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
-                raise ParseFailure(str(exc), source_map[f"{field}[{i}].select"]) from exc
+                raise ParseFailure(str(exc), source_map[f"{loc}.select"]) from exc
     if what == "flow" and not root.value:
         raise ParseFailure("flow document must contain a 'flow' section", _line(root))
     return Scenario(**{field: tuple(specs) for field, specs in records.items()}, source_map=source_map), warnings
@@ -572,7 +550,7 @@ def parse_flow_document(text: str) -> Scenario:
     """A standalone flow document as a scenario of its flows alone, with
     their lines in its source map."""
     with _collector_paused():
-        return scenario_from_node(_compose(text, _NodeLoader), "flow")[0]
+        return scenario_from_node(compose_yaml(text), "flow")[0]
 
 
 # --- serialization -----------------------------------------------------------

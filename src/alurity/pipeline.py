@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import flows as flow_engine
@@ -105,14 +105,12 @@ class FlawRecord:
         return "".join(parts)
 
 
-def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:
-    """Target + scanner scenario on one generated /24, with a flow invoking
+def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scenario, FlowSpec]:
+    """Target + scanner scenario on one generated /24, and a flow invoking
     each tool's entrypoint against the target's address in tool order."""
     if not spec.tools:
         raise ValidationFailure("empty-toolchain", "a pipeline needs at least one tool")
     registry.lookup(spec.target)
-    for tool in spec.tools:
-        registry.lookup(tool)
 
     network = NetworkSpec(name=PIPELINE_NETWORK, subnet=PIPELINE_SUBNET)
     target = ContainerSpec(name="target", base=spec.target, networks=(PIPELINE_NETWORK,))
@@ -123,15 +121,10 @@ def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> Scenario:
         networks=(PIPELINE_NETWORK,),
     )
     scenario = Scenario(networks=(network,), containers=(target, scanner))
-    assignment = allocate_addresses(scenario)
-    target_ip = assignment.addresses[("target", PIPELINE_NETWORK)]
+    target_ip = allocate_addresses(scenario).addresses[("target", PIPELINE_NETWORK)]
 
-    commands = []
-    for tool in spec.tools:
-        entrypoint = registry.lookup(tool).entrypoint or str(tool)
-        commands.append(Command(f"{entrypoint} {target_ip}"))
-    flow = FlowSpec(endpoint="scanner", windows=(WindowSpec(name="scan", items=tuple(commands)),))
-    return replace(scenario, flows=(flow,))
+    commands = tuple(Command(f"{registry.lookup(tool).entrypoint or tool} {target_ip}") for tool in spec.tools)
+    return scenario, FlowSpec(endpoint="scanner", windows=(WindowSpec(name="scan", items=commands),))
 
 
 def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript) -> list[tuple[ModuleRef, toolreg.ExtractionRule, str, dict]]:
@@ -160,13 +153,12 @@ def run_pipeline(spec: PipelineSpec, backend, registry: toolreg.RegistryIndex) -
     """Assemble, deploy, run the flow, extract findings; teardown always,
     and ``orchestrator.TeardownLeak`` instead of records if it leaves an
     endpoint live."""
-    scenario = assemble(spec, registry)
-    scenario_yaml = serialize_scenario(replace(scenario, flows=()))
-    flow_yaml = serialize_flow(scenario.flows)
+    scenario, flow = assemble(spec, registry)
+    scenario_yaml = serialize_scenario(scenario)
+    flow_yaml = serialize_flow((flow,))
 
-    with orchestrator.up(scenario, backend, registry) as deployment:
-        plan = flow_engine.compile_flow(scenario.flows, known_endpoints=deployment.states)
-        transcript = flow_engine.run_flow(deployment, plan)
+    with orchestrator.up(scenario, backend, registry) as deployment:  # reuses the addresses assemble allocated
+        transcript = flow_engine.run_flow(deployment, flow_engine.compile_flow((flow,)))
 
     records = []
     for tool, rule, fragment, fields in _scan_transcript(spec, registry, transcript):

@@ -17,7 +17,7 @@ import yaml
 from yaml import MappingNode
 
 from .model import FlowSpec, Scenario
-from .parser import ParseFailure, compose_yaml, construct_yaml, parse_flow, parse_scenario, scenario_from_node
+from .parser import ParseFailure, build_yaml, compose_yaml, parse_flow, parse_scenario, scenario_from_node
 
 TOKEN_ENV = "ALURITY_TRACKER_TOKEN"
 
@@ -151,7 +151,7 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
             if scenario is not None:
                 flow = list(scenario.flows) or None
                 continue
-            embedded = _embedded(root)  # runs last: loading may rewrite merge keys in the tree
+            embedded = _embedded(root)
             if embedded is not None:
                 return embedded
         elif flow is None:
@@ -180,11 +180,11 @@ def _scenario_of(root: Optional[yaml.Node]) -> Optional[Scenario]:
 
 def _embedded(root: Optional[yaml.Node]) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
     """The scenario and flow a flaw record block embeds; None unless the
-    block loads to a map whose ``reproduction`` holds scenario text with
+    block builds to a map whose ``reproduction`` holds scenario text with
     endpoints and, optionally, flow text."""
     try:
-        doc = construct_yaml(root)
-    except (ValueError, yaml.YAMLError):
+        doc = build_yaml(root)
+    except ParseFailure:
         return None
     if not isinstance(doc, dict) or "reproduction" not in doc:
         return None

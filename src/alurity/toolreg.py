@@ -38,7 +38,6 @@ class ExtractionRule:
 
 @dataclass(frozen=True)
 class ModuleManifest:
-    group: str = "unknown"
     entrypoint: str = ""
     rules: tuple[ExtractionRule, ...] = ()
 
@@ -100,7 +99,6 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
             raise ParseFailure(f"the manifest of {ref_text} must be a map, got a {type(body).__name__}")
         manifests[str(ref_text)] = ModuleManifest(
             rules=tuple(_rule(r, ref_text) for r in _list(body, "rules", ref_text)),
-            group=str(body.get("group", "unknown")),
             entrypoint=str(body.get("entrypoint", "")),
         )
         _list(body, "tools", ref_text)  # documents the module's tools: checked, read by nothing

@@ -21,7 +21,7 @@ from alurity.flows import Transcript, TranscriptEvent, compile_flow, run_flow, t
 from alurity.model import Command, ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
 from alurity.netplan import allocate_addresses, build_connectivity_plan, reachable
 from alurity.orchestrator import CommandResult, DeploymentFailure, MockBackend, up
-from alurity.parser import load_yaml, parse_flow, parse_scenario, serialize_scenario
+from alurity.parser import parse_flow, parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord, PipelineSpec, run_pipeline
 from alurity.rvd import fetch_ticket, push_issue
 from alurity.toolreg import load_registry_index
@@ -29,6 +29,7 @@ from alurity.toolreg import load_registry_index
 import conftest
 from strategies import BASE_REFS, random_topology, scenarios
 from test_parser import LISTING1_EXPECTED, LISTING2_EXPECTED
+from yaml_classes import load
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
@@ -174,7 +175,7 @@ def test_criterion_6_pipeline_emission(count, tmp_path, registry):
         assert len(locations) == count
         expected = [r.to_dict() for r in records]
         for location in locations:
-            loaded = load_yaml(Path(location).read_text())
+            loaded = load(Path(location).read_text())
             assert set(loaded) == {
                 "id", "title", "flaw-class", "description", "system",
                 "vendor", "severity", "detected-by", "reproduction",
@@ -263,6 +264,6 @@ def test_transcript_emission_within_budget():
     )
     with _Budget("transcript of 20,000 events", 0.5):
         text = transcript_to_yaml(transcript)
-    loaded = load_yaml(text)["transcript"]
+    loaded = load(text)["transcript"]
     assert len(loaded) == count
     assert loaded[-1]["stdout"] == f"line {count - 1}\n"

@@ -114,6 +114,18 @@ class TestUp:
             assert creates == [f"ep{i}" for i in range(index)]
             assert destroys == list(reversed(creates))
 
+    def test_a_failed_up_leaves_a_deployment_sharing_its_backend_running(self):
+        """A second ``up`` on the same backend may not take over a live
+        endpoint: it fails, and its rollback destroys nothing of the first."""
+        backend = MockBackend()
+        first = up(five_endpoint_scenario(), backend)
+        with pytest.raises(DeploymentFailure) as exc:
+            up(five_endpoint_scenario(), backend)
+        assert exc.value.endpoint == "ep0" and "already live" in str(exc.value)
+        assert first.states["ep0"] == "running"
+        assert first.exec("ep0", "ls").exit_code == 0
+        first.down()
+
     def test_backend_contract_is_swappable(self, listing1):
         backend = SpecOnlyBackend()
         deployment = up(listing1, backend)

@@ -22,6 +22,7 @@ from alurity.model import (
     Split,
     VmSpec,
     WindowSpec,
+    validate,
 )
 from alurity.parser import (
     ParseFailure,
@@ -285,6 +286,34 @@ def test_repeated_keys_fold_in_linear_time():
         return time.perf_counter() - start
 
     assert min(seconds(32_000) for _ in range(2)) < 8 * min(seconds(8_000) for _ in range(2))
+
+
+class TestRepeatedSections:
+    """A section given twice goes on numbering its records where the one
+    before it ended, so each record's diagnostics carry its own lines."""
+
+    def test_networks(self):
+        text = "networks:\n  - network:\n    - name: a\n    - subnet: 10.0.0.0/24\n" * 2
+        scenario = parse_scenario(text)
+        assert [scenario.source_map[f"networks[{i}].name"] for i in (0, 1)] == [3, 7]
+        (duplicate,) = [d for d in validate(scenario) if d.code == "duplicate-network-name"]
+        assert (duplicate.location, duplicate.line) == ("networks[1].name", 7)
+
+    def test_flows(self):
+        rosnet_text = (Path(__file__).parent / "fixtures" / "rosnet.yaml").read_text()
+        section = "flow:\n  - container:\n    - name: {}\n    - window:\n      - name: w\n"
+        text = rosnet_text + section.format("rosmachine") + section.format("ghost")
+        scenario = parse_scenario(text)
+        first = len(rosnet_text.splitlines()) + 1
+        assert [scenario.source_map[f"flows[{i}].endpoint"] for i in (0, 1)] == [first + 2, first + 7]
+        (ghost,) = validate(scenario)
+        assert (ghost.code, ghost.location, ghost.line) == ("endpoint-not-found", "flows[1].endpoint", first + 7)
+
+    def test_a_select_failure_in_a_later_section_has_its_line(self):
+        text = "flow:\n  - container:\n    - name: a\n" * 2 + "    - select: x\n"
+        with pytest.raises(ParseFailure) as exc:
+            parse_flow(text)
+        assert (exc.value.message, exc.value.line) == ("selected window 'x' is not defined for 'a'", 7)
 
 
 class TestParseFlow:

@@ -47,7 +47,6 @@ from alurity.parser import (
     _line,
     _malformed,
     _normalize_split,
-    load_yaml,
     parse_flow,
     parse_scenario,
     parse_scenario_with_warnings,
@@ -56,7 +55,7 @@ from alurity.parser import (
 )
 
 from strategies import scenarios
-from yaml_classes import pure_python_classes
+from yaml_classes import load_untagged, pure_python_classes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -89,7 +88,7 @@ def _scalar(node: yaml.Node):
         return None
     try:
         if node.style in ("|", ">"):  # a block scalar: its text is re-read
-            return load_yaml(text)
+            return load_untagged(text)
         tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
         if tag == _STR_TAG:
             return text
@@ -336,6 +335,12 @@ def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diag
     return VmSpec(**fields)
 
 
+def _unknown_top_level(key) -> str:
+    # A map or a list as a key is named by its kind: a composed node's text
+    # would carry the tags one loader resolves and the other does not.
+    return f"unknown top-level key {key!r}" if isinstance(key, str) else "each top-level key must be a scalar"
+
+
 def reference_parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
     """Parse a scenario document; unknown record keys come back as warnings."""
     root = _compose(text)
@@ -352,18 +357,18 @@ def reference_parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Di
     for key_node, value_node in root.value:
         key = key_node.value
         if key == "networks":
-            for i, item in enumerate(_tagged_items(value_node, "networks", ("network",))):
+            for i, item in enumerate(_tagged_items(value_node, "networks", ("network",)), len(networks)):
                 networks.append(_parse_network(item, i, source_map, warnings))
         elif key == "containers":
-            for i, item in enumerate(_tagged_items(value_node, "containers", ("container",))):
+            for i, item in enumerate(_tagged_items(value_node, "containers", ("container",)), len(containers)):
                 containers.append(_parse_container(item, i, source_map, warnings))
         elif key == "vms":
-            for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",))):
+            for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",)), len(vms)):
                 vms.append(_parse_vm(item, i, source_map, warnings))
         elif key == "flow":
-            flows += tuple(_parse_flow_section(value_node, source_map))
+            flows += tuple(_parse_flow_section(value_node, source_map, len(flows)))
         else:
-            raise ParseFailure(f"unknown top-level key {key!r}", _line(key_node))
+            raise ParseFailure(_unknown_top_level(key), _line(key_node))
     scenario = Scenario(
         networks=tuple(networks),
         containers=tuple(containers),
@@ -374,9 +379,11 @@ def reference_parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Di
     return scenario, warnings
 
 
-def _parse_flow_section(node: yaml.Node, source_map: dict) -> list[FlowSpec]:
+def _parse_flow_section(node: yaml.Node, source_map: dict, start: int) -> list[FlowSpec]:
+    """``start`` numbers the section's first entry: a repeated ``flow:``
+    section goes on where the one before it ended."""
     flows: list[FlowSpec] = []
-    for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm"))):
+    for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm")), start):
         loc = f"flows[{index}]"
         source_map[loc] = _line(item)
         name: Optional[str] = None
@@ -421,9 +428,9 @@ def reference_parse_flow(text: str) -> list[FlowSpec]:
     for key_node, value_node in root.value:
         if key_node.value == "flow":
             seen = True
-            flows += _parse_flow_section(value_node, {})
+            flows += _parse_flow_section(value_node, {}, len(flows))
         else:
-            raise ParseFailure(f"unknown top-level key {key_node.value!r}", _line(key_node))
+            raise ParseFailure(_unknown_top_level(key_node.value), _line(key_node))
     if not seen:
         raise ParseFailure("flow document must contain a 'flow' section", _line(root))
     return flows

@@ -1,11 +1,12 @@
 import itertools
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from alurity import flows
+from alurity import flows, netplan
 from alurity.flows import UnknownEndpointInFlow
 from alurity.model import ModuleRef, validate
 from alurity.orchestrator import MockBackend, TeardownLeak
@@ -20,8 +21,10 @@ from alurity.pipeline import (
     emit_all,
     run_pipeline,
 )
-from alurity.parser import load_yaml, parse_flow, parse_scenario
+from alurity.parser import parse_flow, parse_scenario
 from alurity.toolreg import registry_index_from_dict
+
+from yaml_classes import load
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
 TARGET = ModuleRef.parse(f"{REG}/robo_ur_cb3_1:3.13.0")
@@ -47,12 +50,13 @@ def record(title="ROS master exposed", **kw):
 
 class TestAssemble:
     def test_single_tool(self, registry):
-        scenario = assemble(PipelineSpec(target=TARGET, tools=(AZTARNA,)), registry)
+        scenario, flow = assemble(PipelineSpec(target=TARGET, tools=(AZTARNA,)), registry)
         assert [c.name for c in scenario.containers] == ["target", "scanner"]
         assert scenario.containers[0].base == TARGET
         assert scenario.containers[1].base == AZTARNA
-        assert len(scenario.networks) == 1
-        commands = scenario.flows[0].windows[0].items
+        assert len(scenario.networks) == 1 and scenario.flows == ()
+        assert flow.endpoint == "scanner"
+        commands = flow.windows[0].items
         assert len(commands) == 1
         # target is the first endpoint: first auto address above the gateway
         assert commands[0].text == "aztarna -t ros -a 10.110.0.2"
@@ -63,11 +67,11 @@ class TestAssemble:
         assert exc.value.code == "empty-toolchain"
 
     def test_three_tools(self, registry):
-        scenario = assemble(PipelineSpec(target=TARGET, tools=(AZTARNA, ROBOSPLOIT, GAZEBO)), registry)
+        scenario, flow = assemble(PipelineSpec(target=TARGET, tools=(AZTARNA, ROBOSPLOIT, GAZEBO)), registry)
         scanner = scenario.containers[1]
         assert scanner.base == AZTARNA
         assert scanner.volumes == (ROBOSPLOIT, GAZEBO)
-        commands = [c.text for c in scenario.flows[0].windows[0].items]
+        commands = [c.text for c in flow.windows[0].items]
         assert len(commands) == 3
         assert commands[0].startswith("aztarna")
         assert commands[1].startswith("robosploit")
@@ -76,8 +80,8 @@ class TestAssemble:
         tools = (AZTARNA, ROBOSPLOIT, GAZEBO)
         for n in (1, 2, 3):
             for combo in itertools.permutations(tools, n):
-                scenario = assemble(PipelineSpec(target=TARGET, tools=combo), registry)
-                assert [d for d in validate(scenario) if d.severity == "error"] == []
+                scenario, flow = assemble(PipelineSpec(target=TARGET, tools=combo), registry)
+                assert [d for d in validate(replace(scenario, flows=(flow,))) if d.severity == "error"] == []
 
 
 class TestRunPipeline:
@@ -105,6 +109,17 @@ class TestRunPipeline:
         backend = MockBackend(responses=[("^aztarna", {"stdout": "FINDING: x\n"})])
         (rec,) = run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
         assert (rec.title, rec.description) == (template, template)
+
+    def test_addresses_are_allocated_once(self, registry, monkeypatch):
+        calls = []
+
+        def counting(scenario, allocate=netplan._allocate):
+            calls.append(scenario)
+            return allocate(scenario)
+
+        monkeypatch.setattr(netplan, "_allocate", counting)
+        run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA, ROBOSPLOIT)), MockBackend(), registry)
+        assert len(calls) == 1
 
     def test_clean_run_yields_nothing(self, registry):
         records = run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), MockBackend(), registry)
@@ -165,11 +180,11 @@ class TestFlawRecord:
 
     def test_roundtrip(self):
         rec = record()
-        assert load_yaml(rec.to_yaml()) == rec.to_dict()
+        assert load(rec.to_yaml()) == rec.to_dict()
 
     def test_unknown_fields_pass_through(self):
         rec = record(extra={"cvss": 9.8, "links": ["a"]})
-        loaded = load_yaml(rec.to_yaml())
+        loaded = load(rec.to_yaml())
         assert (loaded["cvss"], loaded["links"]) == (9.8, ["a"])
         assert loaded == rec.to_dict()
 
@@ -179,7 +194,7 @@ class TestEmit:
         rec = record()
         location = DirectorySink(str(tmp_path)).emit(rec)
         assert location.endswith(".yaml") and "rvd-" in location
-        assert load_yaml(Path(location).read_text()) == rec.to_dict()
+        assert load(Path(location).read_text()) == rec.to_dict()
 
     def test_stable_file_name_per_title(self, tmp_path):
         sink = DirectorySink(str(tmp_path))
@@ -191,7 +206,7 @@ class TestEmit:
         assert outbox == [] and len(set(locations)) == 2
         assert len(list(tmp_path.iterdir())) == 2
         for location, rec in zip(locations, records):
-            assert load_yaml(Path(location).read_text()) == rec.to_dict()
+            assert load(Path(location).read_text()) == rec.to_dict()
 
     def test_tracker_sink(self, tracker):
         stub, url = tracker

@@ -163,6 +163,16 @@ class TestExtract:
         with pytest.raises(NoReproductionFound):
             extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{record}```\n"))
 
+    def test_a_record_block_is_read_by_the_config_rules(self, listing1_text, listing1):
+        """Explicit tags are ignored, and a node that contains itself leaves
+        the block without a record."""
+        block = make_record(listing1_text).to_yaml().replace('severity: "high"', "severity: !!bool high")
+        scenario, _ = extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{block}```\n"))
+        assert scenario == listing1
+        looped = f"{block}loop: &loop [*loop]\n"
+        with pytest.raises(NoReproductionFound):
+            extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{looped}```\n"))
+
     def test_record_with_non_text_flow(self, listing1_text):
         record = {"reproduction": {"scenario": listing1_text, "flow": {"endpoint": "ur3"}}}
         body = f"```yaml\n{dump_yaml(record)}```\n"

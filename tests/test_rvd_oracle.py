@@ -3,6 +3,9 @@ the ones they replaced, kept here verbatim as the oracles.
 
 The former ``extract_reproduction`` tried every block as a scenario first
 and, when that failed, loaded it whole to look for an emitted flaw record.
+It is kept with one change: a record block loads with its explicit tags
+ignored (``yaml_classes.load_untagged``), as every reader in the package
+reads YAML.
 The former ``FlawRecord.to_yaml`` was ``dump_yaml(record.to_dict())``.
 Inputs are flaw records (written by both emitters), scenario and flow
 documents, and line mutations of both: the scenario mutations of
@@ -20,13 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alurity.model import FlowSpec, Scenario
-from alurity.parser import ParseFailure, dump_yaml, load_yaml, parse_flow, parse_scenario, serialize_flow, serialize_scenario
+from alurity.parser import ParseFailure, dump_yaml, parse_flow, parse_scenario, serialize_flow, serialize_scenario
 from alurity.pipeline import FlawRecord
 from alurity.rvd import NoReproductionFound, Ticket, extract_reproduction
 
 from strategies import scenarios
 from test_parser_oracle import ODD_SCALARS, SCENARIO_TEXTS, TAGS, _fixture, mutated
-from yaml_classes import pure_python_classes
+from yaml_classes import load, load_untagged, pure_python_classes
 
 # --- the oracles ---------------------------------------------------------------
 
@@ -69,7 +72,7 @@ def reference_extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[l
 
 def _reproduction_from_record(block: str) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
     try:
-        doc = load_yaml(block)
+        doc = load_untagged(block)
     except (ValueError, yaml.YAMLError):
         return None
     if not isinstance(doc, dict) or "reproduction" not in doc:
@@ -212,17 +215,17 @@ def test_extract_matches_oracle_pure_python(body):
 
 def test_mutations_reach_the_record_rules():
     """The record path's rules the mutations are there to reach, each once:
-    a value its tag cannot read anywhere in the block rejects the record, a
-    merge key can bring ``reproduction`` in, and non-text material is not a
-    reproduction."""
+    explicit tags are ignored, a plain value its type cannot read anywhere
+    in the block rejects the record, a merge key can bring ``reproduction``
+    in, and non-text material is not a reproduction."""
     listing1 = SCENARIO_TEXTS[0]
     record = FlawRecord("t", "dos", "d", "s", "x", listing1)
     block = record.to_yaml()
     cases = {
         block: "ok",
-        block.replace('title: "t"', "title: !!bool t"): "NoReproductionFound",
+        block.replace('title: "t"', "title: !!bool t"): "ok",
         block.replace('title: "t"', "title: 2020-13-45"): "NoReproductionFound",
-        block.replace('title: "t"', 'title: !!int ""'): "NoReproductionFound",
+        block.replace('title: "t"', 'title: !!int ""'): "ok",
         block.replace("reproduction:", "<<:\n  reproduction:").replace("\n  scenario:", "\n    scenario:").replace("\n  flow:", "\n    flow:"): "ok",
         block.replace("reproduction:", "other:"): "NoReproductionFound",
         'reproduction: {scenario: !!binary aGk=}\n': "NoReproductionFound",
@@ -235,9 +238,8 @@ def test_mutations_reach_the_record_rules():
 
 
 def test_merge_key_named_like_a_section_still_reads_as_a_scenario():
-    """A merge-tagged key reads as its text in the scenario dialect, and
-    loading a block flattens its merge keys in place, so a block is folded
-    as a scenario before it is loaded as a record."""
+    """A merge-tagged key reads as its text in the scenario dialect: tags
+    are ignored, and only a plain ``<<`` merges."""
     text = "!!merge networks:\n  - network:\n    - name: a\n    - subnet: 10.0.0.0/24\n"
     body = f"```yaml\n{text}```\n"
     outcome = _outcome(extract_reproduction, body)
@@ -251,7 +253,7 @@ def test_record_yaml_loads_like_the_oracle(record):
     """Both loader classes read the line writer's output as the document the
     representer's output reads as, key order included."""
     new, old = record.to_yaml(), reference_record_yaml(record)
-    expected = load_yaml(old)
-    assert list(load_yaml(new).items()) == list(expected.items())
+    expected = load(old)
+    assert list(load(new).items()) == list(expected.items())
     with pure_python_classes():
-        assert list(load_yaml(new).items()) == list(load_yaml(old).items()) == list(expected.items())
+        assert list(load(new).items()) == list(load(old).items()) == list(expected.items())

@@ -77,7 +77,7 @@ class TestIndex:
 
     def test_rules_loaded_from_manifest(self, registry):
         manifest = registry.lookup(ref(f"{REG}/reco_aztarna:latest"))
-        assert manifest.group == "reconnaissance"
+        assert ref(f"{REG}/reco_aztarna:latest").group == "reconnaissance"  # the group is the prefix map's
         assert len(manifest.rules) == 1
         assert manifest.rules[0].flaw_class == "exposure"
 

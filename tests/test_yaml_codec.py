@@ -21,11 +21,12 @@ from alurity import parser
 from alurity.flows import Transcript, TranscriptEvent, transcript_to_yaml
 from alurity.netplan import ConnectivityPlan, PlanEntry, export_plan_yaml
 from alurity.orchestrator import CommandResult
-from alurity.parser import load_yaml, parse_scenario, serialize_scenario
+from alurity.parser import parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord
 
 import test_parser
 from strategies import scenarios
+from yaml_classes import load
 
 # Printable text as it reaches the emitters: decoded command output and
 # titles.  Lone surrogates are left out; they are not text any YAML stream
@@ -106,10 +107,10 @@ class TestScalarClassifier:
             assert same_value(actual, expected), (loader.__name__, node.value, actual, expected)
 
     def test_plain_scalars_are_not_reparsed(self, listing1_text, listing3_text, monkeypatch):
-        def reparse(_text):
+        def reparse(*_args):
             raise AssertionError("a plain scalar was re-parsed")
 
-        monkeypatch.setattr(parser, "load_yaml", reparse)
+        monkeypatch.setattr(parser, "build_yaml", reparse)
         parse_scenario(listing1_text)
         parser.parse_flow(listing3_text)
 
@@ -128,13 +129,18 @@ class TestScalarClassifier:
         yaml.compose(listing1_text, Loader=parser.YAML_LOADER)
         assert calls  # the count sees the resolving loader
         calls.clear()
-        parser._compose(listing1_text, parser._NodeLoader)
-        parser._compose(listing3_text, parser._NodeLoader)
+        parser.compose_yaml(listing1_text)
+        parser.compose_yaml(listing3_text)
         assert calls == []
 
     def test_block_scalars_are_reread(self):
         text = "networks:\n  - network:\n    - name: |\n        lab\n    - subnet: 12.0.0.0/24\n"
         assert parse_scenario(text).networks[0].name == "lab"
+
+    @pytest.mark.parametrize("text, value", [("!!str 4\n", 4), ("&a [*a]\n", "&a [*a]\n")])
+    def test_block_scalars_are_reread_by_the_config_rules(self, text, value):
+        """Explicit tags are ignored; text the builder refuses stays text."""
+        assert parser._scalar(parser.compose_yaml(f"|\n  {text}")) == value
 
     @pytest.mark.parametrize("loader", LOADERS)
     @pytest.mark.parametrize("text", ["---", "--- x", "..."])
@@ -157,7 +163,7 @@ def reference_emit_scalar(text: str) -> str:
     reading it back as a whole document gave a string."""
     if _OLD_BARE_RE.fullmatch(text) and ": " not in text:
         try:
-            if isinstance(load_yaml(text), str):
+            if isinstance(load(text), str):
                 return text
         except (ValueError, yaml.YAMLError):
             pass
@@ -188,10 +194,11 @@ class TestEmitScalar:
         assert parser._emit_scalar(text) == text == reference_emit_scalar(text)
 
     def test_no_document_is_loaded(self, listing1, monkeypatch):
-        def load(_text):
+        def refuse(*_args):
             raise AssertionError("a scalar was read back as a document")
 
-        monkeypatch.setattr(parser, "load_yaml", load)
+        monkeypatch.setattr(parser, "compose_yaml", refuse)
+        monkeypatch.setattr(parser, "build_yaml", refuse)
         assert "- name: attacker" in serialize_scenario(listing1)
 
 
@@ -222,7 +229,7 @@ class TestEmittersReadBackUnderPurePython:
         )
         text = record.to_yaml()
         assert pure_load(text) == record.to_dict()
-        assert load_yaml(text) == record.to_dict()
+        assert load(text) == record.to_dict()
 
     @settings(max_examples=150, deadline=None)
     @given(_text, _text)

@@ -1,11 +1,12 @@
 """Differential tests: ``load_yaml_map``, the reader behind ``--index`` and
-``--mock-responses``, against ``load_yaml``.
+``--mock-responses``, against PyYAML's safe loader (``yaml_classes.load``,
+the ``load_yaml`` of the test names).
 
 Config files are composed without tag resolution and built in one walk over
 the node tree.  On every document that holds no explicit tag and no node
-that contains itself, the walk must return what ``load_yaml`` returns: the
+that contains itself, the walk must return what the safe loader returns: the
 same keys in the same order, the same values of the same types.  Where
-``load_yaml`` cannot read a document, or reads one that is not a map, the
+the safe loader cannot read a document, or reads one that is not a map, the
 walk raises ``ParseFailure``.  The intended differences are listed and
 checked on their own: explicit tags are ignored, a node that contains
 itself is refused and so is nesting deeper than the interpreter's
@@ -24,9 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alurity.cli import main
-from alurity.parser import ParseFailure, load_yaml, load_yaml_map
+from alurity.parser import ParseFailure, load_yaml_map
 
-from yaml_classes import pure_python_classes
+from yaml_classes import load, pure_python_classes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROSNET = str(FIXTURES / "rosnet.yaml")
@@ -199,7 +200,7 @@ def _expected(text: str):
     """``repr`` of what ``load_yaml_map`` must return for ``text``, or
     ``ParseFailure`` where it must raise."""
     try:
-        doc = load_yaml(text)
+        doc = load(text)
     except (ValueError, yaml.YAMLError):
         return ParseFailure
     if doc is None:

@@ -23,3 +23,28 @@ def pure_python_classes():
         patch.setattr(parser, "YAML_DUMPER", yaml.SafeDumper)
         patch.setattr(parser, "_NodeLoader", PureNodeLoader)
         yield
+
+
+def load(text: str):
+    """The document in ``text`` as PyYAML's safe loader reads it, on the
+    classes the package composes with."""
+    return yaml.load(text, Loader=parser.YAML_LOADER)
+
+
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def load_untagged(text: str):
+    """``load`` of ``text`` with every node typed as if it carried no
+    explicit tag, as the package's readers type nodes; ``ValueError`` or
+    ``yaml.YAMLError`` where that cannot be read."""
+    root = yaml.compose(text, Loader=parser.YAML_LOADER)
+    todo, seen = [root] if root is not None else [], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            node.tag = _RESOLVER.resolve(type(node), node.value, (not getattr(node, "style", None), False))
+            if not isinstance(node, yaml.ScalarNode):
+                todo.extend(item for entry in node.value for item in (entry if isinstance(entry, tuple) else (entry,)))
+    return None if root is None else yaml.constructor.SafeConstructor().construct_document(root)
