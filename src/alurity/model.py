@@ -128,15 +128,47 @@ class FlowSpec:
             raise ValueError(f"selected window {self.select!r} is not defined for {self.endpoint!r}")
 
 
+class SourceMap(Mapping):
+    """Document path -> 1-based source line, read-only.
+
+    The parser records each path as its parts, ``(record, path, index,
+    line)``: ``path`` is None for the record itself and ``index`` None but
+    for the n-th value of a repeating key.  Most documents are never asked
+    for a line, so the paths are formatted only when the map is first read;
+    a path recorded twice keeps its last line.
+    """
+
+    def __init__(self, parts=()):
+        self._parts = parts
+        self._lines: Optional[dict] = None
+
+    def _formatted(self) -> dict:
+        if self._lines is None:
+            self._lines = {
+                record if path is None else f"{record}.{path}" if index is None else f"{record}.{path}[{index}]": line
+                for record, path, index, line in self._parts
+            }
+        return self._lines
+
+    def __getitem__(self, location: str) -> int:
+        return self._formatted()[location]
+
+    def __iter__(self):
+        return iter(self._formatted())
+
+    def __len__(self) -> int:
+        return len(self._formatted())
+
+
 @dataclass(frozen=True)
 class Scenario:
     networks: tuple[NetworkSpec, ...] = ()
     containers: tuple[ContainerSpec, ...] = ()
     vms: tuple[VmSpec, ...] = ()
     flows: tuple[FlowSpec, ...] = ()
-    # document path -> 1-based source line, filled by the parser; excluded
-    # from equality so round-tripped scenarios compare equal.
-    source_map: dict = field(default_factory=dict, compare=False, repr=False)
+    # filled by the parser; excluded from equality so round-tripped
+    # scenarios compare equal.
+    source_map: Mapping[str, int] = field(default_factory=SourceMap, compare=False, repr=False)
     # derivation -> result, for ``derive_once``; ``replace`` starts it empty
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -150,7 +182,8 @@ class Diagnostic:
     line: Optional[int] = None
 
     def __str__(self) -> str:
-        return f"{self.severity} {self.code} {self.location} {self.message}"
+        where = f" (line {self.line})" if self.line is not None else ""
+        return f"{self.severity} {self.code} {self.location} {self.message}{where}"
 
 
 def endpoints(scenario: Scenario) -> list[tuple[str, str]]:

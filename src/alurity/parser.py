@@ -36,6 +36,7 @@ from .model import (
     ModuleRef,
     NetworkSpec,
     Scenario,
+    SourceMap,
     Split,
     VmSpec,
     WindowSpec,
@@ -71,10 +72,21 @@ class _NodeLoader(YAML_LOADER):
     and ``_built`` type each plain scalar where it is read.  Skipping the
     resolver is exact: the safe loaders register no path resolvers, so it
     never steers composition.
+
+    The composer calls ``descend_resolver`` and ``ascend_resolver`` around
+    every node.  PyYAML's versions keep the state of path resolvers, which
+    only ``resolve`` reads, so with ``resolve`` replaced they are no-ops
+    here and the composed tree is the same, node for node.
     """
 
     def resolve(self, kind, value, implicit):
         return None
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
 
 
 def compose_yaml(text: str) -> Optional[yaml.Node]:
@@ -411,16 +423,17 @@ _SECTIONS = {
 }
 
 
-def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, source_map: dict, warnings: list, owner: str = "") -> dict:
+def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, parts: list, warnings: list, owner: str = "") -> dict:
     """A record's fields, folded from its single-key maps by its key table.
 
     ``loc`` names the record in messages and ``line`` is reported for a
-    missing key.  Source-map paths hang below ``owner``, the record itself
-    unless it is nested.  A repeating key's values collect in a list, made a
-    tuple once the record is read.
+    missing key.  Each line read is appended to ``parts`` as a ``SourceMap``
+    part, its path below ``owner``, the record itself unless it is nested.
+    A repeating key's values collect in a list, made a tuple once the record
+    is read.
     """
     owner = owner or loc
-    source_map[loc] = line
+    parts.append((loc, None, None, line))
     if not isinstance(node, SequenceNode):
         raise ParseFailure(f"{loc} must be a sequence of single-key maps", _line(node))
     fields: dict = {attr: [] for attr in keys.repeated}
@@ -437,25 +450,24 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, source_map: dict, 
             if entry is None:
                 if keys.strict:
                     raise ParseFailure(f"unknown key {key!r} in {loc}", key_line)
-                what = f"{loc}.{key}"
-                source_map[what] = key_line
-                warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", what, key_line))
+                parts.append((loc, key, None, key_line))
+                warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", f"{loc}.{key}", key_line))
                 continue
             path, attr, reader, count = entry
             if count == "*":
                 items = fields[attr]
                 if isinstance(reader, _Table):
                     where = f"{owner}.{path}[{len(items)}]"
-                    items.append(reader.spec(**_fold(value, where, key_line, reader, source_map, warnings)))
+                    items.append(reader.spec(**_fold(value, where, key_line, reader, parts, warnings)))
                     continue
                 for item, item_line in reader(value, key_line, loc, key):
-                    source_map[f"{owner}.{path}[{len(items)}]"] = item_line
+                    parts.append((owner, path, len(items), item_line))
                     items.append(item)
                 continue
             _once(seen, key, loc, key_line)
-            source_map[f"{owner}.{path}"] = key_line
+            parts.append((owner, path, None, key_line))
             if isinstance(reader, _Table):
-                fields.update(_fold(value, f"{loc}.{key}", key_line, reader, source_map, warnings, owner))
+                fields.update(_fold(value, f"{loc}.{key}", key_line, reader, parts, warnings, owner))
             else:
                 fields[attr] = reader(value, loc, key)
     except ParseFailure:
@@ -522,7 +534,7 @@ def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tup
         raise ParseFailure(f"{what} document must be a top-level map", _line(root))
     sections = _SECTIONS if what == "scenario" else {"flow": _SECTIONS["flow"]}
     warnings: list[Diagnostic] = []
-    source_map: dict = {}
+    parts: list = []
     records: dict = {field: [] for field, _, _ in _SECTIONS.values()}
     for key_node, value_node in root.value:
         key = key_node.value
@@ -531,14 +543,14 @@ def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tup
         field, tags, keys = sections[key]
         for item in _tagged_items(value_node, key, tags):
             loc = f"{field}[{len(records[field])}]"  # a repeated section goes on where the one before ended
-            fields = _fold(item, loc, _line(item), keys, source_map, warnings)
+            fields = _fold(item, loc, _line(item), keys, parts, warnings)
             try:
                 records[field].append(keys.spec(**fields))
             except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
-                raise ParseFailure(str(exc), source_map[f"{loc}.select"]) from exc
+                raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
     if what == "flow" and not root.value:
         raise ParseFailure("flow document must contain a 'flow' section", _line(root))
-    return Scenario(**{field: tuple(specs) for field, specs in records.items()}, source_map=source_map), warnings
+    return Scenario(**{field: tuple(specs) for field, specs in records.items()}, source_map=SourceMap(parts)), warnings
 
 
 def parse_flow(text: str) -> list[FlowSpec]:

@@ -311,7 +311,7 @@ class TestFlowsAreValidated:
         assert not (tmp_path / "transcripts").exists()
 
     def test_ghost_fixture_exits_1(self, run_cli):
-        assert run_cli("validate", GHOST)[:2] == (1, "error endpoint-not-found flows[0].endpoint endpoint 'ghost' is not declared\n")
+        assert run_cli("validate", GHOST)[:2] == (1, "error endpoint-not-found flows[0].endpoint endpoint 'ghost' is not declared (line 18)\n")
         assert run_cli("run", GHOST)[0] == 1
 
     def test_a_flow_file_replaces_the_embedded_flow_and_its_lines(self, run_cli, tmp_path, monkeypatch):

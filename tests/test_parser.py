@@ -1,7 +1,9 @@
 import gc
 import math
+import re
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -314,6 +316,128 @@ class TestRepeatedSections:
         with pytest.raises(ParseFailure) as exc:
             parse_flow(text)
         assert (exc.value.message, exc.value.line) == ("selected window 'x' is not defined for 'a'", 7)
+
+
+def test_source_map_is_formatted_only_when_read(listing1_text):
+    """A clean document is parsed and validated without formatting a path;
+    the first read formats them all, and the map cannot be written."""
+    scenario = parse_scenario(listing1_text)
+    assert validate(scenario) == []
+    assert scenario.source_map._lines is None
+    assert scenario.source_map["networks[1].subnet"] == 12
+    assert scenario.source_map._lines is not None
+    with pytest.raises(TypeError):
+        scenario.source_map["networks[1].subnet"] = 1
+
+
+# A location's last part -> the dialect keys the line it names may hold;
+# any other part names its own key.
+_LINE_KEYS = {
+    "networks": ("network",),
+    "containers": ("container",),
+    "vms": ("vm",),
+    "flows": ("container", "vm"),
+    "volumes": ("volume",),
+    "windows": ("window",),
+    "endpoint": ("name",),
+    "extra_options": ("extra-options",),
+    "items": ("commands",),
+}
+_SECTION_FIELDS = {"networks": "networks", "containers": "containers", "vms": "vms", "flow": "flows"}
+
+
+def _keys_named(location: str) -> tuple:
+    last = re.sub(r"\[\d+\]$", "", location.rpartition(".")[2])
+    return _LINE_KEYS.get(last, (last,))
+
+
+def _key_at(text: str):
+    match = re.match(r" *- ([\w-]+):", text)
+    return match and match[1]
+
+
+def _record_at(lines: list, line: int) -> tuple:
+    """The (Scenario field, index) of the record that holds 1-based ``line``,
+    counting each section's entries across repeated sections."""
+    counts: dict = {}
+    record = None
+    for text in lines[:line]:
+        if text[:1].isalpha():
+            field = _SECTION_FIELDS[text.rstrip(":")]
+        elif text.startswith("  - "):
+            record = (field, counts.setdefault(field, 0))
+            counts[field] += 1
+    return record
+
+
+def _record_named(location: str) -> tuple:
+    field, index = re.match(r"(\w+)\[(\d+)\]", location).groups()
+    return field, int(index)
+
+
+def _names_its_line(lines: list, line, location: str, keys: tuple) -> None:
+    """``line`` holds one of ``keys``, or is the first line of the record
+    ``location`` names, inside that record."""
+    assert line is not None, location
+    record = _record_named(location)
+    assert _record_at(lines, line) == record, (location, line)
+    first = line > 1 and lines[line - 2].startswith("  - ")  # just below the record's entry
+    assert _key_at(lines[line - 1]) in keys or first, (location, lines[line - 1])
+
+
+@st.composite
+def mislined_documents(draw):
+    """``serialize_scenario`` output with the mistakes ``validate`` and the
+    reader report: a duplicate network or endpoint name, a ghost network or
+    endpoint, a repeated window; then repeated sections, and one key line
+    repeated or dropped."""
+    scenario = draw(scenarios())
+    networks, containers, vms, flows = (list(records) for records in (scenario.networks, scenario.containers, scenario.vms, scenario.flows))
+    if len(networks) > 1 and draw(st.booleans()):
+        networks[-1] = replace(networks[-1], name=networks[0].name)
+    if containers and vms and draw(st.booleans()):
+        vms[-1] = replace(vms[-1], name=containers[0].name)
+    if containers and draw(st.booleans()):
+        containers[-1] = replace(containers[-1], networks=(*containers[-1].networks, "ghostnet"))
+    if draw(st.booleans()):
+        flows.append(FlowSpec("ghost", (WindowSpec("w0"),)))
+    if flows and draw(st.booleans()):
+        flows[0] = replace(flows[0], windows=(*flows[0].windows, WindowSpec(flows[0].windows[-1].name)))
+    text = serialize_scenario(Scenario(tuple(networks), tuple(containers), tuple(vms), tuple(flows)))
+    sections = [section for section in re.split(r"(?m)^(?=\S)", text) if section.strip()]
+    if sections:
+        text += "".join(draw(st.lists(st.sampled_from(sections), max_size=2)))
+    lines = text.splitlines(keepends=True)
+    valued = [n for n, line in enumerate(lines) if line.startswith("    ") and not line.rstrip().endswith(":")]
+    if valued and draw(st.booleans()):
+        n = draw(st.sampled_from(valued))
+        lines[n : n + 1] = [lines[n]] * draw(st.sampled_from([0, 2]))
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mislined_documents())
+def test_every_diagnostic_and_failure_names_its_line(text):
+    """Each ``validate`` diagnostic's line holds the key its location's last
+    part names, or is its record's first line, inside that record, and the
+    line's value is the one the message names; each ``ParseFailure``'s line
+    holds the key or record its message names."""
+    lines = text.splitlines()
+    try:
+        scenario = parse_scenario(text)
+    except ParseFailure as exc:
+        if match := re.fullmatch(r"key '(.+)' repeated in (\S+) \(first at line (\d+)\)", exc.message):
+            for line in (int(match[3]), exc.line):
+                _names_its_line(lines, line, match[2], (match[1],))
+            return
+        match = re.fullmatch(r"missing mandatory key '.+' in (\S+)|(\S+) must be a sequence of single-key maps", exc.message)
+        assert match, exc.message  # the only failures a dropped or repeated key line makes
+        location = match[1] or match[2]
+        _names_its_line(lines, exc.line, location, _keys_named(location))
+        return
+    for diagnostic in validate(scenario):
+        _names_its_line(lines, diagnostic.line, diagnostic.location, _keys_named(diagnostic.location))
+        assert lines[diagnostic.line - 1].partition(": ")[2] in diagnostic.message, diagnostic  # the value it is about
 
 
 class TestParseFlow:

@@ -7,10 +7,12 @@ through libyaml when PyYAML has it, so their output is read back with the
 pure-Python loader.
 """
 
+import contextlib
 import json
 import math
 import re
 import string
+from pathlib import Path
 
 import pytest
 import yaml
@@ -26,7 +28,7 @@ from alurity.pipeline import FlawRecord
 
 import test_parser
 from strategies import scenarios
-from yaml_classes import load
+from yaml_classes import load, pure_python_classes
 
 # Printable text as it reaches the emitters: decoded command output and
 # titles.  Lone surrogates are left out; they are not text any YAML stream
@@ -85,6 +87,36 @@ def same_value(a, b) -> bool:
     return a == b
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.yaml"))
+
+
+def untagged_tree(root):
+    """The tree under ``root`` without its tags: each node's kind, value or
+    children, style and start line and column.  A node met again is the
+    number of its first visit."""
+    visits: dict[int, int] = {}
+
+    def walk(node):
+        if id(node) in visits:
+            return visits[id(node)]
+        visits[id(node)] = len(visits)
+        start = (node.start_mark.line, node.start_mark.column)
+        if isinstance(node, yaml.ScalarNode):
+            return ("scalar", node.value, node.style, start)
+        if isinstance(node, yaml.SequenceNode):
+            return ("sequence", [walk(item) for item in node.value], node.flow_style, start)
+        return ("map", [(walk(key), walk(value)) for key, value in node.value], node.flow_style, start)
+
+    return None if root is None else walk(root)
+
+
+def same_tree(text: str) -> None:
+    """``parser.compose_yaml`` composes ``text`` into the tree the resolving
+    loader builds, tags aside."""
+    assert untagged_tree(parser.compose_yaml(text)) == untagged_tree(yaml.compose(text, Loader=parser.YAML_LOADER))
+
+
 class TestScalarClassifier:
     @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(_plain_candidates)
@@ -132,6 +164,20 @@ class TestScalarClassifier:
         parser.compose_yaml(listing1_text)
         parser.compose_yaml(listing3_text)
         assert calls == []
+
+    @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_composes_fixtures_like_the_resolving_loader(self, name, classes, request):
+        if classes == "pure-python":
+            request.getfixturevalue("pure_python_yaml")
+        same_tree((FIXTURES / name).read_text(encoding="utf-8"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios(), st.booleans())
+    def test_composes_scenarios_like_the_resolving_loader(self, scenario, pure_python):
+        text = serialize_scenario(scenario)
+        with pure_python_classes() if pure_python else contextlib.nullcontext():
+            same_tree(text)
 
     def test_block_scalars_are_reread(self):
         text = "networks:\n  - network:\n    - name: |\n        lab\n    - subnet: 12.0.0.0/24\n"

@@ -12,6 +12,8 @@ class PureNodeLoader(yaml.SafeLoader):
     """``parser._NodeLoader`` on the pure-Python classes."""
 
     resolve = parser._NodeLoader.resolve
+    descend_resolver = parser._NodeLoader.descend_resolver
+    ascend_resolver = parser._NodeLoader.ascend_resolver
 
 
 @contextlib.contextmanager
