@@ -481,17 +481,17 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, parts: list, warni
     return fields
 
 
-def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
-    """Unwrap ``- network:`` / ``- container:`` wrapper entries."""
+def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[tuple[str, yaml.Node, int]]:
+    """Check ``- network:`` / ``- container:`` wrapper entries: each
+    entry's tag, the record's node and the line of its entry."""
     if node is None or (isinstance(node, ScalarNode) and node.value == ""):
         return []
-    out = []
-    for key, value, line in _pairs(node, section):
+    pairs = _pairs(node, section)
+    for key, _, line in pairs:
         if key not in tags:
             expected = " or ".join(repr(tag) for tag in tags)
             raise ParseFailure(f"expected {expected} entries under {section}, got {key!r}", line)
-        out.append(value)
-    return out
+    return pairs
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -541,9 +541,9 @@ def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tup
         if not isinstance(key, str) or key not in sections:  # a non-scalar key is unhashable
             raise ParseFailure(f"unknown top-level key {key!r}" if isinstance(key, str) else "each top-level key must be a scalar", _line(key_node))
         field, tags, keys = sections[key]
-        for item in _tagged_items(value_node, key, tags):
+        for _, item, line in _tagged_items(value_node, key, tags):
             loc = f"{field}[{len(records[field])}]"  # a repeated section goes on where the one before ended
-            fields = _fold(item, loc, _line(item), keys, parts, warnings)
+            fields = _fold(item, loc, line, keys, parts, warnings)
             try:
                 records[field].append(keys.spec(**fields))
             except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows

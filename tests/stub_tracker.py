@@ -17,7 +17,10 @@ class StubTracker:
         self.reject_status: int | None = None
         # (status, raw body) sent for every request instead of the REST subset
         self.canned: tuple[int, bytes] | None = None
-        self.seen_auth: list[str | None] = []
+        # bytes written verbatim as the reply to every request, then the close
+        self.raw: bytes | None = None
+        # (method, request target, headers) of every request, in order
+        self.seen: list[tuple[str, str, dict[str, str]]] = []
         self._server: ThreadingHTTPServer | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -38,6 +41,9 @@ class StubTracker:
                 self.wfile.write(payload)
 
             def _canned(self) -> bool:
+                if tracker.raw is not None:
+                    self.wfile.write(tracker.raw)
+                    return True
                 if tracker.canned is None:
                     return False
                 status, payload = tracker.canned
@@ -47,8 +53,11 @@ class StubTracker:
                 self.wfile.write(payload)
                 return True
 
+            def _record(self) -> None:
+                tracker.seen.append((self.command, self.path, dict(self.headers)))
+
             def do_GET(self):
-                tracker.seen_auth.append(self.headers.get("Authorization"))
+                self._record()
                 if self._canned():
                     return
                 match = _ISSUE_PATH.match(self.path)
@@ -61,8 +70,13 @@ class StubTracker:
                     return
                 self._json(200, issue)
 
+            def do_CONNECT(self):
+                """Record a proxy tunnel request and refuse it."""
+                self._record()
+                self._json(502, {"error": "no tunnels"})
+
             def do_POST(self):
-                tracker.seen_auth.append(self.headers.get("Authorization"))
+                self._record()
                 if self._canned():
                     return
                 if self.path != "/issues":

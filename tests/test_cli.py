@@ -262,6 +262,15 @@ class TestRun:
         _, url = tracker
         assert run_cli("run", "--rvd", "424242", "--tracker-url", url)[0] == 4
 
+    @pytest.mark.parametrize("token", ["tökén€", "a\r\nX-Injected: 1"])
+    def test_rvd_token_that_cannot_be_a_header_exits_4(self, run_cli, tracker, monkeypatch, token):
+        stub, url = tracker
+        monkeypatch.setenv("ALURITY_TRACKER_TOKEN", token)
+        code, out, err = run_cli("run", "--rvd", "1", "--tracker-url", url)
+        assert (code, out) == (4, "")
+        assert err.startswith("cannot fetch ticket 1: ALURITY_TRACKER_TOKEN cannot be sent as an HTTP header")
+        assert stub.seen == []
+
     @pytest.mark.parametrize(
         "record", ["reproduction: 5\n", "reproduction:\n  scenario: 5\n", "reproduction: !!bool x\n", "a: !!timestamp x\n", 'a: !!int ""\n']
     )
@@ -279,7 +288,7 @@ class TestRun:
         issue_id = stub.seed("repro", f"```yaml\n{Path(ROSNET).read_text()}```\n")
         code, _, err = run_cli("run", "/no/such/scenario.yaml", "--rvd", str(issue_id), "--tracker-url", url)
         assert code == 64 and "FILE and --rvd" in err
-        assert stub.seen_auth == []
+        assert stub.seen == []
 
 
 GHOST = str(FIXTURES / "ghost_flow.yaml")
@@ -557,6 +566,20 @@ class TestPipeline:
         )
         assert (code, out) == (4, "")
         assert err == "2 record(s) could not be emitted\n"
+
+    def test_tracker_token_that_cannot_be_a_header_exits_4(self, run_cli, tracker, monkeypatch):
+        stub, url = tracker
+        monkeypatch.setenv("ALURITY_TRACKER_TOKEN", "tökén€")
+        code, out, err = run_cli(
+            "pipeline",
+            "--target", f"{REG}/robo_ur_cb3_1:3.13.0",
+            "--tools", f"{REG}/reco_aztarna:latest",
+            "--index", INDEX,
+            "--mock-responses", RESPONSES,
+            "--sink", "tracker", "--tracker-url", url,
+        )
+        assert (code, out, err) == (4, "", "2 record(s) could not be emitted\n")
+        assert stub.seen == []
 
     def test_tracker_sink(self, run_cli, tracker, tmp_path):
         stub, url = tracker

@@ -329,3 +329,105 @@ def test_clean_validate_means_up_succeeds(scenario):
     plan = compile_flow(scenario.flows, known_endpoints=deployment.states)
     assert verify_transcript(plan, run_flow(deployment, plan))
     assert deployment.down() == []
+
+
+class ApplyFailing(MockBackend):
+    """The mock backend whose ``apply_plan`` raises while ``fail_apply`` is set."""
+
+    fail_apply = False
+
+    def apply_plan(self, plan):
+        if self.fail_apply:
+            raise RuntimeError("injected apply_plan failure")
+        super().apply_plan(plan)
+
+
+class Boom(Exception):
+    pass
+
+
+@st.composite
+def failure_points(draw):
+    """A valid scenario; a deployment already up on the same backend, whose
+    endpoints copy some of the scenario's under their own names or under
+    another; and the failures the backend then injects: a create failure at
+    one endpoint, a refused kind or a failing ``apply_plan`` (or none), and
+    a subset of endpoints whose destroy fails."""
+    scenario = draw(scenarios())
+    names = [name for name, _ in endpoints(scenario)]
+    copies = draw(st.dictionaries(st.sampled_from(names), st.booleans())) if names else {}
+
+    def copied(specs):
+        return tuple(replace(s, name=s.name if copies[s.name] else f"{s.name}-other") for s in specs if s.name in copies)
+
+    other = Scenario(networks=scenario.networks, containers=copied(scenario.containers), vms=copied(scenario.vms))
+    failure = draw(st.sampled_from(["none", "create", "refuse", "apply"]))
+    fail_create = {draw(st.sampled_from(names))} if failure == "create" and names else set()
+    refuse = {draw(st.sampled_from(["container", "vm"]))} if failure == "refuse" else set()
+    fail_destroy = draw(st.sets(st.sampled_from(names))) if names else set()
+    teardown = draw(st.sampled_from(["down", "with", "with-raise"]))
+    return scenario, other, fail_create, refuse, failure == "apply", fail_destroy, teardown
+
+
+@settings(max_examples=100, deadline=None)
+@given(failure_points())
+def test_up_is_all_or_nothing(case):
+    """``up`` either brings every endpoint up or leaves live only what its
+    rollback could not destroy, named in ``DeploymentFailure.live`` with its
+    cause; teardown destroys newest first and returns what it left live; a
+    ``with`` block keeps its own exception; and the other deployment on the
+    backend never changes state."""
+    scenario, other_scenario, fail_create, refuse, fail_apply, fail_destroy, teardown = case
+    if has_errors(validate(scenario)):
+        return
+    backend = ApplyFailing()
+    other = up(other_scenario, backend)
+    other_live = set(other.handles)
+    backend.fail_create, backend.refuse_kinds, backend.fail_apply = fail_create, refuse, fail_apply
+    backend.fail_destroy = set(fail_destroy)
+    start = len(backend.journal)
+    order = endpoints(scenario)
+    names = [name for name, _ in order]
+    refused = next((n for n, kind in order if n in other_live or kind in refuse or n in fail_create), None)
+    created = names[: names.index(refused)] if refused is not None else names
+    newest_first = created[::-1]
+    leaked = [n for n in newest_first if n in fail_destroy]
+    destroyed = [n for n in newest_first if n not in fail_destroy]
+
+    def destroys():
+        return [entry[1] for entry in backend.journal[start:] if entry[0] == "destroy"]
+
+    if refused is not None or fail_apply:
+        with pytest.raises(DeploymentFailure) as exc:
+            up(scenario, backend)
+        assert exc.value.endpoint == refused
+        assert [entry[1] for entry in backend.journal[start:] if entry[0] == "create"] == created
+        assert destroys() == destroyed
+        assert exc.value.live == leaked
+        for name in leaked:
+            assert f"{name} (injected destroy failure for {name!r})" in str(exc.value)
+        assert {n for n in created if not backend.endpoints[n].destroyed} == set(leaked)
+    else:
+        deployment = up(scenario, backend)
+        assert deployment.states == {n: "running" for n in created}
+        if teardown == "down":
+            assert deployment.down() == leaked
+        elif teardown == "with-raise":
+            with pytest.raises(Boom):
+                with deployment:
+                    raise Boom()
+        elif leaked:
+            with pytest.raises(TeardownLeak) as exc:
+                with deployment:
+                    pass
+            assert exc.value.live == leaked
+        else:
+            with deployment:
+                pass
+        assert destroys() == destroyed
+        assert deployment.states == {n: "destroy-failed" if n in leaked else "stopped" for n in created}
+        backend.fail_destroy.clear()
+        assert deployment.down() == []
+        assert destroys() == destroyed + leaked
+    assert other.states == {n: "running" for n in other_live}
+    assert not any(other.handles[n].destroyed for n in other_live)

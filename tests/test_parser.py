@@ -376,13 +376,13 @@ def _record_named(location: str) -> tuple:
 
 
 def _names_its_line(lines: list, line, location: str, keys: tuple) -> None:
-    """``line`` holds one of ``keys``, or is the first line of the record
-    ``location`` names, inside that record."""
+    """``line`` holds one of ``keys``, or is the entry line (``- vm:``) of the
+    record ``location`` names, inside that record."""
     assert line is not None, location
     record = _record_named(location)
     assert _record_at(lines, line) == record, (location, line)
-    first = line > 1 and lines[line - 2].startswith("  - ")  # just below the record's entry
-    assert _key_at(lines[line - 1]) in keys or first, (location, lines[line - 1])
+    entry = lines[line - 1].startswith("  - ") and "." not in location
+    assert _key_at(lines[line - 1]) in keys or entry, (location, lines[line - 1])
 
 
 @st.composite
@@ -419,7 +419,7 @@ def mislined_documents(draw):
 @given(mislined_documents())
 def test_every_diagnostic_and_failure_names_its_line(text):
     """Each ``validate`` diagnostic's line holds the key its location's last
-    part names, or is its record's first line, inside that record, and the
+    part names, or is its record's entry line, inside that record, and the
     line's value is the one the message names; each ``ParseFailure``'s line
     holds the key or record its message names."""
     lines = text.splitlines()
@@ -438,6 +438,26 @@ def test_every_diagnostic_and_failure_names_its_line(text):
     for diagnostic in validate(scenario):
         _names_its_line(lines, diagnostic.line, diagnostic.location, _keys_named(diagnostic.location))
         assert lines[diagnostic.line - 1].partition(": ")[2] in diagnostic.message, diagnostic  # the value it is about
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("networks:\n  - network:\n    - name: a\n", "missing mandatory key 'subnet' in networks[0]"),
+        ("flow:\n  - container:\n    - window:\n      - name: w\n", "missing mandatory key 'name' in flows[0]"),
+    ],
+)
+def test_a_top_level_record_fails_at_its_entry_line(text, message):
+    with pytest.raises(ParseFailure) as exc:
+        parse_scenario(text)
+    assert (exc.value.message, exc.value.line) == (message, 2)
+
+
+def test_a_record_diagnostic_names_its_entry_line():
+    """``no-network`` for a VM is reported at its ``- vm:`` line, not at its
+    first key's."""
+    diagnostics = validate(parse_scenario("vms:\n  - vm:\n    - name: v\n    - path: p\n"))
+    assert [(d.code, d.location, d.line) for d in diagnostics] == [("no-network", "vms[0]", 2)]
 
 
 class TestParseFlow:

@@ -136,8 +136,9 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
     return out
 
 
-def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[yaml.Node]:
-    """Unwrap ``- network:`` / ``- container:`` wrapper entries."""
+def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[tuple[yaml.Node, int]]:
+    """Unwrap ``- network:`` / ``- container:`` wrapper entries: each
+    record's node and the line of its entry."""
     if node is None or (isinstance(node, yaml.ScalarNode) and node.value == ""):
         return []
     out = []
@@ -145,7 +146,7 @@ def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[
         if key not in tags:
             expected = " or ".join(repr(tag) for tag in tags)
             raise ParseFailure(f"expected {expected} entries under {section}, got {key!r}", line)
-        out.append(value)
+        out.append((value, line))
     return out
 
 
@@ -218,9 +219,9 @@ class _Folder:
             raise ParseFailure(f"missing mandatory key {key!r} in {self.loc}", record_line)
 
 
-def _parse_network(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> NetworkSpec:
+def _parse_network(node: yaml.Node, index: int, record_line: int, source_map: dict, warnings: list[Diagnostic]) -> NetworkSpec:
     loc = f"networks[{index}]"
-    folder = _Folder(loc, _line(node), source_map, warnings)
+    folder = _Folder(loc, record_line, source_map, warnings)
     fields: dict = {}
     for key, value, line in _pairs(node, loc):
         if key in ("name", "driver", "internal", "encryption", "subnet"):
@@ -232,8 +233,8 @@ def _parse_network(node: yaml.Node, index: int, source_map: dict, warnings: list
                 fields[key] = _string(value, f"{loc}.{key}")
         else:
             folder.unknown(key, line)
-    folder.require("name", _line(node))
-    folder.require("subnet", _line(node))
+    folder.require("name", record_line)
+    folder.require("subnet", record_line)
     return NetworkSpec(**fields)
 
 
@@ -272,9 +273,9 @@ def _parse_modules(node: yaml.Node, loc: str, source_map: dict, warnings: list[D
     return base, tuple(volumes), networks
 
 
-def _parse_container(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> ContainerSpec:
+def _parse_container(node: yaml.Node, index: int, record_line: int, source_map: dict, warnings: list[Diagnostic]) -> ContainerSpec:
     loc = f"containers[{index}]"
-    folder = _Folder(loc, _line(node), source_map, warnings)
+    folder = _Folder(loc, record_line, source_map, warnings)
     fields: dict = {}
     networks: list[str] = []
     for key, value, line in _pairs(node, loc):
@@ -305,15 +306,15 @@ def _parse_container(node: yaml.Node, index: int, source_map: dict, warnings: li
             fields["extra_options"] = _string(value, f"{loc}.extra-options")
         else:
             folder.unknown(key, line)
-    folder.require("name", _line(node))
-    folder.require("modules", _line(node))
+    folder.require("name", record_line)
+    folder.require("modules", record_line)
     fields["networks"] = tuple(networks)
     return ContainerSpec(**fields)
 
 
-def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diagnostic]) -> VmSpec:
+def _parse_vm(node: yaml.Node, index: int, record_line: int, source_map: dict, warnings: list[Diagnostic]) -> VmSpec:
     loc = f"vms[{index}]"
-    folder = _Folder(loc, _line(node), source_map, warnings)
+    folder = _Folder(loc, record_line, source_map, warnings)
     fields: dict = {}
     networks: list[str] = []
     for key, value, line in _pairs(node, loc):
@@ -329,8 +330,8 @@ def _parse_vm(node: yaml.Node, index: int, source_map: dict, warnings: list[Diag
             _network_names(value, line, loc, f"{loc}.network", source_map, networks)
         else:
             folder.unknown(key, line)
-    folder.require("name", _line(node))
-    folder.require("path", _line(node))
+    folder.require("name", record_line)
+    folder.require("path", record_line)
     fields["networks"] = tuple(networks)
     return VmSpec(**fields)
 
@@ -357,14 +358,14 @@ def reference_parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Di
     for key_node, value_node in root.value:
         key = key_node.value
         if key == "networks":
-            for i, item in enumerate(_tagged_items(value_node, "networks", ("network",)), len(networks)):
-                networks.append(_parse_network(item, i, source_map, warnings))
+            for i, (item, line) in enumerate(_tagged_items(value_node, "networks", ("network",)), len(networks)):
+                networks.append(_parse_network(item, i, line, source_map, warnings))
         elif key == "containers":
-            for i, item in enumerate(_tagged_items(value_node, "containers", ("container",)), len(containers)):
-                containers.append(_parse_container(item, i, source_map, warnings))
+            for i, (item, line) in enumerate(_tagged_items(value_node, "containers", ("container",)), len(containers)):
+                containers.append(_parse_container(item, i, line, source_map, warnings))
         elif key == "vms":
-            for i, item in enumerate(_tagged_items(value_node, "vms", ("vm",)), len(vms)):
-                vms.append(_parse_vm(item, i, source_map, warnings))
+            for i, (item, line) in enumerate(_tagged_items(value_node, "vms", ("vm",)), len(vms)):
+                vms.append(_parse_vm(item, i, line, source_map, warnings))
         elif key == "flow":
             flows += tuple(_parse_flow_section(value_node, source_map, len(flows)))
         else:
@@ -383,9 +384,9 @@ def _parse_flow_section(node: yaml.Node, source_map: dict, start: int) -> list[F
     """``start`` numbers the section's first entry: a repeated ``flow:``
     section goes on where the one before it ended."""
     flows: list[FlowSpec] = []
-    for index, item in enumerate(_tagged_items(node, "flow", ("container", "vm")), start):
+    for index, (item, item_line) in enumerate(_tagged_items(node, "flow", ("container", "vm")), start):
         loc = f"flows[{index}]"
-        source_map[loc] = _line(item)
+        source_map[loc] = item_line
         name: Optional[str] = None
         windows: list[WindowSpec] = []
         select: Optional[str] = None
@@ -409,7 +410,7 @@ def _parse_flow_section(node: yaml.Node, source_map: dict, start: int) -> list[F
             else:
                 raise ParseFailure(f"unknown key {key!r} in {loc}", line)
         if name is None:
-            raise ParseFailure(f"missing mandatory key 'name' in {loc}", _line(item))
+            raise ParseFailure(f"missing mandatory key 'name' in {loc}", item_line)
         if select is not None and select not in {w.name for w in windows}:
             raise ParseFailure(f"selected window {select!r} is not defined for {name!r}", select_line)
         flows.append(FlowSpec(endpoint=name, windows=tuple(windows), select=select))
