@@ -2,9 +2,10 @@
 
 A flow compiles into windows of panes, tmux-style: every window starts with
 pane 0, each split opens a new pane, and commands bind to the latest pane.
-Panes run as independent sequential sessions; the transcript records the
-actual interleaving with a global sequence counter so reproduction can be
-checked after the fact.
+The plan is one ``((endpoint, window, pane index), command texts)`` pair per
+pane in flow order, empty panes included.  Panes run as independent
+sequential sessions; the transcript records the actual interleaving with a
+global sequence counter so reproduction can be checked after the fact.
 """
 
 from __future__ import annotations
@@ -17,35 +18,12 @@ from .model import Command, FlowSpec, Split
 from .orchestrator import CommandResult, Deployment
 from .parser import quote
 
+# (endpoint, window, pane index): the key of one pane in a plan and a transcript
+Pane = tuple[str, str, int]
+
 
 class UnknownEndpointInFlow(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    name: str
-    panes: tuple[tuple[Command, ...], ...]
-
-
-@dataclass(frozen=True)
-class EndpointFlowPlan:
-    endpoint: str
-    windows: tuple[WindowPlan, ...]
-
-
-@dataclass(frozen=True)
-class FlowPlan:
-    endpoints: tuple[EndpointFlowPlan, ...] = ()
-
-    def pane_map(self) -> dict:
-        """(endpoint, window, pane index) -> tuple of command texts."""
-        out = {}
-        for ep in self.endpoints:
-            for window in ep.windows:
-                for i, pane in enumerate(window.panes):
-                    out[(ep.endpoint, window.name, i)] = tuple(c.text for c in pane)
-        return out
 
 
 class TranscriptEvent(NamedTuple):
@@ -65,70 +43,56 @@ class Transcript:
     events: list = field(default_factory=list)
 
 
-def compile_flow(flow: Sequence[FlowSpec], known_endpoints: Optional[Iterable[str]] = None) -> FlowPlan:
-    """Deterministic pane assignment for every endpoint's windows."""
-    plans = []
+def compile_flow(
+    flow: Sequence[FlowSpec], known_endpoints: Optional[Iterable[str]] = None
+) -> tuple[tuple[Pane, tuple[str, ...]], ...]:
+    """Deterministic pane assignment: one (pane, command texts) pair per
+    pane of every endpoint's windows, in flow order."""
+    plan = []
     known = None if known_endpoints is None else set(known_endpoints)
     for spec in flow:
         if known is not None and spec.endpoint not in known:
             raise UnknownEndpointInFlow(spec.endpoint)
-        windows = []
         for window in spec.windows:
-            panes: list[list[Command]] = [[]]
+            pane, texts = 0, []
             for item in window.items:
                 if isinstance(item, Split):
-                    panes.append([])
+                    plan.append(((spec.endpoint, window.name, pane), tuple(texts)))
+                    pane, texts = pane + 1, []
                 elif isinstance(item, Command):
-                    panes[-1].append(item)
+                    texts.append(item.text)
                 else:
                     raise TypeError(f"unexpected window item {item!r}")
-            windows.append(WindowPlan(name=window.name, panes=tuple(tuple(p) for p in panes)))
-        plans.append(EndpointFlowPlan(endpoint=spec.endpoint, windows=tuple(windows)))
-    return FlowPlan(endpoints=tuple(plans))
+            plan.append(((spec.endpoint, window.name, pane), tuple(texts)))
+    return tuple(plan)
 
 
-def run_flow(deployment: Deployment, plan: FlowPlan, rng=None) -> Transcript:
+def run_flow(deployment: Deployment, plan: Sequence[tuple[Pane, Sequence[str]]]) -> Transcript:
     """Execute the plan's panes as interleaved sequential sessions.
 
-    Scheduling is round-robin over pane sessions (started in plan order)
-    unless ``rng`` is given, in which case the next session is drawn at
-    random; either way per-pane command order is preserved.
+    Scheduling is round-robin over pane sessions, started in plan order:
+    each session runs one command and goes to the back of the line until
+    its pane is done.
     """
-    sessions = []
-    for ep in plan.endpoints:
-        if ep.endpoint not in deployment.states:
-            raise UnknownEndpointInFlow(ep.endpoint)
-        for window in ep.windows:
-            for pane_index, pane in enumerate(window.panes):
-                if pane:
-                    sessions.append([ep.endpoint, window.name, pane_index, deque(pane)])
-
-    transcript = Transcript()
-    seq = 0
-    cursor = 0
+    for (endpoint, _, _), _ in plan:
+        if endpoint not in deployment.states:
+            raise UnknownEndpointInFlow(endpoint)
+    sessions = deque((key, deque(texts)) for key, texts in plan if texts)
+    events: list = []
     while sessions:
-        if rng is None:
-            cursor %= len(sessions)
-            index = cursor
+        (endpoint, window, pane), queue = sessions[0]
+        text = queue.popleft()
+        events.append(TranscriptEvent(endpoint, window, pane, text, deployment.exec(endpoint, text), len(events)))
+        if queue:
+            sessions.rotate(-1)
         else:
-            index = rng.randrange(len(sessions))
-        endpoint, window, pane_index, queue = sessions[index]
-        command = queue.popleft()
-        result = deployment.exec(endpoint, command.text)
-        transcript.events.append(
-            TranscriptEvent(endpoint, window, pane_index, command.text, result, seq)
-        )
-        seq += 1
-        if not queue:
-            sessions.pop(index)
-        elif rng is None:
-            cursor = index + 1
-    return transcript
+            sessions.popleft()
+    return Transcript(events)
 
 
-def verify_transcript(plan: FlowPlan, transcript: Transcript) -> bool:
+def verify_transcript(plan: Sequence[tuple[Pane, Sequence[str]]], transcript: Transcript) -> bool:
     """True iff per-pane projections equal the plan and sequence numbers
-    strictly increase."""
+    strictly increase.  A pane key the plan repeats stands for its last pane."""
     last_seq = None
     projections: dict = {}
     for event in transcript.events:
@@ -136,8 +100,7 @@ def verify_transcript(plan: FlowPlan, transcript: Transcript) -> bool:
             return False
         last_seq = event.seq
         projections.setdefault((event.endpoint, event.window, event.pane), []).append(event.command)
-    expected = {key: list(cmds) for key, cmds in plan.pane_map().items() if cmds}
-    return {k: list(v) for k, v in projections.items()} == expected
+    return projections == {key: list(texts) for key, texts in dict(plan).items() if texts}
 
 
 def transcript_to_yaml(transcript: Transcript) -> str:

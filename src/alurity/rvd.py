@@ -78,14 +78,14 @@ def _headers(token: Optional[str]) -> dict:
 
 def _proxy(scheme: str, netloc: str) -> Optional[str]:
     """The proxy URL an exchange goes through, picked as urllib's
-    ``ProxyHandler`` picks it: ``proxy_bypass`` is asked only when the
-    scheme has a proxy."""
+    ``ProxyHandler`` picks it: the bypass list is asked only when the
+    scheme has a proxy, and both come from the one snapshot."""
     global _proxies
     import urllib.request  # imported by its only user: it loads OpenSSL
     if _proxies is None:
         _proxies = urllib.request.getproxies()
     proxy = _proxies.get(scheme)
-    return None if proxy is None or urllib.request.proxy_bypass(netloc) else proxy
+    return None if proxy is None or urllib.request.proxy_bypass_environment(netloc, _proxies) else proxy
 
 
 def _connect(url: str, timeout: float):

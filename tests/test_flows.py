@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alurity.flows import (
-    EndpointFlowPlan,
-    FlowPlan,
     Transcript,
     TranscriptEvent,
     UnknownEndpointInFlow,
-    WindowPlan,
     compile_flow,
     run_flow,
     transcript_to_yaml,
@@ -43,40 +40,33 @@ def deployment(flow_scenario):
 class TestCompile:
     def test_listing3_pane_assignment(self, listing3):
         plan = compile_flow(listing3)
-        ros = plan.endpoints[0].windows[0]
-        assert len(ros.panes) == 3
-        assert [c.text for c in ros.panes[0]] == [
-            "source /opt/ros/melodic/setup.bash",
-            "roscore",
+        assert [key for key, _ in plan] == [
+            ("rosmachine", "ros", 0),
+            ("rosmachine", "ros", 1),
+            ("rosmachine", "ros", 2),
+            ("attacker", "setup", 0),
+            ("attacker", "setup", 1),
+            ("attacker", "attack", 0),
+            ("attacker", "attack", 1),
         ]
-        assert [c.text for c in ros.panes[1]] == [
+        panes = dict(plan)
+        assert panes["rosmachine", "ros", 0] == ("source /opt/ros/melodic/setup.bash", "roscore")
+        assert panes["rosmachine", "ros", 1] == (
             "source /opt/ros/melodic/setup.bash",
             "sleep 10",
             "rostopic echo /chatter",
-        ]
-        assert [c.text for c in ros.panes[2]][-1] == "rostopic hz /chatter"
-
-        attacker = plan.endpoints[1]
-        setup, attack = attacker.windows
-        assert len(setup.panes) == 2
-        assert len(attack.panes) == 2
-        assert [c.text for c in attack.panes[1]][-1] == (
-            'robosploit -m exploits/ros/fin_ack -s "target 12.0.0.2"'
         )
+        assert panes["rosmachine", "ros", 2][-1] == "rostopic hz /chatter"
+        assert panes["attacker", "attack", 1][-1] == 'robosploit -m exploits/ros/fin_ack -s "target 12.0.0.2"'
         assert [spec.select for spec in listing3] == [None, "attack"]
 
     def test_window_without_splits(self):
         spec = FlowSpec(endpoint="x", windows=(WindowSpec("w", (Command("a"), Command("b"))),))
-        plan = compile_flow([spec])
-        assert plan.endpoints[0].windows[0].panes == ((Command("a"), Command("b")),)
+        assert compile_flow([spec]) == ((("x", "w", 0), ("a", "b")),)
 
     def test_leading_split_leaves_pane0_empty(self):
         spec = FlowSpec(endpoint="x", windows=(WindowSpec("w", (Split("horizontal"), Command("a"))),))
-        plan = compile_flow([spec])
-        panes = plan.endpoints[0].windows[0].panes
-        assert len(panes) == 2
-        assert panes[0] == ()
-        assert panes[1] == (Command("a"),)
+        assert compile_flow([spec]) == ((("x", "w", 0), ()), (("x", "w", 1), ("a",)))
 
     def test_unknown_endpoint(self, listing3):
         with pytest.raises(UnknownEndpointInFlow):
@@ -129,6 +119,8 @@ class TestRun:
         assert verify_transcript(compile_flow([]), transcript)
 
     def test_random_interleavings_project_correctly(self, flow_scenario):
+        """Any order that keeps each pane's order verifies, not just the
+        round-robin one ``run_flow`` picks."""
         window = WindowSpec(
             "w",
             (
@@ -140,10 +132,28 @@ class TestRun:
         spec = FlowSpec(endpoint="attacker", windows=(window,))
         plan = compile_flow([spec])
         rng = random.Random(3)
+        orders = set()
         for _ in range(50):
             deployment = up(flow_scenario, MockBackend())
-            transcript = run_flow(deployment, plan, rng=rng)
+            transcript = reference_run_flow(deployment, plan, rng=rng)
             assert verify_transcript(plan, transcript)
+            orders.add(tuple(e.command for e in transcript.events))
+        assert len(orders) > 1
+
+    def test_undeclared_endpoint_runs_nothing(self):
+        deployment = CountingDeployment(["attacker"])
+        plan = compile_flow(
+            [FlowSpec(name, (WindowSpec("w", (Command("a"),)),)) for name in ("attacker", "ghost")]
+        )
+        with pytest.raises(UnknownEndpointInFlow, match="ghost"):
+            run_flow(deployment, plan)
+        assert deployment.calls == []
+
+    def test_entry_without_windows_runs_nothing(self, deployment):
+        """An entry with no windows names no pane, so run_flow does not
+        look its endpoint up; validate and known_endpoints reject it."""
+        plan = compile_flow([FlowSpec(endpoint="ghost")])
+        assert run_flow(deployment, plan).events == []
 
     def test_default_continues_after_failure(self, flow_scenario):
         backend = MockBackend(responses=[("^fails$", {"exit": 1})])
@@ -163,16 +173,14 @@ class TestRun:
 
 
 def reference_run_flow(deployment, plan, rng=None):
-    """``run_flow`` as it was, taking each command off the front of a list:
-    the reference for the transcript and for the ``rng`` draws."""
-    sessions = []
-    for ep in plan.endpoints:
-        if ep.endpoint not in deployment.states:
-            raise UnknownEndpointInFlow(ep.endpoint)
-        for window in ep.windows:
-            for pane_index, pane in enumerate(window.panes):
-                if pane:
-                    sessions.append([ep.endpoint, window.name, pane_index, list(pane)])
+    """``run_flow`` as it was, taking each command off the front of a list
+    and keeping a cursor into the sessions: the reference for the
+    transcript.  With ``rng`` the next session is drawn at random instead,
+    which still keeps each pane's order."""
+    for (endpoint, _, _), _ in plan:
+        if endpoint not in deployment.states:
+            raise UnknownEndpointInFlow(endpoint)
+    sessions = [[*key, list(texts)] for key, texts in plan if texts]
 
     transcript = Transcript()
     seq = 0
@@ -184,9 +192,9 @@ def reference_run_flow(deployment, plan, rng=None):
         else:
             index = rng.randrange(len(sessions))
         endpoint, window, pane_index, queue = sessions[index]
-        command = queue.pop(0)
-        result = deployment.exec(endpoint, command.text)
-        transcript.events.append(TranscriptEvent(endpoint, window, pane_index, command.text, result, seq))
+        text = queue.pop(0)
+        result = deployment.exec(endpoint, text)
+        transcript.events.append(TranscriptEvent(endpoint, window, pane_index, text, result, seq))
         seq += 1
         if not queue:
             sessions.pop(index)
@@ -208,33 +216,26 @@ class CountingDeployment:
 
 
 _ENDPOINTS = ("a", "b", "c")
-_panes = st.lists(
-    st.lists(st.sampled_from(["x", "y", "sleep 1"]), max_size=5).map(lambda texts: tuple(map(Command, texts))),
-    min_size=1,
-    max_size=3,
-).map(tuple)
-_plans = st.lists(
-    st.builds(
-        EndpointFlowPlan,
-        endpoint=st.sampled_from(_ENDPOINTS),
-        windows=st.lists(st.builds(WindowPlan, name=st.sampled_from(["w", "v"]), panes=_panes), max_size=3).map(tuple),
-    ),
-    max_size=4,
-).map(lambda eps: FlowPlan(endpoints=tuple(eps)))
+_windows = st.tuples(
+    st.sampled_from(_ENDPOINTS),
+    st.sampled_from(["w", "v"]),
+    st.lists(st.lists(st.sampled_from(["x", "y", "sleep 1"]), max_size=5).map(tuple), min_size=1, max_size=3),
+)
+# Pane lists as compile_flow builds them, repeated keys included
+_plans = st.lists(_windows, max_size=8).map(
+    lambda windows: tuple(((ep, name, i), texts) for ep, name, panes in windows for i, texts in enumerate(panes))
+)
 
 
 class TestScheduleMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(_plans, st.one_of(st.none(), st.integers(0, 2**32)))
-    def test_same_transcript_and_draws(self, plan, seed):
-        rngs = [None, None] if seed is None else [random.Random(seed), random.Random(seed)]
+    @given(_plans)
+    def test_same_transcript_and_calls(self, plan):
         deployments = [CountingDeployment(_ENDPOINTS), CountingDeployment(_ENDPOINTS)]
-        actual = run_flow(deployments[0], plan, rng=rngs[0])
-        expected = reference_run_flow(deployments[1], plan, rng=rngs[1])
+        actual = run_flow(deployments[0], plan)
+        expected = reference_run_flow(deployments[1], plan)
         assert actual.events == expected.events
         assert deployments[0].calls == deployments[1].calls
-        if seed is not None:
-            assert rngs[0].getstate() == rngs[1].getstate()
 
 
 class TestVerify:
@@ -258,6 +259,19 @@ class TestVerify:
         events = list(transcript.events)
         events[1] = events[1]._replace(seq=events[0].seq)
         assert verify_transcript(plan, Transcript(events)) is False
+
+    def test_repeated_window_fails(self, deployment):
+        """Two windows of one name share pane keys: the flow compiles and
+        runs, but the transcript cannot match the plan."""
+        spec = FlowSpec(
+            endpoint="attacker",
+            windows=(WindowSpec("w", (Command("a"),)), WindowSpec("w", (Command("b"),))),
+        )
+        plan = compile_flow([spec])
+        assert [key for key, _ in plan] == [("attacker", "w", 0), ("attacker", "w", 0)]
+        transcript = run_flow(deployment, plan)
+        assert [e.command for e in transcript.events] == ["a", "b"]
+        assert verify_transcript(plan, transcript) is False
 
     def test_yaml_export_is_ordered(self, listing3, deployment):
         import yaml

@@ -168,6 +168,16 @@ class TestClient:
         assert fetch_ticket(url, ticket_id).id == ticket_id
         assert stub.seen[-1][1] == f"/issues/{ticket_id}"
 
+    def test_no_proxy_is_read_once_per_process(self, tracker, monkeypatch):
+        stub, url = tracker
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:1")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        ticket_id = stub.seed("t", "b")
+        fetch_ticket(url, ticket_id)
+        monkeypatch.delenv("no_proxy")
+        assert fetch_ticket(url, ticket_id, timeout=0.3).id == ticket_id
+        assert stub.seen[-1][1] == f"/issues/{ticket_id}"
+
     def test_proxies_are_read_once_per_process(self, tracker, monkeypatch):
         stub, url = tracker
         ticket_id = stub.seed("t", "b")
