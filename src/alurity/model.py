@@ -73,9 +73,6 @@ class NetworkSpec:
     encryption: bool = False
     subnet: str = ""
 
-    def network(self) -> ipaddress.IPv4Network:
-        return ipaddress.IPv4Network(self.subnet)
-
 
 @dataclass(frozen=True)
 class ContainerSpec:

@@ -2,23 +2,23 @@
 records out.
 
 A pipeline assembles a two-container scenario (target + scanner composed
-from the tool stack), runs the generated flow, scans the transcript with
-the data-driven extraction rules from each tool's registry manifest, and
-emits one flaw record per finding.
+from the tool stack), runs the generated flow, scans each tool's output
+with the extraction rules from that tool's registry manifest, and emits
+one flaw record per finding, naming the tool whose command printed it.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import flows as flow_engine
 from . import orchestrator, rvd, toolreg
 from .model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, WindowSpec
 from .netplan import allocate_addresses
-from .parser import dump_yaml, quote, serialize_flow, serialize_scenario
+from .parser import quote, serialize_flow, serialize_scenario
 
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
@@ -39,15 +39,13 @@ class PipelineSpec:
     tools: tuple[ModuleRef, ...]
 
 
-def _inline(value) -> Optional[str]:
-    """A str, int or None as a one-line YAML scalar; None for other values."""
+def _inline(value) -> str:
+    """A str, int or None as a one-line YAML scalar."""
     if value is None:
         return "null"
-    if type(value) is str:
-        return quote(value)
-    if type(value) is int:  # not a bool
+    if type(value) is int:
         return str(value)
-    return None
+    return quote(value)
 
 
 @dataclass
@@ -62,10 +60,9 @@ class FlawRecord:
     severity: str = "medium"
     vendor: Optional[str] = None
     id: Optional[int] = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "id": self.id,
             "title": self.title,
             "flaw-class": self.flaw_class,
@@ -79,30 +76,15 @@ class FlawRecord:
                 "flow": self.reproduction_flow,
             },
         }
-        doc.update(self.extra)
-        return doc
 
     def to_yaml(self) -> str:
-        """``to_dict()`` as YAML, key by key in its order.
-
-        A string is written through ``parser.quote``, ``None`` as ``null``
-        and an int as digits; ``reproduction`` is a nested map of two such
-        values.  Any other value, and every ``extra`` entry, is written by
-        ``dump_yaml``.
-        """
-        parts = []
-        for key, value in self.to_dict().items():
-            if key not in self.extra:
-                if key == "reproduction":
-                    scenario, flow = _inline(value["scenario"]), _inline(value["flow"])
-                    if scenario is not None and flow is not None:
-                        parts.append(f"reproduction:\n  scenario: {scenario}\n  flow: {flow}\n")
-                        continue
-                elif (text := _inline(value)) is not None:
-                    parts.append(f"{key}: {text}\n")
-                    continue
-            parts.append(dump_yaml({key: value}))
-        return "".join(parts)
+        """``to_dict()`` as YAML, key by key in its order: a string through
+        ``parser.quote``, ``None`` as ``null`` and an int as digits, with
+        ``reproduction``, the last key, a nested map of two such values."""
+        doc = self.to_dict()
+        reproduction = doc.pop("reproduction")
+        head = "".join(f"{key}: {_inline(value)}\n" for key, value in doc.items())
+        return f"{head}reproduction:\n  scenario: {_inline(reproduction['scenario'])}\n  flow: {_inline(reproduction['flow'])}\n"
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scenario, FlowSpec]:
@@ -128,15 +110,16 @@ def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scena
 
 
 def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript) -> list[tuple[ModuleRef, toolreg.ExtractionRule, str, dict]]:
-    """(tool, rule, matched text, named groups) for every rule match."""
+    """(tool, rule, matched text, named groups) for every match of a tool's
+    rules in the output of that tool's own command.  ``assemble`` runs one
+    command per tool, in tool order, in one pane, so event i is tool i's."""
     found = []
-    for event in transcript.events:
+    for tool, event in zip(spec.tools, transcript.events, strict=True):
         text = event.result.stdout.decode("utf-8", "replace")
-        for tool in spec.tools:
-            for rule in registry.lookup(tool).rules:
-                for match in re.finditer(rule.pattern, text):
-                    fields = {k: v for k, v in match.groupdict().items() if v is not None}
-                    found.append((tool, rule, match.group(0), fields))
+        for rule in registry.lookup(tool).rules:
+            for match in re.finditer(rule.pattern, text):
+                fields = {k: v for k, v in match.groupdict().items() if v is not None}
+                found.append((tool, rule, match.group(0), fields))
     return found
 
 

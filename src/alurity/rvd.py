@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import yaml
-from yaml import MappingNode
 
 from . import __version__
 from .model import FlowSpec, Scenario
@@ -275,10 +274,8 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
 
 
 def _scenario_of(root: Optional[yaml.Node]) -> Optional[Scenario]:
-    """The scenario a block folds to, if it has endpoints.  A block with a
-    ``reproduction`` key (a flaw record) is never one, so it is not folded."""
-    if isinstance(root, MappingNode) and any(k.value == "reproduction" for k, _ in root.value):
-        return None
+    """The scenario a block folds to, if it has endpoints.  A flaw record
+    is never one: its top-level keys are not scenario sections."""
     try:
         scenario, _ = scenario_from_node(root)
     except ParseFailure:

@@ -495,6 +495,38 @@ class TestPipeline:
         assert len(paths) == 2
         assert sorted(str(p) for p in sink.glob("*.yaml")) == sorted(paths)
 
+    def test_records_match_the_golden_files(self, run_cli, tmp_path):
+        """The aztarna sweep's records, byte for byte and so by file name,
+        as committed."""
+        code, _, _ = run_cli(
+            "pipeline",
+            "--target", f"{REG}/robo_ur_cb3_1:3.13.0",
+            "--tools", f"{REG}/reco_aztarna:latest",
+            "--index", INDEX,
+            "--mock-responses", RESPONSES,
+            "--sink", "dir", "--sink-path", str(tmp_path),
+        )
+        assert code == 0
+        golden = FIXTURES / "aztarna_records"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {p.name: p.read_bytes() for p in golden.iterdir()}
+
+    def test_a_tool_sharing_a_rule_files_nothing_it_did_not_print(self, run_cli, tmp_path):
+        """rosscan carries aztarna's rule and prints nothing: aztarna's two
+        findings are filed once each, as aztarna's."""
+        code, out, _ = run_cli(
+            "pipeline",
+            "--target", f"{REG}/robo_ur_cb3_1:3.13.0",
+            "--tools", f"{REG}/reco_aztarna:latest,{REG}/reco_rosscan:latest",
+            "--index", INDEX,
+            "--mock-responses", RESPONSES,
+            "--sink", "dir", "--sink-path", str(tmp_path),
+        )
+        assert code == 0
+        records = [yaml.safe_load(Path(path).read_text()) for path in out.splitlines()]
+        assert [r["title"] for r in records] == ["ROS master reachable without authentication", "unprotected parameter server"]
+        assert {r["detected-by"] for r in records} == {f"{REG}/reco_aztarna:latest"}
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_clean_run_exits_0(self, run_cli, tmp_path):
         code, out, _ = run_cli(
             "pipeline",

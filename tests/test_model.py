@@ -1,3 +1,4 @@
+import ipaddress
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,7 +282,7 @@ def crowded_scenarios(draw) -> Scenario:
     prefixes = draw(st.lists(st.integers(28, 30), min_size=1, max_size=3))
     networks = tuple(net(f"n{i}", f"10.{i}.0.0/{p}") for i, p in enumerate(prefixes))
     names = [n.name for n in networks]
-    hosts = {n.name: [str(h) for h in list(n.network().hosts())[1:]] for n in networks}
+    hosts = {n.name: [str(h) for h in list(ipaddress.IPv4Network(n.subnet).hosts())[1:]] for n in networks}
     taken: set = set()
     endpoints_ = []
     for i in range(draw(st.integers(0, 8))):
