@@ -143,6 +143,8 @@ def cmd_run(
         except (rvd.NotFound, rvd.TransportError) as exc:
             raise _Failure(EXIT_TRANSPORT, f"cannot fetch ticket {rvd_id}: {exc}") from exc
         scenario, flow = rvd.extract_reproduction(ticket)
+        if not flow:  # the scenario is still brought up and down
+            click.echo(f"ticket {rvd_id}: no readable flow found; no command ran", err=True)
         scenario = replace(scenario, flows=tuple(flow or ()))
     else:
         if file is None:

@@ -7,12 +7,13 @@ have to realize so containers and VMs on the same network can talk.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .model import Scenario, derive_once, endpoint_specs, endpoints
-from .parser import dump_yaml
+from .parser import _emit_scalar
 
 
 class AllocationFailure(Exception):
@@ -58,9 +59,6 @@ class PlanEntry(NamedTuple):
     via: Optional[str] = None
     action: Optional[str] = None  # masquerade | drop-external
     encryption: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        return {key: value for key, value in zip(self._fields, self) if value is not None}
 
 
 @dataclass(frozen=True)
@@ -209,11 +207,20 @@ def reachable(plan: ConnectivityPlan, assignment: AddressAssignment, a: str, b: 
 
 
 def export_plan_yaml(plan: ConnectivityPlan) -> str:
-    doc = {
-        "entries": [e.to_dict() for e in plan.entries],
-        "endpoints": {name: list(nets) for name, nets in plan.attachments.items()},
-    }
-    return dump_yaml(doc)
+    """The plan as YAML: ``entries:``, each entry's set fields in ``PlanEntry``
+    order, then ``endpoints:``, each endpoint's networks as a list.  Every
+    scalar is written by ``_emit_scalar``; a key longer than YAML's limit of
+    1,024 characters on implicit keys takes the explicit ``? key`` form."""
+    emit = functools.lru_cache(maxsize=None)(_emit_scalar)  # names and networks repeat
+    lines = ["entries:" if plan.entries else "entries: []"]
+    for entry in plan.entries:
+        lines.append("- " + "\n  ".join(f"{key}: {emit(value)}" for key, value in zip(PlanEntry._fields, entry) if value is not None))
+    lines.append("endpoints:" if plan.attachments else "endpoints: {}")
+    for name, nets in plan.attachments.items():
+        key = emit(name)
+        head = f"  ? {key}\n  :" if len(key) > 1024 else f"  {key}:"
+        lines.append(head + "".join(f"\n  - {emit(net)}" for net in nets) if nets else f"{head} []")
+    return "\n".join(lines) + "\n"
 
 
 def _dot_escape(text: str) -> str:
@@ -230,10 +237,7 @@ def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: 
     if format != "dot":
         raise UnsupportedFormat(format)
     lines = ["digraph topology {"]
-    networks = []
-    for entry in plan.entries:
-        if entry.kind == "bridge":
-            networks.append(entry.network)
+    networks = [entry.network for entry in plan.entries if entry.kind == "bridge"]
     # IDs and labels are DOT quoted strings.
     for name in plan.attachments:
         node = _dot_escape(name)

@@ -55,14 +55,8 @@ class ParseFailure(Exception):
 _SPLIT_DIRECTIONS = {"horizontal", "vertical"}
 _TOO_DEEP = "nested too deeply to read"
 
-# Every YAML read and write in the package goes through this pair: libyaml
-# when PyYAML was built with it, the pure-Python classes otherwise.
+# libyaml when PyYAML was built with it, the pure-Python classes otherwise.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
-def dump_yaml(doc) -> str:
-    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False, default_flow_style=False)
 
 
 class _NodeLoader(YAML_LOADER):

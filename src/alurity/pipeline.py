@@ -110,16 +110,16 @@ def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scena
 
 
 def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript) -> list[tuple[ModuleRef, toolreg.ExtractionRule, str, dict]]:
-    """(tool, rule, matched text, named groups) for every match of a tool's
-    rules in the output of that tool's own command.  ``assemble`` runs one
-    command per tool, in tool order, in one pane, so event i is tool i's."""
+    """(tool, rule, matched text, named groups) for every non-empty match of
+    a tool's rules in the output of that tool's own command.  ``assemble``
+    runs one command per tool, in tool order, in one pane, so event i is tool i's."""
     found = []
     for tool, event in zip(spec.tools, transcript.events, strict=True):
         text = event.result.stdout.decode("utf-8", "replace")
         for rule in registry.lookup(tool).rules:
             for match in re.finditer(rule.pattern, text):
-                fields = {k: v for k, v in match.groupdict().items() if v is not None}
-                found.append((tool, rule, match.group(0), fields))
+                if fragment := match.group(0):  # an empty match is no finding
+                    found.append((tool, rule, fragment, {k: v for k, v in match.groupdict().items() if v is not None}))
     return found
 
 

@@ -69,11 +69,11 @@ def _rule(r, where: str) -> ExtractionRule:
     if not isinstance(r, dict) or "id" not in r or "pattern" not in r:
         raise ParseFailure(f"each rule of {where} must be a map with an 'id' and a 'pattern', got {r!r}")
     pattern = str(r["pattern"])
-    compile_regex(pattern, f"the pattern of rule {r['id']!r} of {where}")
+    groups = compile_regex(pattern, f"the pattern of rule {r['id']!r} of {where}").groupindex
     return ExtractionRule(
         id=str(r["id"]),
         pattern=pattern,
-        title=str(r.get("title", "{title}")),
+        title=str(r.get("title", "{title}" if "title" in groups else "")),
         flaw_class=str(r.get("flaw-class", r.get("flaw_class", "vulnerability"))),
         severity=str(r.get("severity", "medium")),
         description=str(r.get("description", "")),

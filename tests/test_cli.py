@@ -124,7 +124,10 @@ class TestGraph:
         assert out.count("->") == 3
 
     # The output of the version before plan entries became named tuples and
-    # addresses were formatted from integers, captured once.
+    # addresses were formatted from integers, captured once.  The mixed.yaml
+    # plan was captured again when the plan got its own line writer: its
+    # name with a quote and a backslash is now double-quoted, and the
+    # document loads as before.
     @pytest.mark.parametrize("fmt", ["yaml", "dot"])
     @pytest.mark.parametrize("fixture", ["listing1.yaml", "rosnet.yaml", "mixed.yaml"])
     def test_output_is_unchanged(self, run_cli, fixture, fmt):
@@ -257,6 +260,28 @@ class TestRun:
         code, out, err = run_cli("run", "--rvd", str(issue_id), "--tracker-url", url)
         assert code == 0
         assert list((tmp_path / "transcripts").glob("*.yaml"))
+
+    def test_rvd_without_a_readable_flow_says_so(self, run_cli, tracker, tmp_path, monkeypatch):
+        """A record whose scenario reads but whose flow does not: the scenario
+        comes up and down, no command runs, and stderr says why; exit 0."""
+        from alurity.rvd import push_issue
+
+        stub, url = tracker
+        monkeypatch.chdir(tmp_path)
+        record = FlawRecord(
+            title="repro",
+            flaw_class="dos",
+            description="d",
+            system="r/x:1",
+            detected_by="r/y:1",
+            reproduction_scenario=Path(ROSNET).read_text(),
+            reproduction_flow="flow:\n  - container: [\n",
+        )
+        issue_id = push_issue(url, record)
+        code, out, err = run_cli("run", "--rvd", str(issue_id), "--tracker-url", url)
+        assert (code, out) == (0, "")
+        assert err == f"ticket {issue_id}: no readable flow found; no command ran\n"
+        assert not (tmp_path / "transcripts").exists()
 
     def test_rvd_unknown_ticket_exits_4(self, run_cli, tracker):
         _, url = tracker

@@ -109,12 +109,6 @@ class TestPlanEntry:
         assert entry == PlanEntry(kind="bridge", name="br-n", network="n")
         assert hash(entry) == hash(PlanEntry(kind="bridge", name="br-n", network="n"))
 
-    def test_to_dict_keeps_set_fields_in_order(self):
-        entry = PlanEntry(kind="filter-rule", action="masquerade", network="n", encryption=False)
-        assert list(entry.to_dict().items()) == [
-            ("kind", "filter-rule"), ("network", "n"), ("action", "masquerade"), ("encryption", False),
-        ]
-
 
 class TestPlan:
     def test_listing1_entries(self, listing1):

@@ -152,6 +152,30 @@ class TestRunPipeline:
         expected = [(t, f"tool {i}: {t}", str(tool)) for i, (tool, titles) in enumerate(zip(tools, outputs)) for t in titles]
         assert [(r.title, r.description, r.detected_by) for r in records] == expected
 
+    @staticmethod
+    def _sweep(rules_by_tool: list, stdout: str) -> list:
+        """Records of a sweep where tool i carries the rules ``rules_by_tool[i]``
+        and every tool prints ``stdout``."""
+        tools = [ModuleRef.parse(f"r/reco_{i}:1") for i in range(len(rules_by_tool))]
+        index = {str(TARGET): {}}
+        for i, (tool, rules) in enumerate(zip(tools, rules_by_tool)):
+            index[str(tool)] = {"entrypoint": f"tool{i}", "rules": rules}
+        backend = MockBackend([("^tool", {"stdout": stdout})])
+        return run_pipeline(PipelineSpec(target=TARGET, tools=tuple(tools)), backend, registry_index_from_dict(index))
+
+    def test_empty_matches_file_nothing(self):
+        """A pattern that matches the empty string files only its non-empty matches."""
+        records = self._sweep([[{"id": "a", "pattern": "x*"}], [{"id": "b", "pattern": "hello"}]], "hello\n")
+        assert [(r.title, r.description, r.detected_by) for r in records] == [("hello", "hello", "r/reco_1:1")]
+
+    def test_untitled_rule_without_a_title_group_is_titled_by_its_match(self):
+        (rec,) = self._sweep([[{"id": "a", "pattern": "port (?P<port>[0-9]+) open"}]], "port 11311 open\n")
+        assert rec.title == "port 11311 open"
+
+    def test_untitled_rule_with_a_title_group_is_titled_by_the_group(self):
+        (rec,) = self._sweep([[{"id": "a", "pattern": "FINDING: (?P<title>[^\\n]+)"}]], "FINDING: open master\n")
+        assert rec.title == "open master"
+
     def test_teardown_even_on_backend_failure(self, registry):
         backend = MockBackend(fail_create={"scanner"})
         from alurity.orchestrator import DeploymentFailure

@@ -6,7 +6,7 @@ import pytest
 
 from alurity import rvd
 from alurity.model import Command, FlowSpec, WindowSpec
-from alurity.parser import dump_yaml, serialize_flow, serialize_scenario
+from alurity.parser import serialize_flow, serialize_scenario
 from alurity.pipeline import FlawRecord, TrackerSink, emit_all
 from alurity.rvd import (
     NoReproductionFound,
@@ -20,6 +20,7 @@ from alurity.rvd import (
 )
 
 from strategies import scenarios
+from yaml_classes import dump
 
 
 def make_record(scenario_yaml, flow_yaml=""):
@@ -332,7 +333,7 @@ class TestExtract:
 
     def test_record_with_non_text_flow(self, listing1_text):
         record = {"reproduction": {"scenario": listing1_text, "flow": {"endpoint": "ur3"}}}
-        body = f"```yaml\n{dump_yaml(record)}```\n"
+        body = f"```yaml\n{dump(record)}```\n"
         with pytest.raises(NoReproductionFound):
             extract_reproduction(Ticket(id=1, title="t", body=body))
 

@@ -6,7 +6,8 @@ and, when that failed, loaded it whole to look for an emitted flaw record.
 It is kept with one change: a record block loads with its explicit tags
 ignored (``yaml_classes.load_untagged``), as every reader in the package
 reads YAML.
-The former ``FlawRecord.to_yaml`` was ``dump_yaml(record.to_dict())``.
+The former ``FlawRecord.to_yaml`` was PyYAML's dumper over ``record.to_dict()``
+(``yaml_classes.dump``).
 Inputs are flaw records (written by both emitters), scenario and flow
 documents, and line mutations of both: the scenario mutations of
 ``test_parser_oracle`` and, for records, explicit tags, odd scalars,
@@ -23,13 +24,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alurity.model import FlowSpec, Scenario
-from alurity.parser import ParseFailure, dump_yaml, parse_flow, parse_scenario, serialize_flow, serialize_scenario
+from alurity.parser import ParseFailure, parse_flow, parse_scenario, serialize_flow, serialize_scenario
 from alurity.pipeline import FlawRecord
 from alurity.rvd import NoReproductionFound, Ticket, extract_reproduction
 
 from strategies import scenarios
 from test_parser_oracle import ODD_SCALARS, SCENARIO_TEXTS, TAGS, _fixture, mutated
-from yaml_classes import load, load_untagged, pure_python_classes
+from yaml_classes import dump, load, load_untagged, pure_python_classes
 
 # --- the oracles ---------------------------------------------------------------
 
@@ -100,7 +101,7 @@ def _reproduction_from_record(block: str) -> Optional[tuple[Scenario, Optional[l
 
 
 def reference_record_yaml(record: FlawRecord) -> str:
-    return dump_yaml(record.to_dict())
+    return dump(record.to_dict())
 
 
 # --- inputs ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Reference checks for the shared YAML loader/dumper and the scalar classifier.
+"""Reference checks for the shared YAML loader, the scalar classifier and
+the line writers.
 
 The parser types plain scalars with YAML's resolver and the safe constructor
 for the resolved tag.  It used to re-parse each scalar's text as a whole
-document; that classifier is kept here as the reference.  The emitters write
-through libyaml when PyYAML has it, so their output is read back with the
-pure-Python loader.
+document; that classifier is kept here as the reference.  The writers'
+output is read back with libyaml and with the pure-Python loader, and the
+transcript and plan writers are checked against PyYAML's dumper, which
+wrote them before.
 """
 
 import contextlib
@@ -21,14 +23,14 @@ from hypothesis import strategies as st
 
 from alurity import parser
 from alurity.flows import Transcript, TranscriptEvent, transcript_to_yaml
-from alurity.netplan import ConnectivityPlan, PlanEntry, export_plan_yaml
+from alurity.netplan import ConnectivityPlan, PlanEntry, allocate_addresses, build_connectivity_plan, export_plan_yaml
 from alurity.orchestrator import CommandResult
 from alurity.parser import parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord
 
 import test_parser
 from strategies import scenarios
-from yaml_classes import load, pure_python_classes
+from yaml_classes import dump, load, pure_python_classes
 
 # Printable text as it reaches the emitters: decoded command output and
 # titles.  Lone surrogates are left out; they are not text any YAML stream
@@ -196,7 +198,6 @@ class TestScalarClassifier:
     def test_libyaml_is_used_when_present(self):
         if yaml.__with_libyaml__:
             assert parser.YAML_LOADER is yaml.CSafeLoader
-            assert parser.YAML_DUMPER is yaml.CSafeDumper
         else:
             assert parser.YAML_LOADER is yaml.SafeLoader
 
@@ -307,7 +308,7 @@ def reference_transcript_to_yaml(transcript: Transcript) -> str:
         }
         for e in transcript.events
     ]
-    return parser.dump_yaml({"transcript": events})
+    return dump({"transcript": events})
 
 
 TRANSCRIPT_KEYS = ["seq", "endpoint", "window", "pane", "command", "exit", "stdout", "stderr", "started_at", "ended_at"]
@@ -357,6 +358,97 @@ class TestTranscriptEmitter:
             doc = yaml.load(transcript_to_yaml(Transcript([event])), Loader=loader)["transcript"][0]
             assert doc["endpoint"] == doc["window"] == doc["command"] == doc["stdout"] == text
             assert doc["stderr"] == "\ufffd\ufffd"
+
+
+def reference_plan_yaml(plan: ConnectivityPlan) -> str:
+    """The former export: each entry's set fields and each endpoint's
+    networks as maps and lists through PyYAML's representer."""
+    return dump({
+        "entries": [{key: value for key, value in zip(PlanEntry._fields, entry) if value is not None} for entry in plan.entries],
+        "endpoints": {name: list(nets) for name, nets in plan.attachments.items()},
+    })
+
+
+# Names the plan writer must quote, or write as explicit keys: quotes,
+# backslashes, ": ", "#", astral, C1 and line-separator characters, YAML
+# keywords, and keys that are written 1,023, 1,024, 1,025 and 2,000+
+# characters long (YAML's limit on an implicit key is 1,024).
+_PLAN_NAMES = [
+    'say "hi"', "C:\\lab", "a: b", "#lab", "lab #1", "\U0001F916", "\x85\x9f", "a\u2028b", "yes", "null", "1.5", "",
+    "x" * 1023, "x" * 1024, "x" * 2000, "\xe9" * 1022, "\xe9" * 1023, "\U0001F916" * 2000, '"' * 600,
+]
+_plan_names = st.one_of(st.sampled_from(_PLAN_NAMES), _text)
+
+
+@st.composite
+def _plans(draw) -> ConnectivityPlan:
+    """The plan of a generated scenario, its names (every field but ``kind``
+    and ``encryption``) drawn anew when ``rename`` is drawn true."""
+    scenario = draw(scenarios())
+    plan = build_connectivity_plan(scenario, allocate_addresses(scenario))
+    if not draw(st.booleans()):
+        return plan
+    names: dict = {}
+
+    def rename(name):
+        if name not in names:
+            names[name] = draw(_plan_names)
+        return names[name]
+
+    entries = tuple(PlanEntry(e.kind, *(None if v is None else rename(v) for v in e[1:-1]), e.encryption) for e in plan.entries)
+    return ConnectivityPlan(entries, {rename(name): tuple(map(rename, nets)) for name, nets in plan.attachments.items()})
+
+
+# Every set field, the former ``to_dict`` key-order example, and every
+# hand-made name as an endpoint and as a network.
+_HAND_MADE_PLAN = ConnectivityPlan(
+    entries=(
+        PlanEntry("filter-rule", action="masquerade", network="n", encryption=False),
+        PlanEntry(*PlanEntry._fields[:-1], encryption=True),
+        *(PlanEntry("veth-pair", endpoint=name, bridge=f"br-{name}") for name in _PLAN_NAMES),
+    ),
+    attachments={**{name: (name, "n") for name in _PLAN_NAMES}, "none": ()},
+)
+
+
+class TestPlanEmitter:
+    """The plan's line writer against PyYAML's dumper, which wrote it before."""
+
+    @staticmethod
+    def check(plan: ConnectivityPlan):
+        text, reference = export_plan_yaml(plan), reference_plan_yaml(plan)
+        for loader in LOADERS:
+            loaded = yaml.load(text, Loader=loader)
+            assert loaded == yaml.load(reference, Loader=loader)
+            assert [list(entry) for entry in loaded["entries"]] == [
+                [key for key, value in zip(PlanEntry._fields, entry) if value is not None] for entry in plan.entries
+            ]
+            assert list(loaded["endpoints"]) == list(plan.attachments)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_plans())
+    def test_loads_like_the_reference(self, plan):
+        self.check(plan)
+
+    def test_hand_made_names(self):
+        self.check(_HAND_MADE_PLAN)
+
+    def test_only_keys_past_the_limit_are_explicit(self):
+        text = export_plan_yaml(_HAND_MADE_PLAN)
+        explicit = sorted(len(line) - 4 for line in text.splitlines() if line.startswith("  ? "))
+        assert explicit == [1025, 1202, 2000, 2002]
+
+    def test_empty(self):
+        assert export_plan_yaml(ConnectivityPlan()) == "entries: []\nendpoints: {}\n"
+
+    @pytest.mark.parametrize("name", ["listing1.yaml", "rosnet.yaml", "mixed.yaml"])
+    def test_fixtures(self, name):
+        scenario = parse_scenario((FIXTURES / name).read_text(encoding="utf-8"))
+        self.check(build_connectivity_plan(scenario, allocate_addresses(scenario)))
+
+    def test_plain_names_are_written_as_before(self, merged12):
+        plan = build_connectivity_plan(merged12, allocate_addresses(merged12))
+        assert export_plan_yaml(plan) == reference_plan_yaml(plan)
 
 
 class TestQuote:
@@ -490,7 +582,7 @@ _FALLBACK = pytest.mark.usefixtures("pure_python_yaml")
 @_FALLBACK
 class TestParseScenarioPurePython(test_parser.TestParseScenario):
     def test_fallback_is_in_use(self):
-        assert parser.YAML_LOADER is yaml.SafeLoader and parser.YAML_DUMPER is yaml.SafeDumper
+        assert parser.YAML_LOADER is yaml.SafeLoader
         assert issubclass(parser._NodeLoader, yaml.SafeLoader)
 
 

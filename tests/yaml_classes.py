@@ -1,4 +1,5 @@
-"""Switch the package's YAML layer to PyYAML's pure-Python classes."""
+"""Switch the package's YAML reader to PyYAML's pure-Python classes, and
+the tests' own YAML writer: PyYAML's dumper, which the package no longer uses."""
 
 import contextlib
 
@@ -18,13 +19,18 @@ class PureNodeLoader(yaml.SafeLoader):
 
 @contextlib.contextmanager
 def pure_python_classes():
-    """Route the shared loader and dumper, and the loader that composes
-    scenario and flow documents, through PyYAML's Python classes."""
+    """Route the shared loader, and the loader that composes scenario and
+    flow documents, through PyYAML's Python classes."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parser, "YAML_LOADER", yaml.SafeLoader)
-        patch.setattr(parser, "YAML_DUMPER", yaml.SafeDumper)
         patch.setattr(parser, "_NodeLoader", PureNodeLoader)
         yield
+
+
+def dump(doc) -> str:
+    """``doc`` as PyYAML's safe dumper writes it, keys in insertion order:
+    the former writer of the package's plans, flaw records and transcripts."""
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False, default_flow_style=False)
 
 
 def load(text: str):
