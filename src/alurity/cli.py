@@ -19,7 +19,7 @@ import click
 
 from . import flows as flow_engine
 from . import netplan, orchestrator, pipeline, rvd, toolreg
-from .model import ModuleRef, Scenario, has_errors, validate
+from .model import ModuleRef, Scenario, SourceMap, has_errors, validate
 from .parser import ParseFailure, parse_flow_document, parse_scenario_with_warnings, read_text
 
 TRACKER_URL_ENV = "ALURITY_TRACKER_URL"
@@ -153,8 +153,8 @@ def cmd_run(
 
     if flow_path is not None:  # its flows, and their lines, replace the scenario's
         flows = _parse(parse_flow_document, flow_path, "flow ")
-        lines = {k: v for k, v in scenario.source_map.items() if not k.startswith("flows[")}
-        scenario = replace(scenario, flows=flows.flows, source_map={**lines, **flows.source_map})
+        parts = [part for part in scenario.source_map.parts if not part[0].startswith("flows[")]
+        scenario = replace(scenario, flows=flows.flows, source_map=SourceMap([*parts, *flows.source_map.parts]))
 
     _runnable(scenario)
     with orchestrator.up(scenario, backend, registry) as deployment:

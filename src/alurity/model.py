@@ -128,7 +128,7 @@ class FlowSpec:
 class SourceMap(Mapping):
     """Document path -> 1-based source line, read-only.
 
-    The parser records each path as its parts, ``(record, path, index,
+    The parser records each path in ``parts`` as ``(record, path, index,
     line)``: ``path`` is None for the record itself and ``index`` None but
     for the n-th value of a repeating key.  Most documents are never asked
     for a line, so the paths are formatted only when the map is first read;
@@ -136,14 +136,14 @@ class SourceMap(Mapping):
     """
 
     def __init__(self, parts=()):
-        self._parts = parts
+        self.parts = parts
         self._lines: Optional[dict] = None
 
     def _formatted(self) -> dict:
         if self._lines is None:
             self._lines = {
                 record if path is None else f"{record}.{path}" if index is None else f"{record}.{path}[{index}]": line
-                for record, path, index, line in self._parts
+                for record, path, index, line in self.parts
             }
         return self._lines
 

@@ -12,8 +12,9 @@ One key table per record type (network, container, a container's
 order and which keys are required or may repeat.  Parsing folds a record's
 sequence through its table; repeated repeatable keys (``volume:``,
 ``network:``, ``window:``) accumulate in document order.  Serialization
-walks the same tables for networks, containers and vms; ``serialize_flow``
-writes flows.  Either way ``parse(serialize(s)) == s``.
+walks the same tables for all four sections (networks, containers, vms and
+flows), so ``parse(serialize(s)) == s``; ``serialize_flow`` writes a flow
+document as a scenario of its flows alone.
 """
 
 from __future__ import annotations
@@ -587,6 +588,11 @@ def quote(text: str) -> str:
 
 
 def _emit_scalar(value) -> str:
+    """``value`` as a one-line YAML scalar: None as ``null``, a bool or an
+    int as YAML writes it, and a string bare when it reads back as the same
+    text, through ``quote`` otherwise."""
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -597,13 +603,26 @@ def _emit_scalar(value) -> str:
     return quote(s)
 
 
-def _emit_record(lines: list[str], spec, keys: dict, indent: str) -> None:
+def _emit_record(lines: list[str], spec, keys: _Table, indent: str) -> None:
+    """Append ``spec``'s lines in its table's key order, ``- key: value`` for
+    each set value.  A nested record and a window's commands go 4 columns
+    deeper under a ``- key:`` line; a single nested record's fields are
+    ``spec``'s own, each entry of a repeating one is its own spec."""
+    deeper = indent + "    "
     for key, (_, attr, reader, count) in keys.items():
-        if isinstance(reader, dict):
-            lines.append(f"{indent}- {key}:")
-            _emit_record(lines, spec, reader, indent + "    ")
+        if isinstance(reader, _Table):
+            for record in getattr(spec, attr) if count == "*" else (spec,):
+                lines.append(f"{indent}- {key}:")
+                _emit_record(lines, record, reader, deeper)
             continue
         value = getattr(spec, attr)
+        if reader is _commands:
+            if value:
+                lines.append(f"{indent}- {key}:")
+                for item in value:
+                    entry = f"command: {_emit_scalar(item.text)}" if isinstance(item, Command) else f"split: {item.direction}"
+                    lines.append(f"{deeper}- {entry}")
+            continue
         for item in value if count == "*" else (value,):
             if item is not None:
                 lines.append(f"{indent}- {key}: {_emit_scalar(item)}")
@@ -613,10 +632,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Emit the scenario in the same dialect; round-trips to an equal value."""
     lines: list[str] = []
     for section, (field, (tag, *_), keys) in _SECTIONS.items():
-        records = getattr(scenario, field)
-        if records and field == "flows":  # written by serialize_flow
-            lines.append(serialize_flow(records))
-        elif records:
+        if records := getattr(scenario, field):
             lines.append(f"{section}:")
             for spec in records:
                 lines.append(f"  - {tag}:")
@@ -626,20 +642,6 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def serialize_flow(flows) -> str:
-    lines: list[str] = ["flow:"]
-    for flow in flows:
-        lines.append("  - container:")
-        lines.append(f"    - name: {_emit_scalar(flow.endpoint)}")
-        for window in flow.windows:
-            lines.append("    - window:")
-            lines.append(f"      - name: {_emit_scalar(window.name)}")
-            if window.items:
-                lines.append("      - commands:")
-                for item in window.items:
-                    if isinstance(item, Command):
-                        lines.append(f"        - command: {quote(item.text)}")
-                    else:
-                        lines.append(f"        - split: {item.direction}")
-        if flow.select is not None:
-            lines.append(f"    - select: {_emit_scalar(flow.select)}")
-    return "\n".join(lines) + "\n"
+    """A standalone flow document: ``serialize_scenario`` of a scenario of
+    ``flows`` alone, as ``parse_flow_document`` reads one."""
+    return serialize_scenario(Scenario(flows=tuple(flows)))

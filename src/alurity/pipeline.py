@@ -18,7 +18,7 @@ from . import flows as flow_engine
 from . import orchestrator, rvd, toolreg
 from .model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, WindowSpec
 from .netplan import allocate_addresses
-from .parser import quote, serialize_flow, serialize_scenario
+from .parser import _emit_scalar, serialize_flow, serialize_scenario
 
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
@@ -37,15 +37,6 @@ class SinkUnwritable(Exception):
 class PipelineSpec:
     target: ModuleRef
     tools: tuple[ModuleRef, ...]
-
-
-def _inline(value) -> str:
-    """A str, int or None as a one-line YAML scalar."""
-    if value is None:
-        return "null"
-    if type(value) is int:
-        return str(value)
-    return quote(value)
 
 
 @dataclass
@@ -78,13 +69,13 @@ class FlawRecord:
         }
 
     def to_yaml(self) -> str:
-        """``to_dict()`` as YAML, key by key in its order: a string through
-        ``parser.quote``, ``None`` as ``null`` and an int as digits, with
-        ``reproduction``, the last key, a nested map of two such values."""
+        """``to_dict()`` as YAML, key by key in its order, each value through
+        ``parser._emit_scalar``, with ``reproduction``, the last key, a nested
+        map of two such values."""
         doc = self.to_dict()
         reproduction = doc.pop("reproduction")
-        head = "".join(f"{key}: {_inline(value)}\n" for key, value in doc.items())
-        return f"{head}reproduction:\n  scenario: {_inline(reproduction['scenario'])}\n  flow: {_inline(reproduction['flow'])}\n"
+        head = "".join(f"{key}: {_emit_scalar(value)}\n" for key, value in doc.items())
+        return f"{head}reproduction:\n  scenario: {_emit_scalar(reproduction['scenario'])}\n  flow: {_emit_scalar(reproduction['flow'])}\n"
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scenario, FlowSpec]:
@@ -147,7 +138,7 @@ def run_pipeline(spec: PipelineSpec, backend, registry: toolreg.RegistryIndex) -
     for tool, rule, fragment, fields in _scan_transcript(spec, registry, transcript):
         records.append(
             FlawRecord(
-                title=_fill(rule.title, fields, fragment),
+                title=_fill(rule.title, fields, fields.get("title", fragment)),
                 flaw_class=rule.flaw_class,
                 description=_fill(rule.description, fields, fragment),
                 system=str(spec.target),

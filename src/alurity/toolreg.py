@@ -25,7 +25,8 @@ class ExtractionRule:
     """Regex rule turning tool output into flaw-record fields.
 
     ``title``/``description`` may contain ``{group}`` placeholders filled
-    from the pattern's named groups.
+    from the pattern's named groups.  An empty ``title`` is the match's
+    ``title`` group where that takes part, the matched text otherwise.
     """
 
     id: str
@@ -69,11 +70,11 @@ def _rule(r, where: str) -> ExtractionRule:
     if not isinstance(r, dict) or "id" not in r or "pattern" not in r:
         raise ParseFailure(f"each rule of {where} must be a map with an 'id' and a 'pattern', got {r!r}")
     pattern = str(r["pattern"])
-    groups = compile_regex(pattern, f"the pattern of rule {r['id']!r} of {where}").groupindex
+    compile_regex(pattern, f"the pattern of rule {r['id']!r} of {where}")
     return ExtractionRule(
         id=str(r["id"]),
         pattern=pattern,
-        title=str(r.get("title", "{title}" if "title" in groups else "")),
+        title=str(r.get("title", "")),
         flaw_class=str(r.get("flaw-class", r.get("flaw_class", "vulnerability"))),
         severity=str(r.get("severity", "medium")),
         description=str(r.get("description", "")),

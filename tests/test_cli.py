@@ -351,13 +351,15 @@ class TestFlowsAreValidated:
     def test_a_flow_file_replaces_the_embedded_flow_and_its_lines(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         found = []
-        monkeypatch.setattr(cli, "validate", lambda scenario: found.append(validate(scenario)) or found[-1])
+        monkeypatch.setattr(cli, "validate", lambda scenario: found.append((scenario, validate(scenario))) or found[-1][1])
         flow = tmp_path / "flow.yaml"
         flow.write_text("flow:\n  - container:\n    - name: attacker\n")
         assert run_cli("run", GHOST, "--flow", str(flow))[0] == 0
         flow.write_text("# one\n# two\nflow:\n  - container:\n    - name: ghost\n")
         assert run_cli("run", GHOST, "--flow", str(flow))[0] == 1
-        assert found[0] == [] and [(d.location, d.line) for d in found[1]] == [("flows[0].endpoint", 5)]
+        (clean, clean_diagnostics), (_, diagnostics) = found
+        assert clean_diagnostics == [] and clean.source_map._lines is None  # the clean run formatted no path
+        assert [(d.location, d.line) for d in diagnostics] == [("flows[0].endpoint", 5)]
 
     def test_rvd_flow_exits_1(self, run_cli, tracker):
         stub, url = tracker

@@ -35,6 +35,25 @@ ROBOSPLOIT = ModuleRef.parse(f"{REG}/expl_robosploit/expl_robosploit:latest")
 GAZEBO = ModuleRef.parse(f"{REG}/deve_gazebo:latest")
 
 
+# Rule patterns: a prefix, a core and a suffix, each possibly empty, so some
+# patterns match the empty string, some have no group and some an optional
+# ``title`` group.
+PATTERNS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "(?P<title>open )?", "(?P<title>[a-z]+) ", "x*"]),
+        st.sampled_from(["", "port", "o*"]),
+        st.sampled_from(["", " (?P<n>[0-9]+)", "[0-9]*"]),
+    ),
+)
+RULES = st.builds(
+    lambda pattern, title: {"pattern": pattern} if title is None else {"pattern": pattern, "title": title},
+    PATTERNS,
+    st.sampled_from([None, "{title}", "{n}", "found"]),
+)
+FINDINGS = ["port", "open port", "port 22", "open port 11311", "hello"]
+
+
 def record(title="ROS master exposed", **kw):
     fields = dict(
         title=title,
@@ -175,6 +194,32 @@ class TestRunPipeline:
     def test_untitled_rule_with_a_title_group_is_titled_by_the_group(self):
         (rec,) = self._sweep([[{"id": "a", "pattern": "FINDING: (?P<title>[^\\n]+)"}]], "FINDING: open master\n")
         assert rec.title == "open master"
+        records = self._sweep([[{"id": "a", "pattern": "(?P<title>open )?port"}]], "port\nopen port\n")
+        assert [r.title for r in records] == ["port", "open "]  # the match where the group takes no part
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.lists(RULES, max_size=3), st.lists(st.sampled_from(FINDINGS), max_size=3)), min_size=1, max_size=4))
+    @example([([{"pattern": "(?P<title>open )?port"}], ["port"])])
+    def test_one_record_per_non_empty_match_titled_by_its_rule(self, tools):
+        """Each tool i carries its own rules and prints its own findings.  Its
+        records are one per non-empty match of its rules in its own output,
+        in rule order, and a title the rule did not write is text of the match."""
+        refs = [ModuleRef.parse(f"r/reco_{i}:1") for i in range(len(tools))]
+        index = {str(TARGET): {}}
+        responses, expected = [], []
+        for i, (ref, (rules, findings)) in enumerate(zip(refs, tools)):
+            rules = [{**rule, "id": f"r{j}", "description": f"tool {i} rule {j}"} for j, rule in enumerate(rules)]
+            index[str(ref)] = {"entrypoint": f"tool{i}", "rules": rules}
+            stdout = "".join(f"{line}\n" for line in findings)
+            responses.append((f"^tool{i} ", {"stdout": stdout}))
+            expected += [(str(ref), rule, m.group(0)) for rule in rules for m in re.finditer(rule["pattern"], stdout) if m.group(0)]
+        records = run_pipeline(PipelineSpec(target=TARGET, tools=tuple(refs)), MockBackend(responses), registry_index_from_dict(index))
+        assert [(r.detected_by, r.description) for r in records] == [(ref, rule["description"]) for ref, rule, _ in expected]
+        for rec, (_, rule, fragment) in zip(records, expected):
+            if "title" in rule:
+                assert rec.title == rule["title"] or "{" not in rec.title
+            else:
+                assert rec.title in fragment
 
     def test_teardown_even_on_backend_failure(self, registry):
         backend = MockBackend(fail_create={"scanner"})

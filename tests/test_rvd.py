@@ -324,7 +324,8 @@ class TestExtract:
     def test_a_record_block_is_read_by_the_config_rules(self, listing1_text, listing1):
         """Explicit tags are ignored, and a node that contains itself leaves
         the block without a record."""
-        block = make_record(listing1_text).to_yaml().replace('severity: "high"', "severity: !!bool high")
+        block = make_record(listing1_text).to_yaml().replace("severity: high", "severity: !!bool high")
+        assert "!!bool" in block
         scenario, _ = extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{block}```\n"))
         assert scenario == listing1
         looped = f"{block}loop: &loop [*loop]\n"
