@@ -100,20 +100,6 @@ def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scena
     return scenario, FlowSpec(endpoint="scanner", windows=(WindowSpec(name="scan", items=commands),))
 
 
-def _scan_transcript(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript) -> list[tuple[ModuleRef, toolreg.ExtractionRule, str, dict]]:
-    """(tool, rule, matched text, named groups) for every non-empty match of
-    a tool's rules in the output of that tool's own command.  ``assemble``
-    runs one command per tool, in tool order, in one pane, so event i is tool i's."""
-    found = []
-    for tool, event in zip(spec.tools, transcript.events, strict=True):
-        text = event.result.stdout.decode("utf-8", "replace")
-        for rule in registry.lookup(tool).rules:
-            for match in re.finditer(rule.pattern, text):
-                if fragment := match.group(0):  # an empty match is no finding
-                    found.append((tool, rule, fragment, {k: v for k, v in match.groupdict().items() if v is not None}))
-    return found
-
-
 def _fill(template: str, fields: dict, fallback: str) -> str:
     if not template:
         return fallback
@@ -123,32 +109,41 @@ def _fill(template: str, fields: dict, fallback: str) -> str:
         return template
 
 
+def scan(spec: PipelineSpec, registry: toolreg.RegistryIndex, transcript, scenario_yaml: str, flow_yaml: str) -> list[FlawRecord]:
+    """One record, carrying the given reproduction texts, per non-empty match
+    of a tool's rules in the output of that tool's own command.  ``assemble``
+    runs one command per tool, in tool order, in one pane, so event i is tool i's."""
+    records = []
+    for tool, event in zip(spec.tools, transcript.events, strict=True):
+        text = event.result.stdout.decode("utf-8", "replace")
+        for rule in registry.lookup(tool).rules:
+            for match in re.finditer(rule.pattern, text):
+                if not (fragment := match.group(0)):  # an empty match is no finding
+                    continue
+                fields = {k: v for k, v in match.groupdict().items() if v is not None}
+                records.append(
+                    FlawRecord(
+                        title=_fill(rule.title, fields, fields.get("title") or fragment),
+                        flaw_class=rule.flaw_class,
+                        description=_fill(rule.description, fields, fragment),
+                        system=str(spec.target),
+                        detected_by=str(tool),
+                        severity=rule.severity,
+                        reproduction_scenario=scenario_yaml,
+                        reproduction_flow=flow_yaml,
+                    )
+                )
+    return records
+
+
 def run_pipeline(spec: PipelineSpec, backend, registry: toolreg.RegistryIndex) -> list[FlawRecord]:
     """Assemble, deploy, run the flow, extract findings; teardown always,
     and ``orchestrator.TeardownLeak`` instead of records if it leaves an
     endpoint live."""
     scenario, flow = assemble(spec, registry)
-    scenario_yaml = serialize_scenario(scenario)
-    flow_yaml = serialize_flow((flow,))
-
     with orchestrator.up(scenario, backend, registry) as deployment:  # reuses the addresses assemble allocated
         transcript = flow_engine.run_flow(deployment, flow_engine.compile_flow((flow,)))
-
-    records = []
-    for tool, rule, fragment, fields in _scan_transcript(spec, registry, transcript):
-        records.append(
-            FlawRecord(
-                title=_fill(rule.title, fields, fields.get("title", fragment)),
-                flaw_class=rule.flaw_class,
-                description=_fill(rule.description, fields, fragment),
-                system=str(spec.target),
-                detected_by=str(tool),
-                severity=rule.severity,
-                reproduction_scenario=scenario_yaml,
-                reproduction_flow=flow_yaml,
-            )
-        )
-    return records
+    return scan(spec, registry, transcript, serialize_scenario(scenario), serialize_flow((flow,)))
 
 
 class DirectorySink:

@@ -7,6 +7,7 @@ issue body as fenced ``yaml`` code blocks.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -244,6 +245,10 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
     holding an emitted flaw record returns its embedded ``reproduction``
     material.  After the scenario, the first block parsing as a flow becomes
     the flow.
+
+    Each distinct embedded (scenario, flow) text pair is read once per
+    process: tickets that embed it share one ``Scenario``, so ``up`` reuses
+    its validation, addresses and plan, and the flow is a new list on each call.
     """
     blocks = [m.group(1) for m in _FENCE_RE.finditer(ticket.body)]
     scenario: Optional[Scenario] = None
@@ -300,16 +305,23 @@ def _embedded(root: Optional[yaml.Node]) -> Optional[tuple[Scenario, Optional[li
     flow_text = reproduction.get("flow") or ""
     if not isinstance(scenario_text, str) or not isinstance(flow_text, str):
         return None
+    read = _read_reproduction(scenario_text, flow_text)
+    return None if read is None else (read[0], list(read[1]) or None)
+
+
+@functools.lru_cache(maxsize=64)
+def _read_reproduction(scenario_text: str, flow_text: str) -> Optional[tuple[Scenario, tuple[FlowSpec, ...]]]:
+    """The scenario with endpoints and the flow, () if none reads, that a
+    record's reproduction texts hold; None without such a scenario.  Kept
+    per text pair: the records of one sweep embed the same pair, and their
+    tickets then share one frozen ``Scenario`` and its derivations."""
     try:
         scenario = parse_scenario(scenario_text)
     except ParseFailure:
         return None
     if not _is_scenario(scenario):
         return None
-    flow: Optional[list[FlowSpec]] = None
-    if flow_text:
-        try:
-            flow = parse_flow(flow_text) or None
-        except ParseFailure:
-            flow = None
-    return scenario, flow
+    try:
+        return scenario, tuple(parse_flow(flow_text)) if flow_text else ()
+    except ParseFailure:
+        return scenario, ()

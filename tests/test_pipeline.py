@@ -8,7 +8,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alurity import flows, netplan
+from alurity import flows, netplan, orchestrator
 from alurity.flows import UnknownEndpointInFlow
 from alurity.model import ModuleRef, validate
 from alurity.orchestrator import MockBackend, TeardownLeak
@@ -22,8 +22,10 @@ from alurity.pipeline import (
     assemble,
     emit_all,
     run_pipeline,
+    scan,
 )
-from alurity.parser import parse_flow, parse_scenario
+from alurity.parser import parse_flow, parse_scenario, serialize_flow, serialize_scenario
+from alurity.rvd import Ticket, extract_reproduction
 from alurity.toolreg import registry_index_from_dict
 
 from yaml_classes import load
@@ -197,6 +199,10 @@ class TestRunPipeline:
         records = self._sweep([[{"id": "a", "pattern": "(?P<title>open )?port"}]], "port\nopen port\n")
         assert [r.title for r in records] == ["port", "open "]  # the match where the group takes no part
 
+    def test_untitled_rule_whose_title_group_matches_empty_is_titled_by_its_match(self):
+        (rec,) = self._sweep([[{"id": "a", "pattern": "(?P<title>x*)port"}]], "port\n")
+        assert rec.title == "port"
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.lists(RULES, max_size=3), st.lists(st.sampled_from(FINDINGS), max_size=3)), min_size=1, max_size=4))
     @example([([{"pattern": "(?P<title>open )?port"}], ["port"])])
@@ -219,7 +225,51 @@ class TestRunPipeline:
             if "title" in rule:
                 assert rec.title == rule["title"] or "{" not in rec.title
             else:
-                assert rec.title in fragment
+                assert rec.title and rec.title in fragment
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(RULES, min_size=1, max_size=3), st.lists(st.sampled_from(FINDINGS), min_size=1, max_size=3), st.sampled_from([0, 1, 3])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_every_record_reproduces_its_finding(self, tools):
+        """Each record, read back from a ticket body as ``push_issue`` writes
+        it and brought up on a fresh backend with the same responses, runs
+        the sweep's commands to the sweep's exits and output, and scanning
+        that run with the reproduction's own tools files the sweep's records."""
+        refs = [ModuleRef.parse(f"r/reco_{i}:1") for i in range(len(tools))]
+        index = {str(TARGET): {}}
+        responses = []
+        for i, (ref, (rules, findings, code)) in enumerate(zip(refs, tools)):
+            index[str(ref)] = {"entrypoint": f"tool{i}", "rules": [{**rule, "id": f"r{j}"} for j, rule in enumerate(rules)]}
+            responses.append((f"^tool{i} ", {"stdout": "".join(f"{line}\n" for line in findings), "exit": code}))
+        registry = registry_index_from_dict(index)
+        sweeps = []
+
+        def recording(deployment, plan, run=flows.run_flow):
+            sweeps.append(run(deployment, plan))
+            return sweeps[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flows, "run_flow", recording)
+            records = run_pipeline(PipelineSpec(target=TARGET, tools=tuple(refs)), MockBackend(responses), registry)
+        (sweep,) = sweeps
+        ran = [(e.command, e.result.exit_code, e.result.stdout) for e in sweep.events]
+        filed = [r.to_yaml() for r in records]
+        for rec in records:
+            scenario, flow = extract_reproduction(Ticket(id=1, title=rec.title, body=f"```yaml\n{rec.to_yaml()}```\n"))
+            with orchestrator.up(scenario, MockBackend(responses), registry) as deployment:
+                plan = flows.compile_flow(flow)
+                transcript = flows.run_flow(deployment, plan)
+            assert flows.verify_transcript(plan, transcript)
+            assert [(e.command, e.result.exit_code, e.result.stdout) for e in transcript.events] == ran
+            target, scanner = scenario.containers
+            spec = PipelineSpec(target=target.base, tools=(scanner.base, *scanner.volumes))
+            rescanned = scan(spec, registry, transcript, serialize_scenario(scenario), serialize_flow(flow))
+            assert [r.to_yaml() for r in rescanned] == filed
 
     def test_teardown_even_on_backend_failure(self, registry):
         backend = MockBackend(fail_create={"scanner"})

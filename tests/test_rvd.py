@@ -332,6 +332,24 @@ class TestExtract:
         with pytest.raises(NoReproductionFound):
             extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{looped}```\n"))
 
+    def test_tickets_embedding_the_same_material_share_one_scenario(self, listing1_text, listing3_text, listing1, listing3):
+        body = f"```yaml\n{make_record(listing1_text, listing3_text).to_yaml()}```\n"
+        first, first_flow = extract_reproduction(Ticket(id=1, title="t", body=body))
+        second, second_flow = extract_reproduction(Ticket(id=2, title="u", body=f"prose\n{body}"))
+        assert first is second and first == listing1
+        assert first_flow == second_flow == listing3 and first_flow is not second_flow
+        other = listing1_text.replace("ur3", "ur5")
+        third, _ = extract_reproduction(Ticket(id=3, title="t", body=f"```yaml\n{make_record(other, listing3_text).to_yaml()}```\n"))
+        assert third is not first and third != first
+
+    def test_an_unreadable_embedded_scenario_fails_on_every_call(self, listing1_text):
+        record = make_record(listing1_text.replace("cpus: 4", "cpus: lots"))
+        assert record.reproduction_scenario != listing1_text
+        body = f"```yaml\n{record.to_yaml()}```\n"
+        for _ in range(3):
+            with pytest.raises(NoReproductionFound):
+                extract_reproduction(Ticket(id=1, title="t", body=body))
+
     def test_record_with_non_text_flow(self, listing1_text):
         record = {"reproduction": {"scenario": listing1_text, "flow": {"endpoint": "ur3"}}}
         body = f"```yaml\n{dump(record)}```\n"

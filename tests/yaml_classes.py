@@ -6,7 +6,7 @@ import contextlib
 import pytest
 import yaml
 
-from alurity import parser
+from alurity import parser, rvd
 
 
 class PureNodeLoader(yaml.SafeLoader):
@@ -20,11 +20,17 @@ class PureNodeLoader(yaml.SafeLoader):
 @contextlib.contextmanager
 def pure_python_classes():
     """Route the shared loader, and the loader that composes scenario and
-    flow documents, through PyYAML's Python classes."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parser, "YAML_LOADER", yaml.SafeLoader)
-        patch.setattr(parser, "_NodeLoader", PureNodeLoader)
-        yield
+    flow documents, through PyYAML's Python classes.  The reproductions
+    ``rvd`` keeps are dropped on the way in and out, so neither side reads
+    what the other classes composed."""
+    rvd._read_reproduction.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser, "YAML_LOADER", yaml.SafeLoader)
+            patch.setattr(parser, "_NodeLoader", PureNodeLoader)
+            yield
+    finally:
+        rvd._read_reproduction.cache_clear()
 
 
 def dump(doc) -> str:
