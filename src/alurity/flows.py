@@ -111,13 +111,15 @@ def transcript_to_yaml(transcript: Transcript) -> str:
     written as digits and strings through ``parser.quote``, so libyaml and
     the pure-Python loader both read back exactly the event's fields, with
     stdout and stderr decoded as UTF-8 (undecodable bytes replaced).  Each
-    distinct (endpoint, window) and (stdout, stderr) pair is written once.
+    distinct command, (endpoint, window) and (stdout, stderr) pair is quoted
+    once.
     """
     if not transcript.events:
         return "transcript: []\n"
     lines = ["transcript:"]
     places: dict = {}
     outputs: dict = {}
+    commands: dict = {}
     for endpoint, window, pane, command, (exit_code, stdout, stderr, started_at, ended_at), seq in transcript.events:
         if (place := places.get((endpoint, window))) is None:
             place = places[endpoint, window] = f"  endpoint: {quote(endpoint)}\n  window: {quote(window)}"
@@ -126,8 +128,10 @@ def transcript_to_yaml(transcript: Transcript) -> str:
                 f"  stdout: {quote(stdout.decode('utf-8', 'replace'))}\n"
                 f"  stderr: {quote(stderr.decode('utf-8', 'replace'))}"
             )
+        if (text := commands.get(command)) is None:
+            text = commands[command] = quote(command)
         lines.append(
-            f"- seq: {seq}\n{place}\n  pane: {pane}\n  command: {quote(command)}\n  exit: {exit_code}\n"
+            f"- seq: {seq}\n{place}\n  pane: {pane}\n  command: {text}\n  exit: {exit_code}\n"
             f"{output}\n  started_at: {started_at}\n  ended_at: {ended_at}"
         )
     return "\n".join(lines) + "\n"

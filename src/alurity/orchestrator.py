@@ -9,6 +9,7 @@ and a journal of every create, apply, exec and destroy.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
@@ -81,6 +82,20 @@ class Backend(Protocol):
 _SLEEP_RE = re.compile(r"^sleep\s+(\d+)\s*$")
 
 
+@functools.lru_cache(maxsize=16)
+def _first_match(patterns: tuple):
+    """A function from a command to the index of the first of ``patterns``
+    whose ``search`` matches it, or ``None``: the patterns are compiled once,
+    and up to 4,096 answers are kept for every backend with these patterns."""
+    compiled = tuple(enumerate(map(cached_regex, patterns)))
+
+    @functools.lru_cache(maxsize=4096)
+    def first(command: str) -> Optional[int]:
+        return next((index for index, pattern in compiled if pattern.search(command)), None)
+
+    return first
+
+
 @dataclass
 class MockEndpoint:
     name: str
@@ -92,11 +107,14 @@ class MockBackend:
 
     ``responses`` is an ordered list of (regex, CommandResult-ish dict);
     the first matching pattern wins, anything else exits 0 with no output.
-    ``sleep N`` advances a logical clock instead of waiting; each distinct command is matched once.
+    ``sleep N`` advances a logical clock instead of waiting.  A command is
+    matched once per process against each distinct list of patterns (a
+    bounded memo, ``_first_match``); each backend answers from its own bodies.
     """
 
     def __init__(self, responses=None, fail_create=(), fail_destroy=(), refuse_kinds=()):
-        self.responses = [(cached_regex(p), r) for p, r in (responses or [])]
+        self.responses = [(pattern, body) for pattern, body in responses or ()]
+        self._first = _first_match(tuple(pattern for pattern, _ in self.responses))
         self._answers: dict = {}  # command -> (sleep ticks, exit, stdout, stderr)
         self.fail_create = set(fail_create)
         self.fail_destroy = set(fail_destroy)
@@ -148,7 +166,8 @@ class MockBackend:
             raise EndpointGone(handle.name)
         if command not in self._answers:
             match = _SLEEP_RE.match(command)
-            body = next((body for pattern, body in self.responses if pattern.search(command)), {})
+            index = self._first(command)
+            body = {} if index is None else self.responses[index][1]
             stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
             self._answers[command] = (int(match.group(1)) if match else 0, int(body.get("exit", 0)), stdout, stderr)
         ticks, code, stdout, stderr = self._answers[command]

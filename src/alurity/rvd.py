@@ -23,8 +23,9 @@ from .parser import ParseFailure, build_yaml, compose_yaml, parse_flow, parse_sc
 TOKEN_ENV = "ALURITY_TRACKER_TOKEN"
 
 # The closing fence starts a line, so backticks inside the block's text
-# (a flow command quoted as '```') do not end it.
-_FENCE_RE = re.compile(r"```yaml\s*\n(.*?)^```", re.DOTALL | re.MULTILINE)
+# (a flow command quoted as '```') do not end it.  The block is taken a whole
+# line at a time, so the fence is tried only at line starts.
+_FENCE_RE = re.compile(r"```yaml\s*\n((?:[^\n]*\n)*?)```")
 
 
 class NotFound(Exception):

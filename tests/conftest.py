@@ -1,4 +1,5 @@
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # Filled in by the acceptance suite's budget guard; echoed after the run so
 # the per-criterion verdicts survive output capturing.
 CRITERION_LINES: list[str] = []
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    """Hypothesis's failure report imports libcst, which warns on import.
+    Around the report, ``pytest -W error`` overrides the ini file's filters,
+    and without this the warning ends the run as an internal error in place
+    of the falsifying example."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+        yield
 
 
 def pytest_terminal_summary(terminalreporter):

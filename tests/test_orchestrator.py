@@ -194,34 +194,76 @@ RESPONSES = [
 COMMANDS = ["roscore", "rostopic echo x", "sleep 3", "sleep 3 ", "sleep 10", "nmap x", "id", ""]
 
 
-def former_exec(clock: int, command: str) -> tuple[CommandResult, int]:
+def former_exec(clock: int, command: str, responses=RESPONSES) -> tuple[CommandResult, int]:
     """``MockBackend.exec`` before it kept one answer per command: the
     result and the clock after it."""
     started = clock
     match = re.match(r"^sleep\s+(\d+)\s*$", command)
     if match:
         clock += int(match.group(1))
-    for pattern, body in RESPONSES:
+    for pattern, body in responses:
         if re.search(pattern, command):
             stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
             return CommandResult(int(body.get("exit", 0)), stdout, stderr, started, clock), clock
     return CommandResult(0, b"", b"", started, clock), clock
 
 
+OTHER_BODIES = [{"stdout": "other"}, {"exit": 3}, {"stderr": "e", "stdout": 7}, {}]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(COMMANDS), max_size=30))
-def test_exec_answers_like_the_former_exec(commands):
-    """Repeated commands get the answer the ordered first-match scan gives,
-    and each one is journaled and advances the clock."""
-    backend = MockBackend(responses=RESPONSES)
-    handle = backend.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {})
-    clock, expected = 0, []
-    for command in commands:
-        result, clock = former_exec(clock, command)
-        expected.append(result)
-    assert [backend.exec(handle, command) for command in commands] == expected
-    assert backend.journal[1:] == [("exec", "ep", command) for command in commands]
-    assert backend.clock == clock
+@given(
+    st.permutations(OTHER_BODIES),
+    st.permutations(RESPONSES),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from(COMMANDS) | st.text("rosx e3", max_size=6)), max_size=40),
+)
+def test_exec_answers_like_the_former_exec(bodies, permuted, steps):
+    """Three backends, built from the same patterns, from them with other
+    bodies and from them in another order, share one first-match memo.  Each
+    answers its share of an interleaved run of commands, repeated ones too,
+    as the ordered first-match scan over its own list does, journals each
+    one and advances its own clock."""
+    scripts = [RESPONSES, [(pattern, body) for (pattern, _), body in zip(RESPONSES, bodies)], permuted]
+    backends = [MockBackend(responses=script) for script in scripts]
+    handles = [backend.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {}) for backend in backends]
+    clocks = [0] * len(backends)
+    for k, command in steps:
+        expected, clocks[k] = former_exec(clocks[k], command, scripts[k])
+        assert backends[k].exec(handles[k], command) == expected
+    for k, backend in enumerate(backends):
+        assert backend.journal[1:] == [("exec", "ep", command) for j, command in steps if j == k]
+    assert [backend.clock for backend in backends] == clocks
+
+
+def test_a_pattern_that_is_not_a_regex_raises_at_every_construction():
+    for _ in range(2):
+        with pytest.raises(re.error):
+            MockBackend(responses=[("^id$", {}), ("(", {})])
+
+
+def test_a_later_backend_answers_from_its_own_bodies():
+    """The second backend finds every command already matched against its
+    patterns, and still answers with its own bodies."""
+    first = MockBackend(responses=[("^id$", {"stdout": "first"}), ("^nmap", {"exit": 1})])
+    handle = first.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {})
+    assert [first.exec(handle, c).stdout for c in ("id", "nmap x", "ls")] == [b"first", b"", b""]
+    second = MockBackend(responses=[("^id$", {"exit": 4, "stdout": "second"}), ("^nmap", {"stderr": "denied"})])
+    assert second._first is first._first
+    handle = second.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {})
+    assert [second.exec(handle, c) for c in ("id", "nmap x", "ls")] == [
+        CommandResult(4, b"second"),
+        CommandResult(0, b"", b"denied"),
+        CommandResult(0),
+    ]
+
+
+def test_sleep_advances_only_its_own_backends_clock():
+    one, other = MockBackend(responses=RESPONSES), MockBackend(responses=RESPONSES)
+    mine, theirs = (b.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {}) for b in (one, other))
+    one.exec(mine, "sleep 3")
+    assert other.exec(theirs, "sleep 10") == CommandResult(0, b"", b"zz", 0, 10)
+    assert one.exec(mine, "sleep 3") == CommandResult(0, b"", b"zz", 3, 6)
+    assert (one.clock, other.clock) == (6, 10)
 
 
 class TestDown:

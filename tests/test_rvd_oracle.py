@@ -23,6 +23,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from alurity import rvd
 from alurity.model import FlowSpec, Scenario
 from alurity.parser import ParseFailure, parse_flow, parse_scenario, serialize_flow, serialize_scenario
 from alurity.pipeline import FlawRecord
@@ -205,6 +206,17 @@ def test_extract_matches_oracle(body):
 def test_extract_matches_oracle_pure_python(body):
     with pure_python_classes():
         assert _outcome(extract_reproduction, body) == _outcome(reference_extract_reproduction, body)
+
+
+fence_fragments = st.sampled_from(["```", "```yaml", "```yaml ", "\n", "\r\n", " ", "`", "``", "text", "a: b"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(fence_fragments, max_size=16).map("".join))
+def test_fence_scan_captures_the_oracles_blocks(body):
+    """``rvd``'s line-by-line fence pattern captures the blocks the oracle's
+    ``(.*?)^```` pattern does, on bodies made of fence fragments."""
+    assert [m.group(1) for m in rvd._FENCE_RE.finditer(body)] == [m.group(1) for m in _FENCE_RE.finditer(body)]
 
 
 def test_mutations_reach_the_record_rules():
