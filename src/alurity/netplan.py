@@ -150,49 +150,25 @@ def build_connectivity_plan(scenario: Scenario, assignment: AddressAssignment) -
 
 
 def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
-    container_names = {c.name for c in scenario.containers}
-    vm_names = {v.name for v in scenario.vms}
     specs = endpoint_specs(scenario)
-
-    attachments = {name: tuple(specs[name].networks) for name, _ in endpoints(scenario)}
-    members: dict[str, list[str]] = {n.name: [] for n in scenario.networks}
-    for name, _kind in endpoints(scenario):
-        for net in specs[name].networks:
-            members[net].append(name)
-
-    entries: list[PlanEntry] = []
-    for net in scenario.networks:
-        if members[net.name]:
-            entries.append(PlanEntry(kind="bridge", name=bridge_name(net.name), network=net.name))
-
+    attachments: dict[str, tuple] = {}
+    kinds: dict[str, set] = {n.name: set() for n in scenario.networks}  # network -> its members' kinds
+    links: list[PlanEntry] = []
     for name, kind in endpoints(scenario):
-        for net in specs[name].networks:
-            if kind == "container":
-                entries.append(PlanEntry(kind="veth-pair", endpoint=name, bridge=bridge_name(net)))
-            else:
-                entries.append(PlanEntry(kind="tap-attach", endpoint=name, bridge=bridge_name(net)))
+        attachments[name] = nets = tuple(specs[name].networks)
+        link = "veth-pair" if kind == "container" else "tap-attach"
+        for net in nets:
+            kinds[net].add(kind)
+            links.append(PlanEntry(kind=link, endpoint=name, bridge=bridge_name(net)))
 
+    used = [net for net in scenario.networks if kinds[net.name]]
+    entries = [PlanEntry(kind="bridge", name=bridge_name(net.name), network=net.name) for net in used]
+    entries += links
     # Host routes exist for the mixed sim/emu case: a VM sharing a network
     # with at least one container.
-    for net in scenario.networks:
-        mixed = any(m in vm_names for m in members[net.name]) and any(
-            m in container_names for m in members[net.name]
-        )
-        if mixed:
-            entries.append(
-                PlanEntry(kind="route", subnet=net.subnet, via=assignment.gateways[net.name])
-            )
-
-    for net in scenario.networks:
-        if not members[net.name]:
-            continue
-        action = "drop-external" if net.internal else "masquerade"
-        entries.append(PlanEntry(kind="filter-rule", action=action, network=net.name))
-
-    for net in scenario.networks:
-        if net.encryption and members[net.name]:
-            entries.append(PlanEntry(kind="metadata", network=net.name, encryption=True))
-
+    entries += [PlanEntry(kind="route", subnet=net.subnet, via=assignment.gateways[net.name]) for net in used if kinds[net.name] == {"container", "vm"}]
+    entries += [PlanEntry(kind="filter-rule", action="drop-external" if net.internal else "masquerade", network=net.name) for net in used]
+    entries += [PlanEntry(kind="metadata", network=net.name, encryption=True) for net in used if net.encryption]
     return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Protocol
 from . import toolreg
 from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
-from .parser import ParseFailure, cached_regex, compile_regex, load_yaml_map
+from .parser import ParseFailure, compile_regex, load_yaml_map
 
 
 class EndpointNotRunning(Exception):
@@ -87,7 +87,7 @@ def _first_match(patterns: tuple):
     """A function from a command to the index of the first of ``patterns``
     whose ``search`` matches it, or ``None``: the patterns are compiled once,
     and up to 4,096 answers are kept for every backend with these patterns."""
-    compiled = tuple(enumerate(map(cached_regex, patterns)))
+    compiled = tuple(enumerate(map(re.compile, patterns)))
 
     @functools.lru_cache(maxsize=4096)
     def first(command: str) -> Optional[int]:

@@ -86,8 +86,9 @@ class _NodeLoader(YAML_LOADER):
 
 def compose_yaml(text: str) -> Optional[yaml.Node]:
     """The root node of the document in ``text``, None for an empty one;
-    ``ParseFailure`` when it cannot be composed."""
+    ``ParseFailure`` when it cannot be composed or nests too deeply."""
     try:
+        _refuse_deep_nesting(text)
         return yaml.compose(text, Loader=_NodeLoader)
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
@@ -95,6 +96,62 @@ def compose_yaml(text: str) -> Optional[yaml.Node]:
         raise ParseFailure(_TOO_DEEP) from exc
     except yaml.YAMLError as exc:
         raise _malformed(exc) from exc
+
+
+# libyaml's composer recurses in C once per level of nesting and overflows
+# an 8 MiB C stack between 20,000 and 40,000 levels down, so it is given no
+# document nested deeper than _MAX_DEPTH.  The pure-Python composer raises
+# RecursionError long before that depth.
+_MAX_DEPTH = 10_000
+_SCREEN_WIDTH = 1_000
+# What may come before a block collection that starts on a line: the
+# indentation and the indicators of compact entries (``- - x``, ``? - x``).
+_BLOCK_PREFIX_RE = re.compile(r"[-?: \t]*")
+_OTHER_BREAK_RE = re.compile("[\r\x85\u2028\u2029]")  # libyaml's line breaks besides "\n"
+
+
+def _shallow(text: str) -> bool:
+    """Whether a scan without parsing shows that ``text`` nests at most
+    ``_MAX_DEPTH`` deep.
+
+    Each ``[`` or ``{`` opens at most two levels (a flow sequence and a
+    single-pair map in it).  A block collection starts within its line's
+    block prefix, and at least one column further in than the block
+    collection two levels up, so block levels are at most twice the longest
+    block prefix.  Every block prefix is shorter than ``2 * _SCREEN_WIDTH``
+    when each aligned window of ``_SCREEN_WIDTH`` characters holds a line
+    feed or lies in a line whose block prefix is shorter than the window and
+    which holds no other line break.
+    """
+    width = _SCREEN_WIDTH
+    if 2 * (text.count("[") + text.count("{")) + 4 * width + 3 > _MAX_DEPTH:
+        return False
+    end = 0  # the end of the last long line checked
+    for start in range(0, len(text) - width + 1, width):
+        if start < end or text.find("\n", start, start + width) >= 0:
+            continue
+        line = text.rfind("\n", 0, start) + 1
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        if _BLOCK_PREFIX_RE.match(text, line).end() - line >= width or _OTHER_BREAK_RE.search(text, line, end):
+            return False
+    return True
+
+
+def _refuse_deep_nesting(text: str) -> None:
+    """``ParseFailure`` if libyaml would compose ``text`` deeper than
+    ``_MAX_DEPTH``; only a text ``_shallow`` cannot clear has its events
+    counted."""
+    if issubclass(_NodeLoader, yaml.composer.Composer) or _shallow(text):
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_NodeLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise ParseFailure(_TOO_DEEP, event.start_mark.line + 1)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
 
 
 def build_yaml(node: Optional[yaml.Node], empty=None):
@@ -136,15 +193,16 @@ def load_yaml_map(path: str) -> dict:
 
 
 def _built(node: yaml.Node, built: dict):
-    """The safe constructor's value for ``node``, each plain scalar typed by
-    its text.  ``built`` maps each collection node to its value, so aliases
-    share one value and nested ones cost one build each.  As in the
-    constructor, maps merged by ``<<`` come first, the first of a list winning."""
+    """The safe constructor's value for ``node``, each scalar read by
+    ``_scalar``; plain text that matches a type's pattern but does not
+    construct (``2020-13-45``, ``=``) is a ``ParseFailure``.  ``built`` maps
+    each collection node to its value, so aliases share one value and nested
+    ones cost one build each.  As in the constructor, maps merged by ``<<``
+    come first, the first of a list winning."""
     if isinstance(node, ScalarNode):
-        typed = not node.style and node.value[:1] in _TYPED_FIRST  # plain text a type's pattern may match
-        value = _typed(node.value) if typed else node.value
-        if typed and type(value) is str and (tag := _RESOLVER.resolve(ScalarNode, node.value, (True, False))) != _STR_TAG:
-            raise ParseFailure(f"{node.value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(node))
+        value = _scalar(node)
+        if type(value) is str and not node.style and value[:1] in _TYPED_FIRST and (tag := _RESOLVER.resolve(ScalarNode, value, (True, False))) != _STR_TAG:
+            raise ParseFailure(f"{value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(node))
         return value
     if node in built:
         if built[node] is None:
@@ -174,15 +232,10 @@ def _built(node: yaml.Node, built: dict):
     return value
 
 
-# A mock backend is built many times from the same responses: each distinct
-# pattern is compiled once.
-cached_regex = functools.lru_cache(maxsize=1024)(re.compile)
-
-
 def compile_regex(pattern, what: str) -> re.Pattern:
     """``pattern`` compiled; ``ParseFailure`` naming ``what`` if it is not a regex."""
     try:
-        return cached_regex(pattern)
+        return re.compile(pattern)
     except (TypeError, re.error, OverflowError, RecursionError) as exc:
         raise ParseFailure(f"{what} is not a regex: {exc}") from exc
 
@@ -202,29 +255,12 @@ _TYPED_FIRST = frozenset(_RESOLVER.yaml_implicit_resolvers)
 
 
 def _scalar(node: yaml.Node):
-    """A scalar's value as YAML's implicit typing reads its text.
-
-    Plain scalars are typed by the resolver and built by the safe
-    constructor for that tag, without re-parsing the text as a document.
-    Text that matches a tag's pattern but does not construct (``=``, a
-    timestamp such as ``2020-13-45``) stays text, and so does a block
-    scalar's text that ``build_yaml`` cannot read.
-    """
+    """A scalar's value: a quoted or block scalar is its text, and a plain
+    one is typed by ``_typed`` (so empty plain text is None)."""
     if not isinstance(node, ScalarNode):
         raise ParseFailure("expected a scalar value", _line(node))
     text = node.value
-    if node.style in ('"', "'"):
-        return text
-    if text == "":
-        return None
-    if node.style not in ("|", ">"):
-        return text if text[0] not in _TYPED_FIRST else _typed(text)
-    try:  # a block scalar: its text is re-read by the same builder
-        return build_yaml(compose_yaml(text))
-    except ParseFailure as exc:
-        if exc.message != _TOO_DEEP:
-            return text
-        raise ParseFailure(_TOO_DEEP, _line(node)) from exc
+    return text if node.style or text[:1] not in _TYPED_FIRST else _typed(text)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -252,10 +288,8 @@ def _typed(text: str):
 
 
 def _string(node: yaml.Node, loc: str, key: str) -> str:
-    if isinstance(node, ScalarNode):
-        text = node.value
-        if node.style in ('"', "'") or (not node.style and text[:1] not in _TYPED_FIRST):
-            return text  # quoted, or plain text no implicit type can match
+    if isinstance(node, ScalarNode) and (node.style or node.value[:1] not in _TYPED_FIRST):
+        return node.value  # quoted or block, or plain text no implicit type can match
     value = _scalar(node)
     if value is None:
         raise ParseFailure(f"{loc}.{key} must not be empty", _line(node))

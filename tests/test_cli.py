@@ -17,6 +17,7 @@ from alurity.cli import main
 from alurity.model import validate
 from alurity.pipeline import FlawRecord
 
+from test_parser import BLOCK_COMMAND_FLOW, DEEP, TWO_LINE_COMMAND, nested
 from test_parser_oracle import ODD_SCALARS, SCENARIO_TEXTS, mutated
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -186,6 +187,17 @@ class TestRun:
         assert code == 0
         (transcript,) = tmp_path.glob("*.yaml")
         assert transcript.read_bytes() == (FIXTURES / "listing3_transcript.yaml").read_bytes()
+
+    def test_a_block_command_runs_as_its_text(self, run_cli, tmp_path):
+        """A two-line ``command: |`` runs as exactly its text, newline
+        included, not as one joined line."""
+        flow = tmp_path / "flow.yaml"
+        flow.write_text(BLOCK_COMMAND_FLOW)
+        code, _, _ = run_cli("run", ROSNET, "--flow", str(flow), "--transcript-dir", str(tmp_path / "t"))
+        assert code == 0
+        (transcript,) = (tmp_path / "t").glob("*.yaml")
+        events = yaml.safe_load(transcript.read_text())["transcript"]
+        assert [event["command"] for event in events] == [TWO_LINE_COMMAND]
 
     def test_unwritable_transcript_dir_exits_3(self, run_cli, tmp_path, monkeypatch):
         deployments = []
@@ -440,27 +452,70 @@ def test_non_utf8_document_exits_2(run_cli, tmp_path, monkeypatch, args):
     assert err.startswith("cannot parse ") and "not UTF-8" in err
 
 
-DEEP = "[" * 3000 + "]" * 3000
+DEEP_NAME = f"networks:\n  - network:\n    - name:\n      {nested(DEEP)}\n    - subnet: 12.0.0.0/24\n"
+DEEP_DOCUMENTS = {
+    "validate": (("validate",), DEEP_NAME),
+    "graph": (("graph",), DEEP_NAME),
+    "run": (("run",), f"containers:\n  - container:\n    - name: x\n    - cpus: {nested(DEEP, flow=True)}\n"),
+    "run-flow": (("run", ROSNET, "--flow"), f"flow:\n  - container:\n    - name:\n      {nested(DEEP)}\n"),
+    "run-index": (("run", ROSNET, "--index"), f"a:\n{nested(DEEP)}\n"),
+    "run-mock-responses": (("run", ROSNET, "--flow", LISTING3, "--mock-responses"), f"a: {nested(DEEP, flow=True)}\n"),
+}
 
 
-@pytest.mark.parametrize(
-    "args, document",
-    [
-        (("validate",), f"networks:\n  - network:\n    - name: |\n        {DEEP}\n    - subnet: 12.0.0.0/24\n"),
-        (("graph",), f"networks:\n  - network:\n    - name: |\n        {DEEP}\n    - subnet: 12.0.0.0/24\n"),
-        (("run",), f"containers:\n  - container:\n    - name: x\n    - cpus: |\n        {DEEP}\n"),
-        (("run", ROSNET, "--flow"), f"flow:\n  - container:\n    - name: |\n        {DEEP}\n"),
-    ],
-    ids=["validate", "graph", "run", "run-flow"],
-)
-def test_deeply_nested_block_scalar_exits_2(run_cli, tmp_path, monkeypatch, args, document):
+@pytest.mark.parametrize("args, document", DEEP_DOCUMENTS.values(), ids=DEEP_DOCUMENTS.keys())
+def test_deeply_nested_document_exits_2(run_cli, tmp_path, monkeypatch, args, document):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "doc.yaml"
     path.write_text(document)
     code, out, err = run_cli(*args, str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("cannot parse ") and "nested too deeply" in err
+    assert err.startswith(("cannot parse ", "cannot read ")) and "nested too deeply" in err
+
+
+# Runs the CLI on the classes named by its first argument, with the
+# arguments after it; "ticket PATH" fetches a ticket whose one block is the
+# file at PATH from a stub tracker.
+_CLI_PROBE = """
+import contextlib, pathlib, sys
+from alurity.cli import main
+from stub_tracker import StubTracker
+from yaml_classes import pure_python_classes
+classes, *args = sys.argv[1:]
+stub = StubTracker()
+if args[0] == "ticket":
+    url = stub.start()
+    args = ["run", "--rvd", str(stub.seed("t", "```yaml\\n" + pathlib.Path(args[1]).read_text() + "```\\n")), "--tracker-url", url]
+with pure_python_classes() if classes == "pure-python" else contextlib.nullcontext():
+    code = main(args)
+stub.stop()
+sys.exit(code)
+"""
+VERY_DEEP = 100_000
+NESTED_100000 = {
+    "scenario-brackets": (("validate",), f"networks: {nested(VERY_DEEP, flow=True)}\n", "nested too deeply"),
+    "scenario-compact": (("validate",), f"a:\n{nested(VERY_DEEP)}\n", "nested too deeply"),
+    "flow": (("run", ROSNET, "--flow"), f"flow:\n{nested(VERY_DEEP)}\n", "nested too deeply"),
+    "index": (("run", ROSNET, "--index"), f"networks: {nested(VERY_DEEP, flow=True)}\n", "nested too deeply"),
+    "mock-responses": (("run", ROSNET, "--flow", LISTING3, "--mock-responses"), f"a:\n{nested(VERY_DEEP)}\n", "nested too deeply"),
+    # A block that cannot be read is skipped, as a malformed one is.
+    "ticket": (("ticket",), f"networks:\n{nested(VERY_DEEP)}\n", "ticket 1 embeds no scenario"),
+}
+
+
+@pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
+@pytest.mark.parametrize("args, document, words", NESTED_100000.values(), ids=NESTED_100000.keys())
+def test_a_document_nested_100000_deep_exits_2(tmp_path, args, document, words, classes):
+    """Run in a fresh interpreter, so that a crash of the composer fails the
+    test instead of ending the test run."""
+    path = tmp_path / "doc.yaml"
+    path.write_text(document)
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(alurity.__file__).resolve().parent.parent), str(tests)]))
+    result = subprocess.run([sys.executable, "-c", _CLI_PROBE, classes, *args, str(path)], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr[-2000:]
+    assert words in result.stderr
 
 
 # Every file argument, the arguments before it, and the documents its

@@ -1,13 +1,24 @@
-"""Differential test: the cursor allocator and the indexed ``addresses_of``
-against the original rescanning allocator, kept here verbatim as the oracle."""
+"""Differential tests: the cursor allocator and the indexed ``addresses_of``
+against the original rescanning allocator, and the connectivity plan against
+the planner that told containers from VMs by name sets as well as by kind,
+each kept here verbatim as the oracle."""
 
 import ipaddress
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, VmSpec, endpoints
-from alurity.netplan import AddressAssignment, AllocationFailure, allocate_addresses
+from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, VmSpec, endpoint_specs, endpoints
+from alurity.netplan import (
+    AddressAssignment,
+    AllocationFailure,
+    ConnectivityPlan,
+    PlanEntry,
+    allocate_addresses,
+    bridge_name,
+    build_connectivity_plan,
+)
 
 from strategies import BASE_REFS
 
@@ -181,3 +192,74 @@ def test_addresses_of_is_a_copy():
     assert assignment.addresses_of("a") == [("n", "10.0.0.2")]
     assert assignment.addresses_of("ghost") == []
     assert "_by_endpoint" not in repr(assignment)
+
+
+def reference_plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
+    container_names = {c.name for c in scenario.containers}
+    vm_names = {v.name for v in scenario.vms}
+    specs = endpoint_specs(scenario)
+
+    attachments = {name: tuple(specs[name].networks) for name, _ in endpoints(scenario)}
+    members: dict[str, list[str]] = {n.name: [] for n in scenario.networks}
+    for name, _kind in endpoints(scenario):
+        for net in specs[name].networks:
+            members[net].append(name)
+
+    entries: list[PlanEntry] = []
+    for net in scenario.networks:
+        if members[net.name]:
+            entries.append(PlanEntry(kind="bridge", name=bridge_name(net.name), network=net.name))
+
+    for name, kind in endpoints(scenario):
+        for net in specs[name].networks:
+            if kind == "container":
+                entries.append(PlanEntry(kind="veth-pair", endpoint=name, bridge=bridge_name(net)))
+            else:
+                entries.append(PlanEntry(kind="tap-attach", endpoint=name, bridge=bridge_name(net)))
+
+    # Host routes exist for the mixed sim/emu case: a VM sharing a network
+    # with at least one container.
+    for net in scenario.networks:
+        mixed = any(m in vm_names for m in members[net.name]) and any(
+            m in container_names for m in members[net.name]
+        )
+        if mixed:
+            entries.append(
+                PlanEntry(kind="route", subnet=net.subnet, via=assignment.gateways[net.name])
+            )
+
+    for net in scenario.networks:
+        if not members[net.name]:
+            continue
+        action = "drop-external" if net.internal else "masquerade"
+        entries.append(PlanEntry(kind="filter-rule", action=action, network=net.name))
+
+    for net in scenario.networks:
+        if net.encryption and members[net.name]:
+            entries.append(PlanEntry(kind="metadata", network=net.name, encryption=True))
+
+    return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
+
+
+@st.composite
+def plan_scenarios(draw) -> Scenario:
+    """``allocation_scenarios`` with each network internal, encrypted, both
+    or neither."""
+    scenario = draw(allocation_scenarios())
+    networks = tuple(replace(n, internal=draw(st.booleans()), encryption=draw(st.booleans())) for n in scenario.networks)
+    return replace(scenario, networks=networks)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
+@given(plan_scenarios())
+def test_plan_matches_the_name_set_oracle(scenario):
+    """Same entries in the same order, and the same attachments, whether a
+    network's members are told apart by their kinds or by name sets."""
+    try:
+        assignment = allocate_addresses(scenario)
+    except AllocationFailure:
+        return
+    expected = reference_plan(scenario, assignment)
+    actual = build_connectivity_plan(scenario, assignment)
+    assert actual.entries == expected.entries
+    assert list(actual.attachments.items()) == list(expected.attachments.items())

@@ -242,28 +242,70 @@ class TestParseScenario:
         assert "17.0.0.0/24" in lines[subnet_line - 1]
 
 
-DEEP = "[" * 3000 + "]" * 3000
-DEEP_SCENARIO = f"networks:\n  - network:\n    - name: |\n        {DEEP}\n    - subnet: 12.0.0.0/24\n"
+def nested(levels: int, flow: bool = False) -> str:
+    """A list nested ``levels`` deep: compact block entries, or brackets."""
+    return "[" * levels + "]" * levels if flow else "- " * levels + "x"
+
+
+# Past the nesting bound of 10,000 levels, and short of the depth (20,000
+# to 40,000) at which libyaml's composer overflows an 8 MiB C stack.
+DEEP = 12_000
+DEEP_SCENARIO = f"networks:\n  - network:\n    - name:\n      {nested(DEEP)}\n    - subnet: 12.0.0.0/24\n"
+DEEP_FLOW = f"flow:\n  - container:\n    - name:\n      {nested(DEEP)}\n"
 
 
 @pytest.mark.parametrize(
     "parse, text, classes",
     [
         (parse_scenario, DEEP_SCENARIO, "libyaml"),
-        (parse_scenario, f"containers:\n  - container:\n    - name: x\n    - cpus: |\n        {DEEP}\n", "libyaml"),
-        (parse_flow, f"flow:\n  - container:\n    - name: |\n        {DEEP}\n", "libyaml"),
+        (parse_scenario, f"containers:\n  - container:\n    - name: x\n    - cpus: {nested(DEEP, flow=True)}\n", "libyaml"),
+        (parse_flow, DEEP_FLOW, "libyaml"),
         (parse_scenario, DEEP_SCENARIO, "pure-python"),
-        (parse_scenario, f"networks: {DEEP}\n", "pure-python"),
+        (parse_scenario, f"networks: {nested(DEEP, flow=True)}\n", "pure-python"),
     ],
-    ids=["block-name", "block-int", "flow-block-name", "block-name-pure-python", "flow-sequence-pure-python"],
+    ids=["block-name", "flow-int", "flow-document", "block-name-pure-python", "flow-sequence-pure-python"],
 )
 def test_deep_nesting_is_a_parse_failure(parse, text, classes, request):
-    """A block scalar's text is re-read as YAML, so it can nest deeper than a
-    reader can print it; the pure-Python composer recurses per level."""
+    """libyaml is given no document nested past the bound; the pure-Python
+    composer recurses per level."""
     if classes == "pure-python":
         request.getfixturevalue("pure_python_yaml")
-    with pytest.raises(ParseFailure):
+    with pytest.raises(ParseFailure, match="nested too deeply"):
         parse(text)
+
+
+def test_a_deep_text_in_a_block_scalar_is_text():
+    text = f"networks:\n  - network:\n    - name: |\n        {nested(DEEP, flow=True)}\n    - subnet: 12.0.0.0/24\n"
+    assert parse_scenario(text).networks[0].name == nested(DEEP, flow=True) + "\n"
+
+
+LONG = "a" * 2 * 1_000  # past two windows of the nesting screen
+
+
+@pytest.mark.parametrize(
+    "text, name, parses",
+    [
+        ("networks:\n  - network:\n    - name: a\n    - subnet: 12.0.0.0/24\n", "a", 0),
+        (f"networks:\n  - network:\n    - name: \"{LONG}\"\n    - subnet: 12.0.0.0/24\n", LONG, 0),
+        (f"networks:\n  - network:\n    - name:\n{' ' * 2_500}a\n    - subnet: 12.0.0.0/24\n", "a", 1),
+        (f"networks:\r  - network:\r    - name: a\r    - subnet: 12.0.0.0/24\r# {LONG}\n", "a", 1),
+    ],
+    ids=["short-lines", "long-quoted-line", "long-indentation", "long-line-of-carriage-returns"],
+)
+def test_only_a_text_the_screen_cannot_clear_is_parsed_twice(monkeypatch, text, name, parses):
+    """A document whose lines are short, or whose long lines start with a
+    short block prefix and break at "\\n" only, is composed once; any other
+    has its events counted first, and reads the same."""
+    counted = []
+    parse = yaml.parse
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "parse", counting)
+    assert parse_scenario(text).networks[0].name == name
+    assert len(counted) == parses
 
 
 @settings(max_examples=300, deadline=None)
@@ -582,6 +624,13 @@ class TestParseFlow:
         assert exc.value.line == 5
 
 
+TWO_LINE_COMMAND = "source /opt/ros/melodic/setup.bash\nroscore\n"
+BLOCK_COMMAND_FLOW = (
+    "flow:\n  - container:\n    - name: rosmachine\n    - window:\n      - name: ros\n      - commands:\n"
+    "        - command: |\n            source /opt/ros/melodic/setup.bash\n            roscore\n"
+)
+
+
 class TestRoundTrip:
     def test_listing1(self, listing1):
         assert parse_scenario(serialize_scenario(listing1)) == listing1
@@ -605,6 +654,16 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(scenarios())
     def test_random_scenarios(self, scenario):
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    def test_a_block_command_keeps_its_lines(self, listing1):
+        """A two-line ``command: |`` reads as its exact text, newline
+        included, and round-trips through the writer."""
+        flows = parse_flow(BLOCK_COMMAND_FLOW)
+        assert flows == [FlowSpec("rosmachine", (WindowSpec("ros", (Command(TWO_LINE_COMMAND),)),))]
+        assert parse_flow(serialize_flow(flows)) == flows
+        scenario = parse_scenario(serialize_scenario(listing1) + BLOCK_COMMAND_FLOW)
+        assert scenario.flows == tuple(flows)
         assert parse_scenario(serialize_scenario(scenario)) == scenario
 
     def test_tricky_command_quoting(self):
@@ -674,15 +733,16 @@ READS = {
     "flow": (parse_flow, [LISTING3_TEXT], None),
     "flow-malformed": (parse_flow, ["flow: [\n"], ParseFailure),
     "flow-missing-key": (parse_flow, ["flow:\n  - container:\n    - select: w\n"], ParseFailure),
-    "flow-deep": (parse_flow, [f"flow:\n  - container:\n    - name: |\n        {DEEP}\n"], ParseFailure),
+    "flow-deep": (parse_flow, [DEEP_FLOW], ParseFailure),
     "extract": (_extract, [LISTING1_TEXT, LISTING3_TEXT], None),
     "extract-record": (_extract, [_record(LISTING1_TEXT, LISTING3_TEXT)], None),
     "extract-malformed-flow": (_extract, [LISTING1_TEXT, "flow: [\n"], None),
     "extract-deep-record": (_extract, [_record(DEEP_SCENARIO)], NoReproductionFound),
+    "extract-deep-block": (_extract, [DEEP_SCENARIO], NoReproductionFound),
     "config": (_config, [(FIXTURES / "registry_index.yaml").read_text()], None),
     "config-malformed": (_config, ["a: [\n"], ParseFailure),
     "config-contains-itself": (_config, ["a: &x [*x]\n"], ParseFailure),
-    "config-deep": (_config, [f"a: {DEEP}\n"], ParseFailure),
+    "config-deep": (_config, [f"a:\n{nested(DEEP)}\n"], ParseFailure),
 }
 
 

@@ -55,7 +55,7 @@ from alurity.parser import (
 )
 
 from strategies import scenarios
-from yaml_classes import load_untagged, pure_python_classes
+from yaml_classes import pure_python_classes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -82,13 +82,11 @@ def _scalar(node: yaml.Node):
     if not isinstance(node, yaml.ScalarNode):
         raise ParseFailure("expected a scalar value", _line(node))
     text = node.value
-    if node.style in ('"', "'"):
+    if node.style in ('"', "'", "|", ">"):  # quoted and block scalars are text
         return text
     if text == "":
         return None
     try:
-        if node.style in ("|", ">"):  # a block scalar: its text is re-read
-            return load_untagged(text)
         tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
         if tag == _STR_TAG:
             return text

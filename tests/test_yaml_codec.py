@@ -181,14 +181,28 @@ class TestScalarClassifier:
         with pure_python_classes() if pure_python else contextlib.nullcontext():
             same_tree(text)
 
-    def test_block_scalars_are_reread(self):
-        text = "networks:\n  - network:\n    - name: |\n        lab\n    - subnet: 12.0.0.0/24\n"
-        assert parse_scenario(text).networks[0].name == "lab"
+    @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
+    @pytest.mark.parametrize("style", ["|", ">", "|-", ">+"])
+    @pytest.mark.parametrize("text", ["yes", "4", "a: 1", "- x\n- y", "!!str 4", "&a [*a]", "[[[", "~", ""])
+    def test_block_scalars_are_their_text(self, text, style, classes, request):
+        """A block scalar reads as the text YAML itself gives it, trailing
+        newline included; its text is never read as a document."""
+        if classes == "pure-python":
+            request.getfixturevalue("pure_python_yaml")
+        document = f"{style}\n" + "".join(f"  {line}\n" for line in text.split("\n") if line)
+        expected = load(document)
+        assert isinstance(expected, str)
+        assert parser._scalar(parser.compose_yaml(document)) == expected
 
-    @pytest.mark.parametrize("text, value", [("!!str 4\n", 4), ("&a [*a]\n", "&a [*a]\n")])
-    def test_block_scalars_are_reread_by_the_config_rules(self, text, value):
-        """Explicit tags are ignored; text the builder refuses stays text."""
-        assert parser._scalar(parser.compose_yaml(f"|\n  {text}")) == value
+    def test_a_block_scalar_in_a_scenario_keeps_its_text(self):
+        text = "networks:\n  - network:\n    - name: |\n        lab\n    - driver: >\n        a: 1\n    - subnet: 12.0.0.0/24\n"
+        (network,) = parse_scenario(text).networks
+        assert (network.name, network.driver) == ("lab\n", "a: 1\n")
+
+    def test_a_block_integer_is_text(self):
+        text = "containers:\n  - container:\n    - name: x\n    - modules:\n       - base: r/x:1\n    - cpus: |\n        4\n"
+        with pytest.raises(parser.ParseFailure, match=r"containers\[0\]\.cpus must be an integer, got '4\\n'"):
+            parse_scenario(text)
 
     @pytest.mark.parametrize("loader", LOADERS)
     @pytest.mark.parametrize("text", ["---", "--- x", "..."])
@@ -200,6 +214,49 @@ class TestScalarClassifier:
             assert parser.YAML_LOADER is yaml.CSafeLoader
         else:
             assert parser.YAML_LOADER is yaml.SafeLoader
+
+
+# Lines of a document: indentation, compact entry indicators, then a key,
+# a value, properties, a flow collection, quoted text or a comment, so that
+# some of the documents they join to nest block collections and the rest are
+# refused.
+_lines = st.tuples(
+    st.integers(0, 6).map(" ".__mul__),
+    st.lists(st.sampled_from(["- ", "? ", ": ", "-\t", "-  "]), max_size=3).map("".join),
+    st.sampled_from(["a:", "a: b", "b", "&x a:", "&y", "*x", "[a, {b: c}]", "{a: [b]}", '"q: - "', "!!map", "a: [b]", "# c", ""]),
+).map("".join)
+_BREAK_RE = re.compile("\r\n|[\r\n\x85\u2028\u2029]")  # libyaml's line breaks
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=10), st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+def test_block_nesting_is_bounded_by_the_block_prefixes(loader, lines, line_break):
+    """What ``parser._shallow`` rests on: each block collection's indentation
+    is rolled within its line's block prefix, and strictly further in than
+    the one it nests in, so block collections nest at most twice as deep as
+    the longest block prefix (an indentless sequence adds one level to a
+    map)."""
+    text = line_break.join(lines) + line_break
+    try:
+        tokens = list(yaml.scan(text, Loader=loader))
+        root = yaml.compose(text, Loader=loader)
+    except yaml.YAMLError:
+        return
+    prefixes = [parser._BLOCK_PREFIX_RE.match(line).end() for line in _BREAK_RE.split(text)]
+    for token in tokens:
+        if isinstance(token, (yaml.BlockSequenceStartToken, yaml.BlockMappingStartToken)):
+            assert token.start_mark.column <= prefixes[token.start_mark.line], text
+    seen = set()
+
+    def block_depth(node) -> int:
+        if isinstance(node, yaml.ScalarNode) or id(node) in seen:
+            return 0
+        seen.add(id(node))  # an alias composes to the node it names, already walked
+        children = [item for child in node.value for item in (child if isinstance(child, tuple) else (child,))]
+        return (not node.flow_style) + max(map(block_depth, children), default=0)
+
+    assert root is None or block_depth(root) <= 2 * max(prefixes) + 2, text
 
 
 _OLD_BARE_RE = re.compile(r"[A-Za-z0-9$_./()=@+,^~:-]+")
