@@ -10,6 +10,7 @@ and a journal of every create, apply, exec and destroy.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
@@ -113,8 +114,9 @@ class MockBackend:
     """
 
     def __init__(self, responses=None, fail_create=(), fail_destroy=(), refuse_kinds=()):
-        self.responses = [(pattern, body) for pattern, body in responses or ()]
-        self._first = _first_match(tuple(pattern for pattern, _ in self.responses))
+        responses = list(responses or ())
+        self._first = _first_match(tuple(map(operator.itemgetter(0), responses)))
+        self._bodies = tuple(map(operator.itemgetter(1), responses))  # IndexError for a bodiless response
         self._answers: dict = {}  # command -> (sleep ticks, exit, stdout, stderr)
         self.fail_create = set(fail_create)
         self.fail_destroy = set(fail_destroy)
@@ -167,7 +169,7 @@ class MockBackend:
         if command not in self._answers:
             match = _SLEEP_RE.match(command)
             index = self._first(command)
-            body = {} if index is None else self.responses[index][1]
+            body = {} if index is None else self._bodies[index]
             stdout, stderr = str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
             self._answers[command] = (int(match.group(1)) if match else 0, int(body.get("exit", 0)), stdout, stderr)
         ticks, code, stdout, stderr = self._answers[command]

@@ -201,7 +201,7 @@ def _built(node: yaml.Node, built: dict):
     come first, the first of a list winning."""
     if isinstance(node, ScalarNode):
         value = _scalar(node)
-        if type(value) is str and not node.style and value[:1] in _TYPED_FIRST and (tag := _RESOLVER.resolve(ScalarNode, value, (True, False))) != _STR_TAG:
+        if type(value) is str and not node.style and value[:1] in _TYPED_FIRST and (tag := _implicit_tag(value)) != _STR_TAG:
             raise ParseFailure(f"{value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(node))
         return value
     if node in built:
@@ -264,6 +264,12 @@ def _scalar(node: yaml.Node):
 
 
 @functools.lru_cache(maxsize=1024)
+def _implicit_tag(text: str) -> str:
+    """The tag YAML 1.1 gives plain ``text``; kept per text, as keys repeat."""
+    return _RESOLVER.resolve(ScalarNode, text, (True, False))
+
+
+@functools.lru_cache(maxsize=1024)
 def _typed(text: str):
     """Plain scalar ``text`` typed by the resolver and built by the safe
     constructor for its tag.
@@ -273,7 +279,7 @@ def _typed(text: str):
     every implicit type (None, bool, int, float, str, date, datetime) is
     immutable.
     """
-    tag = _RESOLVER.resolve(ScalarNode, text, (True, False))
+    tag = _implicit_tag(text)
     if tag == _STR_TAG:
         return text
     construct = _CONSTRUCTOR.yaml_constructors.get(tag)
@@ -632,7 +638,7 @@ def _emit_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     s = str(value)
-    if _BARE_RE.fullmatch(s) and _RESOLVER.resolve(ScalarNode, s, (True, False)) == _STR_TAG:
+    if _BARE_RE.fullmatch(s) and (s[0] not in _TYPED_FIRST or _implicit_tag(s) == _STR_TAG):
         return s
     return quote(s)
 

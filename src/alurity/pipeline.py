@@ -9,6 +9,7 @@ one flaw record per finding, naming the tool whose command printed it.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -22,6 +23,11 @@ from .parser import _emit_scalar, serialize_flow, serialize_scenario
 
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
+
+# A sweep's records share most values, ~1 KB reproduction texts among them, so
+# each is written once per process.  Typed: ``_emit_scalar`` writes True, 1, 1.0 apart.
+_emit_field = functools.lru_cache(maxsize=64, typed=True)(_emit_scalar)
+
 
 class ValidationFailure(Exception):
     def __init__(self, code: str, message: str):
@@ -70,12 +76,12 @@ class FlawRecord:
 
     def to_yaml(self) -> str:
         """``to_dict()`` as YAML, key by key in its order, each value through
-        ``parser._emit_scalar``, with ``reproduction``, the last key, a nested
-        map of two such values."""
+        ``parser._emit_scalar`` (kept per value, ``_emit_field``), with
+        ``reproduction``, the last key, a nested map of two such values."""
         doc = self.to_dict()
         reproduction = doc.pop("reproduction")
-        head = "".join(f"{key}: {_emit_scalar(value)}\n" for key, value in doc.items())
-        return f"{head}reproduction:\n  scenario: {_emit_scalar(reproduction['scenario'])}\n  flow: {_emit_scalar(reproduction['flow'])}\n"
+        head = "".join(f"{key}: {_emit_field(value)}\n" for key, value in doc.items())
+        return f"{head}reproduction:\n  scenario: {_emit_field(reproduction['scenario'])}\n  flow: {_emit_field(reproduction['flow'])}\n"
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scenario, FlowSpec]:

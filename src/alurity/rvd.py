@@ -43,7 +43,8 @@ class Rejected(Exception):
 
 
 class NoReproductionFound(Exception):
-    pass
+    """A ticket none of whose fenced blocks holds a scenario; the message
+    says, for each block in order, why it went unused."""
 
 
 @dataclass(frozen=True)
@@ -89,38 +90,60 @@ def _proxy(scheme: str, netloc: str) -> Optional[str]:
     return None if proxy is None or urllib.request.proxy_bypass_environment(netloc, _proxies) else proxy
 
 
-def _connect(url: str, timeout: float):
-    """The unopened connection an exchange with ``url`` goes over, the
-    request target to send on it, and the headers that route the request:
-    ``Host`` and, through a plain proxy, the proxy's credentials."""
-    import http.client  # imported by its only user: start-up loads no HTTP stack
+def _connect(base_url: str, path: str, timeout: float):
+    """An open socket to the first hop of an exchange with ``path`` under
+    ``base_url``, the request target and the routing headers (``_route``).
+    A plain hop is a bare TCP connection; TLS, and the ``CONNECT`` tunnel
+    through a proxy that carries it, are ``http.client``'s."""
+    from urllib.parse import urlsplit  # cached by urllib: the base URL repeats
+    parts = urlsplit(base_url)
+    (scheme, host, port), tunnel, prefix, route = _route(base_url, _proxy(parts.scheme, parts.netloc))
+    if scheme == "http":
+        import socket  # imported by its only user: start-up loads no network stack
+        return socket.create_connection((host, port), timeout), prefix + path, route
+    import http.client
+    if not hasattr(http.client, "HTTPSConnection"):
+        raise ValueError("this Python has no TLS support")
+    conn = http.client.HTTPSConnection(host, port, timeout=timeout)
+    if tunnel is not None:
+        conn.set_tunnel(*tunnel)
+    try:
+        conn.connect()
+    except http.client.HTTPException as exc:  # a proxy's malformed reply to CONNECT
+        conn.close()
+        raise ValueError(f"no tunnel through {host}: {exc!r}") from exc
+    return conn.sock, prefix + path, route
+
+
+@functools.lru_cache(maxsize=16)
+def _route(base_url: str, proxy: Optional[str]):
+    """How an exchange under ``base_url`` travels when the environment names
+    ``proxy`` for its scheme: the first hop (scheme, host, port), the
+    ``CONNECT`` tunnel (host, port, headers) or None, the prefix of its
+    request target, and the headers that route it: ``Host`` and, through a
+    plain proxy, the proxy's credentials.  Kept per pair, so an exchange
+    parses no URL; ``_proxy`` still picks the proxy from the snapshot."""
     from urllib.parse import unquote, urlsplit
-    connections = {"http": http.client.HTTPConnection, "https": getattr(http.client, "HTTPSConnection", None)}
-    parts = urlsplit(url)
-    connection = connections.get(parts.scheme)
-    if connection is None or not parts.hostname or not _URL_TEXT.fullmatch(url):
-        raise ValueError("not an http(s) URL with a host, in visible ASCII")
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    route = {"Host": parts.netloc.rpartition("@")[2]}
-    proxy = _proxy(parts.scheme, parts.netloc)
-    if proxy is None:
-        return connection(parts.hostname, parts.port, timeout=timeout), target, route
-    via = urlsplit(proxy if "://" in proxy else f"{parts.scheme}://{proxy}")
-    if parts.scheme == "http":  # the proxy is sent the absolute URL
-        connection, target = connections.get(via.scheme), url.partition("#")[0]
-    if connection is None or not via.hostname:
-        raise ValueError(f"unusable proxy {proxy!r}")
-    auth = {}
-    if via.username and via.password:
-        import base64
-        credentials = f"{unquote(via.username)}:{unquote(via.password)}".encode()
-        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
-    conn = connection(via.hostname, via.port, timeout=timeout)
-    if parts.scheme == "https":  # a CONNECT tunnel carries TLS to the tracker itself
-        conn.set_tunnel(parts.hostname, parts.port, headers=auth)
-    else:
-        route.update(auth)
-    return conn, target, route
+    parts = urlsplit(base_url)
+    if parts.scheme not in ("http", "https") or not parts.hostname or not _URL_TEXT.fullmatch(base_url) or "?" in base_url or "#" in base_url:
+        raise ValueError("not an http(s) URL with a host and no query or fragment, in visible ASCII")
+    hop, tunnel, prefix, route = parts, None, parts.path.rstrip("/"), {"Host": parts.netloc.rpartition("@")[2]}
+    if proxy is not None:
+        hop = urlsplit(proxy if "://" in proxy else f"{parts.scheme}://{proxy}")
+        if not hop.hostname or parts.scheme == "http" and hop.scheme not in ("http", "https"):
+            raise ValueError(f"unusable proxy {proxy!r}")
+        auth = {}
+        if hop.username and hop.password:
+            import base64
+            credentials = f"{unquote(hop.username)}:{unquote(hop.password)}".encode()
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
+        if parts.scheme == "http":  # the proxy is sent the absolute URL
+            prefix = base_url.rstrip("/")
+            route.update(auth)
+        else:  # a CONNECT tunnel carries TLS to the tracker itself
+            tunnel = (parts.hostname, parts.port, auth)
+    scheme = "http" if parts.scheme == hop.scheme == "http" else "https"
+    return (scheme, hop.hostname, 80 if scheme == "http" and hop.port is None else hop.port), tunnel, prefix, route
 
 
 def _reply(sock) -> tuple[int, dict, bytes]:
@@ -157,17 +180,13 @@ def _reply(sock) -> tuple[int, dict, bytes]:
     return int(rest[:3]), fields, b"".join(chunks)[:want]
 
 
-def _request(method: str, url: str, token: Optional[str], timeout: float, payload=None) -> tuple[int, bytes]:
-    """One HTTP exchange on a connection of its own, through the proxy the
-    environment names; returns status and body, error statuses included.  A
-    redirect is not followed.  A failed exchange is a TransportError.
-
-    ``http.client`` opens the connection (TCP, a proxy's tunnel, TLS).  The
-    exchange itself is one HTTP/1.0 request and its reply, framed here:
-    ``http.client``'s request and reply objects, which read header fields
-    through the ``email`` package, took about a third of each exchange's
-    time on loopback."""
-    import http.client
+def _request(method: str, base_url: str, path: str, token: Optional[str], timeout: float, payload=None) -> tuple[int, bytes]:
+    """One HTTP exchange with ``path`` under ``base_url``, on a connection
+    of its own, through the proxy the environment names; returns status and
+    body, error statuses included.  A redirect is not followed.  A failed
+    exchange is a TransportError.  The exchange is one HTTP/1.0 request and
+    its reply, framed here on the socket ``_connect`` opens."""
+    url = base_url.rstrip("/") + path
     headers = _headers(token)
     data = b""
     if payload is not None:
@@ -175,14 +194,12 @@ def _request(method: str, url: str, token: Optional[str], timeout: float, payloa
         headers["Content-Type"] = "application/json"
         headers["Content-Length"] = str(len(data))
     try:
-        conn, target, route = _connect(url, timeout)
+        sock, target, route = _connect(base_url, path, timeout)
         fields = "".join(f"{name}: {value}\r\n" for name, value in {**route, **headers}.items())
-        try:
-            conn.send(f"{method} {target} HTTP/1.0\r\n{fields}\r\n".encode("latin-1") + data)
-            status, reply, body = _reply(conn.sock)
-        finally:
-            conn.close()
-    except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a bad URL or reply
+        with sock:
+            sock.sendall(f"{method} {target} HTTP/1.0\r\n{fields}\r\n".encode("latin-1") + data)
+            status, reply, body = _reply(sock)
+    except (OSError, ValueError) as exc:  # ValueError: a bad URL or reply
         raise TransportError(f"{method} {url}: {exc}") from exc
     if 300 <= status < 400:
         raise TransportError(f"{method} {url}: HTTP {status} redirect to {reply.get('location')} not followed")
@@ -209,7 +226,7 @@ def _ticket(doc: dict) -> Ticket:
 
 def fetch_ticket(base_url: str, ticket_id: int, token: Optional[str] = None, timeout: float = 10.0) -> Ticket:
     url = f"{base_url.rstrip('/')}/issues/{ticket_id}"
-    status, body = _request("GET", url, token, timeout)
+    status, body = _request("GET", base_url, f"/issues/{ticket_id}", token, timeout)
     if status == 404:
         raise NotFound(ticket_id)
     if status >= 400:
@@ -226,7 +243,7 @@ def push_issue(base_url: str, record, token: Optional[str] = None, timeout: floa
         "labels": [record.flaw_class, record.severity],
     }
     url = f"{base_url.rstrip('/')}/issues"
-    status, body = _request("POST", url, token, timeout, payload)
+    status, body = _request("POST", base_url, "/issues", token, timeout, payload)
     if 400 <= status < 500:
         raise Rejected(status, body.decode("utf-8", "replace"))
     if status >= 500:
@@ -245,28 +262,29 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
     to a scenario with endpoints becomes the scenario, and any other block
     holding an emitted flaw record returns its embedded ``reproduction``
     material.  After the scenario, the first block parsing as a flow becomes
-    the flow.
+    the flow.  Without a scenario, ``NoReproductionFound`` names each block
+    by the body line it starts on, and says why it went unused.
 
     Each distinct embedded (scenario, flow) text pair is read once per
     process: tickets that embed it share one ``Scenario``, so ``up`` reuses
     its validation, addresses and plan, and the flow is a new list on each call.
     """
-    blocks = [m.group(1) for m in _FENCE_RE.finditer(ticket.body)]
     scenario: Optional[Scenario] = None
     flow: Optional[list[FlowSpec]] = None
-    for block in blocks:
+    reasons: list[str] = []
+    for number, match in enumerate(_FENCE_RE.finditer(ticket.body), 1):
+        block = match.group(1)
         if scenario is None:
             try:
-                root = compose_yaml(block)
-            except ParseFailure:
+                read = _read_block(block)
+            except ParseFailure as exc:
+                first = ticket.body.count("\n", 0, match.start(1)) + 1
+                where = "" if exc.line is None else f" (line {first + exc.line - 1})"
+                reasons.append(f"block {number} at line {first}: {exc.message}{where}")
                 continue
-            scenario = _scenario_of(root)
-            if scenario is not None:
-                flow = list(scenario.flows) or None
-                continue
-            embedded = _embedded(root)
-            if embedded is not None:
-                return embedded
+            if isinstance(read, tuple):
+                return read
+            scenario, flow = read, list(read.flows) or None
         elif flow is None:
             try:
                 parsed = parse_flow(block)
@@ -275,24 +293,35 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
             except ParseFailure:
                 pass
     if scenario is None:
-        raise NoReproductionFound(f"ticket {ticket.id} embeds no scenario")
+        unused = "".join(f"\n  {reason}" for reason in reasons) or ": it has no fenced yaml block"
+        raise NoReproductionFound(f"ticket {ticket.id} embeds no scenario{unused}")
     return scenario, flow
 
 
-def _scenario_of(root: Optional[yaml.Node]) -> Optional[Scenario]:
-    """The scenario a block folds to, if it has endpoints.  A flaw record
-    is never one: its top-level keys are not scenario sections."""
+def _read_block(block: str):
+    """The scenario with endpoints a block holds, else the (scenario, flow)
+    an emitted flaw record in it embeds; ``ParseFailure`` saying why it
+    holds neither.  A flaw record is never a scenario: its top-level keys
+    are not scenario sections."""
+    root = compose_yaml(block)
     try:
         scenario, _ = scenario_from_node(root)
-    except ParseFailure:
-        return None
-    return scenario if _is_scenario(scenario) else None
+        if _is_scenario(scenario):
+            return scenario
+        failure = ParseFailure("no endpoints")
+    except ParseFailure as exc:
+        failure = exc
+    embedded = _embedded(root)
+    if embedded is None:
+        raise failure
+    return embedded
 
 
 def _embedded(root: Optional[yaml.Node]) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
     """The scenario and flow a flaw record block embeds; None unless the
-    block builds to a map whose ``reproduction`` holds scenario text with
-    endpoints and, optionally, flow text."""
+    block builds to a map with a ``reproduction`` key, and ``ParseFailure``
+    unless that holds scenario text with endpoints and, optionally, flow
+    text."""
     try:
         doc = build_yaml(root)
     except ParseFailure:
@@ -300,14 +329,15 @@ def _embedded(root: Optional[yaml.Node]) -> Optional[tuple[Scenario, Optional[li
     if not isinstance(doc, dict) or "reproduction" not in doc:
         return None
     reproduction = doc.get("reproduction") or {}
-    if not isinstance(reproduction, dict):
-        return None
-    scenario_text = reproduction.get("scenario", "")
-    flow_text = reproduction.get("flow") or ""
-    if not isinstance(scenario_text, str) or not isinstance(flow_text, str):
-        return None
-    read = _read_reproduction(scenario_text, flow_text)
-    return None if read is None else (read[0], list(read[1]) or None)
+    read = None
+    if isinstance(reproduction, dict):
+        scenario_text = reproduction.get("scenario", "")
+        flow_text = reproduction.get("flow") or ""
+        if isinstance(scenario_text, str) and isinstance(flow_text, str):
+            read = _read_reproduction(scenario_text, flow_text)
+    if read is None:
+        raise ParseFailure("a flaw record without a readable reproduction")
+    return read[0], list(read[1]) or None
 
 
 @functools.lru_cache(maxsize=64)

@@ -316,6 +316,30 @@ class TestRun:
         issue_id = stub.seed("bad record", f"```yaml\n{record}```\n")
         assert run_cli("run", "--rvd", str(issue_id), "--tracker-url", url)[0] == 2
 
+    def test_rvd_without_a_scenario_names_each_block_and_line(self, run_cli, tracker):
+        """Every fenced block, in order, with why it went unused and where in
+        the ticket body: a scenario value its type cannot read, a document
+        nested too deeply, a block with no endpoints and a record whose
+        reproduction does not read."""
+        stub, url = tracker
+        lots = Path(LISTING1).read_text().replace("cpus: 4", "cpus: lots")
+        deep = "networks:\n" + "- " * 20_000 + "x\n"
+        record = FlawRecord("t", "dos", "d", "s", "x", lots).to_yaml()
+        body = f"prose\n```yaml\n{lots}```\n```yaml\n{deep}```\n```yaml\nnetworks: []\n```\n```yaml\n{record}```\n"
+        issue_id = stub.seed("no scenario", body)
+        code, out, err = run_cli("run", "--rvd", str(issue_id), "--tracker-url", url)
+        assert (code, out) == (2, "")
+        cpus = body.split("\n").index("    - cpus: lots") + 1
+        deep_start = body.split("\n").index(deep.split("\n")[0], cpus)
+        assert err.split("\n") == [
+            f"ticket {issue_id} embeds no scenario",
+            f"  block 1 at line 3: containers[0].cpus must be an integer, got 'lots' (line {cpus})",
+            f"  block 2 at line {deep_start + 1}: nested too deeply to read (line {deep_start + 2})",
+            f"  block 3 at line {deep_start + 5}: no endpoints",
+            f"  block 4 at line {deep_start + 8}: a flaw record without a readable reproduction",
+            "",
+        ]
+
     def test_rvd_without_url_exits_64(self, run_cli, monkeypatch):
         monkeypatch.delenv("ALURITY_TRACKER_URL", raising=False)
         assert run_cli("run", "--rvd", "1")[0] == 64
@@ -499,8 +523,8 @@ NESTED_100000 = {
     "flow": (("run", ROSNET, "--flow"), f"flow:\n{nested(VERY_DEEP)}\n", "nested too deeply"),
     "index": (("run", ROSNET, "--index"), f"networks: {nested(VERY_DEEP, flow=True)}\n", "nested too deeply"),
     "mock-responses": (("run", ROSNET, "--flow", LISTING3, "--mock-responses"), f"a:\n{nested(VERY_DEEP)}\n", "nested too deeply"),
-    # A block that cannot be read is skipped, as a malformed one is.
-    "ticket": (("ticket",), f"networks:\n{nested(VERY_DEEP)}\n", "ticket 1 embeds no scenario"),
+    # A block that cannot be read is skipped, and the error says why.
+    "ticket": (("ticket",), f"networks:\n{nested(VERY_DEEP)}\n", "nested too deeply to read"),
 }
 
 

@@ -241,6 +241,24 @@ def test_a_pattern_that_is_not_a_regex_raises_at_every_construction():
             MockBackend(responses=[("^id$", {}), ("(", {})])
 
 
+def test_a_response_without_a_body_raises_at_construction():
+    with pytest.raises(IndexError):
+        MockBackend(responses=[("x",)])
+    with pytest.raises(IndexError):
+        MockBackend(responses=[("^id$", {}), ("x",)])
+
+
+def test_changing_the_callers_list_leaves_the_answers():
+    responses = [("^id$", {"stdout": "uid=0"}), ("^nmap", {"exit": 1})]
+    backend = MockBackend(responses=responses)
+    handle = backend.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {})
+    responses[0] = ("^id$", {"stdout": "changed"})
+    responses.insert(0, ("", {"exit": 9}))
+    assert [backend.exec(handle, c) for c in ("id", "nmap x", "ls")] == [CommandResult(0, b"uid=0"), CommandResult(1), CommandResult(0)]
+    responses.clear()
+    assert backend.exec(handle, "nmap y") == CommandResult(1)
+
+
 def test_a_later_backend_answers_from_its_own_bodies():
     """The second backend finds every command already matched against its
     patterns, and still answers with its own bodies."""

@@ -8,7 +8,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alurity import flows, netplan, orchestrator
+from alurity import flows, netplan, orchestrator, parser, pipeline
 from alurity.flows import UnknownEndpointInFlow
 from alurity.model import ModuleRef, validate
 from alurity.orchestrator import MockBackend, TeardownLeak
@@ -319,6 +319,19 @@ class TestFlawRecord:
     def test_roundtrip(self):
         rec = record()
         assert load(rec.to_yaml()) == rec.to_dict()
+
+    def test_field_memo_writes_equal_keys_of_other_types_apart(self):
+        """True, 1 and 1.0 are equal keys and None, "1" look alike; whichever
+        the memo that writes record fields saw first, each is written as the
+        uncached writer writes it."""
+        values = [True, 1, 1.0, None, "1"]
+        for order in itertools.permutations(values):
+            pipeline._emit_field.cache_clear()
+            for value in order * 2:
+                assert pipeline._emit_field(value) == parser._emit_scalar(value), (order, value)
+            for value in order:
+                text = record(reproduction_scenario=value, reproduction_flow=value).to_yaml()
+                assert text.endswith(f"reproduction:\n  scenario: {parser._emit_scalar(value)}\n  flow: {parser._emit_scalar(value)}\n")
 
 
 class TestEmit:

@@ -1,6 +1,7 @@
 import base64
 import socket
 import threading
+import time
 
 import pytest
 
@@ -119,8 +120,10 @@ class TestPush:
 
 
 class TestClient:
-    """One exchange on a connection ``http.client`` opens: its request, the
-    proxy the environment names, its reply's framing, redirects, and URLs
+    """One exchange on a socket of its own: a bare TCP connection for
+    ``http``, direct or to a plain proxy, and the socket ``http.client``
+    opens for ``https``'s TLS and proxy tunnel.  Its request, the proxy the
+    environment names, its reply's framing, redirects, timeouts, and URLs
     and tokens it cannot send."""
 
     @pytest.fixture(autouse=True)
@@ -160,6 +163,52 @@ class TestClient:
         method, target, headers = stub.seen[-1]
         assert (method, target) == ("CONNECT", "tracker.invalid:443")
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+    def test_plain_http_needs_no_http_client(self, tracker, monkeypatch):
+        import http.client
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("http.client opened a plain http connection")
+
+        monkeypatch.setattr(http.client, "HTTPConnection", refuse)
+        monkeypatch.setattr(http.client, "HTTPSConnection", refuse)
+        stub, url = tracker
+        issue_id = push_issue(url, make_record("networks:\n"))
+        assert fetch_ticket(url, issue_id).body == stub.issues[issue_id]["body"]
+        with pytest.raises(NotFound):  # the stub answers other paths with 404
+            fetch_ticket(f"{url}/api/", issue_id)
+        assert stub.seen[-1][1] == f"/api/issues/{issue_id}"
+        monkeypatch.setenv("http_proxy", url)
+        monkeypatch.setattr(rvd, "_proxies", None)
+        with pytest.raises(NotFound):
+            fetch_ticket("http://tracker.invalid/api", 7)
+        assert stub.seen[-1][1] == "http://tracker.invalid/api/issues/7"
+
+    def test_a_tracker_that_never_replies_times_out(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        accepted, done = [], threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                accepted.append(conn.recv(65536))
+                done.wait(10)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                fetch_ticket(f"http://127.0.0.1:{port}", 1, timeout=0.5)
+            elapsed = time.monotonic() - start
+        finally:
+            done.set()
+            server.join(10)
+            listener.close()
+        assert not server.is_alive()
+        assert accepted and accepted[0].startswith(b"GET /issues/1 HTTP/1.0\r\n")
+        assert 0.4 < elapsed < 5
 
     def test_no_proxy_bypasses_the_proxy(self, tracker, monkeypatch):
         stub, url = tracker
@@ -252,7 +301,8 @@ class TestClient:
             fetch_ticket(url, 1)
 
     @pytest.mark.parametrize(
-        "url", ["ftp://127.0.0.1/x", "http://h:notaport", "http://h:99999", "http://[::1", "http:///issues", "h", "http://127.0.0.1/a b", "http://exämple"]
+        "url",
+        ["ftp://127.0.0.1/x", "http://h:notaport", "http://h:99999", "http://[::1", "http:///issues", "h", "http://127.0.0.1/a b", "http://exämple", "http://127.0.0.1/a?b", "http://127.0.0.1/#a"],
     )
     def test_an_unusable_url_is_a_transport_error(self, url):
         with pytest.raises(TransportError):
@@ -278,8 +328,22 @@ class TestExtract:
         assert flow == listing3
 
     def test_prose_only(self):
-        with pytest.raises(NoReproductionFound):
+        with pytest.raises(NoReproductionFound, match="^ticket 1 embeds no scenario: it has no fenced yaml block$"):
             extract_reproduction(Ticket(id=1, title="t", body="no yaml here"))
+
+    def test_each_unused_block_is_named_with_its_reason(self, listing1_text):
+        """In body order, with the line each block starts on and, for a
+        ``ParseFailure``, the body line it names."""
+        record = make_record("networks: []\n").to_yaml()
+        body = f"prose\n\n```yaml\n[unclosed\n```\n```yaml\njust: prose\n```\n```yaml\n{record}```\n"
+        with pytest.raises(NoReproductionFound) as exc:
+            extract_reproduction(Ticket(id=7, title="t", body=body))
+        assert str(exc.value).split("\n") == [
+            "ticket 7 embeds no scenario",
+            "  block 1 at line 4: malformed YAML: did not find expected ',' or ']' (line 5)",
+            "  block 2 at line 7: unknown top-level key 'just' (line 7)",
+            "  block 3 at line 10: a flaw record without a readable reproduction",
+        ]
 
     def test_scenario_block_only(self, listing1_text, listing1):
         body = f"```yaml\n{listing1_text}```\n"
