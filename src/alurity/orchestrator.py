@@ -4,7 +4,7 @@ A backend owns endpoint creation/destruction and command execution; the
 orchestrator owns ordering (create everything, apply the connectivity plan,
 mark running) and the all-or-nothing guarantee on failure.  The mock backend
 is fully deterministic: scripted responses, a logical clock for ``sleep``,
-and a journal of every create, apply, exec and destroy.
+and a journal of every create, apply and destroy.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ class MockBackend:
             self._answers[command] = (int(match.group(1)) if match else 0, int(body.get("exit", 0)), stdout, stderr)
         ticks, code, stdout, stderr = self._answers[command]
         self.clock += ticks
-        self.journal.append(("exec", handle.name, command))
         return CommandResult(code, stdout, stderr, self.clock - ticks, self.clock)
 
     def apply_plan(self, plan: ConnectivityPlan) -> None:

@@ -172,12 +172,13 @@ class DirectorySink:
 
 
 class TrackerSink:
-    def __init__(self, base_url: str, token: Optional[str] = None):
+    """Files each record as a new issue, with ``rvd.TOKEN_ENV``'s bearer token."""
+
+    def __init__(self, base_url: str):
         self.base_url = base_url
-        self.token = token
 
     def emit(self, record: FlawRecord) -> str:
-        return str(rvd.push_issue(self.base_url, record, token=self.token))
+        return str(rvd.push_issue(self.base_url, record))
 
 
 def emit_all(records, sink) -> tuple[list[str], list[FlawRecord]]:

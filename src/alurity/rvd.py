@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-import yaml
-
 from . import __version__
 from .model import FlowSpec, Scenario
 from .parser import ParseFailure, build_yaml, compose_yaml, parse_flow, parse_scenario, scenario_from_node
@@ -67,17 +65,6 @@ _MAX_HEAD = 65536
 _proxies: Optional[dict] = None
 
 
-def _headers(token: Optional[str]) -> dict:
-    source = "the token argument" if token is not None else TOKEN_ENV
-    token = token if token is not None else os.environ.get(TOKEN_ENV)
-    headers = {"User-Agent": f"alurity/{__version__}"}
-    if token:
-        if not _HEADER_TEXT.fullmatch(token):
-            raise TransportError(f"{source} cannot be sent as an HTTP header: it must be latin-1 text on one line")
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
-
-
 def _proxy(scheme: str, netloc: str) -> Optional[str]:
     """The proxy URL an exchange goes through, picked as urllib's
     ``ProxyHandler`` picks it: the bypass list is asked only when the
@@ -92,7 +79,7 @@ def _proxy(scheme: str, netloc: str) -> Optional[str]:
 
 def _connect(base_url: str, path: str, timeout: float):
     """An open socket to the first hop of an exchange with ``path`` under
-    ``base_url``, the request target and the routing headers (``_route``).
+    ``base_url``, the request target and the routing header lines (``_route``).
     A plain hop is a bare TCP connection; TLS, and the ``CONNECT`` tunnel
     through a proxy that carries it, are ``http.client``'s."""
     from urllib.parse import urlsplit  # cached by urllib: the base URL repeats
@@ -120,14 +107,14 @@ def _route(base_url: str, proxy: Optional[str]):
     """How an exchange under ``base_url`` travels when the environment names
     ``proxy`` for its scheme: the first hop (scheme, host, port), the
     ``CONNECT`` tunnel (host, port, headers) or None, the prefix of its
-    request target, and the headers that route it: ``Host`` and, through a
-    plain proxy, the proxy's credentials.  Kept per pair, so an exchange
-    parses no URL; ``_proxy`` still picks the proxy from the snapshot."""
+    request target, and the header lines that route it: ``Host`` and,
+    through a plain proxy, the proxy's credentials.  Kept per pair, so an
+    exchange parses no URL; ``_proxy`` still picks the proxy from the snapshot."""
     from urllib.parse import unquote, urlsplit
     parts = urlsplit(base_url)
     if parts.scheme not in ("http", "https") or not parts.hostname or not _URL_TEXT.fullmatch(base_url) or "?" in base_url or "#" in base_url:
         raise ValueError("not an http(s) URL with a host and no query or fragment, in visible ASCII")
-    hop, tunnel, prefix, route = parts, None, parts.path.rstrip("/"), {"Host": parts.netloc.rpartition("@")[2]}
+    hop, tunnel, prefix, route = parts, None, parts.path.rstrip("/"), f"Host: {parts.netloc.rpartition('@')[2]}\r\n"
     if proxy is not None:
         hop = urlsplit(proxy if "://" in proxy else f"{parts.scheme}://{proxy}")
         if not hop.hostname or parts.scheme == "http" and hop.scheme not in ("http", "https"):
@@ -139,7 +126,7 @@ def _route(base_url: str, proxy: Optional[str]):
             auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
         if parts.scheme == "http":  # the proxy is sent the absolute URL
             prefix = base_url.rstrip("/")
-            route.update(auth)
+            route += "".join(f"{name}: {value}\r\n" for name, value in auth.items())
         else:  # a CONNECT tunnel carries TLS to the tracker itself
             tunnel = (parts.hostname, parts.port, auth)
     scheme = "http" if parts.scheme == hop.scheme == "http" else "https"
@@ -180,24 +167,26 @@ def _reply(sock) -> tuple[int, dict, bytes]:
     return int(rest[:3]), fields, b"".join(chunks)[:want]
 
 
-def _request(method: str, base_url: str, path: str, token: Optional[str], timeout: float, payload=None) -> tuple[int, bytes]:
+def _request(method: str, base_url: str, path: str, timeout: float, payload=None) -> tuple[int, bytes]:
     """One HTTP exchange with ``path`` under ``base_url``, on a connection
     of its own, through the proxy the environment names; returns status and
     body, error statuses included.  A redirect is not followed.  A failed
     exchange is a TransportError.  The exchange is one HTTP/1.0 request and
     its reply, framed here on the socket ``_connect`` opens."""
     url = base_url.rstrip("/") + path
-    headers = _headers(token)
+    head = f"User-Agent: alurity/{__version__}\r\n"
+    if token := os.environ.get(TOKEN_ENV):
+        if not _HEADER_TEXT.fullmatch(token):
+            raise TransportError(f"{TOKEN_ENV} cannot be sent as an HTTP header: it must be latin-1 text on one line")
+        head += f"Authorization: Bearer {token}\r\n"
     data = b""
     if payload is not None:
         data = json.dumps(payload).encode()
-        headers["Content-Type"] = "application/json"
-        headers["Content-Length"] = str(len(data))
+        head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
     try:
         sock, target, route = _connect(base_url, path, timeout)
-        fields = "".join(f"{name}: {value}\r\n" for name, value in {**route, **headers}.items())
         with sock:
-            sock.sendall(f"{method} {target} HTTP/1.0\r\n{fields}\r\n".encode("latin-1") + data)
+            sock.sendall(f"{method} {target} HTTP/1.0\r\n{route}{head}\r\n".encode("latin-1") + data)
             status, reply, body = _reply(sock)
     except (OSError, ValueError) as exc:  # ValueError: a bad URL or reply
         raise TransportError(f"{method} {url}: {exc}") from exc
@@ -224,9 +213,9 @@ def _ticket(doc: dict) -> Ticket:
     )
 
 
-def fetch_ticket(base_url: str, ticket_id: int, token: Optional[str] = None, timeout: float = 10.0) -> Ticket:
+def fetch_ticket(base_url: str, ticket_id: int, timeout: float = 10.0) -> Ticket:
     url = f"{base_url.rstrip('/')}/issues/{ticket_id}"
-    status, body = _request("GET", base_url, f"/issues/{ticket_id}", token, timeout)
+    status, body = _request("GET", base_url, f"/issues/{ticket_id}", timeout)
     if status == 404:
         raise NotFound(ticket_id)
     if status >= 400:
@@ -234,7 +223,7 @@ def fetch_ticket(base_url: str, ticket_id: int, token: Optional[str] = None, tim
     return _decode(body, url, _ticket)
 
 
-def push_issue(base_url: str, record, token: Optional[str] = None, timeout: float = 10.0) -> int:
+def push_issue(base_url: str, record, timeout: float = 10.0) -> int:
     """POST a flaw record as a new issue; body is one fenced yaml block."""
     body = f"```yaml\n{record.to_yaml()}```\n"
     payload = {
@@ -243,7 +232,7 @@ def push_issue(base_url: str, record, token: Optional[str] = None, timeout: floa
         "labels": [record.flaw_class, record.severity],
     }
     url = f"{base_url.rstrip('/')}/issues"
-    status, body = _request("POST", base_url, "/issues", token, timeout, payload)
+    status, body = _request("POST", base_url, "/issues", timeout, payload)
     if 400 <= status < 500:
         raise Rejected(status, body.decode("utf-8", "replace"))
     if status >= 500:
@@ -300,9 +289,9 @@ def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSp
 
 def _read_block(block: str):
     """The scenario with endpoints a block holds, else the (scenario, flow)
-    an emitted flaw record in it embeds; ``ParseFailure`` saying why it
-    holds neither.  A flaw record is never a scenario: its top-level keys
-    are not scenario sections."""
+    the flaw record in it (a map with a ``reproduction`` key) embeds;
+    ``ParseFailure`` saying why it holds neither.  A flaw record is never a
+    scenario: its top-level keys are not scenario sections."""
     root = compose_yaml(block)
     try:
         scenario, _ = scenario_from_node(root)
@@ -311,47 +300,33 @@ def _read_block(block: str):
         failure = ParseFailure("no endpoints")
     except ParseFailure as exc:
         failure = exc
-    embedded = _embedded(root)
-    if embedded is None:
-        raise failure
-    return embedded
-
-
-def _embedded(root: Optional[yaml.Node]) -> Optional[tuple[Scenario, Optional[list[FlowSpec]]]]:
-    """The scenario and flow a flaw record block embeds; None unless the
-    block builds to a map with a ``reproduction`` key, and ``ParseFailure``
-    unless that holds scenario text with endpoints and, optionally, flow
-    text."""
     try:
         doc = build_yaml(root)
     except ParseFailure:
-        return None
+        raise failure from None
     if not isinstance(doc, dict) or "reproduction" not in doc:
-        return None
-    reproduction = doc.get("reproduction") or {}
-    read = None
-    if isinstance(reproduction, dict):
-        scenario_text = reproduction.get("scenario", "")
-        flow_text = reproduction.get("flow") or ""
-        if isinstance(scenario_text, str) and isinstance(flow_text, str):
-            read = _read_reproduction(scenario_text, flow_text)
-    if read is None:
+        raise failure
+    reproduction = doc["reproduction"] or {}
+    texts = (reproduction.get("scenario", ""), reproduction.get("flow") or "") if isinstance(reproduction, dict) else (None,)
+    if not all(isinstance(text, str) for text in texts):
         raise ParseFailure("a flaw record without a readable reproduction")
-    return read[0], list(read[1]) or None
+    scenario, flow = _read_reproduction(*texts)
+    return scenario, list(flow) or None
 
 
 @functools.lru_cache(maxsize=64)
-def _read_reproduction(scenario_text: str, flow_text: str) -> Optional[tuple[Scenario, tuple[FlowSpec, ...]]]:
+def _read_reproduction(scenario_text: str, flow_text: str) -> tuple[Scenario, tuple[FlowSpec, ...]]:
     """The scenario with endpoints and the flow, () if none reads, that a
-    record's reproduction texts hold; None without such a scenario.  Kept
-    per text pair: the records of one sweep embed the same pair, and their
-    tickets then share one frozen ``Scenario`` and its derivations."""
+    record's reproduction texts hold; else ``ParseFailure`` saying why not.
+    Kept per text pair, a failure not: the records of one sweep embed the
+    same pair, and their tickets share one frozen ``Scenario``."""
     try:
         scenario = parse_scenario(scenario_text)
-    except ParseFailure:
-        return None
+    except ParseFailure as exc:
+        where = "" if exc.line is None else f" (line {exc.line} of that scenario)"
+        raise ParseFailure(f"a flaw record whose reproduction scenario does not read: {exc.message}{where}") from exc
     if not _is_scenario(scenario):
-        return None
+        raise ParseFailure("a flaw record whose reproduction scenario has no endpoints")
     try:
         return scenario, tuple(parse_flow(flow_text)) if flow_text else ()
     except ParseFailure:

@@ -320,7 +320,7 @@ class TestRun:
         """Every fenced block, in order, with why it went unused and where in
         the ticket body: a scenario value its type cannot read, a document
         nested too deeply, a block with no endpoints and a record whose
-        reproduction does not read."""
+        embedded scenario does not read, with the line in that scenario."""
         stub, url = tracker
         lots = Path(LISTING1).read_text().replace("cpus: 4", "cpus: lots")
         deep = "networks:\n" + "- " * 20_000 + "x\n"
@@ -331,12 +331,14 @@ class TestRun:
         assert (code, out) == (2, "")
         cpus = body.split("\n").index("    - cpus: lots") + 1
         deep_start = body.split("\n").index(deep.split("\n")[0], cpus)
+        embedded = lots.split("\n").index("    - cpus: lots") + 1
         assert err.split("\n") == [
             f"ticket {issue_id} embeds no scenario",
             f"  block 1 at line 3: containers[0].cpus must be an integer, got 'lots' (line {cpus})",
             f"  block 2 at line {deep_start + 1}: nested too deeply to read (line {deep_start + 2})",
             f"  block 3 at line {deep_start + 5}: no endpoints",
-            f"  block 4 at line {deep_start + 8}: a flaw record without a readable reproduction",
+            f"  block 4 at line {deep_start + 8}: a flaw record whose reproduction scenario does not read: "
+            f"containers[0].cpus must be an integer, got 'lots' (line {embedded} of that scenario)",
             "",
         ]
 

@@ -147,11 +147,14 @@ class TestUp:
 
 class TestExec:
     def test_scripted_result_and_journal(self, listing1):
+        """The command's answer comes back in its result; the journal keeps
+        the lifecycle only."""
         backend = MockBackend(responses=[("^roscore$", {"exit": 0, "stdout": "core up"})])
         deployment = up(listing1, backend)
-        result = deployment.exec("ur3", "roscore")
-        assert result.stdout == b"core up"
-        assert backend.journal[-1] == ("exec", "ur3", "roscore")
+        journal = list(backend.journal)
+        assert deployment.exec("ur3", "roscore") == CommandResult(0, b"core up")
+        assert deployment.exec("ur3", "roslaunch") == CommandResult(0)
+        assert backend.journal == journal
 
     def test_unknown_endpoint(self, listing1):
         deployment = up(listing1, MockBackend())
@@ -221,8 +224,8 @@ def test_exec_answers_like_the_former_exec(bodies, permuted, steps):
     """Three backends, built from the same patterns, from them with other
     bodies and from them in another order, share one first-match memo.  Each
     answers its share of an interleaved run of commands, repeated ones too,
-    as the ordered first-match scan over its own list does, journals each
-    one and advances its own clock."""
+    as the ordered first-match scan over its own list does, and advances its
+    own clock; its journal keeps only the endpoint's creation."""
     scripts = [RESPONSES, [(pattern, body) for (pattern, _), body in zip(RESPONSES, bodies)], permuted]
     backends = [MockBackend(responses=script) for script in scripts]
     handles = [backend.create_endpoint(ContainerSpec(name="ep", base=BASE), None, {}) for backend in backends]
@@ -230,8 +233,8 @@ def test_exec_answers_like_the_former_exec(bodies, permuted, steps):
     for k, command in steps:
         expected, clocks[k] = former_exec(clocks[k], command, scripts[k])
         assert backends[k].exec(handles[k], command) == expected
-    for k, backend in enumerate(backends):
-        assert backend.journal[1:] == [("exec", "ep", command) for j, command in steps if j == k]
+    for backend in backends:
+        assert backend.journal == [("create", "ep")]
     assert [backend.clock for backend in backends] == clocks
 
 

@@ -95,11 +95,6 @@ class TestPush:
             push_issue(url, make_record("networks:\n"))
         assert exc.value.status == 422
 
-    def test_bearer_token_argument(self, tracker):
-        stub, url = tracker
-        push_issue(url, make_record("networks:\n"), token="t0k")
-        assert stub.seen[-1][2]["Authorization"] == "Bearer t0k"
-
     @pytest.mark.parametrize(
         "canned",
         [(200, b"not json"), (201, b'{"title": "no id"}'), (201, b"[1, 2]"), (500, b"oops")],
@@ -123,8 +118,9 @@ class TestClient:
     """One exchange on a socket of its own: a bare TCP connection for
     ``http``, direct or to a plain proxy, and the socket ``http.client``
     opens for ``https``'s TLS and proxy tunnel.  Its request, the proxy the
-    environment names, its reply's framing, redirects, timeouts, and URLs
-    and tokens it cannot send."""
+    environment names, its reply's framing, redirects, timeouts, and URLs it
+    cannot send.  The bearer token comes from ``ALURITY_TRACKER_TOKEN``
+    alone; a value that cannot be a header is refused before any connection."""
 
     @pytest.fixture(autouse=True)
     def no_proxies(self, monkeypatch):
@@ -314,9 +310,6 @@ class TestClient:
         monkeypatch.setenv("ALURITY_TRACKER_TOKEN", token)
         with pytest.raises(TransportError, match="ALURITY_TRACKER_TOKEN"):
             fetch_ticket(url, 1)
-        monkeypatch.delenv("ALURITY_TRACKER_TOKEN")
-        with pytest.raises(TransportError, match="token argument"):
-            push_issue(url, make_record("networks:\n"), token=token)
         assert stub.seen == []
 
 
@@ -342,7 +335,21 @@ class TestExtract:
             "ticket 7 embeds no scenario",
             "  block 1 at line 4: malformed YAML: did not find expected ',' or ']' (line 5)",
             "  block 2 at line 7: unknown top-level key 'just' (line 7)",
-            "  block 3 at line 10: a flaw record without a readable reproduction",
+            "  block 3 at line 10: a flaw record whose reproduction scenario has no endpoints",
+        ]
+
+    def test_a_record_whose_scenario_is_malformed_yaml_names_the_embedded_line(self, listing1_text):
+        """The failure is the embedded scenario's, with its line in that
+        scenario's text, not in the ticket body."""
+        broken = listing1_text.replace("cpus: 4", "cpus: [4")
+        line = broken.split("\n").index("    - cpus: [4") + 1
+        body = f"prose\n```yaml\n{make_record(broken).to_yaml()}```\n"
+        with pytest.raises(NoReproductionFound) as exc:
+            extract_reproduction(Ticket(id=7, title="t", body=body))
+        assert str(exc.value).split("\n") == [
+            "ticket 7 embeds no scenario",
+            "  block 1 at line 3: a flaw record whose reproduction scenario does not read: "
+            f"malformed YAML: did not find expected ',' or ']' (line {line + 1} of that scenario)",
         ]
 
     def test_scenario_block_only(self, listing1_text, listing1):
