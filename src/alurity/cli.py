@@ -2,20 +2,19 @@
 
 Exit codes are a documented contract: 0 success, 1 validation errors,
 2 parse failure, 3 deployment/flow failure, 4 transport failure, 64 usage
-error, 70 internal error.  Subcommands raise; ``main`` alone turns an
-outcome into an exit code.  Machine-readable output (diagnostics, record
+error, 70 internal error.  Subcommands and the ``argparse`` parser raise;
+``main`` alone turns an outcome into an exit code.  Machine-readable output (diagnostics, record
 locations, DOT) goes to stdout one record per line; prose goes to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import os
 import sys
 from dataclasses import replace
 from typing import Optional
-
-import click
 
 from . import flows as flow_engine
 from . import netplan, orchestrator, pipeline, rvd, toolreg
@@ -42,6 +41,10 @@ class _Failure(Exception):
         super().__init__(message)
 
 
+def _usage(message: str) -> _Failure:
+    return _Failure(EXIT_USAGE, f"usage error: {message}")
+
+
 def _parse(parse, path: str, what: str = ""):
     """``parse`` of the text in ``path``; exit 2 if it cannot be read or parsed."""
     try:
@@ -65,9 +68,7 @@ def _runnable(scenario: Scenario) -> None:
         raise _Failure(EXIT_VALIDATION, "\n".join(map(str, diagnostics)))
 
 
-def _make_backend(name: str, mock_responses: Optional[str]):
-    if name != "mock":
-        raise click.UsageError(f"unknown backend {name!r}; built-in backends: mock")
+def _make_backend(mock_responses: Optional[str]):
     if mock_responses:
         return _load(orchestrator.MockBackend.from_fixture, mock_responses)
     return orchestrator.MockBackend()
@@ -80,79 +81,56 @@ def _load_registry(index_path: Optional[str]):
     return _load(toolreg.load_registry_index, path)
 
 
-@click.group()
-def cli() -> None:
-    """Scenario orchestration toolbox for mixed container/VM testbeds."""
+def _tracker_url(url: Optional[str], needed_by: str) -> str:
+    url = url or os.environ.get(TRACKER_URL_ENV)
+    if not url:
+        raise _usage(f"{needed_by} needs --tracker-url or ${TRACKER_URL_ENV}")
+    return url
 
 
-@cli.command("validate")
-@click.argument("file")
-def cmd_validate(file: str) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """Check a scenario file; one diagnostic per stdout line."""
-    scenario, warnings = _parse(parse_scenario_with_warnings, file)
+    scenario, warnings = _parse(parse_scenario_with_warnings, args.file)
     diagnostics = list(warnings) + validate(scenario)
     for diag in diagnostics:
-        click.echo(str(diag))
+        print(diag)
     return EXIT_VALIDATION if has_errors(diagnostics) else EXIT_OK
 
 
-@cli.command("graph")
-@click.argument("file")
-@click.option("--format", "fmt", default="dot", show_default=True, help="dot (Graphviz) or yaml (the connectivity plan)")
-def cmd_graph(file: str, fmt: str) -> int:
+def cmd_graph(args: argparse.Namespace) -> int:
     """Print the scenario topology as a Graphviz document or as YAML."""
-    scenario, _ = _parse(parse_scenario_with_warnings, file)
+    scenario, _ = _parse(parse_scenario_with_warnings, args.file)
     _runnable(scenario)
     assignment = netplan.allocate_addresses(scenario)
     plan = netplan.build_connectivity_plan(scenario, assignment)
-    click.echo(netplan.export_graph(plan, assignment, fmt), nl=False)
+    sys.stdout.write(netplan.export_graph(plan, assignment, args.format))
     return EXIT_OK
 
 
-@cli.command("run")
-@click.argument("file", required=False)
-@click.option("--backend", "backend_name", default="mock", show_default=True)
-@click.option("--flow", "flow_path", help="flow YAML file to run after bring-up")
-@click.option("--rvd", "rvd_id", type=int, help="reproduce the scenario embedded in this tracker ticket")
-@click.option("--tracker-url", help=f"tracker base URL (default: ${TRACKER_URL_ENV})")
-@click.option("--index", "index_path", help=f"registry index file (default: ${REGISTRY_INDEX_ENV})")
-@click.option("--mock-responses", help="scripted responses fixture for the mock backend")
-@click.option("--transcript-dir", default="transcripts", show_default=True)
-def cmd_run(
-    file: Optional[str],
-    backend_name: str,
-    flow_path: Optional[str],
-    rvd_id: Optional[int],
-    tracker_url: Optional[str],
-    index_path: Optional[str],
-    mock_responses: Optional[str],
-    transcript_dir: str,
-) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     """Validate a scenario with the flow it runs, bring it up, run the flow, tear it down."""
-    if file is not None and rvd_id is not None:
-        raise click.UsageError("FILE and --rvd exclude each other")
-    backend = _make_backend(backend_name, mock_responses)
-    registry = _load_registry(index_path)
+    if args.file is not None and args.rvd is not None:
+        raise _usage("FILE and --rvd exclude each other")
+    backend = _make_backend(args.mock_responses)
+    registry = _load_registry(args.index)
 
-    if rvd_id is not None:
-        url = tracker_url or os.environ.get(TRACKER_URL_ENV)
-        if not url:
-            raise click.UsageError(f"--rvd needs --tracker-url or ${TRACKER_URL_ENV}")
+    if args.rvd is not None:
+        url = _tracker_url(args.tracker_url, "--rvd")
         try:
-            ticket = rvd.fetch_ticket(url, rvd_id)
+            ticket = rvd.fetch_ticket(url, args.rvd)
         except (rvd.NotFound, rvd.TransportError) as exc:
-            raise _Failure(EXIT_TRANSPORT, f"cannot fetch ticket {rvd_id}: {exc}") from exc
+            raise _Failure(EXIT_TRANSPORT, f"cannot fetch ticket {args.rvd}: {exc}") from exc
         scenario, flow = rvd.extract_reproduction(ticket)
         if not flow:  # the scenario is still brought up and down
-            click.echo(f"ticket {rvd_id}: no readable flow found; no command ran", err=True)
+            print(f"ticket {args.rvd}: no readable flow found; no command ran", file=sys.stderr)
         scenario = replace(scenario, flows=tuple(flow or ()))
     else:
-        if file is None:
-            raise click.UsageError("either FILE or --rvd is required")
-        scenario, _ = _parse(parse_scenario_with_warnings, file)
+        if args.file is None:
+            raise _usage("either FILE or --rvd is required")
+        scenario, _ = _parse(parse_scenario_with_warnings, args.file)
 
-    if flow_path is not None:  # its flows, and their lines, replace the scenario's
-        flows = _parse(parse_flow_document, flow_path, "flow ")
+    if args.flow is not None:  # its flows, and their lines, replace the scenario's
+        flows = _parse(parse_flow_document, args.flow, "flow ")
         parts = [part for part in scenario.source_map.parts if not part[0].startswith("flows[")]
         scenario = replace(scenario, flows=flows.flows, source_map=SourceMap([*parts, *flows.source_map.parts]))
 
@@ -165,61 +143,88 @@ def cmd_run(
                 raise _Failure(EXIT_DEPLOYMENT, "transcript failed verification")
             text = flow_engine.transcript_to_yaml(transcript)
             stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
-            out_path = os.path.join(transcript_dir, f"{stamp}.yaml")
+            out_path = os.path.join(args.transcript_dir, f"{stamp}.yaml")
             try:
-                os.makedirs(transcript_dir, exist_ok=True)
+                os.makedirs(args.transcript_dir, exist_ok=True)
                 with open(out_path, "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:
-                raise _Failure(EXIT_DEPLOYMENT, f"cannot write transcript to {transcript_dir}: {exc}") from exc
-            click.echo(f"transcript written to {out_path}", err=True)
+                raise _Failure(EXIT_DEPLOYMENT, f"cannot write transcript to {args.transcript_dir}: {exc}") from exc
+            print(f"transcript written to {out_path}", file=sys.stderr)
     return EXIT_OK
 
 
-@cli.command("pipeline")
-@click.option("--target", "target_ref", required=True, help="target module reference")
-@click.option("--tools", "tools_text", required=True, help="comma-separated tool module references")
-@click.option("--sink", "sink_name", type=click.Choice(["dir", "tracker"]), default="dir", show_default=True)
-@click.option("--sink-path", default="findings", show_default=True)
-@click.option("--backend", "backend_name", default="mock", show_default=True)
-@click.option("--index", "index_path", help=f"registry index file (default: ${REGISTRY_INDEX_ENV})")
-@click.option("--tracker-url", help=f"tracker base URL (default: ${TRACKER_URL_ENV})")
-@click.option("--mock-responses", help="scripted responses fixture for the mock backend")
-def cmd_pipeline(
-    target_ref: str,
-    tools_text: str,
-    sink_name: str,
-    sink_path: str,
-    backend_name: str,
-    index_path: Optional[str],
-    tracker_url: Optional[str],
-    mock_responses: Optional[str],
-) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> int:
     """Sweep a target module with security tools; one record location per line."""
-    tools = tuple(ModuleRef.parse(t.strip()) for t in tools_text.split(",") if t.strip())
+    tools = tuple(ModuleRef.parse(t.strip()) for t in args.tools.split(",") if t.strip())
     if not tools:
-        raise click.UsageError("--tools must list at least one module reference")
-    registry = _load_registry(index_path)
+        raise _usage("--tools must list at least one module reference")
+    registry = _load_registry(args.index)
     if registry is None:
-        raise click.UsageError(f"pipeline needs --index or ${REGISTRY_INDEX_ENV}")
-    backend = _make_backend(backend_name, mock_responses)
+        raise _usage(f"pipeline needs --index or ${REGISTRY_INDEX_ENV}")
+    backend = _make_backend(args.mock_responses)
 
-    if sink_name == "tracker":
-        url = tracker_url or os.environ.get(TRACKER_URL_ENV)
-        if not url:
-            raise click.UsageError(f"--sink tracker needs --tracker-url or ${TRACKER_URL_ENV}")
-        sink = pipeline.TrackerSink(url)
+    if args.sink == "tracker":
+        sink = pipeline.TrackerSink(_tracker_url(args.tracker_url, "--sink tracker"))
     else:
-        sink = pipeline.DirectorySink(sink_path)
+        sink = pipeline.DirectorySink(args.sink_path)
 
-    spec = pipeline.PipelineSpec(target=ModuleRef.parse(target_ref), tools=tools)
+    spec = pipeline.PipelineSpec(target=ModuleRef.parse(args.target), tools=tools)
     records = pipeline.run_pipeline(spec, backend, registry)
     locations, outbox = pipeline.emit_all(records, sink)
     for location in locations:
-        click.echo(location)
+        print(location)
     if outbox:
         raise _Failure(EXIT_TRANSPORT, f"{len(outbox)} record(s) could not be emitted")
     return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that never exits: an argument error is a usage error, and
+    ``--help`` ends the call with exit 0 once it has printed."""
+
+    def error(self, message: str):
+        raise _usage(message)
+
+    def exit(self, status: int = 0, message: Optional[str] = None):
+        raise _Failure(status, message or "")
+
+
+def _parser() -> _Parser:
+    """The four subcommands with their options; no option may be abbreviated."""
+    plain = dict(add_help=False, allow_abbrev=False)
+    parser = _Parser(prog="alurity", description="Scenario orchestration toolbox for mixed container/VM testbeds.", **plain)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    backend = _Parser(**plain)  # the options run and pipeline share
+    backend.add_argument("--backend", choices=("mock",), default="mock", help="[default: %(default)s]")
+    backend.add_argument("--index", help=f"registry index file (default: ${REGISTRY_INDEX_ENV})")
+    backend.add_argument("--tracker-url", help=f"tracker base URL (default: ${TRACKER_URL_ENV})")
+    backend.add_argument("--mock-responses", help="scripted responses fixture for the mock backend")
+
+    def command(func, *parents):
+        doc = func.__doc__
+        sub = commands.add_parser(func.__name__[4:], help=doc, description=doc, parents=parents, **plain)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(func=func)
+        return sub
+
+    command(cmd_validate).add_argument("file", metavar="FILE")
+    graph = command(cmd_graph)
+    graph.add_argument("file", metavar="FILE")
+    graph.add_argument("--format", choices=("dot", "yaml"), default="dot",
+                       help="dot (Graphviz) or yaml (the connectivity plan)  [default: %(default)s]")
+    run = command(cmd_run, backend)
+    run.add_argument("file", metavar="FILE", nargs="?")
+    run.add_argument("--flow", help="flow YAML file to run after bring-up")
+    run.add_argument("--rvd", type=int, help="reproduce the scenario embedded in this tracker ticket")
+    run.add_argument("--transcript-dir", default="transcripts", help="[default: %(default)s]")
+    sweep = command(cmd_pipeline, backend)
+    sweep.add_argument("--target", required=True, help="target module reference")
+    sweep.add_argument("--tools", required=True, help="comma-separated tool module references")
+    sweep.add_argument("--sink", choices=("dir", "tracker"), default="dir", help="[default: %(default)s]")
+    sweep.add_argument("--sink-path", default="findings", help="[default: %(default)s]")
+    return parser
 
 
 # Library exceptions whose own text explains them: exit code, stderr prefix.
@@ -228,33 +233,26 @@ _OUTCOMES = (
     (rvd.NoReproductionFound, EXIT_PARSE, ""),
     (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
     ((orchestrator.TeardownLeak, pipeline.SinkUnwritable), EXIT_DEPLOYMENT, ""),
-    (netplan.UnsupportedFormat, EXIT_USAGE, "unsupported format: "),
 )
 
 
 def main(argv=None) -> int:
-    """Invoke the CLI and decide its exit code; the only place that does."""
+    """Run the subcommand ``argv`` names (default: ``sys.argv[1:]``) and decide
+    its exit code; the only place that does."""
     try:
-        result = cli.main(args=argv, standalone_mode=False)
+        args = _parser().parse_args(argv)
+        return args.func(args)
     except _Failure as exc:
-        click.echo(str(exc), err=True)
+        if str(exc):
+            print(exc, file=sys.stderr)
         return exc.code
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Abort:
-        return EXIT_USAGE
     except Exception as exc:
         for types, code, prefix in _OUTCOMES:
             if isinstance(exc, types):
-                click.echo(f"{prefix}{exc}", err=True)
+                print(f"{prefix}{exc}", file=sys.stderr)
                 return code
-        click.echo(f"internal error: {exc!r}", err=True)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
-    return result if isinstance(result, int) else EXIT_OK
 
 
 def entry() -> None:

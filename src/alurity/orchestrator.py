@@ -113,14 +113,11 @@ class MockBackend:
     bounded memo, ``_first_match``); each backend answers from its own bodies.
     """
 
-    def __init__(self, responses=None, fail_create=(), fail_destroy=(), refuse_kinds=()):
+    def __init__(self, responses=None):
         responses = list(responses or ())
         self._first = _first_match(tuple(map(operator.itemgetter(0), responses)))
         self._bodies = tuple(map(operator.itemgetter(1), responses))  # IndexError for a bodiless response
         self._answers: dict = {}  # command -> (sleep ticks, exit, stdout, stderr)
-        self.fail_create = set(fail_create)
-        self.fail_destroy = set(fail_destroy)
-        self.refuse_kinds = set(refuse_kinds)
         self.journal: list = []
         self.endpoints: dict[str, MockEndpoint] = {}
         self.clock = 0
@@ -143,13 +140,8 @@ class MockBackend:
         return cls(responses=responses)
 
     def create_endpoint(self, spec, image, addresses) -> MockEndpoint:
-        kind = "vm" if hasattr(spec, "path") else "container"
-        if kind in self.refuse_kinds:
-            raise RuntimeError(f"backend refuses to host {kind} endpoints")
         if spec.name in self.endpoints and not self.endpoints[spec.name].destroyed:
             raise RuntimeError(f"an endpoint named {spec.name!r} is already live")
-        if spec.name in self.fail_create:
-            raise RuntimeError(f"injected creation failure for {spec.name!r}")
         handle = MockEndpoint(name=spec.name)
         self.endpoints[spec.name] = handle
         self.journal.append(("create", spec.name))
@@ -158,8 +150,6 @@ class MockBackend:
     def destroy(self, handle: MockEndpoint) -> None:
         if handle.destroyed:
             return
-        if handle.name in self.fail_destroy:
-            raise RuntimeError(f"injected destroy failure for {handle.name!r}")
         handle.destroyed = True
         self.journal.append(("destroy", handle.name))
 

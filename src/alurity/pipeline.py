@@ -24,6 +24,10 @@ from .parser import _emit_scalar, serialize_flow, serialize_scenario
 PIPELINE_NETWORK = "pipeline-network"
 PIPELINE_SUBNET = "10.110.0.0/24"
 
+# A record's keys in the order it writes them, each its field's name with "-" for
+# "_"; ``to_yaml`` ends with ``reproduction``, the map of the ``reproduction_*`` fields.
+_RECORD_KEYS = ("id", "title", "flaw-class", "description", "system", "vendor", "severity", "detected-by")
+
 # A sweep's records share most values, ~1 KB reproduction texts among them, so
 # each is written once per process.  Typed: ``_emit_scalar`` writes True, 1, 1.0 apart.
 _emit_field = functools.lru_cache(maxsize=64, typed=True)(_emit_scalar)
@@ -58,30 +62,13 @@ class FlawRecord:
     vendor: Optional[str] = None
     id: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "flaw-class": self.flaw_class,
-            "description": self.description,
-            "system": self.system,
-            "vendor": self.vendor,
-            "severity": self.severity,
-            "detected-by": self.detected_by,
-            "reproduction": {
-                "scenario": self.reproduction_scenario,
-                "flow": self.reproduction_flow,
-            },
-        }
-
     def to_yaml(self) -> str:
-        """``to_dict()`` as YAML, key by key in its order, each value through
-        ``parser._emit_scalar`` (kept per value, ``_emit_field``), with
-        ``reproduction``, the last key, a nested map of two such values."""
-        doc = self.to_dict()
-        reproduction = doc.pop("reproduction")
-        head = "".join(f"{key}: {_emit_field(value)}\n" for key, value in doc.items())
-        return f"{head}reproduction:\n  scenario: {_emit_field(reproduction['scenario'])}\n  flow: {_emit_field(reproduction['flow'])}\n"
+        """The record as YAML, key by key in ``_RECORD_KEYS`` order, each value
+        through ``parser._emit_scalar`` (kept per value, ``_emit_field``), then
+        ``reproduction``, a nested map of two such values."""
+        head = "".join(f"{key}: {_emit_field(getattr(self, key.replace('-', '_')))}\n" for key in _RECORD_KEYS)
+        scenario, flow = _emit_field(self.reproduction_scenario), _emit_field(self.reproduction_flow)
+        return f"{head}reproduction:\n  scenario: {scenario}\n  flow: {flow}\n"
 
 
 def assemble(spec: PipelineSpec, registry: toolreg.RegistryIndex) -> tuple[Scenario, FlowSpec]:

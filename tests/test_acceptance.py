@@ -27,8 +27,10 @@ from alurity.rvd import fetch_ticket, push_issue
 from alurity.toolreg import load_registry_index
 
 import conftest
+from failing_backend import FailingBackend
 from strategies import BASE_REFS, random_topology, scenarios
 from test_parser import LISTING1_EXPECTED, LISTING2_EXPECTED
+from test_rvd_oracle import record_document
 from yaml_classes import load
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,7 +175,7 @@ def test_criterion_6_pipeline_emission(count, tmp_path, registry):
         locations, outbox = emit_all(records, DirectorySink(str(tmp_path)))
         assert outbox == []
         assert len(locations) == count
-        expected = [r.to_dict() for r in records]
+        expected = [record_document(r) for r in records]
         for location in locations:
             loaded = load(Path(location).read_text())
             assert set(loaded) == {
@@ -221,7 +223,7 @@ def test_criterion_8_all_or_nothing():
         )
         assert validate(scenario) == []
         for index in range(5):
-            backend = MockBackend(fail_create={f"ep{index}"})
+            backend = FailingBackend(fail_create={f"ep{index}"})
             with pytest.raises(DeploymentFailure):
                 up(scenario, backend)
             creates = [e[1] for e in backend.journal if e[0] == "create"]

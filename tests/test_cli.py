@@ -17,6 +17,7 @@ from alurity.cli import main
 from alurity.model import validate
 from alurity.pipeline import FlawRecord
 
+from failing_backend import FailingBackend
 from test_parser import BLOCK_COMMAND_FLOW, DEEP, TWO_LINE_COMMAND, nested
 from test_parser_oracle import ODD_SCALARS, SCENARIO_TEXTS, mutated
 
@@ -138,8 +139,10 @@ class TestGraph:
         assert out == golden[fixture][fmt]
 
     def test_unknown_format_exits_64(self, run_cli):
-        code, _, _ = run_cli("graph", LISTING1, "--format", "svg")
+        code, out, err = run_cli("graph", LISTING1, "--format", "svg")
         assert code == 64
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+        assert "'svg'" in err
 
     def test_listing1_yaml(self, run_cli, listing1):
         code, out, _ = run_cli("graph", LISTING1, "--format", "yaml")
@@ -223,13 +226,13 @@ class TestRun:
     @pytest.mark.parametrize("flow", [(), ("--flow", LISTING3)], ids=["no-flow", "flow"])
     def test_endpoint_left_live_by_teardown_exits_3(self, run_cli, tmp_path, monkeypatch, flow):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(orchestrator, "MockBackend", partial(orchestrator.MockBackend, fail_destroy={"attacker"}))
+        monkeypatch.setattr(orchestrator, "MockBackend", partial(FailingBackend, fail_destroy={"attacker"}))
         code, out, err = run_cli("run", ROSNET, *flow)
         assert code == 3
         assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: attacker (injected destroy failure for 'attacker')"
 
     def test_earlier_failure_outranks_a_teardown_leak(self, run_cli, tmp_path, monkeypatch):
-        monkeypatch.setattr(orchestrator, "MockBackend", partial(orchestrator.MockBackend, fail_destroy={"attacker"}))
+        monkeypatch.setattr(orchestrator, "MockBackend", partial(FailingBackend, fail_destroy={"attacker"}))
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         code, _, err = run_cli("run", ROSNET, "--flow", LISTING3, "--transcript-dir", str(blocker / "t"))
@@ -660,7 +663,7 @@ class TestPipeline:
         assert code == 0
 
     def test_endpoint_left_live_by_teardown_exits_3(self, run_cli, tmp_path, monkeypatch):
-        class LeakyBackend(orchestrator.MockBackend):
+        class LeakyBackend(FailingBackend):
             def __init__(self, responses=None):
                 super().__init__(responses, fail_destroy={"scanner"})
 
@@ -745,9 +748,38 @@ def test_unexpected_exception_is_a_one_line_internal_error(run_cli, monkeypatch)
     assert run_cli("graph", LISTING1) == (70, "", "internal error: RuntimeError('boom')\n")
 
 
+@pytest.mark.parametrize("args", [(), ("run",), ("validate",), ("graph",), ("pipeline",)], ids=["program", "run", "validate", "graph", "pipeline"])
+def test_help_prints_usage_and_exits_0(run_cli, args):
+    code, out, err = run_cli(*args, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(('alurity', *args))} ")
+
+
+USAGE_ERRORS = {
+    "no-subcommand": (),
+    "unknown-subcommand": ("deploy", LISTING1),
+    "unknown-option": ("validate", LISTING1, "--strict"),
+    "abbreviated-option": ("run", LISTING1, "--trans", "d"),
+    "rvd-not-an-integer": ("run", "--rvd", "abc"),
+    "unknown-sink": ("pipeline", "--sink", "ftp", "--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest"),
+    "unknown-backend": ("run", LISTING1, "--backend", "xen"),
+    "option-without-value": ("run", LISTING1, "--flow"),
+    "short-help": ("run", "-h"),
+}
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_one_stderr_line_and_exits_64(run_cli, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*args)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Only a tracker round trip or a record directory needs these; start-up loads
-# none of them.
-DEFERRED_MODULES = ("requests", "http.client", "urllib.request", "email", "ssl", "socket", "hashlib")
+# none of them, and the CLI parses its arguments with the standard library.
+DEFERRED_MODULES = ("requests", "http.client", "urllib.request", "email", "ssl", "socket", "hashlib", "click")
 
 
 def test_cli_import_does_not_load_requests():

@@ -20,6 +20,7 @@ from alurity.orchestrator import (
 
 from alurity.toolreg import registry_index_from_dict
 
+from failing_backend import FailingBackend
 from strategies import BASE_REFS, scenarios, window_specs
 
 BASE = ModuleRef.parse(BASE_REFS[0])
@@ -97,7 +98,7 @@ class TestUp:
         assert backend.journal == [("apply_plan",)]
 
     def test_failure_mid_creation_tears_down(self, listing1):
-        backend = MockBackend(fail_create={"attacker"})
+        backend = FailingBackend(fail_create={"attacker"})
         with pytest.raises(DeploymentFailure) as exc:
             up(listing1, backend)
         assert exc.value.endpoint == "attacker"
@@ -106,7 +107,7 @@ class TestUp:
     def test_all_or_nothing_exhaustive(self):
         scenario = five_endpoint_scenario()
         for index in range(5):
-            backend = MockBackend(fail_create={f"ep{index}"})
+            backend = FailingBackend(fail_create={f"ep{index}"})
             with pytest.raises(DeploymentFailure):
                 up(scenario, backend)
             creates = [n for op, n in backend.journal if op == "create"]
@@ -134,7 +135,7 @@ class TestUp:
         assert backend.alive == {"ur3": False, "attacker": False}
 
     def test_backend_may_refuse_a_kind(self, merged12):
-        backend = MockBackend(refuse_kinds={"vm"})
+        backend = FailingBackend(refuse_kinds={"vm"})
         with pytest.raises(DeploymentFailure) as exc:
             up(merged12, backend)
         assert exc.value.endpoint == "irc5"
@@ -305,7 +306,7 @@ class TestDown:
         assert backend.journal == journal_after_first
 
     def test_destroy_failure_does_not_stop_teardown(self, listing1):
-        backend = MockBackend(fail_destroy={"attacker"})
+        backend = FailingBackend(fail_destroy={"attacker"})
         deployment = up(listing1, backend)
         deployment.down()
         destroys = [e[1] for e in backend.journal if e[0] == "destroy"]
@@ -313,7 +314,7 @@ class TestDown:
         assert deployment.states == {"ur3": "stopped", "attacker": "destroy-failed"}
 
     def test_failed_destroy_stays_live_until_a_retry(self, listing1):
-        backend = MockBackend(fail_destroy={"attacker"})
+        backend = FailingBackend(fail_destroy={"attacker"})
         deployment = up(listing1, backend)
         assert deployment.down() == ["attacker"]
         assert deployment.states == {"ur3": "stopped", "attacker": "destroy-failed"}
@@ -326,7 +327,7 @@ class TestDown:
         assert [e[1] for e in backend.journal if e[0] == "destroy"] == ["ur3", "attacker"]
 
     def test_teardown_leak_names_each_cause(self, listing1):
-        class Refusing(MockBackend):
+        class Refusing(FailingBackend):
             def destroy(self, handle):
                 if handle.name == "ur3":
                     raise EndpointGone()  # an error without text is named by its type
@@ -346,7 +347,7 @@ class TestDown:
 
     @pytest.mark.parametrize("leaky", ["ur3", "attacker"])
     def test_rollback_reports_a_failed_destroy(self, merged12, leaky):
-        backend = MockBackend(refuse_kinds={"vm"}, fail_destroy={leaky})
+        backend = FailingBackend(refuse_kinds={"vm"}, fail_destroy={leaky})
         with pytest.raises(DeploymentFailure) as exc:
             up(merged12, backend)
         live = [name for name, handle in backend.endpoints.items() if not handle.destroyed]
@@ -394,17 +395,6 @@ def test_clean_validate_means_up_succeeds(scenario):
     assert deployment.down() == []
 
 
-class ApplyFailing(MockBackend):
-    """The mock backend whose ``apply_plan`` raises while ``fail_apply`` is set."""
-
-    fail_apply = False
-
-    def apply_plan(self, plan):
-        if self.fail_apply:
-            raise RuntimeError("injected apply_plan failure")
-        super().apply_plan(plan)
-
-
 class Boom(Exception):
     pass
 
@@ -443,7 +433,7 @@ def test_up_is_all_or_nothing(case):
     scenario, other_scenario, fail_create, refuse, fail_apply, fail_destroy, teardown = case
     if has_errors(validate(scenario)):
         return
-    backend = ApplyFailing()
+    backend = FailingBackend()
     other = up(other_scenario, backend)
     other_live = set(other.handles)
     backend.fail_create, backend.refuse_kinds, backend.fail_apply = fail_create, refuse, fail_apply

@@ -28,6 +28,9 @@ from alurity.parser import parse_flow, parse_scenario, serialize_flow, serialize
 from alurity.rvd import Ticket, extract_reproduction
 from alurity.toolreg import registry_index_from_dict
 
+from failing_backend import FailingBackend
+from test_rvd_oracle import record_document
+
 from yaml_classes import load
 
 REG = "registry.gitlab.com/aliasrobotics/offensive/alurity"
@@ -272,7 +275,7 @@ class TestRunPipeline:
             assert [r.to_yaml() for r in rescanned] == filed
 
     def test_teardown_even_on_backend_failure(self, registry):
-        backend = MockBackend(fail_create={"scanner"})
+        backend = FailingBackend(fail_create={"scanner"})
         from alurity.orchestrator import DeploymentFailure
 
         with pytest.raises(DeploymentFailure):
@@ -282,7 +285,7 @@ class TestRunPipeline:
         assert destroys == list(reversed(creates))
 
     def test_teardown_leak_raises_instead_of_records(self, registry):
-        backend = MockBackend(responses=[("^aztarna", {"stdout": "FINDING: x\n"})], fail_destroy={"scanner"})
+        backend = FailingBackend(responses=[("^aztarna", {"stdout": "FINDING: x\n"})], fail_destroy={"scanner"})
         with pytest.raises(TeardownLeak) as exc:
             run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
         assert str(exc.value) == "teardown left 1 endpoint(s) live: scanner (injected destroy failure for 'scanner')"
@@ -294,7 +297,7 @@ class TestRunPipeline:
             raise UnknownEndpointInFlow("ghost")
 
         monkeypatch.setattr(flows, "run_flow", abort)
-        backend = MockBackend(fail_destroy={"scanner"})
+        backend = FailingBackend(fail_destroy={"scanner"})
         with pytest.raises(UnknownEndpointInFlow):
             run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
         assert not backend.endpoints["scanner"].destroyed
@@ -318,7 +321,7 @@ class TestFlawRecord:
 
     def test_roundtrip(self):
         rec = record()
-        assert load(rec.to_yaml()) == rec.to_dict()
+        assert load(rec.to_yaml()) == record_document(rec)
 
     def test_field_memo_writes_equal_keys_of_other_types_apart(self):
         """True, 1 and 1.0 are equal keys and None, "1" look alike; whichever
@@ -339,7 +342,7 @@ class TestEmit:
         rec = record()
         location = DirectorySink(str(tmp_path)).emit(rec)
         assert location.endswith(".yaml") and "rvd-" in location
-        assert load(Path(location).read_text()) == rec.to_dict()
+        assert load(Path(location).read_text()) == record_document(rec)
 
     def test_stable_file_name_per_title(self, tmp_path):
         sink = DirectorySink(str(tmp_path))
@@ -351,7 +354,7 @@ class TestEmit:
         assert outbox == [] and len(set(locations)) == 2
         assert len(list(tmp_path.iterdir())) == 2
         for location, rec in zip(locations, records):
-            assert load(Path(location).read_text()) == rec.to_dict()
+            assert load(Path(location).read_text()) == record_document(rec)
 
     def test_tracker_sink(self, tracker):
         stub, url = tracker

@@ -6,8 +6,8 @@ and, when that failed, loaded it whole to look for an emitted flaw record.
 It is kept with one change: a record block loads with its explicit tags
 ignored (``yaml_classes.load_untagged``), as every reader in the package
 reads YAML.
-The former ``FlawRecord.to_yaml`` was PyYAML's dumper over ``record.to_dict()``
-(``yaml_classes.dump``).
+The former ``FlawRecord.to_yaml`` was PyYAML's dumper over the record's
+document, ``record_document`` (``yaml_classes.dump``).
 Inputs are flaw records (written by both emitters), scenario and flow
 documents, and line mutations of both: the scenario mutations of
 ``test_parser_oracle`` and, for records, explicit tags, odd scalars,
@@ -101,8 +101,23 @@ def _reproduction_from_record(block: str) -> Optional[tuple[Scenario, Optional[l
     return scenario, flow
 
 
+def record_document(record: FlawRecord) -> dict:
+    """The map a record's YAML reads back as, keys in the order it is written."""
+    return {
+        "id": record.id,
+        "title": record.title,
+        "flaw-class": record.flaw_class,
+        "description": record.description,
+        "system": record.system,
+        "vendor": record.vendor,
+        "severity": record.severity,
+        "detected-by": record.detected_by,
+        "reproduction": {"scenario": record.reproduction_scenario, "flow": record.reproduction_flow},
+    }
+
+
 def reference_record_yaml(record: FlawRecord) -> str:
-    return dump(record.to_dict())
+    return dump(record_document(record))
 
 
 # --- inputs ----------------------------------------------------------------------

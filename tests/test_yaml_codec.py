@@ -29,6 +29,7 @@ from alurity.parser import parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord
 
 import test_parser
+from test_rvd_oracle import record_document
 from strategies import scenarios
 from yaml_classes import dump, load, pure_python_classes
 
@@ -332,8 +333,8 @@ class TestEmittersReadBackUnderPurePython:
             reproduction_scenario=scenario_text,
         )
         text = record.to_yaml()
-        assert pure_load(text) == record.to_dict()
-        assert load(text) == record.to_dict()
+        assert pure_load(text) == record_document(record)
+        assert load(text) == record_document(record)
 
     @settings(max_examples=150, deadline=None)
     @given(_text, _text)
