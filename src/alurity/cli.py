@@ -45,20 +45,17 @@ def _usage(message: str) -> _Failure:
     return _Failure(EXIT_USAGE, f"usage error: {message}")
 
 
-def _parse(parse, path: str, what: str = ""):
-    """``parse`` of the text in ``path``; exit 2 if it cannot be read or parsed."""
+def _read(load, path: str, what: str = "read"):
+    """``load(path)``; exit 2 saying ``cannot <what> <path>`` and why if the
+    file cannot be read or parsed."""
     try:
-        return parse(read_text(path))
+        return load(path)
     except (OSError, ParseFailure) as exc:
-        raise _Failure(EXIT_PARSE, f"cannot parse {what}{path}: {exc}") from exc
+        raise _Failure(EXIT_PARSE, f"cannot {what} {path}: {exc}") from exc
 
 
-def _load(loader, path: str):
-    """A --mock-responses or --index file loaded; exit 2 if it cannot be."""
-    try:
-        return loader(path)
-    except (OSError, ParseFailure) as exc:
-        raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+def _scenario(path: str):
+    return _read(lambda file: parse_scenario_with_warnings(read_text(file)), path, "parse")
 
 
 def _runnable(scenario: Scenario) -> None:
@@ -70,7 +67,7 @@ def _runnable(scenario: Scenario) -> None:
 
 def _make_backend(mock_responses: Optional[str]):
     if mock_responses:
-        return _load(orchestrator.MockBackend.from_fixture, mock_responses)
+        return _read(orchestrator.MockBackend.from_fixture, mock_responses)
     return orchestrator.MockBackend()
 
 
@@ -78,7 +75,7 @@ def _load_registry(index_path: Optional[str]):
     path = index_path or os.environ.get(REGISTRY_INDEX_ENV)
     if not path:
         return None
-    return _load(toolreg.load_registry_index, path)
+    return _read(toolreg.load_registry_index, path)
 
 
 def _tracker_url(url: Optional[str], needed_by: str) -> str:
@@ -90,7 +87,7 @@ def _tracker_url(url: Optional[str], needed_by: str) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     """Check a scenario file; one diagnostic per stdout line."""
-    scenario, warnings = _parse(parse_scenario_with_warnings, args.file)
+    scenario, warnings = _scenario(args.file)
     diagnostics = list(warnings) + validate(scenario)
     for diag in diagnostics:
         print(diag)
@@ -99,7 +96,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     """Print the scenario topology as a Graphviz document or as YAML."""
-    scenario, _ = _parse(parse_scenario_with_warnings, args.file)
+    scenario, _ = _scenario(args.file)
     _runnable(scenario)
     assignment = netplan.allocate_addresses(scenario)
     plan = netplan.build_connectivity_plan(scenario, assignment)
@@ -127,10 +124,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         if args.file is None:
             raise _usage("either FILE or --rvd is required")
-        scenario, _ = _parse(parse_scenario_with_warnings, args.file)
+        scenario, _ = _scenario(args.file)
 
     if args.flow is not None:  # its flows, and their lines, replace the scenario's
-        flows = _parse(parse_flow_document, args.flow, "flow ")
+        flows = _read(lambda file: parse_flow_document(read_text(file)), args.flow, "parse flow")
         parts = [part for part in scenario.source_map.parts if not part[0].startswith("flows[")]
         scenario = replace(scenario, flows=flows.flows, source_map=SourceMap([*parts, *flows.source_map.parts]))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
 from . import toolreg
-from .model import Scenario, endpoint_specs, endpoints, has_errors, validate
+from .model import Scenario, endpoint_specs, endpoints, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
 from .parser import ParseFailure, compile_regex, load_yaml_map
 
@@ -223,9 +223,9 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     unresolvable modules fail before anything is created.  Without one,
     specs are handed to the backend uncomposed.  What was derived from ``scenario`` is reused.
     """
-    diagnostics = validate(scenario)
-    if has_errors(diagnostics):
-        raise DeploymentFailure(None, f"scenario invalid: {diagnostics[0]}")
+    errors = [d for d in validate(scenario) if d.severity == "error"]
+    if errors:
+        raise DeploymentFailure(None, f"scenario invalid: {errors[0]}")
 
     images: dict[str, object] = {}
     if registry is not None:

@@ -57,24 +57,19 @@ class Ticket:
 _HEADER_TEXT = re.compile(r"[\t\x20-\x7e\x80-\xff]*")
 # Visible ASCII: what a request line and a Host header can carry.
 _URL_TEXT = re.compile(r"[!-~]+")
-# A reply whose headers run longer than this is not a tracker's.
+# A reply whose head, its blank line included, runs longer than this is not a tracker's.
 _MAX_HEAD = 65536
+# A reply header line ``_reply`` reads: its field name in any case, and the
+# value up to the line's end.
+_FIELD_RE = re.compile(r"\r\n[ \t]*(content-length|location)[ \t]*:(.*?)(?=\r\n)", re.I | re.S)
 
-# ``urllib.request.getproxies()``, read on the first exchange and kept for the
-# process, as urllib's global opener keeps it.
-_proxies: Optional[dict] = None
 
-
-def _proxy(scheme: str, netloc: str) -> Optional[str]:
-    """The proxy URL an exchange goes through, picked as urllib's
-    ``ProxyHandler`` picks it: the bypass list is asked only when the
-    scheme has a proxy, and both come from the one snapshot."""
-    global _proxies
-    import urllib.request  # imported by its only user: it loads OpenSSL
-    if _proxies is None:
-        _proxies = urllib.request.getproxies()
-    proxy = _proxies.get(scheme)
-    return None if proxy is None or urllib.request.proxy_bypass_environment(netloc, _proxies) else proxy
+@functools.cache
+def _proxies() -> dict:
+    """``urllib.request.getproxies()``, read on the first exchange and kept for
+    the process, as urllib's global opener keeps it."""
+    import urllib.request  # imported on first use: it loads OpenSSL
+    return urllib.request.getproxies()
 
 
 def _connect(base_url: str, path: str, timeout: float):
@@ -82,9 +77,7 @@ def _connect(base_url: str, path: str, timeout: float):
     ``base_url``, the request target and the routing header lines (``_route``).
     A plain hop is a bare TCP connection; TLS, and the ``CONNECT`` tunnel
     through a proxy that carries it, are ``http.client``'s."""
-    from urllib.parse import urlsplit  # cached by urllib: the base URL repeats
-    parts = urlsplit(base_url)
-    (scheme, host, port), tunnel, prefix, route = _route(base_url, _proxy(parts.scheme, parts.netloc))
+    (scheme, host, port), tunnel, prefix, route = _route(base_url)
     if scheme == "http":
         import socket  # imported by its only user: start-up loads no network stack
         return socket.create_connection((host, port), timeout), prefix + path, route
@@ -103,19 +96,21 @@ def _connect(base_url: str, path: str, timeout: float):
 
 
 @functools.lru_cache(maxsize=16)
-def _route(base_url: str, proxy: Optional[str]):
-    """How an exchange under ``base_url`` travels when the environment names
-    ``proxy`` for its scheme: the first hop (scheme, host, port), the
-    ``CONNECT`` tunnel (host, port, headers) or None, the prefix of its
-    request target, and the header lines that route it: ``Host`` and,
-    through a plain proxy, the proxy's credentials.  Kept per pair, so an
-    exchange parses no URL; ``_proxy`` still picks the proxy from the snapshot."""
+def _route(base_url: str):
+    """How an exchange under ``base_url`` travels: the first hop (scheme,
+    host, port), the ``CONNECT`` tunnel (host, port, headers) or None, the
+    prefix of its request target, and the header lines that route it: ``Host``
+    and, through a plain proxy, its credentials.  The proxy is picked from
+    ``_proxies()`` as urllib's ``ProxyHandler`` picks it: the bypass list is
+    asked only when the scheme has a proxy.  Kept per URL."""
+    import urllib.request
     from urllib.parse import unquote, urlsplit
     parts = urlsplit(base_url)
     if parts.scheme not in ("http", "https") or not parts.hostname or not _URL_TEXT.fullmatch(base_url) or "?" in base_url or "#" in base_url:
         raise ValueError("not an http(s) URL with a host and no query or fragment, in visible ASCII")
     hop, tunnel, prefix, route = parts, None, parts.path.rstrip("/"), f"Host: {parts.netloc.rpartition('@')[2]}\r\n"
-    if proxy is not None:
+    proxy = _proxies().get(parts.scheme)
+    if proxy is not None and not urllib.request.proxy_bypass_environment(parts.netloc, _proxies()):
         hop = urlsplit(proxy if "://" in proxy else f"{parts.scheme}://{proxy}")
         if not hop.hostname or parts.scheme == "http" and hop.scheme not in ("http", "https"):
             raise ValueError(f"unusable proxy {proxy!r}")
@@ -133,46 +128,43 @@ def _route(base_url: str, proxy: Optional[str]):
     return (scheme, hop.hostname, 80 if scheme == "http" and hop.port is None else hop.port), tunnel, prefix, route
 
 
-def _reply(sock) -> tuple[int, dict, bytes]:
-    """The status, header fields (names in lower case) and body of the reply
-    to an HTTP/1.0 request.  The body runs to its ``Content-Length`` or,
-    without one, to the close that ends an HTTP/1.0 reply."""
+def _reply(sock) -> tuple[int, Optional[str], bytes]:
+    """The status, ``Location`` and body of the reply to an HTTP/1.0 request.
+    The body runs to its ``Content-Length`` or, without one, to the close that
+    ends an HTTP/1.0 reply.  Of a field given twice, the last one counts."""
     data = b""
-    while (end := data.find(b"\r\n\r\n")) < 0:
-        chunk = sock.recv(65536)
-        if not chunk or len(data) > _MAX_HEAD:
+    while (end := data.find(b"\r\n\r\n", 0, _MAX_HEAD)) < 0:
+        if len(data) >= _MAX_HEAD or not (chunk := sock.recv(65536)):
             raise ValueError("no complete HTTP reply header")
         data += chunk
-    status_line, *lines = data[:end].decode("latin-1").split("\r\n")
+    head = data[: end + 2].decode("latin-1")  # each line with its CRLF
+    status_line = head[: head.index("\r\n")]
     version, _, rest = status_line.partition(" ")
     if not version.startswith("HTTP/") or not rest[:3].isdigit():
         raise ValueError(f"not an HTTP status line: {status_line!r}")
-    fields = {}
-    for line in lines:
-        name, _, value = line.partition(":")
-        fields[name.strip().lower()] = value.strip()
-    length = fields.get("content-length")
+    length = location = None
+    for name, value in _FIELD_RE.findall(head):
+        if name.lower() == "location":
+            location = value.strip()
+        else:
+            length = value.strip()
     if length is not None and not length.isdigit():
         raise ValueError(f"bad Content-Length {length!r}")
     want = None if length is None else int(length)
-    chunks, size = [data[end + 4 :]], len(data) - end - 4
-    while want is None or size < want:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size += len(chunk)
-    if want is not None and size < want:
-        raise ValueError(f"the reply ended {want - size} bytes short of its Content-Length")
-    return int(rest[:3]), fields, b"".join(chunks)[:want]
+    body = bytearray(data[end + 4 :])
+    while (want is None or len(body) < want) and (chunk := sock.recv(65536)):
+        body += chunk
+    if want is not None and len(body) < want:
+        raise ValueError(f"the reply ended {want - len(body)} bytes short of its Content-Length")
+    return int(rest[:3]), location, bytes(body[:want])
 
 
-def _request(method: str, base_url: str, path: str, timeout: float, payload=None) -> tuple[int, bytes]:
+def _request(method: str, base_url: str, path: str, timeout: float, payload=None) -> tuple[str, int, bytes]:
     """One HTTP exchange with ``path`` under ``base_url``, on a connection
-    of its own, through the proxy the environment names; returns status and
-    body, error statuses included.  A redirect is not followed.  A failed
-    exchange is a TransportError.  The exchange is one HTTP/1.0 request and
-    its reply, framed here on the socket ``_connect`` opens."""
+    of its own, through the proxy the environment names; returns the URL,
+    status and body, error statuses included.  A redirect is not followed.  A
+    failed exchange is a TransportError.  The exchange is one HTTP/1.0 request
+    and its reply, framed here on the socket ``_connect`` opens."""
     url = base_url.rstrip("/") + path
     head = f"User-Agent: alurity/{__version__}\r\n"
     if token := os.environ.get(TOKEN_ENV):
@@ -187,12 +179,12 @@ def _request(method: str, base_url: str, path: str, timeout: float, payload=None
         sock, target, route = _connect(base_url, path, timeout)
         with sock:
             sock.sendall(f"{method} {target} HTTP/1.0\r\n{route}{head}\r\n".encode("latin-1") + data)
-            status, reply, body = _reply(sock)
+            status, location, body = _reply(sock)
     except (OSError, ValueError) as exc:  # ValueError: a bad URL or reply
         raise TransportError(f"{method} {url}: {exc}") from exc
     if 300 <= status < 400:
-        raise TransportError(f"{method} {url}: HTTP {status} redirect to {reply.get('location')} not followed")
-    return status, body
+        raise TransportError(f"{method} {url}: HTTP {status} redirect to {location} not followed")
+    return url, status, body
 
 
 def _decode(body: bytes, url: str, build):
@@ -214,8 +206,7 @@ def _ticket(doc: dict) -> Ticket:
 
 
 def fetch_ticket(base_url: str, ticket_id: int, timeout: float = 10.0) -> Ticket:
-    url = f"{base_url.rstrip('/')}/issues/{ticket_id}"
-    status, body = _request("GET", base_url, f"/issues/{ticket_id}", timeout)
+    url, status, body = _request("GET", base_url, f"/issues/{ticket_id}", timeout)
     if status == 404:
         raise NotFound(ticket_id)
     if status >= 400:
@@ -231,8 +222,7 @@ def push_issue(base_url: str, record, timeout: float = 10.0) -> int:
         "body": body,
         "labels": [record.flaw_class, record.severity],
     }
-    url = f"{base_url.rstrip('/')}/issues"
-    status, body = _request("POST", base_url, "/issues", timeout, payload)
+    url, status, body = _request("POST", base_url, "/issues", timeout, payload)
     if 400 <= status < 500:
         raise Rejected(status, body.decode("utf-8", "replace"))
     if status >= 500:

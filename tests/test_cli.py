@@ -481,6 +481,14 @@ def test_non_utf8_document_exits_2(run_cli, tmp_path, monkeypatch, args):
     assert err.startswith("cannot parse ") and "not UTF-8" in err
 
 
+def test_a_flow_file_without_a_flow_section_exits_2(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "flow.yaml"
+    path.write_text("{}\n")
+    assert run_cli("run", ROSNET, "--flow", str(path)) == (2, "", f"cannot parse flow {path}: flow document must contain a 'flow' section (line 1)\n")
+    assert not (tmp_path / "transcripts").exists()
+
+
 DEEP_NAME = f"networks:\n  - network:\n    - name:\n      {nested(DEEP)}\n    - subnet: 12.0.0.0/24\n"
 DEEP_DOCUMENTS = {
     "validate": (("validate",), DEEP_NAME),
@@ -765,12 +773,15 @@ USAGE_ERRORS = {
     "unknown-backend": ("run", LISTING1, "--backend", "xen"),
     "option-without-value": ("run", LISTING1, "--flow"),
     "short-help": ("run", "-h"),
+    "no-tools": ("pipeline", "--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", ","),
+    "no-index": ("pipeline", *TARGET_AND_TOOL),
 }
 
 
 @pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_is_one_stderr_line_and_exits_64(run_cli, tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.REGISTRY_INDEX_ENV, raising=False)
     code, out, err = run_cli(*args)
     assert (code, out) == (64, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1, err

@@ -131,6 +131,11 @@ class TestValidate:
         assert [d.severity for d in diags] == ["warning"]
         assert diags[0].code == "no-network"
 
+    def test_an_unknown_driver_is_a_warning(self):
+        diags = validate(Scenario(networks=(net(driver="bridge"),), containers=(box("a"),)))
+        assert [(d.severity, d.code, d.location) for d in diags] == [("warning", "unknown-driver", "networks[0].driver")]
+        assert diags[0].message == "driver 'bridge' is not a known driver"
+
     def test_duplicate_names(self):
         s = Scenario(
             networks=(net("n1"), net("n1", subnet="13.0.0.0/24")),

@@ -76,6 +76,19 @@ class TestUp:
             up(bad, backend)
         assert backend.journal == []
 
+    def test_an_invalid_scenario_is_named_by_its_first_error(self):
+        """A warning that sorts before the error is not the reason given."""
+        bad = Scenario(
+            networks=(NetworkSpec(name="n", subnet="12.0.0.0/24", driver="bridge"),),
+            containers=(ContainerSpec(name="a", base=BASE, networks=("n",), cpus=0),),
+        )
+        assert [d.severity for d in validate(bad)] == ["warning", "error"]
+        backend = MockBackend()
+        with pytest.raises(DeploymentFailure, match=r"scenario invalid: error invalid-cpus containers\[0\]\.cpus ") as exc:
+            up(bad, backend)
+        assert "unknown-driver" not in str(exc.value)
+        assert backend.journal == []
+
     def test_unresolvable_module_fails_before_create(self, listing1, registry):
         from dataclasses import replace
 

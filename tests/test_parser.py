@@ -525,6 +525,11 @@ class TestParseFlow:
     def test_empty_flow(self):
         assert parse_flow("flow:\n") == []
 
+    def test_an_empty_map_is_not_a_flow_document(self):
+        with pytest.raises(ParseFailure) as exc:
+            parse_flow("{}\n")
+        assert (exc.value.message, exc.value.line) == ("flow document must contain a 'flow' section", 1)
+
     def test_unknown_split_fails_at_line(self):
         text = (
             "flow:\n"

@@ -114,6 +114,12 @@ class TestPush:
             assert locations == [] and outbox == records
 
 
+def forget_proxies():
+    """Drop the process's proxy snapshot and every route worked out from it."""
+    rvd._proxies.cache_clear()
+    rvd._route.cache_clear()
+
+
 class TestClient:
     """One exchange on a socket of its own: a bare TCP connection for
     ``http``, direct or to a plain proxy, and the socket ``http.client``
@@ -125,11 +131,13 @@ class TestClient:
     @pytest.fixture(autouse=True)
     def no_proxies(self, monkeypatch):
         """A process that has not read its proxies yet, in an environment
-        that names none."""
-        monkeypatch.setattr(rvd, "_proxies", None)
+        that names none; no later test inherits the proxies a test read."""
+        forget_proxies()
         for scheme in ("http", "https", "all", "no"):
             for name in (f"{scheme}_proxy", f"{scheme.upper()}_PROXY"):
                 monkeypatch.delenv(name, raising=False)
+        yield
+        forget_proxies()
 
     def test_headers(self, tracker, monkeypatch):
         stub, url = tracker
@@ -175,7 +183,7 @@ class TestClient:
             fetch_ticket(f"{url}/api/", issue_id)
         assert stub.seen[-1][1] == f"/api/issues/{issue_id}"
         monkeypatch.setenv("http_proxy", url)
-        monkeypatch.setattr(rvd, "_proxies", None)
+        forget_proxies()
         with pytest.raises(NotFound):
             fetch_ticket("http://tracker.invalid/api", 7)
         assert stub.seen[-1][1] == "http://tracker.invalid/api/issues/7"
@@ -230,7 +238,7 @@ class TestClient:
         fetch_ticket(url, ticket_id)
         monkeypatch.setenv("http_proxy", "http://127.0.0.1:1")
         assert fetch_ticket(url, ticket_id).id == ticket_id
-        monkeypatch.setattr(rvd, "_proxies", None)
+        forget_proxies()
         with pytest.raises(TransportError):
             fetch_ticket(url, ticket_id, timeout=0.3)
 
@@ -241,6 +249,46 @@ class TestClient:
         with pytest.raises(TransportError, match=f"HTTP {status} redirect to {url}/issues/2 not followed"):
             fetch_ticket(url, 1)
         assert len(stub.seen) == 1
+
+    def test_field_names_are_read_in_any_case_and_the_last_one_counts(self, tracker):
+        stub, url = tracker
+        stub.raw = f"HTTP/1.0 302 Found\r\nLOCATION: {url}/issues/9\r\nlocation:  {url}/issues/2 \r\n\r\n".encode()
+        with pytest.raises(TransportError, match=f"HTTP 302 redirect to {url}/issues/2 not followed"):
+            fetch_ticket(url, 1)
+        stub.raw = b'HTTP/1.1 201 Created\r\nContent-Length: 90\r\nCONTENT-LENGTH: 9\r\n\r\n{"id": 4}trailing'
+        assert push_issue(url, make_record("networks:\n")) == 4
+
+    def test_a_reply_head_past_64_kib_is_a_transport_error(self):
+        """A server that sends a head longer than ``_MAX_HEAD`` without its
+        blank line and keeps the connection open is not waited on until the
+        timeout."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        done = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                try:
+                    conn.sendall(b"HTTP/1.0 200 OK\r\n" + b"X-Pad: %s\r\n" % (b"p" * 1000) * 70)
+                except OSError:  # the client stopped reading
+                    pass
+                done.wait(10)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="no complete HTTP reply header"):
+                fetch_ticket(f"http://127.0.0.1:{port}", 1, timeout=5)
+            elapsed = time.monotonic() - start
+        finally:
+            done.set()
+            server.join(10)
+            listener.close()
+        assert not server.is_alive()
+        assert elapsed < 4
 
     def test_a_reply_without_length_runs_to_the_close(self, tracker):
         stub, url = tracker
