@@ -1,47 +1,9 @@
 """Scenario orchestration toolbox for mixed container/VM cybersecurity
 testbeds: declarative YAML scenarios, topology planning, scripted flows,
-and automated flaw-record pipelines."""
+and automated flaw-record pipelines.
 
-from .model import (
-    Command,
-    ContainerSpec,
-    Diagnostic,
-    FlowSpec,
-    ModuleRef,
-    NetworkSpec,
-    Scenario,
-    Split,
-    VmSpec,
-    WindowSpec,
-    endpoints,
-    validate,
-)
-from .parser import (
-    ParseFailure,
-    parse_flow,
-    parse_scenario,
-    serialize_flow,
-    serialize_scenario,
-)
-
-__all__ = [
-    "Command",
-    "ContainerSpec",
-    "Diagnostic",
-    "FlowSpec",
-    "ModuleRef",
-    "NetworkSpec",
-    "ParseFailure",
-    "Scenario",
-    "Split",
-    "VmSpec",
-    "WindowSpec",
-    "endpoints",
-    "parse_flow",
-    "parse_scenario",
-    "serialize_flow",
-    "serialize_scenario",
-    "validate",
-]
+The package root holds only ``__version__``; import every other name from
+its module (``alurity.model``, ``alurity.parser``, ``alurity.netplan``, ...).
+"""
 
 __version__ = "0.1.0"

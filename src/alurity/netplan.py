@@ -172,7 +172,7 @@ def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan
     return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
 
 
-def reachable(plan: ConnectivityPlan, assignment: AddressAssignment, a: str, b: str) -> bool:
+def reachable(plan: ConnectivityPlan, a: str, b: str) -> bool:
     """True iff the endpoints share a network (no transit forwarding)."""
     for name in (a, b):
         if name not in plan.attachments:

@@ -171,12 +171,11 @@ class MockBackend:
 
 
 class Deployment:
-    """Live scenario state: backend handles and per-endpoint states."""
+    """Live scenario state: the address assignment, the backend, its handles
+    and per-endpoint states."""
 
-    def __init__(self, scenario, assignment, plan, backend):
-        self.scenario = scenario
+    def __init__(self, assignment, backend):
         self.assignment = assignment
-        self.plan = plan
         self.backend = backend
         self.states: dict[str, str] = {}
         self.handles: dict = {}
@@ -237,7 +236,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
 
     assignment = allocate_addresses(scenario)
     plan = build_connectivity_plan(scenario, assignment)
-    deployment = Deployment(scenario, assignment, plan, backend)
+    deployment = Deployment(assignment, backend)
 
     specs = endpoint_specs(scenario)
 

@@ -201,7 +201,7 @@ def _built(node: yaml.Node, built: dict):
     come first, the first of a list winning."""
     if isinstance(node, ScalarNode):
         value = _scalar(node)
-        if type(value) is str and not node.style and value[:1] in _TYPED_FIRST and (tag := _implicit_tag(value)) != _STR_TAG:
+        if type(value) is str and not node.style and value[:1] in _TYPED_FIRST and (tag := _typed(value)[0]) != _STR_TAG:
             raise ParseFailure(f"{value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(node))
         return value
     if node in built:
@@ -260,33 +260,26 @@ def _scalar(node: yaml.Node):
     if not isinstance(node, ScalarNode):
         raise ParseFailure("expected a scalar value", _line(node))
     text = node.value
-    return text if node.style or text[:1] not in _TYPED_FIRST else _typed(text)
+    return text if node.style or text[:1] not in _TYPED_FIRST else _typed(text)[1]
 
 
 @functools.lru_cache(maxsize=1024)
-def _implicit_tag(text: str) -> str:
-    """The tag YAML 1.1 gives plain ``text``; kept per text, as keys repeat."""
-    return _RESOLVER.resolve(ScalarNode, text, (True, False))
-
-
-@functools.lru_cache(maxsize=1024)
-def _typed(text: str):
-    """Plain scalar ``text`` typed by the resolver and built by the safe
-    constructor for its tag.
+def _typed(text: str) -> tuple:
+    """``(tag, value)`` for plain scalar ``text``: the tag YAML 1.1's
+    resolver gives it and the value the safe constructor builds for that tag,
+    the text itself when it does not construct.
 
     Most texts repeat within a document (``cpus``, ``memory``, network
     names), so each is typed once.  Sharing a value between callers is safe:
     every implicit type (None, bool, int, float, str, date, datetime) is
     immutable.
     """
-    tag = _implicit_tag(text)
-    if tag == _STR_TAG:
-        return text
-    construct = _CONSTRUCTOR.yaml_constructors.get(tag)
+    tag = _RESOLVER.resolve(ScalarNode, text, (True, False))
+    construct = None if tag == _STR_TAG else _CONSTRUCTOR.yaml_constructors.get(tag)
     try:
-        return text if construct is None else construct(_CONSTRUCTOR, ScalarNode(tag, text))
+        return tag, text if construct is None else construct(_CONSTRUCTOR, ScalarNode(tag, text))
     except (ValueError, yaml.YAMLError):
-        return text
+        return tag, text
 
 
 # Readers take the record's ``loc`` and the ``key`` apart and join them only
@@ -638,7 +631,7 @@ def _emit_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     s = str(value)
-    if _BARE_RE.fullmatch(s) and (s[0] not in _TYPED_FIRST or _implicit_tag(s) == _STR_TAG):
+    if _BARE_RE.fullmatch(s) and (s[0] not in _TYPED_FIRST or _typed(s)[0] == _STR_TAG):
         return s
     return quote(s)
 

@@ -50,7 +50,6 @@ class Ticket:
     id: int
     title: str
     body: str
-    labels: tuple[str, ...] = ()
 
 
 # Visible latin-1 text: what an HTTP header value can carry on one line.
@@ -201,7 +200,6 @@ def _ticket(doc: dict) -> Ticket:
         id=int(doc["id"]),
         title=str(doc.get("title", "")),
         body=str(doc.get("body", "")),
-        labels=tuple(doc.get("labels", [])),
     )
 
 

@@ -801,3 +801,10 @@ def test_cli_import_does_not_load_requests():
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_the_package_version_is_the_project_version():
+    """``alurity.__version__`` (the tracker client's User-Agent) and
+    ``pyproject.toml``'s ``version`` are one number."""
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == alurity.__version__

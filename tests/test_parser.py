@@ -767,10 +767,15 @@ def test_readers_leave_the_collector_as_they_found_it(read, args, failure, enabl
         (gc.enable if was_enabled else gc.disable)()
 
 
+def reference_tag(text: str) -> str:
+    """The tag the resolver gives a plain scalar."""
+    return yaml.resolver.Resolver().resolve(ScalarNode, text, (True, False))
+
+
 def reference_typed(text: str):
     """The uncached typing of a plain scalar: resolve its tag, then build the
     value with the safe constructor; text that does not construct stays text."""
-    tag = yaml.resolver.Resolver().resolve(ScalarNode, text, (True, False))
+    tag = reference_tag(text)
     constructor = yaml.constructor.SafeConstructor()
     construct = constructor.yaml_constructors.get(tag)
     if tag == "tag:yaml.org,2002:str" or construct is None:
@@ -791,6 +796,7 @@ def _same(a, b) -> bool:
 @given(st.one_of(st.sampled_from(ODD_SCALARS), st.text(max_size=20)))
 def test_cached_typing_matches_the_uncached_rule(text):
     expected = reference_typed(text)
-    first = parser._typed(text)
+    tag, first = parser._typed(text)
+    assert tag == reference_tag(text), (text, tag)
     assert _same(first, expected), (text, first, expected)
-    assert _same(parser._typed(text), first)
+    assert _same(parser._typed(text)[1], first)

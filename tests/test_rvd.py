@@ -42,7 +42,13 @@ class TestFetch:
         stub, url = tracker
         ticket_id = stub.seed("UR3 flaw", "details", labels=["dos"])
         ticket = fetch_ticket(url, ticket_id)
-        assert ticket == Ticket(id=ticket_id, title="UR3 flaw", body="details", labels=("dos",))
+        assert ticket == Ticket(id=ticket_id, title="UR3 flaw", body="details")
+
+    def test_null_labels_are_not_read(self, tracker):
+        stub, url = tracker
+        ticket_id = stub.seed("UR3 flaw", "details")
+        stub.issues[ticket_id]["labels"] = None
+        assert fetch_ticket(url, ticket_id) == Ticket(id=ticket_id, title="UR3 flaw", body="details")
 
     def test_unknown_id(self, tracker):
         _, url = tracker
