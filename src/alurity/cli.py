@@ -140,13 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 raise _Failure(EXIT_DEPLOYMENT, "transcript failed verification")
             text = flow_engine.transcript_to_yaml(transcript)
             stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
-            out_path = os.path.join(args.transcript_dir, f"{stamp}.yaml")
-            try:
-                os.makedirs(args.transcript_dir, exist_ok=True)
-                with open(out_path, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            except OSError as exc:
-                raise _Failure(EXIT_DEPLOYMENT, f"cannot write transcript to {args.transcript_dir}: {exc}") from exc
+            out_path = pipeline.write_into(args.transcript_dir, f"{stamp}.yaml", text, "transcript")
             print(f"transcript written to {out_path}", file=sys.stderr)
     return EXIT_OK
 

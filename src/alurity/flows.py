@@ -15,15 +15,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import Command, FlowSpec, Split
+from .netplan import UnknownEndpoint
 from .orchestrator import CommandResult, Deployment
 from .parser import quote
 
 # (endpoint, window, pane index): the key of one pane in a plan and a transcript
 Pane = tuple[str, str, int]
-
-
-class UnknownEndpointInFlow(Exception):
-    pass
 
 
 class TranscriptEvent(NamedTuple):
@@ -52,7 +49,7 @@ def compile_flow(
     known = None if known_endpoints is None else set(known_endpoints)
     for spec in flow:
         if known is not None and spec.endpoint not in known:
-            raise UnknownEndpointInFlow(spec.endpoint)
+            raise UnknownEndpoint(spec.endpoint)
         for window in spec.windows:
             pane, texts = 0, []
             for item in window.items:
@@ -76,7 +73,7 @@ def run_flow(deployment: Deployment, plan: Sequence[tuple[Pane, Sequence[str]]])
     """
     for (endpoint, _, _), _ in plan:
         if endpoint not in deployment.states:
-            raise UnknownEndpointInFlow(endpoint)
+            raise UnknownEndpoint(endpoint)
     sessions = deque((key, deque(texts)) for key, texts in plan if texts)
     events: list = []
     while sessions:

@@ -279,9 +279,12 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
             seen_endpoints[name] = loc
         if not networks:
             emit(pos, "warning", "no-network", loc, f"endpoint {name!r} is attached to no network")
+        first: dict[str, int] = {}  # network name -> its first index in ``networks``, so the check stays linear
         for j, ref in enumerate(networks):
             if ref not in subnet_by_name:
                 emit(pos, "error", "network-not-found", f"{loc}.networks[{j}]", f"network {ref!r} is not declared")
+            if first.setdefault(ref, j) != j:
+                emit(pos, "error", "duplicate-network-reference", f"{loc}.networks[{j}]", f"network {ref!r} already attached at {loc}.networks[{first[ref]}]")
         if cpus < 1:
             emit(pos, "error", "invalid-cpus", f"{loc}.cpus", f"cpus must be a positive integer, got {cpus}")
         if memory < 1:

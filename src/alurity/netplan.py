@@ -21,7 +21,7 @@ class AllocationFailure(Exception):
 
 
 class UnknownEndpoint(Exception):
-    pass
+    """A name no endpoint of the deployment or scenario has, from ``flows`` and ``Deployment.exec`` alike."""
 
 
 class UnsupportedFormat(Exception):
@@ -170,16 +170,6 @@ def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan
     entries += [PlanEntry(kind="filter-rule", action="drop-external" if net.internal else "masquerade", network=net.name) for net in used]
     entries += [PlanEntry(kind="metadata", network=net.name, encryption=True) for net in used if net.encryption]
     return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
-
-
-def reachable(plan: ConnectivityPlan, a: str, b: str) -> bool:
-    """True iff the endpoints share a network (no transit forwarding)."""
-    for name in (a, b):
-        if name not in plan.attachments:
-            raise UnknownEndpoint(name)
-    if a == b:
-        return True
-    return bool(set(plan.attachments[a]) & set(plan.attachments[b]))
 
 
 def export_plan_yaml(plan: ConnectivityPlan) -> str:

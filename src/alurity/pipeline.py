@@ -40,7 +40,20 @@ class ValidationFailure(Exception):
 
 
 class SinkUnwritable(Exception):
-    """A record directory that cannot be written."""
+    """A record or transcript directory that cannot be written."""
+
+
+def write_into(directory: str, name: str, text: str, what: str) -> str:
+    """Write ``text`` to the file ``name`` in ``directory``, made if missing, and
+    return its path; ``SinkUnwritable`` naming ``what`` and the directory if that fails."""
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SinkUnwritable(f"cannot write {what} to {directory}: {exc}") from exc
+    return path
 
 
 @dataclass(frozen=True)
@@ -148,14 +161,7 @@ class DirectorySink:
         import hashlib  # imported by its only user: it loads OpenSSL
         text = record.to_yaml()
         digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-        target = os.path.join(self.path, f"rvd-{digest}.yaml")
-        try:
-            os.makedirs(self.path, exist_ok=True)
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise SinkUnwritable(f"cannot write records to {self.path}: {exc}") from exc
-        return target
+        return write_into(self.path, f"rvd-{digest}.yaml", text, "records")
 
 
 class TrackerSink:

@@ -294,8 +294,11 @@ def _read_block(block: str):
         raise failure from None
     if not isinstance(doc, dict) or "reproduction" not in doc:
         raise failure
-    reproduction = doc["reproduction"] or {}
-    texts = (reproduction.get("scenario", ""), reproduction.get("flow") or "") if isinstance(reproduction, dict) else (None,)
+    reproduction = {} if doc["reproduction"] is None else doc["reproduction"]  # only null is empty
+    texts = (None,)
+    if isinstance(reproduction, dict):
+        flow = reproduction.get("flow")
+        texts = (reproduction.get("scenario", ""), "" if flow is None else flow)
     if not all(isinstance(text, str) for text in texts):
         raise ParseFailure("a flaw record without a readable reproduction")
     scenario, flow = _read_reproduction(*texts)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from alurity.cli import main as cli_main
 from alurity.flows import Transcript, TranscriptEvent, compile_flow, run_flow, transcript_to_yaml, verify_transcript
 from alurity.model import Command, ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
-from alurity.netplan import allocate_addresses, build_connectivity_plan, reachable
+from alurity.netplan import allocate_addresses, build_connectivity_plan
 from alurity.orchestrator import CommandResult, DeploymentFailure, MockBackend, up
 from alurity.parser import parse_flow, parse_scenario, serialize_scenario
 from alurity.pipeline import FlawRecord, PipelineSpec, run_pipeline
@@ -29,6 +29,7 @@ from alurity.toolreg import load_registry_index
 import conftest
 from failing_backend import FailingBackend
 from strategies import BASE_REFS, random_topology, scenarios
+from test_netplan import linked_bridges, reachable
 from test_parser import LISTING1_EXPECTED, LISTING2_EXPECTED
 from test_rvd_oracle import record_document
 from yaml_classes import load
@@ -125,7 +126,8 @@ def test_criterion_4_reachability_oracle():
             assignment = allocate_addresses(scenario)
             plan = build_connectivity_plan(scenario, assignment)
             names = [n for n, _ in endpoints(scenario)]
-            nets = {n: set(plan.attachments[n]) for n in names}
+            bridges = linked_bridges(plan)
+            nets = {n: bridges.get(n, set()) for n in names}
             for a in names:
                 for b in names:
                     oracle = a == b or bool(nets[a] & nets[b])

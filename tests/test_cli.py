@@ -55,6 +55,19 @@ class TestValidate:
         assert code == 0
         assert out == ""
 
+    def test_repeated_network_reference_exits_1_with_its_line(self, run_cli, tmp_path):
+        path = tmp_path / "twice.yaml"
+        path.write_text(
+            "networks:\n  - network:\n    - name: n\n    - subnet: 12.0.0.0/24\n"
+            "containers:\n  - container:\n    - name: a\n    - modules:\n       - base: r/x:1\n"
+            "       - network: [n, n]\n"
+        )
+        code, out, _ = run_cli("validate", str(path))
+        assert code == 1
+        assert out == "error duplicate-network-reference containers[0].networks[1] network 'n' already attached at containers[0].networks[0] (line 10)\n"
+        code, out, _ = run_cli("graph", str(path))
+        assert code == 1 and out == ""
+
     def test_duplicate_ip_exits_1(self, run_cli, tmp_path):
         text = (
             "networks:\n"
@@ -746,6 +759,30 @@ class TestPipeline:
         ids = [int(line) for line in out.splitlines()]
         assert len(ids) == 2
         assert all(i in stub.issues for i in ids)
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (("run", ROSNET, "--flow", LISTING3, "--mock-responses", RESPONSES, "--transcript-dir"), "transcript"),
+        (
+            ("pipeline", "--target", f"{REG}/robo_ur_cb3_1:3.13.0", "--tools", f"{REG}/reco_aztarna:latest",
+             "--index", INDEX, "--mock-responses", RESPONSES, "--sink-path"),
+            "records",
+        ),
+    ],
+    ids=["transcript", "records"],
+)
+def test_each_directory_write_failure_keeps_its_own_prefix(run_cli, tmp_path, args, what):
+    """Transcripts and records share one writer; each failure still says
+    what it could not write, and where, and exits 3."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    target = blocker / "out"
+    code, out, err = run_cli(*args, str(target))
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"cannot write {what} to {target}: ")
 
 
 def test_unexpected_exception_is_a_one_line_internal_error(run_cli, monkeypatch):

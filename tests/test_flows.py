@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from alurity.flows import (
     Transcript,
     TranscriptEvent,
-    UnknownEndpointInFlow,
     compile_flow,
     run_flow,
     transcript_to_yaml,
     verify_transcript,
 )
 from alurity.model import Command, ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, Split, WindowSpec
+from alurity.netplan import UnknownEndpoint
 from alurity.orchestrator import CommandResult, MockBackend, up
 
 from strategies import BASE_REFS
@@ -69,7 +69,7 @@ class TestCompile:
         assert compile_flow([spec]) == ((("x", "w", 0), ()), (("x", "w", 1), ("a",)))
 
     def test_unknown_endpoint(self, listing3):
-        with pytest.raises(UnknownEndpointInFlow):
+        with pytest.raises(UnknownEndpoint):
             compile_flow(listing3, known_endpoints=["rosmachine"])
 
     def test_unknown_selected_window(self):
@@ -145,7 +145,7 @@ class TestRun:
         plan = compile_flow(
             [FlowSpec(name, (WindowSpec("w", (Command("a"),)),)) for name in ("attacker", "ghost")]
         )
-        with pytest.raises(UnknownEndpointInFlow, match="ghost"):
+        with pytest.raises(UnknownEndpoint, match="ghost"):
             run_flow(deployment, plan)
         assert deployment.calls == []
 
@@ -172,6 +172,26 @@ class TestRun:
         assert time.monotonic() - start < 1.0
 
 
+class TestUnknownEndpoint:
+    """One exception for a name the deployment lacks, wherever it is looked up."""
+
+    @pytest.mark.parametrize("call", ["compile_flow", "run_flow", "Deployment.exec"])
+    def test_undeclared_name_raises_unknown_endpoint_and_runs_nothing(self, deployment, call):
+        ran = []
+        backend_exec = deployment.backend.exec
+        deployment.backend.exec = lambda handle, command: ran.append(command) or backend_exec(handle, command)
+        flow = [FlowSpec(name, (WindowSpec("w", (Command("a"),)),)) for name in ("attacker", "ghost")]
+        calls = {
+            "compile_flow": lambda: compile_flow(flow, known_endpoints=deployment.states),
+            "run_flow": lambda: run_flow(deployment, compile_flow(flow)),
+            "Deployment.exec": lambda: deployment.exec("ghost", "a"),
+        }
+        with pytest.raises(UnknownEndpoint, match="^ghost$"):
+            calls[call]()
+        assert ran == []
+        assert deployment.exec("attacker", "a").exit_code == 0 and ran == ["a"]
+
+
 def reference_run_flow(deployment, plan, rng=None):
     """``run_flow`` as it was, taking each command off the front of a list
     and keeping a cursor into the sessions: the reference for the
@@ -179,7 +199,7 @@ def reference_run_flow(deployment, plan, rng=None):
     which still keeps each pane's order."""
     for (endpoint, _, _), _ in plan:
         if endpoint not in deployment.states:
-            raise UnknownEndpointInFlow(endpoint)
+            raise UnknownEndpoint(endpoint)
     sessions = [[*key, list(texts)] for key, texts in plan if texts]
 
     transcript = Transcript()

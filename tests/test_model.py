@@ -125,6 +125,20 @@ class TestValidate:
         assert diags[0].code == "network-not-found"
         assert diags[0].location == "containers[0].networks[0]"
 
+    @pytest.mark.parametrize(
+        "scenario, endpoint, repeat",
+        [
+            (Scenario(networks=(net(),), containers=(box("a", networks=("net", "net")),)), "containers[0]", 1),
+            (Scenario(networks=(net(),), vms=(VmSpec(name="v", path="/v", networks=("net", "ghost", "net")),)), "vms[0]", 2),
+        ],
+        ids=["container", "vm"],
+    )
+    def test_a_repeated_network_reference_is_an_error(self, scenario, endpoint, repeat):
+        diags = [d for d in validate(scenario) if d.code == "duplicate-network-reference"]
+        assert [(d.severity, d.location, d.message) for d in diags] == [
+            ("error", f"{endpoint}.networks[{repeat}]", f"network 'net' already attached at {endpoint}.networks[0]")
+        ]
+
     def test_zero_networks_is_a_warning(self):
         s = Scenario(networks=(net(),), containers=(box("a", networks=()),))
         diags = validate(s)
@@ -186,8 +200,10 @@ class TestValidate:
         assert [d.code for d in validate(crowded)] == ["subnet-exhausted"]
 
     def test_network_listed_twice_is_one_attachment(self):
+        """The repeat is an error of its own, and the /30's one free host
+        address is not also reported exhausted."""
         s = Scenario(networks=(net(subnet="12.0.0.0/30"),), containers=(box("a", networks=("net", "net")),))
-        assert validate(s) == []
+        assert [(d.code, d.location) for d in validate(s)] == [("duplicate-network-reference", "containers[0].networks[1]")]
 
     def test_manual_address_covers_only_its_own_network(self):
         a, b = net("a", "12.0.0.0/30"), net("b", "13.0.0.0/30")

@@ -19,7 +19,6 @@ from alurity.netplan import (
     build_connectivity_plan,
     export_graph,
     export_plan_yaml,
-    reachable,
 )
 
 from strategies import BASE_REFS, random_topology
@@ -30,6 +29,25 @@ BASE = ModuleRef.parse(BASE_REFS[0])
 def plan_for(scenario):
     assignment = allocate_addresses(scenario)
     return build_connectivity_plan(scenario, assignment), assignment
+
+
+def reachable(plan, a, b):
+    """The reachability oracle: True iff the endpoints share a network of
+    ``plan.attachments`` (no transit forwarding); ``UnknownEndpoint`` for a
+    name the plan lacks."""
+    for name in (a, b):
+        if name not in plan.attachments:
+            raise UnknownEndpoint(name)
+    return a == b or bool(set(plan.attachments[a]) & set(plan.attachments[b]))
+
+
+def linked_bridges(plan):
+    """Endpoint name -> the bridges the plan's veth-pair and tap-attach entries attach it to."""
+    bridges = {}
+    for entry in plan.entries:
+        if entry.kind in ("veth-pair", "tap-attach"):
+            bridges.setdefault(entry.endpoint, set()).add(entry.bridge)
+    return bridges
 
 
 class TestAllocation:
@@ -197,7 +215,8 @@ class TestReachable:
             scenario = random_topology(rng)
             plan, _ = plan_for(scenario)
             names = [n for n, _ in endpoints(scenario)]
-            attached = {n: set(plan.attachments[n]) for n in names}
+            bridges = linked_bridges(plan)
+            attached = {n: bridges.get(n, set()) for n in names}
             for x in names:
                 for y in names:
                     expected = x == y or bool(attached[x] & attached[y])

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alurity import flows, netplan, orchestrator, parser, pipeline
-from alurity.flows import UnknownEndpointInFlow
 from alurity.model import ModuleRef, validate
+from alurity.netplan import UnknownEndpoint
 from alurity.orchestrator import MockBackend, TeardownLeak
 from alurity.pipeline import (
     DirectorySink,
@@ -294,11 +294,11 @@ class TestRunPipeline:
 
     def test_earlier_failure_outranks_a_teardown_leak(self, registry, monkeypatch):
         def abort(deployment, plan):
-            raise UnknownEndpointInFlow("ghost")
+            raise UnknownEndpoint("ghost")
 
         monkeypatch.setattr(flows, "run_flow", abort)
         backend = FailingBackend(fail_destroy={"scanner"})
-        with pytest.raises(UnknownEndpointInFlow):
+        with pytest.raises(UnknownEndpoint):
             run_pipeline(PipelineSpec(target=TARGET, tools=(AZTARNA,)), backend, registry)
         assert not backend.endpoints["scanner"].destroyed
 

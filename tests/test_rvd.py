@@ -24,6 +24,10 @@ from strategies import scenarios
 from yaml_classes import dump
 
 
+# The last line of a record whose reproduction has no flow.
+EMPTY_FLOW_LINE = '  flow: ""\n'
+
+
 def make_record(scenario_yaml, flow_yaml=""):
     return FlawRecord(
         title="ROS master takedown",
@@ -445,6 +449,46 @@ class TestExtract:
     def test_record_without_usable_reproduction(self, record):
         with pytest.raises(NoReproductionFound):
             extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{record}```\n"))
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("0", "a flaw record without a readable reproduction"),
+            ("false", "a flaw record without a readable reproduction"),
+            ('""', "a flaw record without a readable reproduction"),
+            ("[]", "a flaw record without a readable reproduction"),
+            ("null", "a flaw record whose reproduction scenario has no endpoints"),
+            ("", "a flaw record whose reproduction scenario has no endpoints"),
+        ],
+        ids=["zero", "false", "empty-text", "empty-list", "null", "blank"],
+    )
+    def test_only_a_null_reproduction_is_empty(self, value, reason):
+        body = f"```yaml\ntitle: t\nreproduction: {value}\n```\n"
+        with pytest.raises(NoReproductionFound) as exc:
+            extract_reproduction(Ticket(id=1, title="t", body=body))
+        assert str(exc.value) == f"ticket 1 embeds no scenario\n  block 1 at line 2: {reason}"
+
+    def test_a_record_without_reproduction_is_no_record(self):
+        with pytest.raises(NoReproductionFound, match="block 1 at line 2: unknown top-level key 'title'"):
+            extract_reproduction(Ticket(id=1, title="t", body="```yaml\ntitle: t\n```\n"))
+
+    @staticmethod
+    def record_with_flow_line(scenario_text, flow_line):
+        """A ticket whose one block is a record of ``scenario_text`` with
+        ``flow_line`` in place of its reproduction's flow line."""
+        text = make_record(scenario_text).to_yaml()
+        assert text.endswith(EMPTY_FLOW_LINE)
+        return Ticket(id=1, title="t", body=f"```yaml\n{text.removesuffix(EMPTY_FLOW_LINE)}{flow_line}```\n")
+
+    @pytest.mark.parametrize("value", ["0", "false", "[]"])
+    def test_a_flow_that_is_not_text_is_no_readable_reproduction(self, listing1_text, value):
+        with pytest.raises(NoReproductionFound) as exc:
+            extract_reproduction(self.record_with_flow_line(listing1_text, f"  flow: {value}\n"))
+        assert str(exc.value) == "ticket 1 embeds no scenario\n  block 1 at line 2: a flaw record without a readable reproduction"
+
+    @pytest.mark.parametrize("flow_line", [EMPTY_FLOW_LINE, "  flow: null\n", "  flow:\n", ""], ids=["empty", "null", "blank", "missing"])
+    def test_an_empty_or_missing_flow_runs_none(self, listing1_text, listing1, flow_line):
+        assert extract_reproduction(self.record_with_flow_line(listing1_text, flow_line)) == (listing1, None)
 
     def test_a_record_block_is_read_by_the_config_rules(self, listing1_text, listing1):
         """Explicit tags are ignored, and a node that contains itself leaves
