@@ -209,6 +209,12 @@ def _subnet_or_none(net: NetworkSpec) -> Optional[ipaddress.IPv4Network]:
         return None
 
 
+def manual_network(addr: ipaddress.IPv4Address, networks: tuple[str, ...], subnets: Mapping) -> Optional[str]:
+    """The network a manual address belongs to: the first of ``networks``
+    whose subnet in ``subnets`` (name -> subnet or None) holds it, else None."""
+    return next((ref for ref in networks if (subnet := subnets.get(ref)) is not None and addr in subnet), None)
+
+
 def derive_once(scenario: Scenario, key: str, derive, *args):
     """``derive(scenario, *args)``, kept on ``scenario`` under ``key``; a failure is not kept."""
     memo = scenario._derived
@@ -228,9 +234,7 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
     src = scenario.source_map
 
     def emit(pos: tuple, severity: str, code: str, location: str, message: str) -> None:
-        found.append(
-            (pos, Diagnostic(severity, code, message, location, src.get(location) or src.get(_parent(location))))
-        )
+        found.append((pos, Diagnostic(severity, code, message, location, src.get(location))))
 
     seen_networks: dict[str, int] = {}
     subnets: list[tuple[int, NetworkSpec, ipaddress.IPv4Network]] = []
@@ -296,15 +300,11 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
         except ValueError:
             emit(pos, "error", "invalid-ip", f"{loc}.ip", f"{ip!r} is not a valid IPv4 address")
             return
-        containing = None
-        for ref in networks:
-            subnet = subnet_by_name.get(ref)
-            if subnet is not None and addr in subnet:
-                containing = subnet
-                break
-        if containing is None:
+        home = manual_network(addr, networks, subnet_by_name)
+        if home is None:
             emit(pos, "error", "ip-outside-subnet", f"{loc}.ip", f"{ip} lies in no attached network's subnet")
         else:
+            containing = subnet_by_name[home]
             reserved = {containing.network_address, containing.broadcast_address, containing.network_address + 1}
             if addr in reserved:
                 emit(pos, "error", "ip-reserved", f"{loc}.ip", f"{ip} is the network, broadcast or gateway address")
@@ -347,8 +347,3 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
 
     found.sort(key=lambda item: (item[0], item[1].code))
     return tuple(diag for _, diag in found)
-
-
-def _parent(location: str) -> str:
-    idx = location.rfind(".")
-    return location[:idx] if idx > 0 else location

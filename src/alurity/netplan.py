@@ -12,7 +12,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .model import Scenario, derive_once, endpoint_specs, endpoints
+from .model import Scenario, derive_once, endpoint_specs, endpoints, manual_network
 from .parser import _emit_scalar
 
 
@@ -112,11 +112,9 @@ def _allocate(scenario: Scenario) -> AddressAssignment:
         if spec.ip is None:
             continue
         addr = ipaddress.IPv4Address(spec.ip)
-        for net_name in spec.networks:
-            if addr in networks[net_name]:
-                addresses[(name, net_name)] = spec.ip
-                used[net_name].add(int(addr))
-                break
+        if (net_name := manual_network(addr, spec.networks, networks)) is not None:
+            addresses[(name, net_name)] = spec.ip
+            used[net_name].add(int(addr))
 
     cursors = {name: _host_range(net) for name, net in networks.items()}
     for name, _kind in endpoints(scenario):

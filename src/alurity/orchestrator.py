@@ -1,8 +1,8 @@
 """Deployment lifecycle against a pluggable backend.
 
 A backend owns endpoint creation/destruction and command execution; the
-orchestrator owns ordering (create everything, apply the connectivity plan,
-mark running) and the all-or-nothing guarantee on failure.  The mock backend
+orchestrator owns ordering (create everything, then apply the connectivity
+plan) and the all-or-nothing guarantee on failure.  The mock backend
 is fully deterministic: scripted responses, a logical clock for ``sleep``,
 and a journal of every create, apply and destroy.
 """
@@ -41,7 +41,6 @@ class DeploymentFailure(Exception):
 
     def __init__(self, endpoint: Optional[str], cause, live: Optional[dict[str, str]] = None):
         self.endpoint = endpoint
-        self.cause = cause
         self.live = list(live or ())
         message = f"deployment failed at endpoint {endpoint!r}: {cause}"
         if live:
@@ -250,10 +249,8 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
             image = images.get(name) if kind == "container" else spec.path
             handle = backend.create_endpoint(spec, image, dict(assignment.addresses_of(name)))
             deployment.handles[name] = handle
-            deployment.states[name] = "created"
+            deployment.states[name] = "running"  # at once: a failed up hands back no Deployment
         backend.apply_plan(plan)
-        for name in deployment.handles:
-            deployment.states[name] = "running"
     except Exception as exc:
         failed = next((n for n, _ in endpoints(scenario) if n not in deployment.states), None)
         deployment.down()

@@ -192,12 +192,13 @@ def load_yaml_map(path: str) -> dict:
     return doc
 
 
-def map_or_empty(value, what: str) -> dict:
-    """``value``, a map in a config file, where only null is empty;
-    ``ParseFailure`` saying ``<what> must be a map`` for anything else."""
-    if value is not None and not isinstance(value, dict):
-        raise ParseFailure(f"{what} must be a map, got a {type(value).__name__}")
-    return value or {}
+def map_or_empty(value, what: str, kind: type = dict):
+    """``value``, a map (or a list, by ``kind``) in a config file, where only
+    null is empty; ``ParseFailure`` saying ``<what> must be a map`` (``a
+    list``) for anything else."""
+    if value is not None and not isinstance(value, kind):
+        raise ParseFailure(f"{what} must be a {'map' if kind is dict else kind.__name__}, got a {type(value).__name__}")
+    return value or kind()
 
 
 def _built(node: yaml.Node, built: dict):

@@ -206,7 +206,7 @@ def _ticket(doc: dict) -> Ticket:
 def fetch_ticket(base_url: str, ticket_id: int, timeout: float = 10.0) -> Ticket:
     url, status, body = _request("GET", base_url, f"/issues/{ticket_id}", timeout)
     if status == 404:
-        raise NotFound(ticket_id)
+        raise NotFound(f"HTTP 404 fetching {url}")
     if status >= 400:
         raise TransportError(f"HTTP {status} fetching {url}")
     return _decode(body, url, _ticket)
@@ -297,8 +297,7 @@ def _read_block(block: str):
     reproduction = {} if doc["reproduction"] is None else doc["reproduction"]  # only null is empty
     texts = (None,)
     if isinstance(reproduction, dict):
-        flow = reproduction.get("flow")
-        texts = (reproduction.get("scenario", ""), "" if flow is None else flow)
+        texts = tuple("" if reproduction.get(key) is None else reproduction[key] for key in ("scenario", "flow"))
     if not all(isinstance(text, str) for text in texts):
         raise ParseFailure("a flaw record without a readable reproduction")
     scenario, flow = _read_reproduction(*texts)

@@ -16,7 +16,6 @@ from .parser import ParseFailure, compile_regex, load_yaml_map, map_or_empty
 
 class UnknownModule(Exception):
     def __init__(self, ref):
-        self.ref = ref
         super().__init__(f"module {ref} not present in registry index")
 
 
@@ -81,13 +80,6 @@ def _rule(r, where: str) -> ExtractionRule:
     )
 
 
-def _list(body: dict, key: str, where: str) -> list:
-    value = body.get(key)
-    if value is not None and not isinstance(value, list):
-        raise ParseFailure(f"the {key} of {where} must be a list, got a {type(value).__name__}")
-    return value or []
-
-
 def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
     """The index a map of module reference -> manifest describes;
     ``ParseFailure`` for a manifest that is not a map (an empty one is), a
@@ -97,10 +89,10 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
     for ref_text, body in raw.items():
         body = map_or_empty(body, f"the manifest of {ref_text}")
         manifests[str(ref_text)] = ModuleManifest(
-            rules=tuple(_rule(r, ref_text) for r in _list(body, "rules", ref_text)),
+            rules=tuple(_rule(r, ref_text) for r in map_or_empty(body.get("rules"), f"the rules of {ref_text}", list)),
             entrypoint=str(body.get("entrypoint", "")),
         )
-        _list(body, "tools", ref_text)  # documents the module's tools: checked, read by nothing
+        map_or_empty(body.get("tools"), f"the tools of {ref_text}", list)  # documents the module's tools: checked, read by nothing
     return RegistryIndex(manifests)
 
 

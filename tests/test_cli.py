@@ -114,6 +114,25 @@ class TestValidate:
         assert diag_code == "unknown-key"
         assert location.startswith("networks[0]")
 
+    def test_an_address_that_is_not_ipv4_exits_1_with_its_line(self, run_cli, tmp_path):
+        path = tmp_path / "ip.yaml"
+        path.write_text(
+            "networks:\n  - network:\n    - name: n\n    - subnet: 10.0.0.0/24\n"
+            "containers:\n  - container:\n    - name: a\n    - modules:\n       - base: r/x:1\n"
+            "       - network: [n]\n    - ip: 10.0.0.999\n"
+        )
+        code, out, _ = run_cli("validate", str(path))
+        assert code == 1
+        assert out == "error invalid-ip containers[0].ip '10.0.0.999' is not a valid IPv4 address (line 11)\n"
+
+    @pytest.mark.parametrize("section, value", [("networks", "5"), ("containers", "{a: b}"), ("vms", "text")])
+    def test_a_section_that_is_not_a_list_exits_2_with_its_line(self, run_cli, tmp_path, section, value):
+        path = tmp_path / "section.yaml"
+        path.write_text(f"# a section that is not a list\n{section}: {value}\n")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"cannot parse {path}: {section} must be a sequence of single-key maps (line 2)\n"
+
     def test_exhausted_subnet_exits_1(self, run_cli, tmp_path):
         path = tmp_path / "tiny.yaml"
         path.write_text(TWO_ON_A_SLASH_30)
@@ -324,7 +343,9 @@ class TestRun:
 
     def test_rvd_unknown_ticket_exits_4(self, run_cli, tracker):
         _, url = tracker
-        assert run_cli("run", "--rvd", "424242", "--tracker-url", url)[0] == 4
+        code, out, err = run_cli("run", "--rvd", "424242", "--tracker-url", url)
+        assert (code, out) == (4, "")
+        assert err == f"cannot fetch ticket 424242: HTTP 404 fetching {url}/issues/424242\n"
 
     @pytest.mark.parametrize("token", ["tökén€", "a\r\nX-Injected: 1"])
     def test_rvd_token_that_cannot_be_a_header_exits_4(self, run_cli, tracker, monkeypatch, token):

@@ -1,4 +1,5 @@
 import ipaddress
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,6 +260,58 @@ class TestValidateFlows:
 
     def test_one_window_name_on_two_endpoints_is_fine(self, listing3_text):
         assert self.diagnostics(self.text(listing3_text, ("- name: ros\n", "- name: setup\n"))) == []
+
+
+def _network(name="n", subnet="12.0.0.0/24", extra=""):
+    return f"  - network:\n    - name: {name}\n    - subnet: {subnet}\n{extra}"
+
+
+def _container(name="a", nets="n", extra=""):
+    return f"  - container:\n    - name: {name}\n    - modules:\n       - base: r/x:1\n       - network: [{nets}]\n{extra}"
+
+
+def _flow(windows=("w",), endpoint="a"):
+    return f"flow:\n  - container:\n    - name: {endpoint}\n" + "".join(f"    - window:\n      - name: {w}\n" for w in windows)
+
+
+# One document per ``validate`` code; ``#<`` ends the line its diagnostic names.
+DOCUMENT_PER_CODE = {
+    "duplicate-network-name": "networks:\n" + _network() + "  - network:\n    - name: n  #<\n    - subnet: 13.0.0.0/24\n",
+    "unknown-driver": "networks:\n" + _network(extra="    - driver: bridge  #<\n"),
+    "invalid-subnet": "networks:\n" + _network(subnet="nope  #<"),
+    "subnet-prefix-out-of-range": "networks:\n" + _network(subnet="12.0.0.0/31  #<"),
+    "subnet-overlap": "networks:\n" + _network() + _network("m", "12.0.0.0/25  #<"),
+    "duplicate-endpoint-name": "networks:\n" + _network() + "containers:\n" + _container() + _container().replace("- name: a", "- name: a  #<"),
+    "no-network": "containers:\n  - container:  #<\n    - name: a\n    - modules:\n       - base: r/x:1\n",
+    "network-not-found": "containers:\n" + _container(nets="ghost").replace("[ghost]", "[ghost]  #<"),
+    "duplicate-network-reference": "networks:\n" + _network() + "containers:\n" + _container(nets="n, n").replace("[n, n]", "[n, n]  #<"),
+    "invalid-cpus": "networks:\n" + _network() + "containers:\n" + _container(extra="    - cpus: 0  #<\n"),
+    "invalid-memory": "networks:\n" + _network() + "vms:\n  - vm:\n    - name: v\n    - path: /vms/v\n    - network: n\n    - memory: 0  #<\n",
+    "invalid-ip": "networks:\n" + _network() + "containers:\n" + _container(extra="    - ip: 12.0.0.999  #<\n"),
+    "ip-outside-subnet": "networks:\n" + _network() + "containers:\n" + _container(extra="    - ip: 13.0.0.5  #<\n"),
+    "ip-reserved": "networks:\n" + _network() + "vms:\n  - vm:\n    - name: v\n    - path: /vms/v\n    - network: n\n    - ip: 12.0.0.1  #<\n",
+    "duplicate-ip": "networks:\n" + _network() + "containers:\n"
+    + _container(extra="    - ip: 12.0.0.9\n") + _container("b", extra="    - ip: 12.0.0.9  #<\n"),
+    "endpoint-not-found": "networks:\n" + _network() + "containers:\n" + _container() + _flow(endpoint="ghost  #<"),
+    "duplicate-window-name": "networks:\n" + _network() + "containers:\n" + _container() + _flow(windows=("w", "w  #<")),
+    "subnet-exhausted": "networks:\n" + _network(subnet="12.0.0.0/30  #<") + "containers:\n" + _container() + _container("b"),
+}
+
+
+@pytest.mark.parametrize("code", list(DOCUMENT_PER_CODE))
+def test_every_diagnostic_of_a_parsed_document_has_its_line(code):
+    """Every location ``validate`` reports is one the parser recorded, so
+    each diagnostic carries the line it names straight from the source map."""
+    text = DOCUMENT_PER_CODE[code]
+    diagnostics = validate(parse_scenario(text))
+    assert all(d.line is not None for d in diagnostics), diagnostics
+    marked = [i for i, line in enumerate(text.split("\n"), 1) if line.endswith("#<")]
+    assert [d.line for d in diagnostics if d.code == code] == marked, diagnostics
+
+
+def test_the_per_code_documents_cover_every_code():
+    source = Path(model.__file__).read_text()
+    assert set(DOCUMENT_PER_CODE) == set(re.findall(r'"(?:error|warning)",\s+"([a-z-]+)"', source))
 
 
 class TestEndpoints:

@@ -1,4 +1,5 @@
 import base64
+import re
 import socket
 import threading
 import time
@@ -56,7 +57,7 @@ class TestFetch:
 
     def test_unknown_id(self, tracker):
         _, url = tracker
-        with pytest.raises(NotFound):
+        with pytest.raises(NotFound, match=f"^HTTP 404 fetching {re.escape(url)}/issues/99999$"):
             fetch_ticket(url, 99999)
 
     def test_unreachable_host(self):
@@ -459,10 +460,20 @@ class TestExtract:
             ("[]", "a flaw record without a readable reproduction"),
             ("null", "a flaw record whose reproduction scenario has no endpoints"),
             ("", "a flaw record whose reproduction scenario has no endpoints"),
+            ("{scenario: null, flow: null}", "a flaw record whose reproduction scenario has no endpoints"),
+            ("{scenario: null}", "a flaw record whose reproduction scenario has no endpoints"),
+            ("{flow: null}", "a flaw record whose reproduction scenario has no endpoints"),
+            ("{scenario: 0}", "a flaw record without a readable reproduction"),
+            ("{scenario: false}", "a flaw record without a readable reproduction"),
+            ("{scenario: []}", "a flaw record without a readable reproduction"),
         ],
-        ids=["zero", "false", "empty-text", "empty-list", "null", "blank"],
+        ids=[
+            "zero", "false", "empty-text", "empty-list", "null", "blank",
+            "null-scenario-and-flow", "null-scenario", "missing-scenario", "zero-scenario", "false-scenario", "empty-list-scenario",
+        ],
     )
     def test_only_a_null_reproduction_is_empty(self, value, reason):
+        """Only null is empty, for the ``reproduction`` and for its ``scenario``."""
         body = f"```yaml\ntitle: t\nreproduction: {value}\n```\n"
         with pytest.raises(NoReproductionFound) as exc:
             extract_reproduction(Ticket(id=1, title="t", body=body))

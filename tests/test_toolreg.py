@@ -82,7 +82,7 @@ class TestIndex:
         assert len(manifest.rules) == 1
         assert manifest.rules[0].flaw_class == "exposure"
 
-    @pytest.mark.parametrize("body", [None, {}])
+    @pytest.mark.parametrize("body", [None, {}, {"rules": None}, {"rules": []}, {"tools": None}, {"tools": []}])
     def test_a_null_or_empty_manifest_is_empty(self, body):
         manifest = registry_index_from_dict({"r/a:1": body}).lookup(ref("r/a:1"))
         assert manifest == ModuleManifest(rules=(), entrypoint="")
@@ -93,6 +93,14 @@ class TestIndex:
         with pytest.raises(ParseFailure) as exc:
             registry_index_from_dict({"r/a:1": body})
         assert exc.value.message == f"the manifest of r/a:1 must be a map, got a {kind}"
+
+    @pytest.mark.parametrize("key", ["rules", "tools"])
+    @pytest.mark.parametrize("value, kind", [({}, "dict"), (3, "int"), ("", "str"), ("scan", "str"), (False, "bool")])
+    def test_a_list_entry_that_is_not_a_list_is_refused(self, key, value, kind):
+        """Only null is an empty list: an empty map, text or false is not a list."""
+        with pytest.raises(ParseFailure) as exc:
+            registry_index_from_dict({"r/a:1": {key: value}})
+        assert exc.value.message == f"the {key} of r/a:1 must be a list, got a {kind}"
 
     def test_empty_index(self):
         index = RegistryIndex({})
