@@ -60,9 +60,12 @@ class ModuleRef:
                 break
         return cls(registry=registry, path=path, tag=tag, group=group)
 
-    def __str__(self) -> str:
+    def __post_init__(self) -> None:  # the canonical text, which registry lookups key on, formatted once
         base = f"{self.registry}/{self.path}" if self.registry else self.path
-        return f"{base}:{self.tag}" if self.tag else base
+        object.__setattr__(self, "_text", f"{base}:{self.tag}" if self.tag else base)
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -255,68 +258,60 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
             emit(pos, "error", "invalid-subnet", f"{loc}.subnet", f"{net.subnet!r} is not a valid IPv4 CIDR block")
         else:
             if not 8 <= parsed.prefixlen <= 30:
-                emit(
-                    pos,
-                    "error",
-                    "subnet-prefix-out-of-range",
-                    f"{loc}.subnet",
-                    f"prefix /{parsed.prefixlen} outside /8../30",
-                )
+                emit(pos, "error", "subnet-prefix-out-of-range", f"{loc}.subnet", f"prefix /{parsed.prefixlen} outside /8../30")
             for j, other_net, other in subnets:
                 if parsed.overlaps(other):
-                    emit(
-                        pos,
-                        "error",
-                        "subnet-overlap",
-                        f"{loc}.subnet",
-                        f"subnet {net.subnet} overlaps {other_net.subnet} of network {other_net.name!r}",
-                    )
+                    emit(pos, "error", "subnet-overlap", f"{loc}.subnet", f"subnet {net.subnet} overlaps {other_net.subnet} of network {other_net.name!r}")
             subnets.append((i, net, parsed))
 
-    seen_endpoints: dict[str, str] = {}
+    seen_endpoints: set[str] = set()
     seen_ips: dict[str, str] = {}
-
-    def check_endpoint(pos: tuple, loc: str, name: str, networks: tuple[str, ...], ip: Optional[str], cpus: int, memory: int) -> None:
-        if name in seen_endpoints:
-            emit(pos, "error", "duplicate-endpoint-name", f"{loc}.name", f"endpoint name {name!r} already used")
-        else:
-            seen_endpoints[name] = loc
-        if not networks:
-            emit(pos, "warning", "no-network", loc, f"endpoint {name!r} is attached to no network")
-        first: dict[str, int] = {}  # network name -> its first index in ``networks``, so the check stays linear
-        for j, ref in enumerate(networks):
-            if ref not in subnet_by_name:
-                emit(pos, "error", "network-not-found", f"{loc}.networks[{j}]", f"network {ref!r} is not declared")
-            if first.setdefault(ref, j) != j:
-                emit(pos, "error", "duplicate-network-reference", f"{loc}.networks[{j}]", f"network {ref!r} already attached at {loc}.networks[{first[ref]}]")
-        if cpus < 1:
-            emit(pos, "error", "invalid-cpus", f"{loc}.cpus", f"cpus must be a positive integer, got {cpus}")
-        if memory < 1:
-            emit(pos, "error", "invalid-memory", f"{loc}.memory", f"memory must be a positive integer, got {memory}")
-        if ip is None:
-            return
-        try:
-            addr = ipaddress.IPv4Address(ip)
-        except ValueError:
-            emit(pos, "error", "invalid-ip", f"{loc}.ip", f"{ip!r} is not a valid IPv4 address")
-            return
-        home = manual_network(addr, networks, subnet_by_name)
-        if home is None:
-            emit(pos, "error", "ip-outside-subnet", f"{loc}.ip", f"{ip} lies in no attached network's subnet")
-        else:
-            containing = subnet_by_name[home]
-            reserved = {containing.network_address, containing.broadcast_address, containing.network_address + 1}
-            if addr in reserved:
-                emit(pos, "error", "ip-reserved", f"{loc}.ip", f"{ip} is the network, broadcast or gateway address")
-        if ip in seen_ips:
-            emit(pos, "error", "duplicate-ip", f"{loc}.ip", f"address {ip} already assigned at {seen_ips[ip]}")
-        else:
-            seen_ips[ip] = f"{loc}.ip"
-
-    for i, c in enumerate(scenario.containers):
-        check_endpoint((1, i), f"containers[{i}]", c.name, c.networks, c.ip, c.cpus, c.memory)
-    for i, v in enumerate(scenario.vms):
-        check_endpoint((2, i), f"vms[{i}]", v.name, v.networks, v.ip, v.cpus, v.memory)
+    refs: list[str] = []  # every endpoint's networks, each once per endpoint
+    declared = subnet_by_name.keys()
+    # An endpoint's location is formatted only for a diagnostic.
+    for group, section, specs in ((1, "containers", scenario.containers), (2, "vms", scenario.vms)):
+        for i, spec in enumerate(specs):
+            name, networks, ip = spec.name, spec.networks, spec.ip
+            if name in seen_endpoints:
+                emit((group, i), "error", "duplicate-endpoint-name", f"{section}[{i}].name", f"endpoint name {name!r} already used")
+            else:
+                seen_endpoints.add(name)
+            if not networks:
+                emit((group, i), "warning", "no-network", f"{section}[{i}]", f"endpoint {name!r} is attached to no network")
+            distinct = set(networks)
+            refs += distinct
+            if len(distinct) < len(networks) or not declared >= distinct:
+                loc = f"{section}[{i}]"
+                first: dict[str, int] = {}  # network name -> its first index in ``networks``, so the check stays linear
+                for j, ref in enumerate(networks):
+                    if ref not in declared:
+                        emit((group, i), "error", "network-not-found", f"{loc}.networks[{j}]", f"network {ref!r} is not declared")
+                    if first.setdefault(ref, j) != j:
+                        emit((group, i), "error", "duplicate-network-reference", f"{loc}.networks[{j}]", f"network {ref!r} already attached at {loc}.networks[{first[ref]}]")
+            if spec.cpus < 1:
+                emit((group, i), "error", "invalid-cpus", f"{section}[{i}].cpus", f"cpus must be a positive integer, got {spec.cpus}")
+            if spec.memory < 1:
+                emit((group, i), "error", "invalid-memory", f"{section}[{i}].memory", f"memory must be a positive integer, got {spec.memory}")
+            if ip is None:
+                continue
+            pos, loc = (group, i), f"{section}[{i}]"
+            try:
+                addr = ipaddress.IPv4Address(ip)
+            except ValueError:
+                emit(pos, "error", "invalid-ip", f"{loc}.ip", f"{ip!r} is not a valid IPv4 address")
+                continue
+            home = manual_network(addr, networks, subnet_by_name)
+            if home is None:
+                emit(pos, "error", "ip-outside-subnet", f"{loc}.ip", f"{ip} lies in no attached network's subnet")
+            else:
+                containing = subnet_by_name[home]
+                reserved = {containing.network_address, containing.broadcast_address, containing.network_address + 1}
+                if addr in reserved:
+                    emit(pos, "error", "ip-reserved", f"{loc}.ip", f"{ip} is the network, broadcast or gateway address")
+            if ip in seen_ips:
+                emit(pos, "error", "duplicate-ip", f"{loc}.ip", f"address {ip} already assigned at {seen_ips[ip]}")
+            else:
+                seen_ips[ip] = f"{loc}.ip"
 
     # A window is named by its endpoint and name across all flow entries:
     # the transcript check keys each pane by both.
@@ -333,17 +328,12 @@ def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:
     # Each attachment takes one host address of its network, manual or
     # allocated, and the gateway takes one more.  Manual addresses that
     # collide or fall outside the subnet are reported above.
-    attached = Counter(ref for spec in (*scenario.containers, *scenario.vms) for ref in set(spec.networks))
+    attached = Counter(refs)
     for i, net, parsed in subnets:
         free = parsed.num_addresses - 3
         if parsed.prefixlen <= 30 and attached[net.name] > free:
-            emit(
-                (0, i),
-                "error",
-                "subnet-exhausted",
-                f"networks[{i}].subnet",
-                f"{attached[net.name]} endpoints attach to {net.name!r} but {net.subnet} has {free} host addresses besides the gateway",
-            )
+            message = f"{attached[net.name]} endpoints attach to {net.name!r} but {net.subnet} has {free} host addresses besides the gateway"
+            emit((0, i), "error", "subnet-exhausted", f"networks[{i}].subnet", message)
 
     found.sort(key=lambda item: (item[0], item[1].code))
     return tuple(diag for _, diag in found)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional
 
-from .model import Scenario, derive_once, endpoint_specs, endpoints, manual_network
+from .model import Scenario, derive_once, endpoint_specs, manual_network
 from .parser import _emit_scalar
 
 
@@ -36,17 +36,19 @@ class AddressAssignment:
     # network name -> gateway dotted quad
     gateways: dict
 
-    # endpoint name -> [(network name, dotted quad)], in ``addresses`` order
+    # endpoint name -> {network name: dotted quad}, in ``addresses`` order
     _by_endpoint: dict = field(init=False, compare=False, repr=False)
+    index: InitVar[Optional[dict]] = None  # ``_by_endpoint`` when the allocator hands it over
 
-    def __post_init__(self):
-        index: dict = {}
-        for (name, net), addr in self.addresses.items():
-            index.setdefault(name, []).append((net, addr))
+    def __post_init__(self, index):
+        if index is None:
+            index = {}
+            for (name, net), addr in self.addresses.items():
+                index.setdefault(name, {})[net] = addr
         object.__setattr__(self, "_by_endpoint", index)
 
     def addresses_of(self, endpoint: str) -> list[tuple[str, str]]:
-        return list(self._by_endpoint.get(endpoint, ()))
+        return list(self._by_endpoint.get(endpoint, {}).items())
 
 
 class PlanEntry(NamedTuple):
@@ -99,39 +101,56 @@ def allocate_addresses(scenario: Scenario) -> AddressAssignment:
 
 
 def _allocate(scenario: Scenario) -> AddressAssignment:
-    networks = {n.name: ipaddress.IPv4Network(n.subnet) for n in scenario.networks}
-    gateways = {name: str(net.network_address + 1) for name, net in networks.items()}
+    networks, gateways = {}, {}  # network name -> its subnet, its gateway
+    for net in scenario.networks:
+        try:
+            networks[net.name] = subnet = ipaddress.IPv4Network(net.subnet)
+            gateways[net.name] = str(subnet.network_address + 1)  # 255.255.255.255/32 has none
+        except ValueError:
+            raise AllocationFailure(f"network {net.name!r} has subnet {net.subnet!r}, which is not an IPv4 CIDR block with a gateway") from None
 
-    specs = endpoint_specs(scenario)
+    specs = endpoint_specs(scenario).values()
     used: dict[str, set] = {name: {int(net.network_address) + 1} for name, net in networks.items()}
-    addresses: dict = {}
+    addresses, by_endpoint = {}, {}  # as in ``AddressAssignment``
 
     # Manual addresses first so auto assignment can skip them.
-    for name, _kind in endpoints(scenario):
-        spec = specs[name]
+    for spec in specs:
         if spec.ip is None:
             continue
-        addr = ipaddress.IPv4Address(spec.ip)
+        try:
+            addr = ipaddress.IPv4Address(spec.ip)
+        except ValueError:
+            raise AllocationFailure(f"endpoint {spec.name!r} has ip {spec.ip!r}, which is not an IPv4 address") from None
         if (net_name := manual_network(addr, spec.networks, networks)) is not None:
-            addresses[(name, net_name)] = spec.ip
+            addresses[(spec.name, net_name)] = spec.ip
+            by_endpoint[spec.name] = {net_name: spec.ip}
             used[net_name].add(int(addr))
 
-    cursors = {name: _host_range(net) for name, net in networks.items()}
-    for name, _kind in endpoints(scenario):
-        for net_name in specs[name].networks:
-            if (name, net_name) in addresses:
-                continue
-            host, last = cursors[net_name]
-            while host in used[net_name]:
-                host += 1
-            if host > last:
-                raise AllocationFailure(
-                    f"subnet {networks[net_name]} of network {net_name!r} has no free host address for {name!r}"
-                )
-            addresses[(name, net_name)] = _dotted(host)
-            cursors[net_name] = (host + 1, last)
+    cursor = {name: _host_range(net)[0] for name, net in networks.items()}  # network -> the next host to try
+    last = {name: _host_range(net)[1] for name, net in networks.items()}
+    try:
+        for spec in specs:
+            name = spec.name
+            mine = by_endpoint.setdefault(name, {})
+            for net_name in spec.networks:
+                if net_name in mine:
+                    continue
+                host = cursor[net_name]
+                taken = used[net_name]
+                while host in taken:
+                    host += 1
+                if host > last[net_name]:
+                    raise AllocationFailure(f"subnet {networks[net_name]} of network {net_name!r} has no free host address for {name!r}")
+                addresses[(name, net_name)] = mine[net_name] = _dotted(host)
+                cursor[net_name] = host + 1
+    except KeyError as exc:
+        raise AllocationFailure(_undeclared(name, exc)) from None
 
-    return AddressAssignment(addresses=addresses, gateways=gateways)
+    return AddressAssignment(addresses=addresses, gateways=gateways, index=by_endpoint)
+
+
+def _undeclared(endpoint: str, missing: KeyError) -> str:
+    return f"endpoint {endpoint!r} is attached to network {missing.args[0]!r}, which is not declared"
 
 
 def bridge_name(network: str) -> str:
@@ -149,22 +168,28 @@ def build_connectivity_plan(scenario: Scenario, assignment: AddressAssignment) -
 
 def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
     specs = endpoint_specs(scenario)
+    bridges = {n.name: bridge_name(n.name) for n in scenario.networks}
     attachments: dict[str, tuple] = {}
-    kinds: dict[str, set] = {n.name: set() for n in scenario.networks}  # network -> its members' kinds
+    in_containers, in_vms = set(), set()  # the networks each kind joins
     links: list[PlanEntry] = []
-    for name, kind in endpoints(scenario):
-        attachments[name] = nets = tuple(specs[name].networks)
-        link = "veth-pair" if kind == "container" else "tap-attach"
-        for net in nets:
-            kinds[net].add(kind)
-            links.append(PlanEntry(kind=link, endpoint=name, bridge=bridge_name(net)))
+    new = tuple.__new__  # builds each PlanEntry without a Python call to its generated __new__
+    try:
+        for link, group, joined in (("veth-pair", scenario.containers, in_containers), ("tap-attach", scenario.vms, in_vms)):
+            for spec in group:
+                name = spec.name
+                attachments[name] = nets = specs[name].networks
+                joined.update(nets)
+                for net in nets:
+                    links.append(new(PlanEntry, (link, None, None, name, bridges[net], None, None, None, None)))
+    except KeyError as exc:
+        raise AllocationFailure(_undeclared(name, exc)) from None
 
-    used = [net for net in scenario.networks if kinds[net.name]]
-    entries = [PlanEntry(kind="bridge", name=bridge_name(net.name), network=net.name) for net in used]
+    used = [net for net in scenario.networks if net.name in in_containers or net.name in in_vms]
+    entries = [PlanEntry(kind="bridge", name=bridges[net.name], network=net.name) for net in used]
     entries += links
     # Host routes exist for the mixed sim/emu case: a VM sharing a network
     # with at least one container.
-    entries += [PlanEntry(kind="route", subnet=net.subnet, via=assignment.gateways[net.name]) for net in used if kinds[net.name] == {"container", "vm"}]
+    entries += [PlanEntry(kind="route", subnet=net.subnet, via=assignment.gateways[net.name]) for net in used if net.name in in_containers and net.name in in_vms]
     entries += [PlanEntry(kind="filter-rule", action="drop-external" if net.internal else "masquerade", network=net.name) for net in used]
     entries += [PlanEntry(kind="metadata", network=net.name, encryption=True) for net in used if net.encryption]
     return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
@@ -200,20 +225,19 @@ def export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: 
         return export_plan_yaml(plan)
     if format != "dot":
         raise UnsupportedFormat(format)
-    lines = ["digraph topology {"]
     networks = [entry.network for entry in plan.entries if entry.kind == "bridge"]
-    # IDs and labels are DOT quoted strings.
-    for name in plan.attachments:
-        node = _dot_escape(name)
-        addrs = ", ".join(addr for _net, addr in sorted(assignment.addresses_of(name)))
-        label = f"{node}\\n{addrs}" if addrs else node
-        lines.append(f'  "{node}" [shape=box, label="{label}"];')
-    for net in networks:
-        node = _dot_escape(net)
-        lines.append(f'  "net:{node}" [shape=ellipse, label="{node}"];')
+    # IDs and labels are DOT quoted strings; each name is escaped once.
+    quoted = {net: _dot_escape(net) for net in set(networks).union(*plan.attachments.values())}
+    lines = ["digraph topology {"]
+    edges = []
     for name, nets in plan.attachments.items():
         node = _dot_escape(name)
+        addrs = assignment._by_endpoint.get(name)
+        label = f"{node}\\n{', '.join(map(addrs.get, sorted(addrs)))}" if addrs else node
+        lines.append(f'  "{node}" [shape=box, label="{label}"];')
         for net in nets:
-            lines.append(f'  "{node}" -> "net:{_dot_escape(net)}";')
+            edges.append(f'  "{node}" -> "net:{quoted[net]}";')
+    lines += [f'  "net:{quoted[net]}" [shape=ellipse, label="{quoted[net]}"];' for net in networks]
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
 from . import toolreg
-from .model import Scenario, endpoint_specs, endpoints, validate
+from .model import Scenario, endpoints, validate
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
 from .parser import ParseFailure, compile_regex, load_yaml_map, map_or_empty
 
@@ -229,7 +229,7 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     if errors:
         raise DeploymentFailure(None, f"scenario invalid: {errors[0]}")
 
-    images: dict[str, object] = {}
+    images: dict[str, object] = {vm.name: vm.path for vm in scenario.vms}  # endpoint name -> a VM's path or a composed image
     if registry is not None:
         try:
             for container in scenario.containers:
@@ -241,14 +241,10 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     plan = build_connectivity_plan(scenario, assignment)
     deployment = Deployment(assignment, backend)
 
-    specs = endpoint_specs(scenario)
-
     try:
-        for name, kind in endpoints(scenario):
-            spec = specs[name]
-            image = images.get(name) if kind == "container" else spec.path
-            handle = backend.create_endpoint(spec, image, dict(assignment.addresses_of(name)))
-            deployment.handles[name] = handle
+        for spec in (*scenario.containers, *scenario.vms):  # a valid scenario names each endpoint once
+            name = spec.name
+            deployment.handles[name] = backend.create_endpoint(spec, images.get(name), dict(assignment._by_endpoint.get(name, ())))
             deployment.states[name] = "running"  # at once: a failed up hands back no Deployment
         backend.apply_plan(plan)
     except Exception as exc:

@@ -345,32 +345,15 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
 # the writer emits them, to (field, attr, reader, count).  ``field`` is the
 # value's source-map path below the record and ``attr``, its last part, the
 # spec's attribute.  ``count`` is "1" for a required key, "?" for an optional
-# one and "*" for a key that may repeat.  A reader of a single key returns the
-# value; a reader of a repeating key returns (value, line) items.  A table in
-# a reader's place is a nested record: a single one's fields belong to the
-# enclosing spec, each entry of a repeating one is built into its own spec.
-
-
-def _once(seen: dict, key: str, loc: str, line: int) -> None:
-    """Note ``key`` of ``loc`` at ``line``; ``ParseFailure`` if already noted."""
-    if key in seen:
-        raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", line)
-    seen[key] = line
+# one, "*" for a key that may repeat and "+" for one that may also hold a
+# sequence of values, each on its own line.  A reader returns one value.  A
+# table in a reader's place is a nested record: a single one's fields belong
+# to the enclosing spec, each entry of a repeating one is built into its own
+# spec.
 
 
 def _ref(node: yaml.Node, loc: str, key: str) -> ModuleRef:
     return ModuleRef.parse(_string(node, loc, key))
-
-
-def _refs(node: yaml.Node, line: int, loc: str, key: str) -> list:
-    return [(_ref(node, loc, key), line)]
-
-
-def _names(node: yaml.Node, line: int, loc: str, key: str) -> list:
-    """One network name, or a sequence of names each on its own line."""
-    if isinstance(node, SequenceNode):
-        return [(_string(item, loc, key), _line(item)) for item in node.value]
-    return [(_string(node, loc, key), line)]
 
 
 def _normalize_split(raw: str) -> str:
@@ -401,17 +384,23 @@ def _commands(node: yaml.Node, loc: str, key: str) -> tuple:
     return tuple(items)
 
 
+# reader -> the type of what it returns: a scalar whose plain read (the rule
+# of ``_scalar``) has that type is the reader's value, read without the call
+_PLAIN = {_string: str, _int: int, _bool: bool}
+
+
 class _Table(dict):
-    """A key table: key -> (field, attr, reader, count).  ``spec`` builds the
-    record (None for one whose fields belong to the enclosing spec); in a
-    ``strict`` table an unknown key is an error, not a warning.  ``required``
-    and ``repeated`` list its "1" keys and its "*" attributes."""
+    """A key table: key -> (field, attr, reader, count, plain), ``plain``
+    from ``_PLAIN``, false when it has none.  ``spec`` builds the record
+    (None for one whose fields belong to the enclosing spec); in a ``strict``
+    table an unknown key is an error, not a warning.  ``required`` and
+    ``repeated`` list its "1" keys and its repeating attributes."""
 
     def __init__(self, keys: dict, spec=None, strict: bool = False):
-        super().__init__({key: (field, field.rpartition(".")[2], reader, count) for key, (field, reader, count) in keys.items()})
+        super().__init__({key: (field, field.rpartition(".")[2], reader, count, callable(reader) and _PLAIN.get(reader)) for key, (field, reader, count) in keys.items()})
         self.spec, self.strict = spec, strict
         self.required = tuple(key for key, (_, _, count) in keys.items() if count == "1")
-        self.repeated = tuple(field.rpartition(".")[2] for field, _, count in keys.values() if count == "*")
+        self.repeated = tuple(field.rpartition(".")[2] for field, _, count in keys.values() if count in "*+")
 
 
 _NETWORK_KEYS = _Table({
@@ -423,8 +412,8 @@ _NETWORK_KEYS = _Table({
 }, NetworkSpec)
 _MODULE_KEYS = _Table({
     "base": ("modules.base", _ref, "1"),
-    "volume": ("modules.volumes", _refs, "*"),
-    "network": ("networks", _names, "*"),
+    "volume": ("modules.volumes", _ref, "*"),
+    "network": ("networks", _string, "+"),
 })
 _CONTAINER_KEYS = _Table({
     "name": ("name", _string, "1"),
@@ -437,7 +426,7 @@ _CONTAINER_KEYS = _Table({
 _VM_KEYS = _Table({
     "name": ("name", _string, "1"),
     "path": ("path", _string, "1"),
-    "network": ("networks", _names, "*"),
+    "network": ("networks", _string, "+"),
     "ip": ("ip", _string, "?"),
     "cpus": ("cpus", _int, "?"),
     "memory": ("memory", _int, "?"),
@@ -467,17 +456,18 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, parts: list, warni
     missing key.  Each line read is appended to ``parts`` as a ``SourceMap``
     part, its path below ``owner``, the record itself unless it is nested.
     A repeating key's values collect in a list, made a tuple once the record
-    is read.
+    is read.  A scalar whose plain read (``_scalar``'s rule) already has the
+    type its reader returns is taken without the reader call.
     """
     owner = owner or loc
     parts.append((loc, None, None, line))
     if not isinstance(node, SequenceNode):
         raise ParseFailure(f"{loc} must be a sequence of single-key maps", _line(node))
-    fields: dict = {attr: [] for attr in keys.repeated}
+    fields: dict = {}
     seen: dict[str, int] = {}
     try:
         for pair in node.value:
-            if isinstance(pair, MappingNode) and len(pair.value) == 1 and isinstance(pair.value[0][0], ScalarNode):
+            if type(pair) is MappingNode and len(pair.value) == 1 and type(pair.value[0][0]) is ScalarNode:
                 key_node, value = pair.value[0]
             else:
                 key_node, value = _entry(pair, loc)  # raises the entry's error
@@ -490,45 +480,48 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, parts: list, warni
                 parts.append((loc, key, None, key_line))
                 warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", f"{loc}.{key}", key_line))
                 continue
-            path, attr, reader, count = entry
-            if count == "*":
-                items = fields[attr]
+            path, attr, reader, count, plain = entry
+            if count in "*+":
+                items = fields.setdefault(attr, [])
                 if isinstance(reader, _Table):
-                    where = f"{owner}.{path}[{len(items)}]"
-                    items.append(reader.spec(**_fold(value, where, key_line, reader, parts, warnings)))
+                    items.append(reader.spec(**_fold(value, f"{owner}.{path}[{len(items)}]", key_line, reader, parts, warnings)))
                     continue
-                for item, item_line in reader(value, key_line, loc, key):
-                    parts.append((owner, path, len(items), item_line))
-                    items.append(item)
+                for item in value.value if count == "+" and type(value) is SequenceNode else (value,):
+                    if not plain or type(item) is not ScalarNode or type(got := item.value if item.style or item.value[:1] not in _TYPED_FIRST else _typed(item.value)[1]) is not plain:
+                        got = reader(item, loc, key)
+                    parts.append((owner, path, len(items), key_line if item is value else item.start_mark.line + 1))
+                    items.append(got)
                 continue
-            _once(seen, key, loc, key_line)
+            if key in seen:
+                raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
+            seen[key] = key_line
             parts.append((owner, path, None, key_line))
             if isinstance(reader, _Table):
                 fields.update(_fold(value, f"{loc}.{key}", key_line, reader, parts, warnings, owner))
+            elif plain and type(value) is ScalarNode and type(got := value.value if value.style or value.value[:1] not in _TYPED_FIRST else _typed(value.value)[1]) is plain:
+                fields[attr] = got
             else:
                 fields[attr] = reader(value, loc, key)
     except ParseFailure:
         _pairs(node, loc)  # a malformed entry anywhere in the record is reported first
         raise
     for attr in keys.repeated:
-        fields[attr] = tuple(fields[attr])
+        fields[attr] = tuple(fields.get(attr, ()))
     for key in keys.required:
         if key not in seen:
             raise ParseFailure(f"missing mandatory key {key!r} in {loc}", line)
     return fields
 
 
-def _tagged_items(node: yaml.Node, section: str, tags: tuple[str, ...]) -> list[tuple[str, yaml.Node, int]]:
-    """Check ``- network:`` / ``- container:`` wrapper entries: each
-    entry's tag, the record's node and the line of its entry."""
-    if node is None or (isinstance(node, ScalarNode) and node.value == ""):
-        return []
-    pairs = _pairs(node, section)
-    for key, _, line in pairs:
+def _check_tags(node: yaml.Node, section: str, tags: tuple[str, ...]) -> None:
+    """``ParseFailure`` for the first malformed ``- network:`` / ``- container:``
+    wrapper entry of a section, or one with another tag; an empty section has none."""
+    if isinstance(node, ScalarNode) and node.value == "":
+        return
+    for key, _, line in _pairs(node, section):
         if key not in tags:
             expected = " or ".join(repr(tag) for tag in tags)
             raise ParseFailure(f"expected {expected} entries under {section}, got {key!r}", line)
-    return pairs
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -578,13 +571,25 @@ def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tup
         if not isinstance(key, str) or key not in sections:  # a non-scalar key is unhashable
             raise ParseFailure(f"unknown top-level key {key!r}" if isinstance(key, str) else "each top-level key must be a scalar", _line(key_node))
         field, tags, keys = sections[key]
-        for _, item, line in _tagged_items(value_node, key, tags):
-            loc = f"{field}[{len(records[field])}]"  # a repeated section goes on where the one before ended
-            fields = _fold(item, loc, line, keys, parts, warnings)
-            try:
-                records[field].append(keys.spec(**fields))
-            except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
-                raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
+        specs = records[field]
+        if not isinstance(value_node, SequenceNode):
+            _check_tags(value_node, key, tags)  # an empty section, or its error
+            continue
+        try:
+            for entry in value_node.value:
+                # a ``- <tag>:`` wrapper entry; anything else raises its error below
+                if type(entry) is not MappingNode or len(entry.value) != 1 or entry.value[0][0].value not in tags:
+                    _check_tags(value_node, key, tags)
+                tag_node, item = entry.value[0]
+                loc = f"{field}[{len(specs)}]"  # a repeated section goes on where the one before ended
+                fields = _fold(item, loc, tag_node.start_mark.line + 1, keys, parts, warnings)
+                try:
+                    specs.append(keys.spec(**fields))
+                except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
+                    raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
+        except ParseFailure:
+            _check_tags(value_node, key, tags)  # a malformed wrapper entry anywhere in the section is reported first
+            raise
     if what == "flow" and not root.value:
         raise ParseFailure("flow document must contain a 'flow' section", _line(root))
     return Scenario(**{field: tuple(specs) for field, specs in records.items()}, source_map=SourceMap(parts)), warnings
@@ -651,9 +656,9 @@ def _emit_record(lines: list[str], spec, keys: _Table, indent: str) -> None:
     deeper under a ``- key:`` line; a single nested record's fields are
     ``spec``'s own, each entry of a repeating one is its own spec."""
     deeper = indent + "    "
-    for key, (_, attr, reader, count) in keys.items():
+    for key, (_, attr, reader, count, _) in keys.items():
         if isinstance(reader, _Table):
-            for record in getattr(spec, attr) if count == "*" else (spec,):
+            for record in getattr(spec, attr) if count in "*+" else (spec,):
                 lines.append(f"{indent}- {key}:")
                 _emit_record(lines, record, reader, deeper)
             continue
@@ -665,7 +670,7 @@ def _emit_record(lines: list[str], spec, keys: _Table, indent: str) -> None:
                     entry = f"command: {_emit_scalar(item.text)}" if isinstance(item, Command) else f"split: {item.direction}"
                     lines.append(f"{deeper}- {entry}")
             continue
-        for item in value if count == "*" else (value,):
+        for item in value if count in "*+" else (value,):
             if item is not None:
                 lines.append(f"{indent}- {key}: {_emit_scalar(item)}")
 

@@ -55,10 +55,10 @@ class RegistryIndex:
         self._manifests = dict(manifests)
 
     def lookup(self, ref) -> ModuleManifest:
-        key = str(ref)
-        if key not in self._manifests:
+        manifest = self._manifests.get(str(ref))
+        if manifest is None:
             raise UnknownModule(ref)
-        return self._manifests[key]
+        return manifest
 
 
 def load_registry_index(path: str) -> RegistryIndex:

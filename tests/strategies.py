@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ipaddress
 import random
 import string
 
@@ -150,3 +151,50 @@ def random_topology(rng: random.Random, max_networks: int = 5, max_endpoints: in
         else:
             vms.append(VmSpec(name=f"ep{i}", path=f"$(pwd)/vms/ep{i}", networks=nets))
     return Scenario(networks=networks, containers=tuple(containers), vms=tuple(vms))
+
+
+# Names the DOT export has to escape and the YAML export to quote.
+GRAPH_NAMES = ["a", "b", 'q"t', "b\\s", '\\"', "c"]
+GRAPH_NETWORK_NAMES = ["n0", 'n"1', "n\\2", "n3"]
+
+
+@st.composite
+def graph_scenarios(draw) -> Scenario:
+    """Scenarios for the allocator, the planner and both graph exports.
+
+    1-4 networks of /24 to /30, each internal, encrypted, both or neither,
+    some named with ``"`` or ``\\``.  Up to 8 containers and 5 VMs whose
+    names repeat across and within kinds, each on any of the networks (now
+    and then one of them twice), so VMs share networks with containers.
+    About one in three has a manual address: in a subnet (its network,
+    gateway and broadcast addresses included), just past one, or outside
+    every one.  ``validate`` refuses some of them; allocation never fails
+    for anything but a full subnet.
+    """
+    count = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(GRAPH_NETWORK_NAMES), min_size=count, max_size=count, unique=True))
+    prefixes = draw(st.lists(st.integers(24, 30), min_size=count, max_size=count))
+    networks = tuple(
+        NetworkSpec(name=name, subnet=f"10.{i}.0.0/{prefix}", internal=draw(st.booleans()), encryption=draw(st.booleans()))
+        for i, (name, prefix) in enumerate(zip(names, prefixes))
+    )
+
+    def attached():
+        nets = draw(st.permutations(names))[: draw(st.integers(0, count))]
+        return tuple(nets + nets[:1] if nets and draw(st.integers(0, 9)) == 0 else nets)
+
+    def manual_ip():
+        if draw(st.integers(0, 2)):
+            return None
+        i = draw(st.integers(0, count))
+        if i == count:
+            return "192.168.0.7"
+        return str(ipaddress.IPv4Address(f"10.{i}.0.0") + draw(st.integers(0, 2 ** (32 - prefixes[i]))))
+
+    endpoint = st.sampled_from(GRAPH_NAMES)
+    base = ModuleRef.parse(BASE_REFS[0])
+    containers = tuple(
+        ContainerSpec(name=draw(endpoint), base=base, networks=attached(), ip=manual_ip()) for _ in range(draw(st.integers(0, 8)))
+    )
+    vms = tuple(VmSpec(name=draw(endpoint), path="vms/x", networks=attached(), ip=manual_ip()) for _ in range(draw(st.integers(0, 5))))
+    return Scenario(networks=networks, containers=containers, vms=vms)

@@ -4,24 +4,28 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints
+from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoint_specs, endpoints, manual_network
 from alurity.netplan import (
+    AddressAssignment,
     AllocationFailure,
+    ConnectivityPlan,
     PlanEntry,
     UnknownEndpoint,
     UnsupportedFormat,
+    _dot_escape,
     _dotted,
     _host_range,
     allocate_addresses,
+    bridge_name,
     build_connectivity_plan,
     export_graph,
     export_plan_yaml,
 )
 
-from strategies import BASE_REFS, random_topology
+from strategies import BASE_REFS, graph_scenarios, random_topology
 
 BASE = ModuleRef.parse(BASE_REFS[0])
 
@@ -102,6 +106,11 @@ class TestAllocation:
 
     def test_deterministic(self, merged12):
         assert allocate_addresses(merged12) == allocate_addresses(merged12)
+
+    def test_a_replaced_assignment_indexes_its_own_addresses(self, listing1):
+        assignment = replace(allocate_addresses(listing1), addresses={("box", "lan"): "10.0.0.2"})
+        assert assignment.addresses_of("box") == [("lan", "10.0.0.2")]
+        assert assignment.addresses_of("attacker") == []
 
 
 class TestDottedQuad:
@@ -295,3 +304,183 @@ def test_subnet_safety_over_random_scenarios():
             assert parsed not in (subnet.network_address, subnet.broadcast_address)
             assert addr not in per_network.setdefault(net_name, set())
             per_network[net_name].add(addr)
+
+
+class TestRefusedScenarios:
+    """Allocation and planning on a scenario ``validate`` refuses raise
+    ``AllocationFailure`` naming what is wrong, never a library error."""
+
+    def scenario(self, subnet="12.0.0.0/24", networks=("lan",), ip=None):
+        return Scenario(
+            networks=(NetworkSpec(name="lan", subnet=subnet),),
+            containers=(ContainerSpec(name="box", base=BASE, networks=networks, ip=ip),),
+        )
+
+    def test_an_undeclared_network(self):
+        scenario = self.scenario(networks=("lan", "ghost"))
+        with pytest.raises(AllocationFailure) as failure:
+            allocate_addresses(scenario)
+        assert str(failure.value) == "endpoint 'box' is attached to network 'ghost', which is not declared"
+
+    def test_an_undeclared_network_in_the_plan(self):
+        scenario = self.scenario(networks=("lan", "ghost"))
+        with pytest.raises(AllocationFailure) as failure:
+            build_connectivity_plan(scenario, AddressAssignment(addresses={}, gateways={}))
+        assert str(failure.value) == "endpoint 'box' is attached to network 'ghost', which is not declared"
+
+    @pytest.mark.parametrize("subnet", ["bad", "255.255.255.255/32"])
+    def test_a_subnet_that_is_not_a_cidr_block_with_a_gateway(self, subnet):
+        with pytest.raises(AllocationFailure) as failure:
+            allocate_addresses(self.scenario(subnet=subnet))
+        assert str(failure.value) == f"network 'lan' has subnet {subnet!r}, which is not an IPv4 CIDR block with a gateway"
+
+    def test_an_ip_that_is_not_an_address(self):
+        with pytest.raises(AllocationFailure) as failure:
+            allocate_addresses(self.scenario(ip="nonsense"))
+        assert str(failure.value) == "endpoint 'box' has ip 'nonsense', which is not an IPv4 address"
+
+
+# The allocator, planner and DOT writer before the graph path's per-endpoint
+# costs were cut, kept verbatim as the oracles of the property below.
+
+
+def former_allocate(scenario: Scenario) -> AddressAssignment:
+    networks = {n.name: ipaddress.IPv4Network(n.subnet) for n in scenario.networks}
+    gateways = {name: str(net.network_address + 1) for name, net in networks.items()}
+
+    specs = endpoint_specs(scenario)
+    used: dict[str, set] = {name: {int(net.network_address) + 1} for name, net in networks.items()}
+    addresses: dict = {}
+
+    # Manual addresses first so auto assignment can skip them.
+    for name, _kind in endpoints(scenario):
+        spec = specs[name]
+        if spec.ip is None:
+            continue
+        addr = ipaddress.IPv4Address(spec.ip)
+        if (net_name := manual_network(addr, spec.networks, networks)) is not None:
+            addresses[(name, net_name)] = spec.ip
+            used[net_name].add(int(addr))
+
+    cursors = {name: _host_range(net) for name, net in networks.items()}
+    for name, _kind in endpoints(scenario):
+        for net_name in specs[name].networks:
+            if (name, net_name) in addresses:
+                continue
+            host, last = cursors[net_name]
+            while host in used[net_name]:
+                host += 1
+            if host > last:
+                raise AllocationFailure(
+                    f"subnet {networks[net_name]} of network {net_name!r} has no free host address for {name!r}"
+                )
+            addresses[(name, net_name)] = _dotted(host)
+            cursors[net_name] = (host + 1, last)
+
+    return AddressAssignment(addresses=addresses, gateways=gateways)
+
+
+def former_plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
+    specs = endpoint_specs(scenario)
+    attachments: dict[str, tuple] = {}
+    kinds: dict[str, set] = {n.name: set() for n in scenario.networks}  # network -> its members' kinds
+    links: list[PlanEntry] = []
+    for name, kind in endpoints(scenario):
+        attachments[name] = nets = tuple(specs[name].networks)
+        link = "veth-pair" if kind == "container" else "tap-attach"
+        for net in nets:
+            kinds[net].add(kind)
+            links.append(PlanEntry(kind=link, endpoint=name, bridge=bridge_name(net)))
+
+    used = [net for net in scenario.networks if kinds[net.name]]
+    entries = [PlanEntry(kind="bridge", name=bridge_name(net.name), network=net.name) for net in used]
+    entries += links
+    # Host routes exist for the mixed sim/emu case: a VM sharing a network
+    # with at least one container.
+    entries += [PlanEntry(kind="route", subnet=net.subnet, via=assignment.gateways[net.name]) for net in used if kinds[net.name] == {"container", "vm"}]
+    entries += [PlanEntry(kind="filter-rule", action="drop-external" if net.internal else "masquerade", network=net.name) for net in used]
+    entries += [PlanEntry(kind="metadata", network=net.name, encryption=True) for net in used if net.encryption]
+    return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
+
+
+def former_export_graph(plan: ConnectivityPlan, assignment: AddressAssignment, format: str = "dot") -> str:
+    if format == "yaml":
+        return export_plan_yaml(plan)
+    if format != "dot":
+        raise UnsupportedFormat(format)
+    lines = ["digraph topology {"]
+    networks = [entry.network for entry in plan.entries if entry.kind == "bridge"]
+    # IDs and labels are DOT quoted strings.
+    for name in plan.attachments:
+        node = _dot_escape(name)
+        addrs = ", ".join(addr for _net, addr in sorted(assignment.addresses_of(name)))
+        label = f"{node}\\n{addrs}" if addrs else node
+        lines.append(f'  "{node}" [shape=box, label="{label}"];')
+    for net in networks:
+        node = _dot_escape(net)
+        lines.append(f'  "net:{node}" [shape=ellipse, label="{node}"];')
+    for name, nets in plan.attachments.items():
+        node = _dot_escape(name)
+        for net in nets:
+            lines.append(f'  "{node}" -> "net:{_dot_escape(net)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_outcome(allocate, scenario):
+    try:
+        return allocate(scenario), None
+    except AllocationFailure as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(graph_scenarios())
+def test_graph_path_matches_the_former_functions(scenario):
+    """Same addresses, gateways, per-endpoint addresses, plan and exports,
+    byte for byte, as the allocator, planner and DOT writer kept above; the
+    same message when a subnet is full."""
+    expected, expected_failure = graph_outcome(former_allocate, scenario)
+    actual, failure = graph_outcome(allocate_addresses, scenario)
+    assert failure == expected_failure
+    if expected is None:
+        return
+    assert list(actual.addresses.items()) == list(expected.addresses.items())
+    assert list(actual.gateways.items()) == list(expected.gateways.items())
+    for name in [c.name for c in scenario.containers] + [v.name for v in scenario.vms] + ["ghost"]:
+        assert actual.addresses_of(name) == expected.addresses_of(name)
+    plan, former = build_connectivity_plan(scenario, actual), former_plan(scenario, expected)
+    assert plan.entries == former.entries
+    assert list(plan.attachments.items()) == list(former.attachments.items())
+    for fmt in ("dot", "yaml"):
+        assert export_graph(plan, actual, fmt) == former_export_graph(former, expected, fmt)
+
+
+def test_graph_inputs_reach_every_case():
+    """The generator does produce the cases the property is for."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck), derandomize=True)
+    @given(graph_scenarios())
+    def collect(scenario):
+        expected, failure = graph_outcome(former_allocate, scenario)
+        if failure:
+            seen.add("full")
+            return
+        plan = former_plan(scenario, expected)
+        seen.update(entry.kind for entry in plan.entries)
+        seen.update(f"internal-{net.internal}" for net in scenario.networks)
+        specs = scenario.containers + scenario.vms
+        if {c.name for c in scenario.containers} & {v.name for v in scenario.vms}:
+            seen.add("name-in-both-kinds")
+        if any(spec.ip for spec in specs):
+            seen.add("manual")
+        if any(len(set(spec.networks)) < len(spec.networks) for spec in specs):
+            seen.add("network-twice")
+        names = {spec.name for spec in specs} | {net.name for net in scenario.networks}
+        seen.update(mark for mark in ('"', "\\") if any(mark in name for name in names))
+
+    collect()
+    wanted = {"full", "bridge", "veth-pair", "tap-attach", "route", "filter-rule", "metadata", "internal-True", "internal-False"}
+    wanted |= {"name-in-both-kinds", "manual", "network-twice", '"', "\\"}
+    assert wanted <= seen, wanted - seen
