@@ -218,12 +218,11 @@ def _parser() -> _Parser:
     return parser
 
 
-# Library exceptions whose own text explains them: exit code, stderr prefix.
+# Library exceptions whose own text, printed as it is, explains them: exit code.
 _OUTCOMES = (
-    ((pipeline.ValidationFailure, toolreg.UnknownModule), EXIT_VALIDATION, ""),
-    (rvd.NoReproductionFound, EXIT_PARSE, ""),
-    (orchestrator.DeploymentFailure, EXIT_DEPLOYMENT, "deployment failed: "),
-    ((orchestrator.TeardownLeak, pipeline.SinkUnwritable), EXIT_DEPLOYMENT, ""),
+    ((pipeline.ValidationFailure, toolreg.UnknownModule), EXIT_VALIDATION),
+    (rvd.NoReproductionFound, EXIT_PARSE),
+    ((orchestrator.DeploymentFailure, orchestrator.TeardownLeak, pipeline.SinkUnwritable), EXIT_DEPLOYMENT),
 )
 
 
@@ -238,9 +237,9 @@ def main(argv=None) -> int:
             print(exc, file=sys.stderr)
         return exc.code
     except Exception as exc:
-        for types, code, prefix in _OUTCOMES:
+        for types, code in _OUTCOMES:
             if isinstance(exc, types):
-                print(f"{prefix}{exc}", file=sys.stderr)
+                print(exc, file=sys.stderr)
                 return code
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -186,21 +186,6 @@ class Diagnostic:
         return f"{self.severity} {self.code} {self.location} {self.message}{where}"
 
 
-def endpoints(scenario: Scenario) -> list[tuple[str, str]]:
-    """All endpoints, containers first, each in document order."""
-    out = [(c.name, "container") for c in scenario.containers]
-    out.extend((v.name, "vm") for v in scenario.vms)
-    return out
-
-
-def endpoint_specs(scenario: Scenario) -> dict:
-    """Endpoint name -> spec; when a name repeats, the last spec (VMs after
-    containers) wins."""
-    specs = {c.name: c for c in scenario.containers}
-    specs.update({v.name: v for v in scenario.vms})
-    return specs
-
-
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
@@ -230,6 +215,11 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     """All invariant violations, flows' too, document order then code; [] iff
     runnable.  Computed once per ``Scenario`` value; each call returns a new list."""
     return list(derive_once(scenario, "validate", _validate))
+
+
+def first_error(scenario: Scenario) -> Optional[Diagnostic]:
+    """``validate``'s first error; None iff ``scenario`` is runnable."""
+    return next((d for d in validate(scenario) if d.severity == "error"), None)
 
 
 def _validate(scenario: Scenario) -> tuple[Diagnostic, ...]:

@@ -12,7 +12,7 @@ import ipaddress
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional
 
-from .model import Scenario, derive_once, endpoint_specs, manual_network
+from .model import Scenario, derive_once, first_error, manual_network
 from .parser import _emit_scalar
 
 
@@ -71,28 +71,24 @@ class ConnectivityPlan:
     attachments: dict = field(default_factory=dict)
 
 
-def _host_range(net: ipaddress.IPv4Network) -> tuple[int, int]:
-    """First and last host as integers, by the rule of ``hosts()``: a /31
-    has both its addresses, a /32 its one, any other prefix all but the
-    network and broadcast addresses."""
-    first, last = int(net.network_address), int(net.broadcast_address)
-    if net.prefixlen < 31:
-        return first + 1, last - 1
-    return first, last
-
-
 def _dotted(host: int) -> str:
     """``str(IPv4Address(host))`` for a host number in ``[0, 2**32)``."""
     return f"{host >> 24}.{host >> 16 & 255}.{host >> 8 & 255}.{host & 255}"
 
 
+def _admit(scenario: Scenario) -> None:
+    """``AllocationFailure`` naming ``validate``'s first error, if it has one."""
+    if (error := first_error(scenario)) is not None:
+        raise AllocationFailure(f"scenario invalid: {error}")
+
+
 def allocate_addresses(scenario: Scenario) -> AddressAssignment:
     """Deterministic address plan: manual IPs verbatim, the rest lowest-free.
 
-    Gateway of every subnet is its lowest host address; auto assignment walks
-    endpoints in document order handing out the lowest unused host address
-    above the gateway (host addresses as ``hosts()`` gives them, so a /31
-    offers both of its addresses and a /32 its single one).  Each network
+    A scenario ``validate`` refuses raises ``AllocationFailure("scenario
+    invalid: <its first error>")``.  Gateway of every subnet is its lowest
+    host address; auto assignment walks endpoints in document order handing
+    out the lowest unused host address above the gateway.  Each network
     keeps a cursor that only moves up past taken addresses, so the cost is
     linear in attachments plus manual addresses, whatever the subnet size.
     Computed once per ``Scenario`` value and shared, so read-only; failures are not kept.
@@ -101,56 +97,38 @@ def allocate_addresses(scenario: Scenario) -> AddressAssignment:
 
 
 def _allocate(scenario: Scenario) -> AddressAssignment:
-    networks, gateways = {}, {}  # network name -> its subnet, its gateway
-    for net in scenario.networks:
-        try:
-            networks[net.name] = subnet = ipaddress.IPv4Network(net.subnet)
-            gateways[net.name] = str(subnet.network_address + 1)  # 255.255.255.255/32 has none
-        except ValueError:
-            raise AllocationFailure(f"network {net.name!r} has subnet {net.subnet!r}, which is not an IPv4 CIDR block with a gateway") from None
-
-    specs = endpoint_specs(scenario).values()
-    used: dict[str, set] = {name: {int(net.network_address) + 1} for name, net in networks.items()}
+    _admit(scenario)
+    networks = {net.name: ipaddress.IPv4Network(net.subnet) for net in scenario.networks}
+    gateways = {name: str(subnet.network_address + 1) for name, subnet in networks.items()}
+    specs = (*scenario.containers, *scenario.vms)
+    used: dict[str, set] = {name: set() for name in networks}  # network -> its manual host numbers
     addresses, by_endpoint = {}, {}  # as in ``AddressAssignment``
 
     # Manual addresses first so auto assignment can skip them.
     for spec in specs:
-        if spec.ip is None:
-            continue
-        try:
+        if spec.ip is not None:
             addr = ipaddress.IPv4Address(spec.ip)
-        except ValueError:
-            raise AllocationFailure(f"endpoint {spec.name!r} has ip {spec.ip!r}, which is not an IPv4 address") from None
-        if (net_name := manual_network(addr, spec.networks, networks)) is not None:
+            net_name = manual_network(addr, spec.networks, networks)
             addresses[(spec.name, net_name)] = spec.ip
             by_endpoint[spec.name] = {net_name: spec.ip}
             used[net_name].add(int(addr))
 
-    cursor = {name: _host_range(net)[0] for name, net in networks.items()}  # network -> the next host to try
-    last = {name: _host_range(net)[1] for name, net in networks.items()}
-    try:
-        for spec in specs:
-            name = spec.name
-            mine = by_endpoint.setdefault(name, {})
-            for net_name in spec.networks:
-                if net_name in mine:
-                    continue
-                host = cursor[net_name]
-                taken = used[net_name]
-                while host in taken:
-                    host += 1
-                if host > last[net_name]:
-                    raise AllocationFailure(f"subnet {networks[net_name]} of network {net_name!r} has no free host address for {name!r}")
-                addresses[(name, net_name)] = mine[net_name] = _dotted(host)
-                cursor[net_name] = host + 1
-    except KeyError as exc:
-        raise AllocationFailure(_undeclared(name, exc)) from None
+    # Hosts above the gateway run to broadcast - 1; ``validate`` refused a subnet too small for its attachments.
+    cursor = {name: int(net.network_address) + 2 for name, net in networks.items()}  # network -> the next host to try
+    for spec in specs:
+        name = spec.name
+        mine = by_endpoint.setdefault(name, {})
+        for net_name in spec.networks:
+            if net_name in mine:
+                continue
+            host = cursor[net_name]
+            taken = used[net_name]
+            while host in taken:
+                host += 1
+            addresses[(name, net_name)] = mine[net_name] = _dotted(host)
+            cursor[net_name] = host + 1
 
     return AddressAssignment(addresses=addresses, gateways=gateways, index=by_endpoint)
-
-
-def _undeclared(endpoint: str, missing: KeyError) -> str:
-    return f"endpoint {endpoint!r} is attached to network {missing.args[0]!r}, which is not declared"
 
 
 def bridge_name(network: str) -> str:
@@ -159,30 +137,29 @@ def bridge_name(network: str) -> str:
 
 def build_connectivity_plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
     """Pure function of (scenario, assignment); entry order is bridges,
-    attachments, routes, filter rules, then encryption metadata.  Computed once per
-    ``Scenario`` value when ``assignment`` is ``allocate_addresses(scenario)``; shared, so read-only."""
+    attachments, routes, filter rules, then encryption metadata.  A scenario
+    ``validate`` refuses raises ``AllocationFailure`` as ``allocate_addresses``
+    does.  Computed once per ``Scenario`` value when ``assignment`` is
+    ``allocate_addresses(scenario)``; shared, so read-only."""
     if assignment is not None and assignment is scenario._derived.get("allocate_addresses"):
         return derive_once(scenario, "build_connectivity_plan", _plan, assignment)
     return _plan(scenario, assignment)
 
 
 def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan:
-    specs = endpoint_specs(scenario)
+    _admit(scenario)
     bridges = {n.name: bridge_name(n.name) for n in scenario.networks}
     attachments: dict[str, tuple] = {}
     in_containers, in_vms = set(), set()  # the networks each kind joins
     links: list[PlanEntry] = []
     new = tuple.__new__  # builds each PlanEntry without a Python call to its generated __new__
-    try:
-        for link, group, joined in (("veth-pair", scenario.containers, in_containers), ("tap-attach", scenario.vms, in_vms)):
-            for spec in group:
-                name = spec.name
-                attachments[name] = nets = specs[name].networks
-                joined.update(nets)
-                for net in nets:
-                    links.append(new(PlanEntry, (link, None, None, name, bridges[net], None, None, None, None)))
-    except KeyError as exc:
-        raise AllocationFailure(_undeclared(name, exc)) from None
+    for link, group, joined in (("veth-pair", scenario.containers, in_containers), ("tap-attach", scenario.vms, in_vms)):
+        for spec in group:
+            name = spec.name
+            attachments[name] = nets = spec.networks
+            joined.update(nets)
+            for net in nets:
+                links.append(new(PlanEntry, (link, None, None, name, bridges[net], None, None, None, None)))
 
     used = [net for net in scenario.networks if net.name in in_containers or net.name in in_vms]
     entries = [PlanEntry(kind="bridge", name=bridges[net.name], network=net.name) for net in used]

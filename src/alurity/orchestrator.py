@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
 from . import toolreg
-from .model import Scenario, endpoints, validate
+from .model import Scenario, first_error, validate  # noqa: F401  validate: read by nothing here, a site bench/spans.py traces
 from .netplan import ConnectivityPlan, UnknownEndpoint, allocate_addresses, build_connectivity_plan
-from .parser import ParseFailure, compile_regex, load_yaml_map, map_or_empty
+from .parser import ParseFailure, compile_regex, load_yaml_map, map_or_empty, text_field
 
 
 class EndpointNotRunning(Exception):
@@ -37,12 +37,12 @@ def _left_live(live: dict[str, str]) -> str:
 
 
 class DeploymentFailure(Exception):
-    """A failed bring-up; ``live`` names what its rollback left live."""
+    """A failed bring-up; ``endpoint`` is the one whose creation failed, else None, and ``live`` names what its rollback left live."""
 
     def __init__(self, endpoint: Optional[str], cause, live: Optional[dict[str, str]] = None):
         self.endpoint = endpoint
         self.live = list(live or ())
-        message = f"deployment failed at endpoint {endpoint!r}: {cause}"
+        message = f"deployment failed at endpoint {endpoint!r}: {cause}" if endpoint is not None else f"deployment failed: {cause}"
         if live:
             message += f"; rollback {_left_live(live)}"
         super().__init__(message)
@@ -163,7 +163,7 @@ class MockBackend:
         if (answer := self._answers.get(index)) is None:
             body = {} if index is None else self._bodies[index]
             answer = self._answers[index] = (
-                int(body.get("exit", 0)), str(body.get("stdout", "")).encode(), str(body.get("stderr", "")).encode()
+                int(body.get("exit", 0)), text_field(body, "stdout").encode(), text_field(body, "stderr").encode()
             )
         self.clock += ticks
         # tuple.__new__ builds the NamedTuple without a Python call to its generated __new__
@@ -225,9 +225,8 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     unresolvable modules fail before anything is created.  Without one,
     specs are handed to the backend uncomposed.  What was derived from ``scenario`` is reused.
     """
-    errors = [d for d in validate(scenario) if d.severity == "error"]
-    if errors:
-        raise DeploymentFailure(None, f"scenario invalid: {errors[0]}")
+    if (error := first_error(scenario)) is not None:
+        raise DeploymentFailure(None, f"scenario invalid: {error}")
 
     images: dict[str, object] = {vm.name: vm.path for vm in scenario.vms}  # endpoint name -> a VM's path or a composed image
     if registry is not None:
@@ -241,15 +240,16 @@ def up(scenario: Scenario, backend: Backend, registry: Optional[toolreg.Registry
     plan = build_connectivity_plan(scenario, assignment)
     deployment = Deployment(assignment, backend)
 
+    name = None  # the endpoint being created, to blame if that fails
     try:
         for spec in (*scenario.containers, *scenario.vms):  # a valid scenario names each endpoint once
             name = spec.name
             deployment.handles[name] = backend.create_endpoint(spec, images.get(name), dict(assignment._by_endpoint.get(name, ())))
             deployment.states[name] = "running"  # at once: a failed up hands back no Deployment
+        name = None
         backend.apply_plan(plan)
     except Exception as exc:
-        failed = next((n for n, _ in endpoints(scenario) if n not in deployment.states), None)
         deployment.down()
-        raise DeploymentFailure(failed, exc, deployment.destroy_errors) from exc
+        raise DeploymentFailure(name, exc, deployment.destroy_errors) from exc
     return deployment
 

@@ -201,6 +201,13 @@ def map_or_empty(value, what: str, kind: type = dict):
     return value or kind()
 
 
+def text_field(body: dict, key: str, default: str = "") -> str:
+    """``body[key]`` as text in a config file, where a null value reads as a
+    missing key: ``default``."""
+    value = body.get(key)
+    return default if value is None else str(value)
+
+
 def _built(node: yaml.Node, built: dict):
     """The safe constructor's value for ``node``, each scalar read by
     ``_scalar``; plain text that matches a type's pattern but does not

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import ContainerSpec, ModuleRef
-from .parser import ParseFailure, compile_regex, load_yaml_map, map_or_empty
+from .parser import ParseFailure, compile_regex, load_yaml_map, map_or_empty, text_field
 
 
 class UnknownModule(Exception):
@@ -66,17 +66,17 @@ def load_registry_index(path: str) -> RegistryIndex:
 
 
 def _rule(r, where: str) -> ExtractionRule:
-    if not isinstance(r, dict) or "id" not in r or "pattern" not in r:
+    if not isinstance(r, dict) or r.get("id") is None or r.get("pattern") is None:
         raise ParseFailure(f"each rule of {where} must be a map with an 'id' and a 'pattern', got {r!r}")
     pattern = str(r["pattern"])
     compile_regex(pattern, f"the pattern of rule {r['id']!r} of {where}")
     return ExtractionRule(
         id=str(r["id"]),
         pattern=pattern,
-        title=str(r.get("title", "")),
-        flaw_class=str(r.get("flaw-class", r.get("flaw_class", "vulnerability"))),
-        severity=str(r.get("severity", "medium")),
-        description=str(r.get("description", "")),
+        title=text_field(r, "title"),
+        flaw_class=text_field(r, "flaw-class", text_field(r, "flaw_class", "vulnerability")),
+        severity=text_field(r, "severity", "medium"),
+        description=text_field(r, "description"),
     )
 
 
@@ -90,7 +90,7 @@ def registry_index_from_dict(raw: Mapping) -> RegistryIndex:
         body = map_or_empty(body, f"the manifest of {ref_text}")
         manifests[str(ref_text)] = ModuleManifest(
             rules=tuple(_rule(r, ref_text) for r in map_or_empty(body.get("rules"), f"the rules of {ref_text}", list)),
-            entrypoint=str(body.get("entrypoint", "")),
+            entrypoint=text_field(body, "entrypoint"),
         )
         map_or_empty(body.get("tools"), f"the tools of {ref_text}", list)  # documents the module's tools: checked, read by nothing
     return RegistryIndex(manifests)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 from alurity.cli import main as cli_main
 from alurity.flows import Transcript, TranscriptEvent, compile_flow, run_flow, transcript_to_yaml, verify_transcript
-from alurity.model import Command, ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoints, validate
+from alurity.model import Command, ContainerSpec, ModuleRef, NetworkSpec, Scenario, validate
 from alurity.netplan import allocate_addresses, build_connectivity_plan
 from alurity.orchestrator import CommandResult, DeploymentFailure, MockBackend, up
 from alurity.parser import parse_flow, parse_scenario, serialize_scenario
@@ -28,7 +28,7 @@ from alurity.toolreg import load_registry_index
 
 import conftest
 from failing_backend import FailingBackend
-from strategies import BASE_REFS, random_topology, scenarios
+from strategies import BASE_REFS, endpoints, random_topology, scenarios
 from test_netplan import linked_bridges, reachable
 from test_parser import LISTING1_EXPECTED, LISTING2_EXPECTED
 from test_rvd_oracle import record_document

@@ -276,6 +276,19 @@ class TestRun:
         assert code == 3
         assert err.splitlines()[-1] == "teardown left 1 endpoint(s) live: attacker (injected destroy failure for 'attacker')"
 
+    def test_a_module_missing_from_the_index_says_deployment_failed_once(self, run_cli, tmp_path):
+        index = tmp_path / "index.yaml"
+        index.write_text("r/x:1: {}\n")
+        code, out, err = run_cli("run", ROSNET, "--index", str(index), "--transcript-dir", str(tmp_path / "t"))
+        assert (code, out) == (3, "")
+        assert err == f"deployment failed: module {REG}/comp_ros:melodic-scenario not present in registry index\n"
+
+    def test_an_endpoint_the_backend_cannot_create_is_named_once(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "MockBackend", partial(FailingBackend, fail_create={"attacker"}))
+        code, out, err = run_cli("run", ROSNET, "--transcript-dir", str(tmp_path / "t"))
+        assert (code, out) == (3, "")
+        assert err == "deployment failed at endpoint 'attacker': injected creation failure for 'attacker'\n"
+
     def test_earlier_failure_outranks_a_teardown_leak(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setattr(orchestrator, "MockBackend", partial(FailingBackend, fail_destroy={"attacker"}))
         blocker = tmp_path / "a-file"
@@ -487,6 +500,8 @@ BAD_INDEX = {
     "rule-not-map": "r/x:1:\n  rules: [5]\n",
     "rule-without-id": "r/x:1:\n  rules:\n    - pattern: x\n",
     "rule-without-pattern": "r/x:1:\n  rules:\n    - id: x\n",
+    "rule-null-id": "r/x:1:\n  rules:\n    - {id: ~, pattern: x}\n",
+    "rule-null-pattern": "r/x:1:\n  rules:\n    - {id: x, pattern: ~}\n",
     "tools-not-list": "r/x:1:\n  tools: 5\n",
     "tools-string": "r/x:1:\n  tools: abc\n",
     "pattern-not-regex": "r/x:1:\n  rules:\n    - {id: x, pattern: \"FINDING: ([\"}\n",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, endpoint_specs, endpoints, manual_network
+from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, manual_network, validate
 from alurity.netplan import (
     AddressAssignment,
     AllocationFailure,
@@ -17,7 +17,6 @@ from alurity.netplan import (
     UnsupportedFormat,
     _dot_escape,
     _dotted,
-    _host_range,
     allocate_addresses,
     bridge_name,
     build_connectivity_plan,
@@ -25,7 +24,7 @@ from alurity.netplan import (
     export_plan_yaml,
 )
 
-from strategies import BASE_REFS, graph_scenarios, random_topology
+from strategies import BASE_REFS, endpoint_specs, endpoints, gated_scenarios, random_topology
 
 BASE = ModuleRef.parse(BASE_REFS[0])
 
@@ -103,6 +102,19 @@ class TestAllocation:
         )
         with pytest.raises(AllocationFailure):
             allocate_addresses(scenario)
+
+    def test_a_subnet_filled_exactly(self):
+        """A /29 has five hosts besides the gateway: five endpoints take them
+        all, lowest first, and a sixth is refused as ``subnet-exhausted``."""
+        boxes = tuple(ContainerSpec(name=f"e{i}", base=BASE, networks=("lan",)) for i in range(6))
+        scenario = Scenario(networks=(NetworkSpec(name="lan", subnet="10.0.0.0/29"),), containers=boxes[:5])
+        assert list(allocate_addresses(scenario).addresses.values()) == [f"10.0.0.{h}" for h in range(2, 7)]
+        with pytest.raises(AllocationFailure) as failure:
+            allocate_addresses(replace(scenario, containers=boxes))
+        assert str(failure.value) == (
+            "scenario invalid: error subnet-exhausted networks[0].subnet "
+            "6 endpoints attach to 'lan' but 10.0.0.0/29 has 5 host addresses besides the gateway"
+        )
 
     def test_deterministic(self, merged12):
         assert allocate_addresses(merged12) == allocate_addresses(merged12)
@@ -308,7 +320,7 @@ def test_subnet_safety_over_random_scenarios():
 
 class TestRefusedScenarios:
     """Allocation and planning on a scenario ``validate`` refuses raise
-    ``AllocationFailure`` naming what is wrong, never a library error."""
+    ``AllocationFailure`` naming its first error, never a library error."""
 
     def scenario(self, subnet="12.0.0.0/24", networks=("lan",), ip=None):
         return Scenario(
@@ -316,32 +328,50 @@ class TestRefusedScenarios:
             containers=(ContainerSpec(name="box", base=BASE, networks=networks, ip=ip),),
         )
 
+    UNDECLARED = "scenario invalid: error network-not-found containers[0].networks[1] network 'ghost' is not declared"
+
     def test_an_undeclared_network(self):
         scenario = self.scenario(networks=("lan", "ghost"))
         with pytest.raises(AllocationFailure) as failure:
             allocate_addresses(scenario)
-        assert str(failure.value) == "endpoint 'box' is attached to network 'ghost', which is not declared"
+        assert str(failure.value) == self.UNDECLARED
 
     def test_an_undeclared_network_in_the_plan(self):
         scenario = self.scenario(networks=("lan", "ghost"))
         with pytest.raises(AllocationFailure) as failure:
             build_connectivity_plan(scenario, AddressAssignment(addresses={}, gateways={}))
-        assert str(failure.value) == "endpoint 'box' is attached to network 'ghost', which is not declared"
+        assert str(failure.value) == self.UNDECLARED
 
-    @pytest.mark.parametrize("subnet", ["bad", "255.255.255.255/32"])
+    SUBNET_ERRORS = {
+        "bad": "invalid-subnet networks[0].subnet 'bad' is not a valid IPv4 CIDR block",
+        "255.255.255.255/32": "subnet-prefix-out-of-range networks[0].subnet prefix /32 outside /8../30",
+    }
+
+    @pytest.mark.parametrize("subnet", list(SUBNET_ERRORS))
     def test_a_subnet_that_is_not_a_cidr_block_with_a_gateway(self, subnet):
         with pytest.raises(AllocationFailure) as failure:
             allocate_addresses(self.scenario(subnet=subnet))
-        assert str(failure.value) == f"network 'lan' has subnet {subnet!r}, which is not an IPv4 CIDR block with a gateway"
+        assert str(failure.value) == f"scenario invalid: error {self.SUBNET_ERRORS[subnet]}"
 
     def test_an_ip_that_is_not_an_address(self):
         with pytest.raises(AllocationFailure) as failure:
             allocate_addresses(self.scenario(ip="nonsense"))
-        assert str(failure.value) == "endpoint 'box' has ip 'nonsense', which is not an IPv4 address"
+        assert str(failure.value) == "scenario invalid: error invalid-ip containers[0].ip 'nonsense' is not a valid IPv4 address"
 
 
 # The allocator, planner and DOT writer before the graph path's per-endpoint
-# costs were cut, kept verbatim as the oracles of the property below.
+# costs were cut, kept verbatim as the oracles of the property below, with
+# the host range they read.
+
+
+def _host_range(net: ipaddress.IPv4Network) -> tuple[int, int]:
+    """First and last host as integers, by the rule of ``hosts()``: a /31
+    has both its addresses, a /32 its one, any other prefix all but the
+    network and broadcast addresses."""
+    first, last = int(net.network_address), int(net.broadcast_address)
+    if net.prefixlen < 31:
+        return first + 1, last - 1
+    return first, last
 
 
 def former_allocate(scenario: Scenario) -> AddressAssignment:
@@ -434,17 +464,26 @@ def graph_outcome(allocate, scenario):
         return None, str(exc)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
-@given(graph_scenarios())
+def first_error_text(scenario):
+    """``validate``'s first error as text, or None."""
+    return next((str(d) for d in validate(scenario) if d.severity == "error"), None)
+
+
+@settings(max_examples=375, deadline=None, suppress_health_check=list(HealthCheck))
+@given(gated_scenarios())
 def test_graph_path_matches_the_former_functions(scenario):
-    """Same addresses, gateways, per-endpoint addresses, plan and exports,
-    byte for byte, as the allocator, planner and DOT writer kept above; the
-    same message when a subnet is full."""
-    expected, expected_failure = graph_outcome(former_allocate, scenario)
+    """A scenario ``validate`` refuses is refused by allocation and planning
+    with its first error; one it accepts gets the same addresses, gateways,
+    per-endpoint addresses, plan and exports, byte for byte, as the
+    allocator, planner and DOT writer kept above."""
     actual, failure = graph_outcome(allocate_addresses, scenario)
-    assert failure == expected_failure
-    if expected is None:
+    if (error := first_error_text(scenario)) is not None:
+        assert failure == f"scenario invalid: {error}"
+        with pytest.raises(AllocationFailure, match=re.escape(failure)):
+            build_connectivity_plan(scenario, AddressAssignment(addresses={}, gateways={}))
         return
+    expected = former_allocate(scenario)
+    assert failure is None
     assert list(actual.addresses.items()) == list(expected.addresses.items())
     assert list(actual.gateways.items()) == list(expected.gateways.items())
     for name in [c.name for c in scenario.containers] + [v.name for v in scenario.vms] + ["ghost"]:
@@ -456,31 +495,43 @@ def test_graph_path_matches_the_former_functions(scenario):
         assert export_graph(plan, actual, fmt) == former_export_graph(former, expected, fmt)
 
 
+def filled_exactly(scenario, assignment) -> bool:
+    """Some network has as many attachments as host addresses besides the gateway."""
+    per_network = {}
+    for _name, net in assignment.addresses:
+        per_network[net] = per_network.get(net, 0) + 1
+    return any(per_network.get(n.name) == ipaddress.IPv4Network(n.subnet).num_addresses - 3 for n in scenario.networks)
+
+
 def test_graph_inputs_reach_every_case():
     """The generator does produce the cases the property is for."""
     seen = set()
 
-    @settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck), derandomize=True)
-    @given(graph_scenarios())
+    @settings(max_examples=600, deadline=None, suppress_health_check=list(HealthCheck), derandomize=True)
+    @given(gated_scenarios())
     def collect(scenario):
-        expected, failure = graph_outcome(former_allocate, scenario)
-        if failure:
-            seen.add("full")
-            return
-        plan = former_plan(scenario, expected)
-        seen.update(entry.kind for entry in plan.entries)
-        seen.update(f"internal-{net.internal}" for net in scenario.networks)
         specs = scenario.containers + scenario.vms
         if {c.name for c in scenario.containers} & {v.name for v in scenario.vms}:
             seen.add("name-in-both-kinds")
-        if any(spec.ip for spec in specs):
-            seen.add("manual")
         if any(len(set(spec.networks)) < len(spec.networks) for spec in specs):
             seen.add("network-twice")
+        if graph_outcome(former_allocate, scenario)[1]:
+            seen.add("full")
+        if first_error_text(scenario) is not None:
+            seen.add("refused")
+            return
+        expected = former_allocate(scenario)
+        plan = former_plan(scenario, expected)
+        seen.update(entry.kind for entry in plan.entries)
+        seen.update(f"internal-{net.internal}" for net in scenario.networks)
+        if any(spec.ip for spec in specs):
+            seen.add("manual")
+        if filled_exactly(scenario, expected):
+            seen.add("filled-exactly")
         names = {spec.name for spec in specs} | {net.name for net in scenario.networks}
         seen.update(mark for mark in ('"', "\\") if any(mark in name for name in names))
 
     collect()
     wanted = {"full", "bridge", "veth-pair", "tap-attach", "route", "filter-rule", "metadata", "internal-True", "internal-False"}
-    wanted |= {"name-in-both-kinds", "manual", "network-twice", '"', "\\"}
+    wanted |= {"name-in-both-kinds", "manual", "network-twice", '"', "\\", "refused", "filled-exactly"}
     assert wanted <= seen, wanted - seen

@@ -4,12 +4,10 @@ the planner that told containers from VMs by name sets as well as by kind,
 each kept here verbatim as the oracle."""
 
 import ipaddress
-from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from alurity.model import ContainerSpec, ModuleRef, NetworkSpec, Scenario, VmSpec, endpoint_specs, endpoints
+from alurity.model import Scenario
 from alurity.netplan import (
     AddressAssignment,
     AllocationFailure,
@@ -20,9 +18,8 @@ from alurity.netplan import (
     build_connectivity_plan,
 )
 
-from strategies import BASE_REFS
-
-BASE = ModuleRef.parse(BASE_REFS[0])
+from strategies import endpoint_specs, endpoints, gated_scenarios
+from test_netplan import first_error_text
 
 
 def reference_allocate_addresses(scenario: Scenario) -> AddressAssignment:
@@ -78,43 +75,10 @@ def reference_addresses_of(assignment: AddressAssignment, endpoint: str) -> list
     return [(net, addr) for (name, net), addr in assignment.addresses.items() if name == endpoint]
 
 
-@st.composite
-def allocation_scenarios(draw) -> Scenario:
-    """1-3 networks of /24 to /32, up to 12 endpoints drawn from a small name
-    pool (so names repeat across and within kinds), attached to any subset of
-    the networks, with manual addresses anywhere in or near the subnets."""
-    prefixes = draw(st.lists(st.integers(24, 32), min_size=1, max_size=3))
-    networks = tuple(
-        NetworkSpec(name=f"n{i}", subnet=f"10.{i}.0.0/{prefix}") for i, prefix in enumerate(prefixes)
-    )
-    net_names = [n.name for n in networks]
-
-    def manual_ip():
-        choice = draw(st.integers(0, 3))
-        if choice == 0:
-            return None
-        if choice == 1:
-            # outside every network
-            return f"192.168.0.{draw(st.integers(0, 3))}"
-        # inside (or just past) a subnet: network, gateway, broadcast, hosts
-        i = draw(st.integers(0, len(prefixes) - 1))
-        size = 2 ** (32 - prefixes[i])
-        offset = draw(st.one_of(st.sampled_from([0, 1, size - 1, size]), st.integers(0, min(size, 20))))
-        return str(ipaddress.IPv4Address(f"10.{i}.0.0") + offset)
-
-    def attached():
-        return tuple(draw(st.permutations(net_names))[: draw(st.integers(0, len(net_names)))])
-
-    names = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
-    containers = tuple(
-        ContainerSpec(name=draw(names), base=BASE, networks=attached(), ip=manual_ip())
-        for _ in range(draw(st.integers(0, 8)))
-    )
-    vms = tuple(
-        VmSpec(name=draw(names), path="vms/x", networks=attached(), ip=manual_ip())
-        for _ in range(draw(st.integers(0, 4)))
-    )
-    return Scenario(networks=networks, containers=containers, vms=vms)
+def allocation_scenarios():
+    """``gated_scenarios`` with plain names: 1-3 networks, endpoint names
+    from a small pool plus their index."""
+    return gated_scenarios(names="abcdefgh", network_names=("n0", "n1", "n2"))
 
 
 def outcome(allocate, scenario):
@@ -124,14 +88,17 @@ def outcome(allocate, scenario):
         return None, str(exc)
 
 
-@settings(max_examples=600, deadline=None, suppress_health_check=list(HealthCheck))
+@settings(max_examples=750, deadline=None, suppress_health_check=list(HealthCheck))
 @given(allocation_scenarios())
 def test_cursor_allocator_matches_rescanning_oracle(scenario):
-    expected, expected_failure = outcome(reference_allocate_addresses, scenario)
+    """A scenario ``validate`` refuses raises ``AllocationFailure`` naming its
+    first error; one it accepts gets the rescanning oracle's addresses."""
     actual, failure = outcome(allocate_addresses, scenario)
-    assert failure == expected_failure
-    if expected is None:
+    if (error := first_error_text(scenario)) is not None:
+        assert failure == f"scenario invalid: {error}"
         return
+    expected = reference_allocate_addresses(scenario)
+    assert failure is None
     assert list(actual.addresses.items()) == list(expected.addresses.items())
     assert actual == expected  # addresses and gateways
     for name in [c.name for c in scenario.containers] + [v.name for v in scenario.vms] + ["ghost"]:
@@ -142,10 +109,10 @@ def test_oracle_inputs_reach_every_case():
     """The generator does produce the cases the differential test is for."""
     seen = set()
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck), derandomize=True)
+    @settings(max_examples=600, deadline=None, suppress_health_check=list(HealthCheck), derandomize=True)
     @given(allocation_scenarios())
     def collect(scenario):
-        _, failure = outcome(reference_allocate_addresses, scenario)
+        expected, failure = outcome(reference_allocate_addresses, scenario)
         nets = {n.name: ipaddress.IPv4Network(n.subnet) for n in scenario.networks}
         specs = list(scenario.containers) + list(scenario.vms)
         if failure:
@@ -171,6 +138,14 @@ def test_oracle_inputs_reach_every_case():
                     seen.add("manual-broadcast")
                 else:
                     seen.add("manual-inside")
+        if first_error_text(scenario) is not None:
+            seen.add("refused")
+            return
+        if ips:
+            seen.add("accepted-manual")
+        attached = [ref for s in specs for ref in s.networks]
+        if any(attached.count(name) == net.num_addresses - 3 for name, net in nets.items()):
+            seen.add("filled-exactly")
 
     collect()
     wanted = {f"/{p}" for p in range(24, 33)} | {
@@ -182,6 +157,9 @@ def test_oracle_inputs_reach_every_case():
         "manual-gateway",
         "manual-broadcast",
         "manual-inside",
+        "refused",
+        "accepted-manual",
+        "filled-exactly",
     }
     assert wanted <= seen, wanted - seen
 
@@ -241,17 +219,8 @@ def reference_plan(scenario: Scenario, assignment: AddressAssignment) -> Connect
     return ConnectivityPlan(entries=tuple(entries), attachments=attachments)
 
 
-@st.composite
-def plan_scenarios(draw) -> Scenario:
-    """``allocation_scenarios`` with each network internal, encrypted, both
-    or neither."""
-    scenario = draw(allocation_scenarios())
-    networks = tuple(replace(n, internal=draw(st.booleans()), encryption=draw(st.booleans())) for n in scenario.networks)
-    return replace(scenario, networks=networks)
-
-
-@settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
-@given(plan_scenarios())
+@settings(max_examples=450, deadline=None, suppress_health_check=list(HealthCheck))
+@given(allocation_scenarios())
 def test_plan_matches_the_name_set_oracle(scenario):
     """Same entries in the same order, and the same attachments, whether a
     network's members are told apart by their kinds or by name sets."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alurity.flows import compile_flow, run_flow, verify_transcript
-from alurity.model import ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, endpoints, has_errors, validate
+from alurity.model import ContainerSpec, FlowSpec, ModuleRef, NetworkSpec, Scenario, has_errors, validate
 from alurity.orchestrator import (
     CommandResult,
     DeploymentFailure,
@@ -22,7 +22,7 @@ from alurity.parser import ParseFailure
 from alurity.toolreg import registry_index_from_dict
 
 from failing_backend import FailingBackend
-from strategies import BASE_REFS, scenarios, window_specs
+from strategies import BASE_REFS, endpoints, scenarios, window_specs
 
 BASE = ModuleRef.parse(BASE_REFS[0])
 
@@ -101,9 +101,18 @@ class TestUp:
             + listing1.containers[1:],
         )
         backend = MockBackend()
-        with pytest.raises(DeploymentFailure):
+        with pytest.raises(DeploymentFailure) as exc:
             up(broken, backend, registry)
         assert backend.journal == []
+        assert exc.value.endpoint is None
+        assert str(exc.value) == "deployment failed: module r/ghost:0 not present in registry index"
+
+    def test_a_failed_apply_plan_blames_no_endpoint(self, listing1):
+        backend = FailingBackend(fail_apply=True)
+        with pytest.raises(DeploymentFailure) as exc:
+            up(listing1, backend)
+        assert exc.value.endpoint is None
+        assert str(exc.value) == "deployment failed: injected apply_plan failure"
 
     def test_empty_scenario(self):
         backend = MockBackend()
@@ -386,6 +395,16 @@ def test_a_null_or_empty_response_answers_exit_0(tmp_path, text):
     backend = MockBackend.from_fixture(str(fixture))
     handle = backend.create_endpoint(ContainerSpec(name="x", base=BASE), None, {})
     assert [backend.exec(handle, c) for c in ("id", "other")] == [CommandResult(0), CommandResult(9)]
+
+
+@pytest.mark.parametrize("key", ["stdout", "stderr"])
+def test_a_null_output_reads_as_missing(tmp_path, key):
+    """``stdout: ~`` prints nothing, not the text ``None``."""
+    fixture = tmp_path / "responses.yaml"
+    fixture.write_text(f'"^id$": {{exit: 3, {key}: ~}}\n')
+    backend = MockBackend.from_fixture(str(fixture))
+    handle = backend.create_endpoint(ContainerSpec(name="x", base=BASE), None, {})
+    assert backend.exec(handle, "id") == CommandResult(3)
 
 
 @pytest.mark.parametrize("text, kind", [("[]", "list"), ("[1]", "list"), ("3", "int"), ("''", "str"), ("false", "bool")])

@@ -102,6 +102,31 @@ class TestIndex:
             registry_index_from_dict({"r/a:1": {key: value}})
         assert exc.value.message == f"the {key} of r/a:1 must be a list, got a {kind}"
 
+    @pytest.mark.parametrize(
+        "given, field, value",
+        [
+            ({"title": None}, "title", ""),
+            ({"flaw-class": None}, "flaw_class", "vulnerability"),
+            ({"flaw-class": None, "flaw_class": "exposure"}, "flaw_class", "exposure"),
+            ({"severity": None}, "severity", "medium"),
+            ({"description": None}, "description", ""),
+        ],
+    )
+    def test_a_null_rule_text_reads_as_missing(self, given, field, value):
+        """``title: ~`` is no title, so the record falls back to the match, not to the text ``None``."""
+        (rule,) = registry_index_from_dict({"r/a:1": {"rules": [{"id": "x", "pattern": "y", **given}]}}).lookup(ref("r/a:1")).rules
+        assert getattr(rule, field) == value
+
+    def test_a_null_entrypoint_reads_as_missing(self):
+        assert registry_index_from_dict({"r/a:1": {"entrypoint": None}}).lookup(ref("r/a:1")).entrypoint == ""
+
+    @pytest.mark.parametrize("key", ["id", "pattern"])
+    def test_a_null_rule_id_or_pattern_is_refused(self, key):
+        rule = {"id": "x", "pattern": "y", key: None}
+        with pytest.raises(ParseFailure) as exc:
+            registry_index_from_dict({"r/a:1": {"rules": [rule]}})
+        assert exc.value.message == f"each rule of r/a:1 must be a map with an 'id' and a 'pattern', got {rule!r}"
+
     def test_empty_index(self):
         index = RegistryIndex({})
         with pytest.raises(UnknownModule):
