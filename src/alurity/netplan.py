@@ -7,8 +7,8 @@ have to realize so containers and VMs on the same network can talk.
 
 from __future__ import annotations
 
-import functools
 import ipaddress
+import itertools
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional
 
@@ -175,17 +175,23 @@ def _plan(scenario: Scenario, assignment: AddressAssignment) -> ConnectivityPlan
 def export_plan_yaml(plan: ConnectivityPlan) -> str:
     """The plan as YAML: ``entries:``, each entry's set fields in ``PlanEntry``
     order, then ``endpoints:``, each endpoint's networks as a list.  Every
-    scalar is written by ``_emit_scalar``; a key longer than YAML's limit of
-    1,024 characters on implicit keys takes the explicit ``? key`` form."""
-    emit = functools.lru_cache(maxsize=None)(_emit_scalar)  # names and networks repeat
+    scalar is written by ``_emit_scalar``, once per distinct value; a key
+    longer than YAML's limit of 1,024 characters on implicit keys takes the
+    explicit ``? key`` form."""
+    values = set(itertools.chain(plan.attachments, *plan.attachments.values(), *plan.entries)) - {None}
+    emitted = {value: _emit_scalar(value) for value in values}
+    fields = []  # each field's ``\n  key: value`` line or "", column by column
+    for key, column in zip(PlanEntry._fields, zip(*plan.entries)):
+        lines = {value: f"\n  {key}: {emitted[value]}" for value in set(column) - {None}}
+        lines[None] = ""
+        fields.append(map(lines.__getitem__, column))
     lines = ["entries:" if plan.entries else "entries: []"]
-    for entry in plan.entries:
-        lines.append("- " + "\n  ".join(f"{key}: {emit(value)}" for key, value in zip(PlanEntry._fields, entry) if value is not None))
+    lines += ["- " + text[3:] for text in map("".join, zip(*fields))]
     lines.append("endpoints:" if plan.attachments else "endpoints: {}")
     for name, nets in plan.attachments.items():
-        key = emit(name)
+        key = emitted[name]
         head = f"  ? {key}\n  :" if len(key) > 1024 else f"  {key}:"
-        lines.append(head + "".join(f"\n  - {emit(net)}" for net in nets) if nets else f"{head} []")
+        lines.append(head + "".join(["\n  - " + emitted[net] for net in nets]) if nets else f"{head} []")
     return "\n".join(lines) + "\n"
 
 

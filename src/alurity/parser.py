@@ -27,7 +27,7 @@ import re
 from typing import Optional
 
 import yaml
-from yaml import MappingNode, ScalarNode, SequenceNode
+from yaml import AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, ScalarNode, SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 
 from .model import (
     Command,
@@ -55,112 +55,184 @@ class ParseFailure(Exception):
 
 _SPLIT_DIRECTIONS = {"horizontal", "vertical"}
 _TOO_DEEP = "nested too deeply to read"
+# The deepest nesting of collections a document may have, counted on its
+# events; a deeper document of any kind is refused.
+_MAX_DEPTH = 10_000
 
 # libyaml when PyYAML was built with it, the pure-Python classes otherwise.
+# Documents are read from its parser's events: nothing composes a node tree.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class _NodeLoader(YAML_LOADER):
-    """Composes nodes and leaves their tags unresolved.
-
-    Nothing reads ``node.tag``, so explicit tags are ignored: ``_scalar``
-    and ``_built`` type each plain scalar where it is read.  Skipping the
-    resolver is exact: the safe loaders register no path resolvers, so it
-    never steers composition.
-
-    The composer calls ``descend_resolver`` and ``ascend_resolver`` around
-    every node.  PyYAML's versions keep the state of path resolvers, which
-    only ``resolve`` reads, so with ``resolve`` replaced they are no-ops
-    here and the composed tree is the same, node for node.
-    """
-
-    def resolve(self, kind, value, implicit):
-        return None
-
-    def descend_resolver(self, current_node, current_index):
-        pass
-
-    def ascend_resolver(self):
-        pass
+class _Anchored(Exception):
+    """A live read met an anchor: the document is read again from its list."""
 
 
-def compose_yaml(text: str) -> Optional[yaml.Node]:
-    """The root node of the document in ``text``, None for an empty one;
-    ``ParseFailure`` when it cannot be composed or nests too deeply."""
+class _Unreadable(Exception):
+    """A document-level ``ParseFailure`` (too deep), raised past the record
+    readers, which catch ``ParseFailure`` only."""
+
+
+def _undefined(event) -> yaml.YAMLError:
+    """The composer's error for an alias of no anchor before it; PyYAML's
+    pure-Python composer names the anchor, libyaml's does not."""
+    named = f" {event.anchor!r}" if issubclass(YAML_LOADER, yaml.composer.Composer) else ""
+    return yaml.composer.ComposerError(None, None, f"found undefined alias{named}", event.start_mark)
+
+
+class _Live:
+    """A document's events as its parser makes them.  The first anchor ends
+    the read, so an alias here names no anchor."""
+
+    live = True
+
+    def __init__(self, get):
+        self.get = self.raw = get
+
+    @staticmethod
+    def anchored(event) -> None:
+        raise _undefined(event) if type(event) is AliasEvent else _Anchored
+
+
+class _Replay:
+    """The events of a document ``list_yaml`` read, in order: ``get`` gives
+    the events of the node an alias names in place of the alias, ``raw``
+    the alias."""
+
+    live = False
+
+    def __init__(self, listed: tuple):
+        self.events, self.anchors, self.ends = listed
+        self.at = 0
+        self.returns: list[tuple[int, int]] = []  # (end, resume) of each node replayed
+
+    def raw(self):
+        event = self.events[self.at]
+        self.at += 1
+        while self.returns and self.at == self.returns[-1][0]:
+            self.at = self.returns.pop()[1]
+        return event
+
+    def get(self):
+        event = self.raw()
+        if type(event) is not AliasEvent:
+            return event
+        start = self.anchors[event.anchor]
+        self.returns.append((self.ends.get(start, start) + 1, self.at))
+        self.at = start
+        return self.raw()
+
+    @staticmethod
+    def anchored(event) -> None:
+        """Nothing: the list took the anchors."""
+
+
+def _document(text: str, read):
+    """``read(events, root)`` for the one document in ``text``, ``root`` its
+    root node's first event (None for an empty stream); ``read`` reads the
+    root node to its end, also when it fails.  Malformed YAML and nesting
+    past ``_MAX_DEPTH`` are a ``ParseFailure`` that outranks any of ``read``."""
     try:
-        _refuse_deep_nesting(text)
-        return yaml.compose(text, Loader=_NodeLoader)
+        loader = YAML_LOADER(text)
+        try:
+            events = _Live(loader.get_event)
+            get = events.get
+            get()  # the stream's start
+            if type(get()) is StreamEndEvent:
+                return read(events, None)
+            try:
+                value, failure = read(events, get()), None
+            except ParseFailure as exc:
+                value, failure = None, exc
+            get()  # the document's end
+            if type(event := get()) is not StreamEndEvent:
+                raise yaml.composer.ComposerError("expected a single document in the stream", None, "but found another document", event.start_mark)
+            if failure is not None:
+                raise failure
+            return value
+        finally:
+            loader.dispose()
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
-    except RecursionError as exc:  # the pure-Python composer recurses per level
-        raise ParseFailure(_TOO_DEEP) from exc
     except yaml.YAMLError as exc:
         raise _malformed(exc) from exc
+    except _Unreadable as exc:
+        raise exc.args[0] from None
 
 
-# libyaml's composer recurses in C once per level of nesting and overflows
-# an 8 MiB C stack between 20,000 and 40,000 levels down, so it is given no
-# document nested deeper than _MAX_DEPTH.  The pure-Python composer raises
-# RecursionError long before that depth.
-_MAX_DEPTH = 10_000
-_SCREEN_WIDTH = 1_000
-# What may come before a block collection that starts on a line: the
-# indentation and the indicators of compact entries (``- - x``, ``? - x``).
-_BLOCK_PREFIX_RE = re.compile(r"[-?: \t]*")
-_OTHER_BREAK_RE = re.compile("[\r\x85\u2028\u2029]")  # libyaml's line breaks besides "\n"
+def _listed(events, root) -> Optional[tuple]:
+    """(events, anchors, ends) of the root node: its events in a list, the
+    index of each anchor's node and, by the index of each collection's
+    start, the index of its end.  A repeated anchor and an alias of no
+    anchor before it fail as in the composer."""
+    if root is None:
+        return None
+    listed: list = []
+    anchors: dict = {}
+    ends: dict = {}
+    starts: list[int] = []  # each collection still open
+    event, get, append = root, events.get, listed.append
+    while True:
+        kind = type(event)
+        if kind is MappingEndEvent or kind is SequenceEndEvent:
+            ends[starts.pop()] = len(listed)
+        elif event.anchor is None:
+            pass
+        elif kind is AliasEvent:
+            if event.anchor not in anchors:
+                raise _undefined(event)
+        elif event.anchor in anchors:
+            raise yaml.composer.ComposerError("found duplicate anchor", None, "second occurrence", event.start_mark)
+        else:
+            anchors[event.anchor] = len(listed)
+        if kind is MappingStartEvent or kind is SequenceStartEvent:
+            starts.append(len(listed))
+            if len(starts) > _MAX_DEPTH:
+                raise _Unreadable(ParseFailure(_TOO_DEEP, _line(event)))
+        append(event)
+        if not starts:
+            return listed, anchors, ends
+        event = get()
 
 
-def _shallow(text: str) -> bool:
-    """Whether a scan without parsing shows that ``text`` nests at most
-    ``_MAX_DEPTH`` deep.
+def list_yaml(text: str) -> Optional[tuple]:
+    """``_listed`` of the document in ``text``, None for an empty one."""
+    return _document(text, _listed)
 
-    Each ``[`` or ``{`` opens at most two levels (a flow sequence and a
-    single-pair map in it).  A block collection starts within its line's
-    block prefix, and at least one column further in than the block
-    collection two levels up, so block levels are at most twice the longest
-    block prefix.  Every block prefix is shorter than ``2 * _SCREEN_WIDTH``
-    when each aligned window of ``_SCREEN_WIDTH`` characters holds a line
-    feed or lies in a line whose block prefix is shorter than the window and
-    which holds no other line break.
-    """
-    width = _SCREEN_WIDTH
-    if 2 * (text.count("[") + text.count("{")) + 4 * width + 3 > _MAX_DEPTH:
-        return False
-    end = 0  # the end of the last long line checked
-    for start in range(0, len(text) - width + 1, width):
-        if start < end or text.find("\n", start, start + width) >= 0:
+
+def _skip(events, start, depth: int) -> None:
+    """Read the rest of the node whose first event is ``start``, ``depth``
+    levels down."""
+    if type(start) is MappingStartEvent or type(start) is SequenceStartEvent:
+        _finish(events, depth)
+
+
+def _finish(events, depth: int) -> None:
+    """Read the rest of the collection open ``depth`` levels down, aliases
+    not replayed.  The readers descend a few levels themselves, so here a
+    live document's nesting is counted against ``_MAX_DEPTH``."""
+    raw, live, level = events.raw, events.live, depth
+    while level >= depth:
+        event = raw()
+        kind = type(event)
+        if kind is MappingEndEvent or kind is SequenceEndEvent:
+            level -= 1
             continue
-        line = text.rfind("\n", 0, start) + 1
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        if _BLOCK_PREFIX_RE.match(text, line).end() - line >= width or _OTHER_BREAK_RE.search(text, line, end):
-            return False
-    return True
+        if event.anchor is not None:
+            events.anchored(event)
+        if kind is not ScalarEvent and kind is not AliasEvent:
+            level += 1
+            if live and level > _MAX_DEPTH:
+                raise _Unreadable(ParseFailure(_TOO_DEEP, _line(event)))
 
 
-def _refuse_deep_nesting(text: str) -> None:
-    """``ParseFailure`` if libyaml would compose ``text`` deeper than
-    ``_MAX_DEPTH``; only a text ``_shallow`` cannot clear has its events
-    counted."""
-    if issubclass(_NodeLoader, yaml.composer.Composer) or _shallow(text):
-        return
-    depth = 0
-    for event in yaml.parse(text, Loader=_NodeLoader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise ParseFailure(_TOO_DEEP, event.start_mark.line + 1)
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-
-
-def build_yaml(node: Optional[yaml.Node], empty=None):
-    """``_built`` of a node from ``compose_yaml``, ``empty`` for an empty
+def build_yaml(listed: Optional[tuple], empty=None):
+    """``_built`` of a ``list_yaml`` document's root, ``empty`` for an empty
     document; ``ParseFailure`` where ``_built`` fails or nests too deeply."""
-    if node is None:
+    if listed is None:
         return empty
     try:
-        return _built(node, {})
+        return _built(listed, 0, {})
     except RecursionError as exc:  # _built recurses once per level of nesting
         raise ParseFailure(_TOO_DEEP) from exc
 
@@ -186,7 +258,7 @@ def load_yaml_map(path: str) -> dict:
     ``build_yaml`` fails."""
     text = read_text(path)
     with _collector_paused():
-        doc = build_yaml(compose_yaml(text), {})
+        doc = build_yaml(list_yaml(text), {})
     if not isinstance(doc, dict):
         raise ParseFailure(f"expected a map at the top level, got a {type(doc).__name__}")
     return doc
@@ -208,43 +280,65 @@ def text_field(body: dict, key: str, default: str = "") -> str:
     return default if value is None else str(value)
 
 
-def _built(node: yaml.Node, built: dict):
-    """The safe constructor's value for ``node``, each scalar read by
-    ``_scalar``; plain text that matches a type's pattern but does not
-    construct (``2020-13-45``, ``=``) is a ``ParseFailure``.  ``built`` maps
-    each collection node to its value, so aliases share one value and nested
-    ones cost one build each.  As in the constructor, maps merged by ``<<``
-    come first, the first of a list winning."""
-    if isinstance(node, ScalarNode):
-        value = _scalar(node)
-        if type(value) is str and not node.style and value[:1] in _TYPED_FIRST and (tag := _typed(value)[0]) != _STR_TAG:
-            raise ParseFailure(f"{value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(node))
+def _node(listed: tuple, at: int) -> int:
+    """The index of the node at ``at``: an alias's is its anchor's."""
+    event = listed[0][at]
+    return listed[1][event.anchor] if type(event) is AliasEvent else at
+
+
+def _children(listed: tuple, at: int) -> list[int]:
+    """The index of each node right inside the collection that starts at ``at``."""
+    out, end, at = [], listed[2][at], at + 1
+    while at < end:
+        out.append(_node(listed, at))
+        at = listed[2].get(at, at) + 1
+    return out
+
+
+def _built(listed: tuple, at: int, built: dict):
+    """The safe constructor's value for the node whose first event is
+    ``listed.events[at]``, each scalar read by ``_scalar``; plain text that
+    matches a type's pattern but does not construct (``2020-13-45``, ``=``)
+    is a ``ParseFailure``.  A node is the index of its first event, an
+    alias the index of its anchor's.  ``built`` maps each collection to its
+    value, so aliases share one value and nested ones cost one build each.
+    As in the constructor, maps merged by ``<<`` come first, the first of a
+    list winning."""
+    events = listed[0]
+    at = _node(listed, at)
+    event = events[at]
+    if type(event) is ScalarEvent:
+        value = _scalar(event)
+        if type(value) is str and not event.style and value[:1] in _TYPED_FIRST and (tag := _typed(value)[0]) != _STR_TAG:
+            raise ParseFailure(f"{value!r} is not a valid {tag.rpartition(':')[2]}; quote it for text", _line(event))
         return value
-    if node in built:
-        if built[node] is None:
-            raise ParseFailure("a node contains itself", _line(node))
-        return built[node]
-    built[node] = None
-    if isinstance(node, SequenceNode):
-        value = [_built(item, built) for item in node.value]
+    if at in built:
+        if built[at] is None:
+            raise ParseFailure("a node contains itself", _line(event))
+        return built[at]
+    built[at] = None
+    items = _children(listed, at)
+    if type(event) is SequenceStartEvent:
+        value = [_built(listed, item, built) for item in items]
     else:
+        pairs = [(events[key], key, item) for key, item in zip(items[::2], items[1::2])]
         value = {}
-        for key_node, value_node in node.value:
-            if key_node.value == "<<" and not key_node.style:
-                for source in value_node.value[::-1] if isinstance(value_node, SequenceNode) else [value_node]:
-                    if not isinstance(source, MappingNode):
-                        raise ParseFailure("a merge key takes a map or a list of maps", _line(source))
-                    value.update(_built(source, built))
-        for key_node, value_node in node.value:
-            if not isinstance(key_node, ScalarNode):
-                if key_node in built:  # an alias: the composer hands back the node it names
-                    kind = "map" if isinstance(key_node, MappingNode) else "list"
-                    where = f"the {kind} at line {_line(key_node)}"
-                    raise ParseFailure(f"an alias of {where} is used as a key in the map at line {_line(node)}", _line(node))
-                raise ParseFailure("a map or a list is used as a key", _line(key_node))
-            if key_node.value != "<<" or key_node.style:  # "=", YAML's value key, reads as text
-                value["=" if key_node.value == "=" else _built(key_node, built)] = _built(value_node, built)
-    built[node] = value
+        for key, _, item in pairs:
+            if type(key) is ScalarEvent and key.value == "<<" and not key.style:
+                for source in _children(listed, item)[::-1] if type(events[item]) is SequenceStartEvent else [item]:
+                    if type(events[source]) is not MappingStartEvent:
+                        raise ParseFailure("a merge key takes a map or a list of maps", _line(events[source]))
+                    value.update(_built(listed, source, built))
+        for key, key_at, item in pairs:
+            if type(key) is not ScalarEvent:
+                if key_at in built:  # an alias of a collection built before
+                    kind = "map" if type(key) is MappingStartEvent else "list"
+                    where = f"the {kind} at line {_line(key)}"
+                    raise ParseFailure(f"an alias of {where} is used as a key in the map at line {_line(event)}", _line(event))
+                raise ParseFailure("a map or a list is used as a key", _line(key))
+            if key.value != "<<" or key.style:  # "=", YAML's value key, reads as text
+                value["=" if key.value == "=" else _built(listed, key_at, built)] = _built(listed, item, built)
+    built[at] = value
     return value
 
 
@@ -256,8 +350,8 @@ def compile_regex(pattern, what: str) -> re.Pattern:
         raise ParseFailure(f"{what} is not a regex: {exc}") from exc
 
 
-def _line(node: yaml.Node) -> int:
-    return node.start_mark.line + 1
+def _line(event) -> int:
+    return event.start_mark.line + 1
 
 
 _RESOLVER = yaml.resolver.Resolver()
@@ -270,13 +364,13 @@ _STR_TAG = "tag:yaml.org,2002:str"
 _TYPED_FIRST = frozenset(_RESOLVER.yaml_implicit_resolvers)
 
 
-def _scalar(node: yaml.Node):
+def _scalar(event):
     """A scalar's value: a quoted or block scalar is its text, and a plain
     one is typed by ``_typed`` (so empty plain text is None)."""
-    if not isinstance(node, ScalarNode):
-        raise ParseFailure("expected a scalar value", _line(node))
-    text = node.value
-    return text if node.style or text[:1] not in _TYPED_FIRST else _typed(text)[1]
+    if type(event) is not ScalarEvent:
+        raise ParseFailure("expected a scalar value", _line(event))
+    text = event.value
+    return text if event.style or text[:1] not in _TYPED_FIRST else _typed(text)[1]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -298,52 +392,70 @@ def _typed(text: str) -> tuple:
         return tag, text
 
 
-# Readers take the record's ``loc`` and the ``key`` apart and join them only
-# for a message.
+# Readers take a scalar's event, the record's ``loc`` and the ``key``, and
+# join ``loc`` and ``key`` only for a message.
 
 
-def _string(node: yaml.Node, loc: str, key: str) -> str:
-    if isinstance(node, ScalarNode) and (node.style or node.value[:1] not in _TYPED_FIRST):
-        return node.value  # quoted or block, or plain text no implicit type can match
-    value = _scalar(node)
+def _string(event, loc: str, key: str) -> str:
+    if type(event) is ScalarEvent and (event.style or event.value[:1] not in _TYPED_FIRST):
+        return event.value  # quoted or block, or plain text no implicit type can match
+    value = _scalar(event)
     if value is None:
-        raise ParseFailure(f"{loc}.{key} must not be empty", _line(node))
+        raise ParseFailure(f"{loc}.{key} must not be empty", _line(event))
     return value if isinstance(value, str) else str(value)
 
 
-def _int(node: yaml.Node, loc: str, key: str) -> int:
-    value = _scalar(node)
+def _int(event, loc: str, key: str) -> int:
+    value = _scalar(event)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseFailure(f"{loc}.{key} must be an integer, got {value!r}", _line(node))
+        raise ParseFailure(f"{loc}.{key} must be an integer, got {value!r}", _line(event))
     return value
 
 
-def _bool(node: yaml.Node, loc: str, key: str) -> bool:
-    value = _scalar(node)
+def _bool(event, loc: str, key: str) -> bool:
+    value = _scalar(event)
     if not isinstance(value, bool):
-        raise ParseFailure(f"{loc}.{key} must be a boolean, got {value!r}", _line(node))
+        raise ParseFailure(f"{loc}.{key} must be a boolean, got {value!r}", _line(event))
     return value
 
 
-def _entry(item: yaml.Node, what: str) -> tuple[yaml.Node, yaml.Node]:
-    """The (key node, value node) of one single-key map entry."""
-    if not isinstance(item, MappingNode) or len(item.value) != 1:
-        raise ParseFailure(f"each entry under {what} must be a single-key map", _line(item))
-    key_node, value_node = item.value[0]
-    if not isinstance(key_node, ScalarNode):
-        raise ParseFailure(f"each key under {what} must be a scalar", _line(key_node))
-    return key_node, value_node
-
-
-def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
-    """Flatten a sequence of single-key maps into (key, value node, line)."""
-    if not isinstance(node, SequenceNode):
-        raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(node))
-    out = []
-    for item in node.value:
-        key_node, value_node = _entry(item, what)
-        out.append((key_node.value, value_node, _line(key_node)))
-    return out
+def _entries(events, start, what: str, depth: int):
+    """Each (key event, value's first event) of the sequence of single-key
+    maps that starts with ``start``, ``depth`` levels down; the reader reads
+    each value to its end before it asks for the next.  Anything else, and a
+    malformed entry, is raised once the node is read to its end, so it
+    outranks an error the reader kept from an entry before it."""
+    if type(start) is not SequenceStartEvent:
+        _skip(events, start, depth)
+        raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(start))
+    get = events.get
+    while type(entry := get()) is not SequenceEndEvent:
+        if entry.anchor is not None:
+            events.anchored(entry)
+        message, at = f"each entry under {what} must be a single-key map", entry
+        if type(entry) is not MappingStartEvent:
+            _skip(events, entry, depth + 1)
+        elif type(key := get()) is not MappingEndEvent:
+            if key.anchor is not None:
+                events.anchored(key)
+            if type(key) is not ScalarEvent:
+                _skip(events, key, depth + 2)
+            value = get()
+            if value.anchor is not None:
+                events.anchored(value)
+            if type(key) is ScalarEvent:
+                yield key, value
+            else:
+                _skip(events, value, depth + 2)
+            if type(end := get()) is MappingEndEvent:
+                if type(key) is ScalarEvent:
+                    continue
+                message, at = f"each key under {what} must be a scalar", key
+            else:  # a second key
+                _skip(events, end, depth + 2)
+                _finish(events, depth + 1)
+        _finish(events, depth)
+        raise ParseFailure(message, _line(at))
 
 
 # --- records -----------------------------------------------------------------
@@ -359,35 +471,40 @@ def _pairs(node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, int]]:
 # spec.
 
 
-def _ref(node: yaml.Node, loc: str, key: str) -> ModuleRef:
-    return ModuleRef.parse(_string(node, loc, key))
+def _ref(event, loc: str, key: str) -> ModuleRef:
+    return ModuleRef.parse(_string(event, loc, key))
 
 
 def _normalize_split(raw: str) -> str:
     return raw.rstrip(".,;:! ")
 
 
-def _commands(node: yaml.Node, loc: str, key: str) -> tuple:
-    """A window's ``command:`` and ``split:`` entries, in order."""
+def _commands(events, start, loc: str, depth: int) -> tuple:
+    """A window's ``command:`` and ``split:`` entries, in order, from the
+    node whose first event is ``start``, ``depth`` levels down."""
     what = f"{loc}.commands"
-    if not isinstance(node, SequenceNode):
-        raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(node))
     items: list[object] = []
-    try:
-        for entry in node.value:
-            key_node, value = _entry(entry, what)
-            if key_node.value == "command":
-                items.append(Command(_string(value, loc, "commands.command")))
-            elif key_node.value == "split":
+    failure = None  # the first, raised once the list is read
+    for key, value in _entries(events, start, what, depth):
+        if type(value) is not ScalarEvent:
+            _skip(events, value, depth + 2)
+        if failure is not None:
+            continue
+        try:
+            if key.value == "command":
+                quoted = type(value) is ScalarEvent and value.style
+                items.append(Command(value.value if quoted else _string(value, loc, "commands.command")))
+            elif key.value == "split":
                 direction = _normalize_split(_string(value, loc, "commands.split"))
                 if direction not in _SPLIT_DIRECTIONS:
-                    raise ParseFailure(f"unknown split direction {direction!r}", _line(key_node))
+                    raise ParseFailure(f"unknown split direction {direction!r}", _line(key))
                 items.append(Split(direction))
             else:
-                raise ParseFailure(f"unknown key {key_node.value!r} under {what}", _line(key_node))
-    except ParseFailure:
-        _pairs(node, what)  # a malformed entry anywhere in the list is reported first
-        raise
+                raise ParseFailure(f"unknown key {key.value!r} under {what}", _line(key))
+        except ParseFailure as exc:
+            failure = exc
+    if failure is not None:
+        raise failure
     return tuple(items)
 
 
@@ -456,32 +573,33 @@ _SECTIONS = {
 }
 
 
-def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, parts: list, warnings: list, owner: str = "") -> dict:
-    """A record's fields, folded from its single-key maps by its key table.
+def _fold(events, start, loc: str, line: int, keys: _Table, parts: list, warnings: list, depth: int, owner: str = "") -> dict:
+    """A record's fields, folded from its single-key maps by its key table,
+    as they are read: ``start`` is the record's first event, ``depth`` levels
+    down.
 
     ``loc`` names the record in messages and ``line`` is reported for a
     missing key.  Each line read is appended to ``parts`` as a ``SourceMap``
     part, its path below ``owner``, the record itself unless it is nested.
     A repeating key's values collect in a list, made a tuple once the record
-    is read.  A scalar whose plain read (``_scalar``'s rule) already has the
-    type its reader returns is taken without the reader call.
+    is read.
     """
     owner = owner or loc
     parts.append((loc, None, None, line))
-    if not isinstance(node, SequenceNode):
-        raise ParseFailure(f"{loc} must be a sequence of single-key maps", _line(node))
     fields: dict = {}
     seen: dict[str, int] = {}
-    try:
-        for pair in node.value:
-            if type(pair) is MappingNode and len(pair.value) == 1 and type(pair.value[0][0]) is ScalarNode:
-                key_node, value = pair.value[0]
-            else:
-                key_node, value = _entry(pair, loc)  # raises the entry's error
-            key = key_node.value
-            key_line = key_node.start_mark.line + 1
+    inner = depth + 2  # a value's depth
+    failure = None  # the first, raised once the record is read
+    for key_event, value in _entries(events, start, loc, depth):
+        if failure is not None:
+            _skip(events, value, inner)
+            continue
+        try:
+            key = key_event.value
+            key_line = key_event.start_mark.line + 1
             entry = keys.get(key)
             if entry is None:
+                _skip(events, value, inner)
                 if keys.strict:
                     raise ParseFailure(f"unknown key {key!r} in {loc}", key_line)
                 parts.append((loc, key, None, key_line))
@@ -491,44 +609,47 @@ def _fold(node: yaml.Node, loc: str, line: int, keys: _Table, parts: list, warni
             if count in "*+":
                 items = fields.setdefault(attr, [])
                 if isinstance(reader, _Table):
-                    items.append(reader.spec(**_fold(value, f"{owner}.{path}[{len(items)}]", key_line, reader, parts, warnings)))
-                    continue
-                for item in value.value if count == "+" and type(value) is SequenceNode else (value,):
-                    if not plain or type(item) is not ScalarNode or type(got := item.value if item.style or item.value[:1] not in _TYPED_FIRST else _typed(item.value)[1]) is not plain:
-                        got = reader(item, loc, key)
-                    parts.append((owner, path, len(items), key_line if item is value else item.start_mark.line + 1))
-                    items.append(got)
+                    items.append(reader.spec(**_fold(events, value, f"{owner}.{path}[{len(items)}]", key_line, reader, parts, warnings, inner)))
+                elif count == "+" and type(value) is SequenceStartEvent:
+                    try:
+                        while type(item := events.get()) is not SequenceEndEvent:
+                            if item.anchor is not None:
+                                events.anchored(item)
+                            _skip(events, item, inner + 1)
+                            parts.append((owner, path, len(items), _line(item)))
+                            items.append(reader(item, loc, key))
+                    except ParseFailure:
+                        _finish(events, inner)
+                        raise
+                else:
+                    _skip(events, value, inner)
+                    parts.append((owner, path, len(items), key_line))
+                    items.append(reader(value, loc, key))
                 continue
             if key in seen:
+                _skip(events, value, inner)
                 raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
             seen[key] = key_line
             parts.append((owner, path, None, key_line))
             if isinstance(reader, _Table):
-                fields.update(_fold(value, f"{loc}.{key}", key_line, reader, parts, warnings, owner))
-            elif plain and type(value) is ScalarNode and type(got := value.value if value.style or value.value[:1] not in _TYPED_FIRST else _typed(value.value)[1]) is plain:
+                fields.update(_fold(events, value, f"{loc}.{key}", key_line, reader, parts, warnings, inner, owner))
+            elif reader is _commands:
+                fields[attr] = _commands(events, value, loc, inner)
+            elif plain and type(value) is ScalarEvent and type(got := value.value if value.style or value.value[:1] not in _TYPED_FIRST else _typed(value.value)[1]) is plain:
                 fields[attr] = got
             else:
+                _skip(events, value, inner)
                 fields[attr] = reader(value, loc, key)
-    except ParseFailure:
-        _pairs(node, loc)  # a malformed entry anywhere in the record is reported first
-        raise
+        except ParseFailure as exc:
+            failure = exc
+    if failure is not None:
+        raise failure
     for attr in keys.repeated:
         fields[attr] = tuple(fields.get(attr, ()))
     for key in keys.required:
         if key not in seen:
             raise ParseFailure(f"missing mandatory key {key!r} in {loc}", line)
     return fields
-
-
-def _check_tags(node: yaml.Node, section: str, tags: tuple[str, ...]) -> None:
-    """``ParseFailure`` for the first malformed ``- network:`` / ``- container:``
-    wrapper entry of a section, or one with another tag; an empty section has none."""
-    if isinstance(node, ScalarNode) and node.value == "":
-        return
-    for key, _, line in _pairs(node, section):
-        if key not in tags:
-            expected = " or ".join(repr(tag) for tag in tags)
-            raise ParseFailure(f"expected {expected} entries under {section}, got {key!r}", line)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -541,11 +662,9 @@ def _collector_paused():
     """Pause the cyclic garbage collector, and restart it after only if it
     was running before.
 
-    A composed node tree and the records folded from it hold no reference
+    The parser's events and the records folded from them hold no reference
     cycles, so each collection the reader's allocations would trigger walks
-    young objects and frees nothing.  Readers fold the tree in a call of its
-    own, so the tree is freed before the collector restarts and the one
-    collection that follows walks only the records.
+    young objects and frees nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -559,45 +678,82 @@ def _collector_paused():
 def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
     """Parse a scenario document; unknown record keys come back as warnings."""
     with _collector_paused():
-        return scenario_from_node(compose_yaml(text))
+        return _read_scenario(text, "scenario")
 
 
-def scenario_from_node(root: Optional[yaml.Node], what: str = "scenario") -> tuple[Scenario, list[Diagnostic]]:
-    """``parse_scenario_with_warnings`` of the root node ``compose_yaml``
-    returns.  A ``flow`` document holds a ``flow`` section and nothing else."""
+def _read_scenario(text: str, what: str) -> tuple[Scenario, list[Diagnostic]]:
+    """``_scenario`` of the document in ``text``, folded as its parser reads
+    it; one with an anchor is read again by ``list_yaml``, its aliases
+    replayed."""
+    try:
+        return _document(text, functools.partial(_scenario, what=what))
+    except _Anchored:
+        return scenario_from_listed(list_yaml(text), what)
+
+
+def scenario_from_listed(listed: Optional[tuple], what: str = "scenario") -> tuple[Scenario, list[Diagnostic]]:
+    """``parse_scenario_with_warnings`` of a document ``list_yaml`` read."""
+    if listed is None:
+        return _scenario(None, None, what)
+    events = _Replay(listed)
+    return _scenario(events, events.get(), what)
+
+
+def _scenario(events, root, what: str = "scenario") -> tuple[Scenario, list[Diagnostic]]:
+    """The scenario of a document whose root node starts with ``root``.  A
+    ``flow`` document holds a ``flow`` section and nothing else."""
     if root is None:
         return Scenario(), []
-    if not isinstance(root, MappingNode):
+    if root.anchor is not None:
+        events.anchored(root)
+    if type(root) is not MappingStartEvent:
+        _skip(events, root, 1)
         raise ParseFailure(f"{what} document must be a top-level map", _line(root))
     sections = _SECTIONS if what == "scenario" else {"flow": _SECTIONS["flow"]}
     warnings: list[Diagnostic] = []
     parts: list = []
     records: dict = {field: [] for field, _, _ in _SECTIONS.values()}
-    for key_node, value_node in root.value:
-        key = key_node.value
-        if not isinstance(key, str) or key not in sections:  # a non-scalar key is unhashable
-            raise ParseFailure(f"unknown top-level key {key!r}" if isinstance(key, str) else "each top-level key must be a scalar", _line(key_node))
-        field, tags, keys = sections[key]
-        specs = records[field]
-        if not isinstance(value_node, SequenceNode):
-            _check_tags(value_node, key, tags)  # an empty section, or its error
-            continue
-        try:
-            for entry in value_node.value:
-                # a ``- <tag>:`` wrapper entry; anything else raises its error below
-                if type(entry) is not MappingNode or len(entry.value) != 1 or entry.value[0][0].value not in tags:
-                    _check_tags(value_node, key, tags)
-                tag_node, item = entry.value[0]
+    get = events.get
+    empty = True
+    try:
+        while type(key := get()) is not MappingEndEvent:
+            empty = False
+            if key.anchor is not None:
+                events.anchored(key)
+            name = key.value if type(key) is ScalarEvent else None
+            if name not in sections:
+                _skip(events, key, 2)
+                raise ParseFailure("each top-level key must be a scalar" if name is None else f"unknown top-level key {name!r}", _line(key))
+            field, tags, keys = sections[name]
+            value = get()
+            if value.anchor is not None:
+                events.anchored(value)
+            if type(value) is ScalarEvent and value.value == "":  # an empty section
+                continue
+            specs = records[field]
+            failure, mistagged = None, False  # the first, raised once the section is read
+            for tag, item in _entries(events, value, name, 2):  # ``- <tag>:`` wrapper entries
+                if tag.value not in tags and not mistagged:  # a later one outranks a record's error
+                    expected = " or ".join(map(repr, tags))
+                    failure, mistagged = ParseFailure(f"expected {expected} entries under {name}, got {tag.value!r}", _line(tag)), True
+                if failure is not None:
+                    _skip(events, item, 4)
+                    continue
                 loc = f"{field}[{len(specs)}]"  # a repeated section goes on where the one before ended
-                fields = _fold(item, loc, tag_node.start_mark.line + 1, keys, parts, warnings)
                 try:
-                    specs.append(keys.spec(**fields))
-                except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
-                    raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
-        except ParseFailure:
-            _check_tags(value_node, key, tags)  # a malformed wrapper entry anywhere in the section is reported first
-            raise
-    if what == "flow" and not root.value:
+                    fields = _fold(events, item, loc, _line(tag), keys, parts, warnings, 4)
+                    try:
+                        specs.append(keys.spec(**fields))
+                    except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
+                        raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
+                except ParseFailure as exc:
+                    failure = exc
+            if failure is not None:
+                raise failure
+    except ParseFailure:
+        _finish(events, 1)
+        raise
+    if what == "flow" and empty:
         raise ParseFailure("flow document must contain a 'flow' section", _line(root))
     return Scenario(**{field: tuple(specs) for field, specs in records.items()}, source_map=SourceMap(parts)), warnings
 
@@ -611,7 +767,7 @@ def parse_flow_document(text: str) -> Scenario:
     """A standalone flow document as a scenario of its flows alone, with
     their lines in its source map."""
     with _collector_paused():
-        return scenario_from_node(compose_yaml(text), "flow")[0]
+        return _read_scenario(text, "flow")[0]
 
 
 # --- serialization -----------------------------------------------------------

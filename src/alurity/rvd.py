@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .model import FlowSpec, Scenario
-from .parser import ParseFailure, build_yaml, compose_yaml, parse_flow, parse_scenario, scenario_from_node
+from .parser import ParseFailure, build_yaml, list_yaml, parse_flow, parse_scenario, scenario_from_listed, text_field
 
 TOKEN_ENV = "ALURITY_TRACKER_TOKEN"
 
@@ -198,8 +198,8 @@ def _decode(body: bytes, url: str, build):
 def _ticket(doc: dict) -> Ticket:
     return Ticket(
         id=int(doc["id"]),
-        title=str(doc.get("title", "")),
-        body=str(doc.get("body", "")),
+        title=text_field(doc, "title"),
+        body=text_field(doc, "body"),
     )
 
 
@@ -235,7 +235,7 @@ def _is_scenario(scenario: Scenario) -> bool:
 def extract_reproduction(ticket: Ticket) -> tuple[Scenario, Optional[list[FlowSpec]]]:
     """Pure text scan over the ticket body's fenced yaml blocks.
 
-    Each block is composed once.  Until a scenario is found, a block folding
+    Each block is parsed once.  Until a scenario is found, a block folding
     to a scenario with endpoints becomes the scenario, and any other block
     holding an emitted flaw record returns its embedded ``reproduction``
     material.  After the scenario, the first block parsing as a flow becomes
@@ -280,16 +280,16 @@ def _read_block(block: str):
     the flaw record in it (a map with a ``reproduction`` key) embeds;
     ``ParseFailure`` saying why it holds neither.  A flaw record is never a
     scenario: its top-level keys are not scenario sections."""
-    root = compose_yaml(block)
+    listed = list_yaml(block)  # one parse, read by the scenario fold and the map builder
     try:
-        scenario, _ = scenario_from_node(root)
+        scenario, _ = scenario_from_listed(listed)
         if _is_scenario(scenario):
             return scenario
         failure = ParseFailure("no endpoints")
     except ParseFailure as exc:
         failure = exc
     try:
-        doc = build_yaml(root)
+        doc = build_yaml(listed)
     except ParseFailure:
         raise failure from None
     if not isinstance(doc, dict) or "reproduction" not in doc:

@@ -247,8 +247,7 @@ def nested(levels: int, flow: bool = False) -> str:
     return "[" * levels + "]" * levels if flow else "- " * levels + "x"
 
 
-# Past the nesting bound of 10,000 levels, and short of the depth (20,000
-# to 40,000) at which libyaml's composer overflows an 8 MiB C stack.
+# Past the nesting bound of 10,000 levels.
 DEEP = 12_000
 DEEP_SCENARIO = f"networks:\n  - network:\n    - name:\n      {nested(DEEP)}\n    - subnet: 12.0.0.0/24\n"
 DEEP_FLOW = f"flow:\n  - container:\n    - name:\n      {nested(DEEP)}\n"
@@ -266,8 +265,7 @@ DEEP_FLOW = f"flow:\n  - container:\n    - name:\n      {nested(DEEP)}\n"
     ids=["block-name", "flow-int", "flow-document", "block-name-pure-python", "flow-sequence-pure-python"],
 )
 def test_deep_nesting_is_a_parse_failure(parse, text, classes, request):
-    """libyaml is given no document nested past the bound; the pure-Python
-    composer recurses per level."""
+    """Nesting past the bound is counted on the events, on either classes."""
     if classes == "pure-python":
         request.getfixturevalue("pure_python_yaml")
     with pytest.raises(ParseFailure, match="nested too deeply"):
@@ -279,32 +277,36 @@ def test_a_deep_text_in_a_block_scalar_is_text():
     assert parse_scenario(text).networks[0].name == nested(DEEP, flow=True) + "\n"
 
 
-LONG = "a" * 2 * 1_000  # past two windows of the nesting screen
+LONG = "a" * 2 * 1_000
 
 
+@pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
 @pytest.mark.parametrize(
     "text, name, parses",
     [
-        ("networks:\n  - network:\n    - name: a\n    - subnet: 12.0.0.0/24\n", "a", 0),
-        (f"networks:\n  - network:\n    - name: \"{LONG}\"\n    - subnet: 12.0.0.0/24\n", LONG, 0),
+        ("networks:\n  - network:\n    - name: a\n    - subnet: 12.0.0.0/24\n", "a", 1),
+        (f"networks:\n  - network:\n    - name: \"{LONG}\"\n    - subnet: 12.0.0.0/24\n", LONG, 1),
         (f"networks:\n  - network:\n    - name:\n{' ' * 2_500}a\n    - subnet: 12.0.0.0/24\n", "a", 1),
         (f"networks:\r  - network:\r    - name: a\r    - subnet: 12.0.0.0/24\r# {LONG}\n", "a", 1),
+        ("networks:\n  - network:\n    - name: &n a\n    - subnet: 12.0.0.0/24\n", "a", 2),
     ],
-    ids=["short-lines", "long-quoted-line", "long-indentation", "long-line-of-carriage-returns"],
+    ids=["short-lines", "long-quoted-line", "long-indentation", "long-line-of-carriage-returns", "anchor"],
 )
-def test_only_a_text_the_screen_cannot_clear_is_parsed_twice(monkeypatch, text, name, parses):
-    """A document whose lines are short, or whose long lines start with a
-    short block prefix and break at "\\n" only, is composed once; any other
-    has its events counted first, and reads the same."""
+def test_a_document_is_parsed_once_unless_it_has_an_anchor(request, classes, text, name, parses):
+    """Records are folded as the parser's events arrive; a document with an
+    anchor is parsed again into a list, where aliases replay."""
+    if classes == "pure-python":
+        request.getfixturevalue("pure_python_yaml")
     counted = []
-    parse = yaml.parse
 
-    def counting(*args, **kwargs):
-        counted.append(1)
-        return parse(*args, **kwargs)
+    class Counting(parser.YAML_LOADER):
+        def __init__(self, text):
+            counted.append(1)
+            super().__init__(text)
 
-    monkeypatch.setattr(yaml, "parse", counting)
-    assert parse_scenario(text).networks[0].name == name
+    with pytest.MonkeyPatch.context() as patch:  # undone before the classes are
+        patch.setattr(parser, "YAML_LOADER", Counting)
+        assert parse_scenario(text).networks[0].name == name
     assert len(counted) == parses
 
 

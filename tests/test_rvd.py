@@ -55,6 +55,17 @@ class TestFetch:
         stub.issues[ticket_id]["labels"] = None
         assert fetch_ticket(url, ticket_id) == Ticket(id=ticket_id, title="UR3 flaw", body="details")
 
+    @pytest.mark.parametrize("field", ["title", "body"])
+    def test_a_null_title_or_body_reads_as_a_missing_one(self, tracker, field):
+        stub, url = tracker
+        ticket_id = stub.seed("UR3 flaw", "details")
+        stub.issues[ticket_id][field] = None
+        expected = {"title": "UR3 flaw", "body": "details", field: ""}
+        assert fetch_ticket(url, ticket_id) == Ticket(id=ticket_id, **expected)
+
+    def test_a_reply_without_a_title_or_body_reads_both_empty(self):
+        assert rvd._ticket({"id": 1, "title": None}) == rvd._ticket({"id": 1}) == Ticket(id=1, title="", body="")
+
     def test_unknown_id(self, tracker):
         _, url = tracker
         with pytest.raises(NotFound, match=f"^HTTP 404 fetching {re.escape(url)}/issues/99999$"):

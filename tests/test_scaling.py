@@ -12,10 +12,13 @@ rescanning allocator of ``test_netplan_oracle`` in place of
 ``netplan._allocate`` reads 78.
 
 Counts do not see the cyclic collector or the memory system; only a timed
-run at 10⁴ endpoints does.
+run at 10⁴ endpoints does.  The readers' memory is bounded here by their
+traced peak against what their result keeps.
 """
 
+import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 from alurity import flows, model, netplan, orchestrator, parser, toolreg
@@ -104,3 +107,19 @@ def test_no_stage_does_super_linear_work():
     ratios = {name: round(large[name] / small[name], 1) for name in small}
     assert len(ratios) == 13
     assert {name: ratio for name, ratio in ratios.items() if ratio > MAX_RATIO} == {}, ratios
+
+
+def test_readers_build_no_tree():
+    """Each reader's traced peak is at most twice what its result keeps: the
+    parser's events are folded as they arrive.  A reader that composes a
+    node tree first and folds it peaks at 6 to 10 times the result here."""
+    text, flow_text = generate(LARGE)
+    for read, document in ((parser.parse_scenario, text), (parser.parse_flow, flow_text)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = read(document)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result and peak <= 2 * kept, (read.__name__, peak, kept)

@@ -9,7 +9,6 @@ transcript and plan writers are checked against PyYAML's dumper, which
 wrote them before.
 """
 
-import contextlib
 import json
 import math
 import re
@@ -31,7 +30,7 @@ from alurity.pipeline import FlawRecord
 import test_parser
 from test_rvd_oracle import record_document
 from strategies import scenarios
-from yaml_classes import dump, load, pure_python_classes
+from yaml_classes import dump, load
 
 # Printable text as it reaches the emitters: decoded command output and
 # titles.  Lone surrogates are left out; they are not text any YAML stream
@@ -63,23 +62,30 @@ def reference_scalar(text: str):
         return text
 
 
-# The composers mark a plain scalar differently: style None in Python,
-# "" in libyaml.
+# The parsers mark a plain scalar differently: style None in Python, "" in
+# libyaml.
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
-def plain_scalar_node(text: str, loader=yaml.SafeLoader):
-    """The node for ``text`` as a plain block-mapping value, or None."""
+def plain_scalar_event(text: str, loader=yaml.SafeLoader):
+    """The event for ``text`` as a plain block-mapping value, or None."""
     try:
-        root = yaml.compose(f"k: {text}\n", Loader=loader)
+        events = list(yaml.parse(f"k: {text}\n", Loader=loader))
     except yaml.YAMLError:
         return None
-    if root is None or not isinstance(root, yaml.MappingNode) or len(root.value) != 1:
+    kinds = [type(event) for event in events]
+    if kinds != [yaml.StreamStartEvent, yaml.DocumentStartEvent, yaml.MappingStartEvent, yaml.ScalarEvent, yaml.ScalarEvent, yaml.MappingEndEvent, yaml.DocumentEndEvent, yaml.StreamEndEvent]:
         return None
-    node = root.value[0][1]
-    if not isinstance(node, yaml.ScalarNode) or node.style not in (None, "") or node.value == "":
+    event = events[4]
+    if event.style not in (None, "") or event.value == "":
         return None
-    return node
+    return event
+
+
+def root_event(text: str):
+    """The first event of the root node of the document in ``text``, on the
+    classes the package parses with."""
+    return list(yaml.parse(text, Loader=parser.YAML_LOADER))[2]
 
 
 def same_value(a, b) -> bool:
@@ -91,55 +97,28 @@ def same_value(a, b) -> bool:
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.yaml"))
-
-
-def untagged_tree(root):
-    """The tree under ``root`` without its tags: each node's kind, value or
-    children, style and start line and column.  A node met again is the
-    number of its first visit."""
-    visits: dict[int, int] = {}
-
-    def walk(node):
-        if id(node) in visits:
-            return visits[id(node)]
-        visits[id(node)] = len(visits)
-        start = (node.start_mark.line, node.start_mark.column)
-        if isinstance(node, yaml.ScalarNode):
-            return ("scalar", node.value, node.style, start)
-        if isinstance(node, yaml.SequenceNode):
-            return ("sequence", [walk(item) for item in node.value], node.flow_style, start)
-        return ("map", [(walk(key), walk(value)) for key, value in node.value], node.flow_style, start)
-
-    return None if root is None else walk(root)
-
-
-def same_tree(text: str) -> None:
-    """``parser.compose_yaml`` composes ``text`` into the tree the resolving
-    loader builds, tags aside."""
-    assert untagged_tree(parser.compose_yaml(text)) == untagged_tree(yaml.compose(text, Loader=parser.YAML_LOADER))
 
 
 class TestScalarClassifier:
     @settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(_plain_candidates)
     def test_matches_the_reparse_reference(self, text):
-        node = plain_scalar_node(text)
-        assume(node is not None)
+        event = plain_scalar_event(text)
+        assume(event is not None)
         # The reference read a leading document marker as the start of a
         # new document ("--- x" became "x"); in a mapping value it is text.
-        assume(not (node.value[:3] in ("---", "...") and node.value[3:4] in ("", " ")))
+        assume(not (event.value[:3] in ("---", "...") and event.value[3:4] in ("", " ")))
         try:
-            expected = reference_scalar(node.value)
+            expected = reference_scalar(event.value)
         except ValueError:
             # The reference crashed here (a timestamp such as 2020-13-45);
             # the classifier keeps such text as a string.
-            expected = node.value
+            expected = event.value
         for loader in LOADERS:
-            composed = plain_scalar_node(text, loader)
-            assert composed is not None and composed.value == node.value, loader.__name__
-            actual = parser._scalar(composed)
-            assert same_value(actual, expected), (loader.__name__, node.value, actual, expected)
+            parsed = plain_scalar_event(text, loader)
+            assert parsed is not None and parsed.value == event.value, loader.__name__
+            actual = parser._scalar(parsed)
+            assert same_value(actual, expected), (loader.__name__, event.value, actual, expected)
 
     def test_plain_scalars_are_not_reparsed(self, listing1_text, listing3_text, monkeypatch):
         def reparse(*_args):
@@ -150,7 +129,7 @@ class TestScalarClassifier:
         parser.parse_flow(listing3_text)
 
     @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
-    def test_composing_resolves_no_tags(self, classes, listing1_text, listing3_text, monkeypatch, request):
+    def test_reading_resolves_no_tags(self, classes, listing1_text, listing3_text, monkeypatch, request):
         if classes == "pure-python":
             request.getfixturevalue("pure_python_yaml")
         calls = []
@@ -164,23 +143,9 @@ class TestScalarClassifier:
         yaml.compose(listing1_text, Loader=parser.YAML_LOADER)
         assert calls  # the count sees the resolving loader
         calls.clear()
-        parser.compose_yaml(listing1_text)
-        parser.compose_yaml(listing3_text)
+        parse_scenario(listing1_text)
+        parser.parse_flow(listing3_text)
         assert calls == []
-
-    @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
-    @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_composes_fixtures_like_the_resolving_loader(self, name, classes, request):
-        if classes == "pure-python":
-            request.getfixturevalue("pure_python_yaml")
-        same_tree((FIXTURES / name).read_text(encoding="utf-8"))
-
-    @settings(max_examples=60, deadline=None)
-    @given(scenarios(), st.booleans())
-    def test_composes_scenarios_like_the_resolving_loader(self, scenario, pure_python):
-        text = serialize_scenario(scenario)
-        with pure_python_classes() if pure_python else contextlib.nullcontext():
-            same_tree(text)
 
     @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
     @pytest.mark.parametrize("style", ["|", ">", "|-", ">+"])
@@ -193,7 +158,7 @@ class TestScalarClassifier:
         document = f"{style}\n" + "".join(f"  {line}\n" for line in text.split("\n") if line)
         expected = load(document)
         assert isinstance(expected, str)
-        assert parser._scalar(parser.compose_yaml(document)) == expected
+        assert parser._scalar(root_event(document)) == expected
 
     def test_a_block_scalar_in_a_scenario_keeps_its_text(self):
         text = "networks:\n  - network:\n    - name: |\n        lab\n    - driver: >\n        a: 1\n    - subnet: 12.0.0.0/24\n"
@@ -208,56 +173,13 @@ class TestScalarClassifier:
     @pytest.mark.parametrize("loader", LOADERS)
     @pytest.mark.parametrize("text", ["---", "--- x", "..."])
     def test_document_markers_are_text(self, text, loader):
-        assert parser._scalar(plain_scalar_node(text, loader)) == text
+        assert parser._scalar(plain_scalar_event(text, loader)) == text
 
     def test_libyaml_is_used_when_present(self):
         if yaml.__with_libyaml__:
             assert parser.YAML_LOADER is yaml.CSafeLoader
         else:
             assert parser.YAML_LOADER is yaml.SafeLoader
-
-
-# Lines of a document: indentation, compact entry indicators, then a key,
-# a value, properties, a flow collection, quoted text or a comment, so that
-# some of the documents they join to nest block collections and the rest are
-# refused.
-_lines = st.tuples(
-    st.integers(0, 6).map(" ".__mul__),
-    st.lists(st.sampled_from(["- ", "? ", ": ", "-\t", "-  "]), max_size=3).map("".join),
-    st.sampled_from(["a:", "a: b", "b", "&x a:", "&y", "*x", "[a, {b: c}]", "{a: [b]}", '"q: - "', "!!map", "a: [b]", "# c", ""]),
-).map("".join)
-_BREAK_RE = re.compile("\r\n|[\r\n\x85\u2028\u2029]")  # libyaml's line breaks
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_lines, min_size=1, max_size=10), st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
-def test_block_nesting_is_bounded_by_the_block_prefixes(loader, lines, line_break):
-    """What ``parser._shallow`` rests on: each block collection's indentation
-    is rolled within its line's block prefix, and strictly further in than
-    the one it nests in, so block collections nest at most twice as deep as
-    the longest block prefix (an indentless sequence adds one level to a
-    map)."""
-    text = line_break.join(lines) + line_break
-    try:
-        tokens = list(yaml.scan(text, Loader=loader))
-        root = yaml.compose(text, Loader=loader)
-    except yaml.YAMLError:
-        return
-    prefixes = [parser._BLOCK_PREFIX_RE.match(line).end() for line in _BREAK_RE.split(text)]
-    for token in tokens:
-        if isinstance(token, (yaml.BlockSequenceStartToken, yaml.BlockMappingStartToken)):
-            assert token.start_mark.column <= prefixes[token.start_mark.line], text
-    seen = set()
-
-    def block_depth(node) -> int:
-        if isinstance(node, yaml.ScalarNode) or id(node) in seen:
-            return 0
-        seen.add(id(node))  # an alias composes to the node it names, already walked
-        children = [item for child in node.value for item in (child if isinstance(child, tuple) else (child,))]
-        return (not node.flow_style) + max(map(block_depth, children), default=0)
-
-    assert root is None or block_depth(root) <= 2 * max(prefixes) + 2, text
 
 
 _OLD_BARE_RE = re.compile(r"[A-Za-z0-9$_./()=@+,^~:-]+")
@@ -302,7 +224,7 @@ class TestEmitScalar:
         def refuse(*_args):
             raise AssertionError("a scalar was read back as a document")
 
-        monkeypatch.setattr(parser, "compose_yaml", refuse)
+        monkeypatch.setattr(parser, "_document", refuse)
         monkeypatch.setattr(parser, "build_yaml", refuse)
         assert "- name: attacker" in serialize_scenario(listing1)
 
@@ -641,7 +563,6 @@ _FALLBACK = pytest.mark.usefixtures("pure_python_yaml")
 class TestParseScenarioPurePython(test_parser.TestParseScenario):
     def test_fallback_is_in_use(self):
         assert parser.YAML_LOADER is yaml.SafeLoader
-        assert issubclass(parser._NodeLoader, yaml.SafeLoader)
 
 
 @_FALLBACK

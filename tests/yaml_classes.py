@@ -9,25 +9,16 @@ import yaml
 from alurity import parser, rvd
 
 
-class PureNodeLoader(yaml.SafeLoader):
-    """``parser._NodeLoader`` on the pure-Python classes."""
-
-    resolve = parser._NodeLoader.resolve
-    descend_resolver = parser._NodeLoader.descend_resolver
-    ascend_resolver = parser._NodeLoader.ascend_resolver
-
-
 @contextlib.contextmanager
 def pure_python_classes():
-    """Route the shared loader, and the loader that composes scenario and
-    flow documents, through PyYAML's Python classes.  The reproductions
-    ``rvd`` keeps are dropped on the way in and out, so neither side reads
-    what the other classes composed."""
+    """Route the shared loader, whose parser's events every reader folds,
+    through PyYAML's Python classes.  The reproductions ``rvd`` keeps are
+    dropped on the way in and out, so neither side reads what the other
+    classes parsed."""
     rvd._read_reproduction.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parser, "YAML_LOADER", yaml.SafeLoader)
-            patch.setattr(parser, "_NodeLoader", PureNodeLoader)
             yield
     finally:
         rvd._read_reproduction.cache_clear()
@@ -41,7 +32,7 @@ def dump(doc) -> str:
 
 def load(text: str):
     """The document in ``text`` as PyYAML's safe loader reads it, on the
-    classes the package composes with."""
+    classes the package parses with."""
     return yaml.load(text, Loader=parser.YAML_LOADER)
 
 
