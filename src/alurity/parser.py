@@ -419,43 +419,41 @@ def _bool(event, loc: str, key: str) -> bool:
     return value
 
 
-def _entries(events, start, what: str, depth: int):
-    """Each (key event, value's first event) of the sequence of single-key
-    maps that starts with ``start``, ``depth`` levels down; the reader reads
-    each value to its end before it asks for the next.  Anything else, and a
-    malformed entry, is raised once the node is read to its end, so it
-    outranks an error the reader kept from an entry before it."""
+def _sequence(events, start, what: str, depth: int) -> None:
+    """Refuse ``start``, ``depth`` levels down, unless it opens a sequence."""
     if type(start) is not SequenceStartEvent:
         _skip(events, start, depth)
         raise ParseFailure(f"{what} must be a sequence of single-key maps", _line(start))
-    get = events.get
-    while type(entry := get()) is not SequenceEndEvent:
-        if entry.anchor is not None:
-            events.anchored(entry)
-        message, at = f"each entry under {what} must be a single-key map", entry
-        if type(entry) is not MappingStartEvent:
-            _skip(events, entry, depth + 1)
-        elif type(key := get()) is not MappingEndEvent:
-            if key.anchor is not None:
-                events.anchored(key)
-            if type(key) is not ScalarEvent:
-                _skip(events, key, depth + 2)
-            value = get()
-            if value.anchor is not None:
-                events.anchored(value)
-            if type(key) is ScalarEvent:
-                yield key, value
-            else:
-                _skip(events, value, depth + 2)
-            if type(end := get()) is MappingEndEvent:
-                if type(key) is ScalarEvent:
-                    continue
-                message, at = f"each key under {what} must be a scalar", key
-            else:  # a second key
-                _skip(events, end, depth + 2)
-                _finish(events, depth + 1)
-        _finish(events, depth)
-        raise ParseFailure(message, _line(at))
+
+
+def _bad_entry(events, what: str, depth: int, entry, key, second=None) -> None:
+    """Raise the error of an entry that its reader's loop found is no ``-
+    key: value`` in a sequence of single-key maps ``depth`` levels down (a
+    section, a record, a window's commands): ``entry``, its first event, is
+    no map; the map's next event ``key``, read only when ``entry`` is a map,
+    is no scalar; or a ``second`` key follows the first's value.  On a live
+    read an anchor on ``entry`` or ``key`` ends the read instead.  The entry
+    and the sequence are read to their end first, so this error outranks one
+    the loop kept from an entry before it."""
+    if entry.anchor is not None:
+        events.anchored(entry)
+    message, at = f"each entry under {what} must be a single-key map", entry
+    if type(entry) is not MappingStartEvent:
+        _skip(events, entry, depth + 1)
+    elif second is None and type(key) is not MappingEndEvent:
+        if key.anchor is not None:
+            events.anchored(key)
+        _skip(events, key, depth + 2)
+        if (value := events.get()).anchor is not None:
+            events.anchored(value)
+        _skip(events, value, depth + 2)
+        if type(second := events.get()) is MappingEndEvent:
+            message, at = f"each key under {what} must be a scalar", key
+    if second is not None and type(second) is not MappingEndEvent:
+        _skip(events, second, depth + 2)
+        _finish(events, depth + 1)
+    _finish(events, depth)
+    raise ParseFailure(message, _line(at))
 
 
 # --- records -----------------------------------------------------------------
@@ -485,43 +483,52 @@ def _commands(events, start, loc: str, depth: int) -> tuple:
     what = f"{loc}.commands"
     items: list[object] = []
     failure = None  # the first, raised once the list is read
-    for key, value in _entries(events, start, what, depth):
+    get, live, key = events.get, events.live, None
+    _sequence(events, start, what, depth)
+    while type(entry := get()) is not SequenceEndEvent:
+        if type(entry) is not MappingStartEvent or entry.anchor is not None and live or type(key := get()) is not ScalarEvent or key.anchor is not None and live:
+            _bad_entry(events, what, depth, entry, key)
+        if (value := get()).anchor is not None:
+            events.anchored(value)
         if type(value) is not ScalarEvent:
-            _skip(events, value, depth + 2)
-        if failure is not None:
-            continue
-        try:
-            if key.value == "command":
-                quoted = type(value) is ScalarEvent and value.style
-                items.append(Command(value.value if quoted else _string(value, loc, "commands.command")))
-            elif key.value == "split":
-                direction = _normalize_split(_string(value, loc, "commands.split"))
-                if direction not in _SPLIT_DIRECTIONS:
-                    raise ParseFailure(f"unknown split direction {direction!r}", _line(key))
-                items.append(Split(direction))
-            else:
-                raise ParseFailure(f"unknown key {key.value!r} under {what}", _line(key))
-        except ParseFailure as exc:
-            failure = exc
+            _finish(events, depth + 2)
+        if failure is None:
+            try:
+                if key.value == "command":
+                    quoted = type(value) is ScalarEvent and value.style
+                    items.append(Command(value.value if quoted else _string(value, loc, "commands.command")))
+                elif key.value == "split":
+                    direction = _normalize_split(_string(value, loc, "commands.split"))
+                    if direction not in _SPLIT_DIRECTIONS:
+                        raise ParseFailure(f"unknown split direction {direction!r}", _line(key))
+                    items.append(Split(direction))
+                else:
+                    raise ParseFailure(f"unknown key {key.value!r} under {what}", _line(key))
+            except ParseFailure as exc:
+                failure = exc
+        if type(end := get()) is not MappingEndEvent:
+            _bad_entry(events, what, depth, entry, key, end)
     if failure is not None:
         raise failure
     return tuple(items)
 
 
 # reader -> the type of what it returns: a scalar whose plain read (the rule
-# of ``_scalar``) has that type is the reader's value, read without the call
-_PLAIN = {_string: str, _int: int, _bool: bool}
+# of ``_scalar``) has that type is the reader's value, read without the call;
+# None for a reader of its value's events (``_commands``, and each table)
+_PLAIN = {_string: str, _int: int, _bool: bool, _commands: None}
 
 
 class _Table(dict):
     """A key table: key -> (field, attr, reader, count, plain), ``plain``
-    from ``_PLAIN``, false when it has none.  ``spec`` builds the record
-    (None for one whose fields belong to the enclosing spec); in a ``strict``
-    table an unknown key is an error, not a warning.  ``required`` and
-    ``repeated`` list its "1" keys and its repeating attributes."""
+    from ``_PLAIN`` (None for a table too), false when it has none.
+    ``spec`` builds the record (None for one whose fields belong to the
+    enclosing spec); in a ``strict`` table an unknown key is an error, not a
+    warning.  ``required`` and ``repeated`` list its "1" keys and its
+    repeating attributes."""
 
     def __init__(self, keys: dict, spec=None, strict: bool = False):
-        super().__init__({key: (field, field.rpartition(".")[2], reader, count, callable(reader) and _PLAIN.get(reader)) for key, (field, reader, count) in keys.items()})
+        super().__init__({key: (field, field.rpartition(".")[2], reader, count, _PLAIN.get(reader, False) if callable(reader) else None) for key, (field, reader, count) in keys.items()})
         self.spec, self.strict = spec, strict
         self.required = tuple(key for key, (_, _, count) in keys.items() if count == "1")
         self.repeated = tuple(field.rpartition(".")[2] for field, _, count in keys.values() if count in "*+")
@@ -590,29 +597,42 @@ def _fold(events, start, loc: str, line: int, keys: _Table, parts: list, warning
     seen: dict[str, int] = {}
     inner = depth + 2  # a value's depth
     failure = None  # the first, raised once the record is read
-    for key_event, value in _entries(events, start, loc, depth):
-        if failure is not None:
+    get, live, key_event = events.get, events.live, None
+    _sequence(events, start, loc, depth)
+    while type(entry := get()) is not SequenceEndEvent:
+        if type(entry) is not MappingStartEvent or entry.anchor is not None and live or type(key_event := get()) is not ScalarEvent or key_event.anchor is not None and live:
+            _bad_entry(events, loc, depth, entry, key_event)
+        if (value := get()).anchor is not None:
+            events.anchored(value)
+        key, key_line = key_event.value, key_event.start_mark.line + 1
+        if failure is not None or (row := keys.get(key)) is None:
             _skip(events, value, inner)
-            continue
-        try:
-            key = key_event.value
-            key_line = key_event.start_mark.line + 1
-            entry = keys.get(key)
-            if entry is None:
-                _skip(events, value, inner)
-                if keys.strict:
-                    raise ParseFailure(f"unknown key {key!r} in {loc}", key_line)
+            if failure is None and keys.strict:
+                failure = ParseFailure(f"unknown key {key!r} in {loc}", key_line)
+            elif failure is None:
                 parts.append((loc, key, None, key_line))
                 warnings.append(Diagnostic("warning", "unknown-key", f"unknown key {key!r} ignored", f"{loc}.{key}", key_line))
-                continue
-            path, attr, reader, count, plain = entry
-            if count in "*+":
-                items = fields.setdefault(attr, [])
-                if isinstance(reader, _Table):
-                    items.append(reader.spec(**_fold(events, value, f"{owner}.{path}[{len(items)}]", key_line, reader, parts, warnings, inner)))
+        else:
+            path, attr, reader, count, plain = row
+            try:
+                if count in "*+":
+                    items = fields.setdefault(attr, [])
+                elif key in seen:
+                    _skip(events, value, inner)
+                    raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
+                else:
+                    items, seen[key] = None, key_line
+                    parts.append((owner, path, None, key_line))
+                if plain is None:  # a table or ``_commands``, which read their value's events
+                    if reader is _commands:
+                        fields[attr] = _commands(events, value, loc, inner)
+                    elif items is None:
+                        fields.update(_fold(events, value, f"{loc}.{key}", key_line, reader, parts, warnings, inner, owner))
+                    else:
+                        items.append(reader.spec(**_fold(events, value, f"{owner}.{path}[{len(items)}]", key_line, reader, parts, warnings, inner)))
                 elif count == "+" and type(value) is SequenceStartEvent:
                     try:
-                        while type(item := events.get()) is not SequenceEndEvent:
+                        while type(item := get()) is not SequenceEndEvent:
                             if item.anchor is not None:
                                 events.anchored(item)
                             _skip(events, item, inner + 1)
@@ -622,26 +642,19 @@ def _fold(events, start, loc: str, line: int, keys: _Table, parts: list, warning
                         _finish(events, inner)
                         raise
                 else:
-                    _skip(events, value, inner)
-                    parts.append((owner, path, len(items), key_line))
-                    items.append(reader(value, loc, key))
-                continue
-            if key in seen:
-                _skip(events, value, inner)
-                raise ParseFailure(f"key {key!r} repeated in {loc} (first at line {seen[key]})", key_line)
-            seen[key] = key_line
-            parts.append((owner, path, None, key_line))
-            if isinstance(reader, _Table):
-                fields.update(_fold(events, value, f"{loc}.{key}", key_line, reader, parts, warnings, inner, owner))
-            elif reader is _commands:
-                fields[attr] = _commands(events, value, loc, inner)
-            elif plain and type(value) is ScalarEvent and type(got := value.value if value.style or value.value[:1] not in _TYPED_FIRST else _typed(value.value)[1]) is plain:
-                fields[attr] = got
-            else:
-                _skip(events, value, inner)
-                fields[attr] = reader(value, loc, key)
-        except ParseFailure as exc:
-            failure = exc
+                    if not plain or type(value) is not ScalarEvent or type(got := value.value if value.style or value.value[:1] not in _TYPED_FIRST else _typed(value.value)[1]) is not plain:
+                        if type(value) is not ScalarEvent:
+                            _finish(events, inner)
+                        got = reader(value, loc, key)
+                    if items is None:
+                        fields[attr] = got
+                    else:
+                        parts.append((owner, path, len(items), key_line))
+                        items.append(got)
+            except ParseFailure as exc:
+                failure = exc
+        if type(end := get()) is not MappingEndEvent:
+            _bad_entry(events, loc, depth, entry, key_event, end)
     if failure is not None:
         raise failure
     for attr in keys.repeated:
@@ -713,7 +726,7 @@ def _scenario(events, root, what: str = "scenario") -> tuple[Scenario, list[Diag
     warnings: list[Diagnostic] = []
     parts: list = []
     records: dict = {field: [] for field, _, _ in _SECTIONS.values()}
-    get = events.get
+    get, live, tag = events.get, events.live, None
     empty = True
     try:
         while type(key := get()) is not MappingEndEvent:
@@ -732,26 +745,34 @@ def _scenario(events, root, what: str = "scenario") -> tuple[Scenario, list[Diag
                 continue
             specs = records[field]
             failure, mistagged = None, False  # the first, raised once the section is read
-            for tag, item in _entries(events, value, name, 2):  # ``- <tag>:`` wrapper entries
+            _sequence(events, value, name, 2)
+            while type(entry := get()) is not SequenceEndEvent:  # ``- <tag>:`` wrapper entries
+                if type(entry) is not MappingStartEvent or entry.anchor is not None and live or type(tag := get()) is not ScalarEvent or tag.anchor is not None and live:
+                    _bad_entry(events, name, 2, entry, tag)
+                if (item := get()).anchor is not None:
+                    events.anchored(item)
                 if tag.value not in tags and not mistagged:  # a later one outranks a record's error
                     expected = " or ".join(map(repr, tags))
                     failure, mistagged = ParseFailure(f"expected {expected} entries under {name}, got {tag.value!r}", _line(tag)), True
                 if failure is not None:
                     _skip(events, item, 4)
-                    continue
-                loc = f"{field}[{len(specs)}]"  # a repeated section goes on where the one before ended
-                try:
-                    fields = _fold(events, item, loc, _line(tag), keys, parts, warnings, 4)
+                else:
+                    loc = f"{field}[{len(specs)}]"  # a repeated section goes on where the one before ended
                     try:
-                        specs.append(keys.spec(**fields))
-                    except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
-                        raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
-                except ParseFailure as exc:
-                    failure = exc
+                        fields = _fold(events, item, loc, _line(tag), keys, parts, warnings, 4)
+                        try:
+                            specs.append(keys.spec(**fields))
+                        except ValueError as exc:  # FlowSpec's own rule: ``select`` names one of its windows
+                            raise ParseFailure(str(exc), SourceMap(parts)[f"{loc}.select"]) from exc
+                    except ParseFailure as exc:
+                        failure = exc
+                if type(end := get()) is not MappingEndEvent:
+                    _bad_entry(events, name, 2, entry, tag, end)
             if failure is not None:
                 raise failure
     except ParseFailure:
-        _finish(events, 1)
+        if live:  # a listed document has no event left to check
+            _finish(events, 1)
         raise
     if what == "flow" and empty:
         raise ParseFailure("flow document must contain a 'flow' section", _line(root))

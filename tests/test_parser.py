@@ -219,6 +219,62 @@ class TestParseScenario:
             parse_scenario_with_warnings(text)
         assert (exc.value.message, exc.value.line) == (message, 5)
 
+    @pytest.mark.parametrize("classes", ["libyaml", "pure-python"])
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (
+                "networks:\n  - network:\n    - name: a\n    - name:\n    - subnet: 12.0.0.0/24\n",
+                "key 'name' repeated in networks[0] (first at line 3)",
+                4,
+            ),
+            (
+                "containers:\n  - container:\n    - name: c\n    - cpus: 1\n    - cpus: x\n",
+                "key 'cpus' repeated in containers[0] (first at line 4)",
+                5,
+            ),
+            (
+                "networks:\n  - network:\n    - name: a\n    - name: [b, c]\n    - subnet: 12.0.0.0/24\n",
+                "key 'name' repeated in networks[0] (first at line 3)",
+                4,
+            ),
+            (
+                "containers:\n  - container:\n    - name: c\n    - modules:\n        - base: a/b:1\n        - base: a/c:2\n",
+                "key 'base' repeated in containers[0].modules (first at line 5)",
+                6,
+            ),
+            (
+                "containers:\n  - container:\n    - name: c\n    - cpus: x\n    - memory: 1\n      ip: 10.0.0.1\n",
+                "each entry under containers[0] must be a single-key map",
+                5,
+            ),
+            (
+                "containers:\n  - container:\n    - name: c\n    - modules:\n        - base: a/b:1\n        - volume: [x]\n        - {}\n",
+                "each entry under containers[0].modules must be a single-key map",
+                7,
+            ),
+            (
+                "flow:\n  - container:\n    - name: x\n    - window:\n      - name: w\n      - commands:\n"
+                "        - fancy: 1\n        - just text\n",
+                "each entry under flows[0].windows[0].commands must be a single-key map",
+                8,
+            ),
+        ],
+        ids=[
+            "repeated-empty-name", "repeated-cpus-not-an-integer", "repeated-name-a-list", "repeated-modules-base",
+            "second-key-after-a-bad-value", "empty-map-after-a-bad-volume", "malformed-after-an-unknown-command-key",
+        ],
+    )
+    def test_what_a_record_reports_first(self, classes, text, message, line, request):
+        """A repeated key is reported before its value is read, so a value
+        its reader would refuse does not hide it; a malformed entry outranks
+        an error kept from an entry before it.  On both YAML classes."""
+        if classes == "pure-python":
+            request.getfixturevalue("pure_python_yaml")
+        with pytest.raises(ParseFailure) as exc:
+            parse_scenario_with_warnings(text)
+        assert (exc.value.message, exc.value.line) == (message, line)
+
     @pytest.mark.parametrize("value", ["", " ~", " null"], ids=["empty", "tilde", "null"])
     def test_empty_text_fails(self, value):
         with pytest.raises(ParseFailure) as exc:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from alurity import rvd
+from alurity import parser, rvd
 from alurity.model import Command, FlowSpec, WindowSpec
 from alurity.parser import serialize_flow, serialize_scenario
 from alurity.pipeline import FlawRecord, TrackerSink, emit_all
@@ -522,6 +522,16 @@ class TestExtract:
         looped = f"{block}loop: &loop [*loop]\n"
         with pytest.raises(NoReproductionFound):
             extract_reproduction(Ticket(id=1, title="t", body=f"```yaml\n{looped}```\n"))
+
+    def test_a_record_block_is_left_at_its_first_key_by_the_scenario_reader(self, listing1_text, listing1, monkeypatch):
+        """A record's first key is no scenario section, so the scenario
+        reader stops there: it walks none of the block's listed events to
+        their end, as nothing reads them after it."""
+        read = []
+        raw = parser._Replay.raw
+        monkeypatch.setattr(parser._Replay, "raw", lambda events: read.append(events.at) or raw(events))
+        assert rvd._read_block(make_record(listing1_text).to_yaml()) == (listing1, None)
+        assert read == [0, 1]  # the root map's start and its first key
 
     def test_tickets_embedding_the_same_material_share_one_scenario(self, listing1_text, listing3_text, listing1, listing3):
         body = f"```yaml\n{make_record(listing1_text, listing3_text).to_yaml()}```\n"
