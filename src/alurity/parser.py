@@ -19,7 +19,6 @@ document as a scenario of its flows alone.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import gc
 import json
@@ -131,7 +130,16 @@ def _document(text: str, read):
     """``read(events, root)`` for the one document in ``text``, ``root`` its
     root node's first event (None for an empty stream); ``read`` reads the
     root node to its end, also when it fails.  Malformed YAML and nesting
-    past ``_MAX_DEPTH`` are a ``ParseFailure`` that outranks any of ``read``."""
+    past ``_MAX_DEPTH`` are a ``ParseFailure`` that outranks any of ``read``.
+
+    ``read`` folds the events as the parser makes them; when it meets an
+    anchor, it is given the events ``list_yaml`` read instead, each alias
+    replaying the node it names.  The cyclic collector is paused for the
+    whole read and restarted only if it was running: the events and what is
+    folded from them hold no reference cycles, so each collection their
+    allocations would trigger walks young objects and frees nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         loader = YAML_LOADER(text)
         try:
@@ -152,12 +160,18 @@ def _document(text: str, read):
             return value
         finally:
             loader.dispose()
+    except _Anchored:
+        events = _Replay(list_yaml(text))
+        return read(events, events.get())
     except UnicodeEncodeError as exc:  # lone surrogates cannot reach libyaml
         raise ParseFailure(f"malformed YAML: {exc.reason}") from exc
     except yaml.YAMLError as exc:
         raise _malformed(exc) from exc
     except _Unreadable as exc:
         raise exc.args[0] from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _listed(events, root) -> Optional[tuple]:
@@ -202,7 +216,9 @@ def list_yaml(text: str) -> Optional[tuple]:
 
 def _skip(events, start, depth: int) -> None:
     """Read the rest of the node whose first event is ``start``, ``depth``
-    levels down."""
+    levels down.  On a live read an anchor on ``start`` ends the read."""
+    if start.anchor is not None:
+        events.anchored(start)
     if type(start) is MappingStartEvent or type(start) is SequenceStartEvent:
         _finish(events, depth)
 
@@ -256,9 +272,7 @@ def load_yaml_map(path: str) -> dict:
     """The map a YAML file holds, ``{}`` for an empty file.  ``ParseFailure``
     when the file is malformed or holds anything but a map, or where
     ``build_yaml`` fails."""
-    text = read_text(path)
-    with _collector_paused():
-        doc = build_yaml(list_yaml(text), {})
+    doc = build_yaml(list_yaml(read_text(path)), {})
     if not isinstance(doc, dict):
         raise ParseFailure(f"expected a map at the top level, got a {type(doc).__name__}")
     return doc
@@ -432,21 +446,17 @@ def _bad_entry(events, what: str, depth: int, entry, key, second=None) -> None:
     section, a record, a window's commands): ``entry``, its first event, is
     no map; the map's next event ``key``, read only when ``entry`` is a map,
     is no scalar; or a ``second`` key follows the first's value.  On a live
-    read an anchor on ``entry`` or ``key`` ends the read instead.  The entry
-    and the sequence are read to their end first, so this error outranks one
-    the loop kept from an entry before it."""
+    read an anchor on any node of the entry ends the read instead.  The
+    entry and the sequence are read to their end first, so this error
+    outranks one the loop kept from an entry before it."""
     if entry.anchor is not None:
         events.anchored(entry)
     message, at = f"each entry under {what} must be a single-key map", entry
     if type(entry) is not MappingStartEvent:
         _skip(events, entry, depth + 1)
     elif second is None and type(key) is not MappingEndEvent:
-        if key.anchor is not None:
-            events.anchored(key)
         _skip(events, key, depth + 2)
-        if (value := events.get()).anchor is not None:
-            events.anchored(value)
-        _skip(events, value, depth + 2)
+        _skip(events, events.get(), depth + 2)
         if type(second := events.get()) is MappingEndEvent:
             message, at = f"each key under {what} must be a scalar", key
     if second is not None and type(second) is not MappingEndEvent:
@@ -633,8 +643,6 @@ def _fold(events, start, loc: str, line: int, keys: _Table, parts: list, warning
                 elif count == "+" and type(value) is SequenceStartEvent:
                     try:
                         while type(item := get()) is not SequenceEndEvent:
-                            if item.anchor is not None:
-                                events.anchored(item)
                             _skip(events, item, inner + 1)
                             parts.append((owner, path, len(items), _line(item)))
                             items.append(reader(item, loc, key))
@@ -670,38 +678,9 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, and restart it after only if it
-    was running before.
-
-    The parser's events and the records folded from them hold no reference
-    cycles, so each collection the reader's allocations would trigger walks
-    young objects and frees nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def parse_scenario_with_warnings(text: str) -> tuple[Scenario, list[Diagnostic]]:
     """Parse a scenario document; unknown record keys come back as warnings."""
-    with _collector_paused():
-        return _read_scenario(text, "scenario")
-
-
-def _read_scenario(text: str, what: str) -> tuple[Scenario, list[Diagnostic]]:
-    """``_scenario`` of the document in ``text``, folded as its parser reads
-    it; one with an anchor is read again by ``list_yaml``, its aliases
-    replayed."""
-    try:
-        return _document(text, functools.partial(_scenario, what=what))
-    except _Anchored:
-        return scenario_from_listed(list_yaml(text), what)
+    return _document(text, _scenario)
 
 
 def scenario_from_listed(listed: Optional[tuple], what: str = "scenario") -> tuple[Scenario, list[Diagnostic]]:
@@ -787,8 +766,7 @@ def parse_flow(text: str) -> list[FlowSpec]:
 def parse_flow_document(text: str) -> Scenario:
     """A standalone flow document as a scenario of its flows alone, with
     their lines in its source map."""
-    with _collector_paused():
-        return _read_scenario(text, "flow")[0]
+    return _document(text, functools.partial(_scenario, what="flow"))[0]
 
 
 # --- serialization -----------------------------------------------------------

@@ -11,6 +11,7 @@ this one replaced read.
 """
 
 import functools
+import gc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -221,3 +222,76 @@ def test_the_live_and_the_listed_fold_agree(text):
     for what in ("scenario", "flow"):
         live = _live(what, text)
         assert live is None or live == _listed(what, text)
+
+
+# The node at each position the live fold pulls, in a document with MARK in
+# its place.  An alias of an earlier anchor names the same node of a copy of
+# the document before it; the root has no node before it.
+RECORD = "[{name: c}, {modules: [{base: r/x:1}]}]"
+CONTAINER = "containers:\n  - container:\n    - "
+WINDOW = "flow:\n  - container:\n    - name: c\n    - window:\n      - name: w\n      - commands:\n        - "
+POSITIONS = {
+    "root": ("MARK\n", f"{{containers: [{{container: {RECORD}}}]}}"),
+    "top-level key": (f"MARK :\n  - container: {RECORD}\n", "containers"),
+    "section value": ("containers: MARK\n", f"[{{container: {RECORD}}}]"),
+    "section entry": ("containers:\n  - MARK\n", f"{{container: {RECORD}}}"),
+    "section tag": (f"containers:\n  - MARK : {RECORD}\n", "container"),
+    "record value": ("containers:\n  - container: MARK\n", RECORD),
+    "record entry": (f"{CONTAINER}MARK\n    - modules: [{{base: r/x:1}}]\n", "{name: c}"),
+    "record key": (f"{CONTAINER}MARK : c\n    - modules: [{{base: r/x:1}}]\n", "name"),
+    "record scalar": (f"{CONTAINER}name: MARK\n    - modules: [{{base: r/x:1}}]\n", "c"),
+    "network item": (f"{CONTAINER}name: c\n    - modules:\n      - base: r/x:1\n      - network:\n        - MARK\n", "lab"),
+    "commands entry": (f"{WINDOW}MARK\n", "{command: ls}"),
+    "commands key": (f"{WINDOW}MARK : ls\n", "command"),
+    "commands value": (f"{WINDOW}command: MARK\n", "ls"),
+    "section second key": (f"containers:\n  - container: {RECORD}\n    MARK : 2\n", "k"),
+    "record second key": (f"{CONTAINER}name: c\n      MARK : 2\n    - modules: [{{base: r/x:1}}]\n", "k"),
+    "commands second key": (f"{WINDOW}command: ls\n          MARK : 2\n", "k"),
+}
+PROPERTIES = {
+    "anchor": lambda part, node: part.replace("MARK", f"&a {node}"),
+    "alias": lambda part, node: part.replace("MARK", f"&e {node}") + part.replace("MARK", "*e"),
+    "undefined alias": lambda part, node: part.replace("MARK", "*u"),
+}
+
+
+@CLASSES
+@pytest.mark.usefixtures("classes_in_use")
+@pytest.mark.parametrize(
+    "position, prop",
+    [(position, prop) for position in POSITIONS for prop in PROPERTIES if (position, prop) != ("root", "alias")],
+)
+def test_an_anchor_or_an_alias_anywhere_reads_as_its_listed_events(position, prop):
+    """The live read of a document with an anchor or an alias at any node
+    the fold pulls, the second key of an entry included, gives what the
+    fold of its listed events gives."""
+    text = PROPERTIES[prop](*POSITIONS[position])
+    listed = _outcome(lambda t: parser.scenario_from_listed(parser.list_yaml(t)), text)
+    assert _outcome(parse_scenario_with_warnings, text) == listed
+
+
+@CLASSES
+@pytest.mark.usefixtures("classes_in_use")
+def test_the_collector_is_paused_while_a_block_is_listed_and_a_scenario_replayed(monkeypatch):
+    """A ticket block's events are listed, and an anchored scenario is
+    folded live and then replayed, with the cyclic collector paused; it
+    runs again once each read is done."""
+    assert gc.isenabled()
+    collecting = []
+    listed, scenario = parser._listed, parser._scenario
+
+    def listing(events, root):
+        collecting.append(("listed", gc.isenabled()))
+        return listed(events, root)
+
+    def folding(events, root, what="scenario"):
+        collecting.append(("live" if events.live else "replayed", gc.isenabled()))
+        return scenario(events, root, what)
+
+    monkeypatch.setattr(parser, "_listed", listing)
+    extract(SCENARIO_RECORD)
+    assert collecting == [("listed", False)] and gc.isenabled()
+    collecting.clear()
+    monkeypatch.setattr(parser, "_scenario", folding)
+    parse_scenario_with_warnings(SCENARIO_RECORD)
+    assert collecting == [("live", False), ("listed", False), ("replayed", False)] and gc.isenabled()

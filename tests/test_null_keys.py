@@ -4,10 +4,13 @@ reply and a flaw-record block.  An optional key given as ``null`` reads as
 the missing key, a map or list where only null is empty included; a map
 where only null is empty reads ``null`` as ``{}``; a null required key is
 refused as a missing one is.  ``exit: null`` stays refused, as the README
-says.  (The scenario dialect's rule differs on purpose: there a null
-optional field is refused.)"""
+says.  Through the CLI, ``alurity pipeline`` and ``alurity run`` with a
+null optional key of an index or a responses file exit, print and write
+what they do with the key left out.  (The scenario dialect's rule differs
+on purpose: there a null optional field is refused.)"""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alurity import rvd
+from alurity import cli, rvd
 from alurity.orchestrator import MockBackend, MockEndpoint
 from alurity.parser import ParseFailure, quote
 from alurity.toolreg import load_registry_index
@@ -144,3 +147,66 @@ def test_a_null_exit_stays_refused():
     _, read, _, _ = READERS["mock-response"]
     assert _outcome(read, "'^x':\n  exit: null\n") == ("refused", "the exit of '^x' must be an integer, got None")
     assert _outcome(read, "'^x': {}\n")[1][0] == 0
+
+
+# The files of a sweep of one tool and of a run of one command on the mock
+# backend: an ``--index`` and a ``--mock-responses`` file that set every
+# optional key, and the run's scenario.
+CLI_RULE = {
+    "id": "open", "pattern": '"FINDING: (?P<title>[^\\\\n]+)"', "title": '"{title}"', "flaw-class": "exposure",
+    "flaw_class": "leak", "severity": "high", "description": '"scan found {title}"',
+}
+CLI_MANIFEST = {"tools": "[scan]", "entrypoint": "scan -a"}
+CLI_RESPONSE = {"stdout": '"FINDING: open master\\n"', "stderr": '"slow network\\n"'}
+CLI_SCENARIO = (
+    "networks:\n  - network:\n    - name: lab\n    - subnet: 12.0.0.0/24\n"
+    "containers:\n"
+    "  - container:\n    - name: target\n    - modules:\n      - base: r/target:1\n      - network: lab\n"
+    "  - container:\n    - name: scanner\n    - modules:\n      - base: r/scan:1\n      - network: lab\n"
+    "flow:\n  - container:\n    - name: scanner\n    - window:\n      - name: w\n      - commands:\n        - command: scan -a 12.0.0.2\n"
+)
+CLI_KEYS = {"manifest": ("entrypoint", "rules", "tools"), "rule": tuple(CLI_RULE)[2:], "response": tuple(CLI_RESPONSE)}
+
+
+def _with(fields: dict, key: str, value) -> dict:
+    """``fields`` with ``key`` set to ``value``, or left out for None."""
+    fields = {name: text for name, text in fields.items() if name != key}
+    return fields if value is None else {**fields, key: value}
+
+
+def _cli_outcome(folder: Path, capsys, command: str, where: str, key: str, value) -> tuple:
+    """Exit code, stdout and stderr (``folder`` written as ``DIR``, a
+    transcript's time stamp as ``STAMP``) and the files written, by name
+    and bytes, of one CLI call whose files set ``key`` at ``where`` to
+    ``value`` (None: leave it out)."""
+    rule = _with(CLI_RULE, key, value) if where == "rule" else CLI_RULE
+    manifest = {**CLI_MANIFEST, "rules": f"[{{{', '.join(f'{name}: {text}' for name, text in rule.items())}}}]"}
+    manifest = _with(manifest, key, value) if where == "manifest" else manifest
+    response = _with(CLI_RESPONSE, key, value) if where == "response" else CLI_RESPONSE
+    texts = {
+        "index": f"r/target:1:\n  entrypoint: /bin/target\nr/scan:1:\n{_block(manifest, '  ')}",
+        "responses": f"'^scan ':\n  exit: 0\n{_block(response, '  ')}",
+        "scenario": CLI_SCENARIO,
+    }
+    folder.mkdir()
+    for name, text in texts.items():
+        (folder / f"{name}.yaml").write_text(text, encoding="utf-8")
+    config = ("--index", str(folder / "index.yaml"), "--mock-responses", str(folder / "responses.yaml"))
+    if command == "pipeline":
+        args = ["pipeline", "--target", "r/target:1", "--tools", "r/scan:1", *config, "--sink-path", str(folder / "out")]
+    else:
+        args = ["run", str(folder / "scenario.yaml"), *config, "--transcript-dir", str(folder / "out")]
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    out, err = (re.sub(r"\d{8}T\d+", "STAMP", text.replace(str(folder), "DIR")) for text in (captured.out, captured.err))
+    written = sorted((re.sub(r"\d{8}T\d+", "STAMP", path.name), path.read_bytes()) for path in (folder / "out").glob("*"))
+    return code, out, err, written
+
+
+@pytest.mark.parametrize("command", ["pipeline", "run"])
+@pytest.mark.parametrize("where, key", [(where, key) for where, keys in CLI_KEYS.items() for key in keys])
+def test_a_null_optional_key_runs_as_the_missing_key(tmp_path, capsys, command, where, key):
+    """The same through the CLI: exit code, stdout, stderr, and the
+    records or the transcript written."""
+    null = _cli_outcome(tmp_path / "null", capsys, command, where, key, "null")
+    assert null == _cli_outcome(tmp_path / "missing", capsys, command, where, key, None)

@@ -2,12 +2,13 @@
 ``--mock-responses``, against PyYAML's safe loader (``yaml_classes.load``,
 the ``load_yaml`` of the test names).
 
-Config files are composed without tag resolution and built in one walk over
-the node tree.  On every document that holds no explicit tag and no node
-that contains itself, the walk must return what the safe loader returns: the
-same keys in the same order, the same values of the same types.  Where
-the safe loader cannot read a document, or reads one that is not a map, the
-walk raises ``ParseFailure``.  The intended differences are listed and
+Config files are read into a list of their parser's events, without tag
+resolution, and built in one walk over that list.  On every document that
+holds no explicit tag and no node that contains itself, the walk must
+return what the safe loader returns: the same keys in the same order, the
+same values of the same types.  Where the safe loader cannot read a
+document, or reads one that is not a map, the walk raises
+``ParseFailure``.  The intended differences are listed and
 checked on their own: explicit tags are ignored, a node that contains
 itself is refused and so is nesting deeper than the interpreter's
 recursion limit.  Both run on the libyaml classes and again on PyYAML's
